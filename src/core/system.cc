@@ -63,6 +63,7 @@ System::System(const SystemConfig& config, sim::Simulator& sim,
   migration_bytes_c_ = &metrics_->counter("system.migration_bytes");
   lb_moves_c_ = &metrics_->counter("system.lb_moves");
   replica_fetches_c_ = &metrics_->counter("system.replica_fetches");
+  fetch_timers_c_ = &metrics_->counter("system.fetch_timers");
   pointer_promotions_c_ = &metrics_->counter("system.pointer_promotions");
   balancer_.bind_metrics(metrics_);
   nodes_.reserve(static_cast<std::size_t>(config.node_count));
@@ -311,15 +312,18 @@ void System::refresh_at(const Key& k, SimTime t) {
 
 // -------------------------------------------------------------- fetches --
 
-void System::schedule_fetch(const Key& k, int node, SimTime delay) {
+void System::schedule_fetch(const Key& k, store::Replica& member,
+                            SimTime due) {
+  member.fetch_due = due;
+  fetch_timers_c_->add(1);
   // Arc-local by construction: the timer fires on the key's shard (block
   // lookup + replica flags); the only shared state it would touch — the
   // node's migration link — is reached through the reservation relay.
   // Callable from the coordinator (readjustment) or from the key's own
   // lane (retry path).
   // d2-sched: arc-local — fetch timer for k runs on k's arc
-  sim_.schedule_arc_after(map_.arc_of(k), delay,
-                          [this, k, node] { try_fetch(k, node); });
+  sim_.schedule_arc_at(map_.arc_of(k), due,
+                       [this, k, node = member.node] { try_fetch(k, node); });
 }
 
 void System::try_fetch(const Key& k, int node) {
@@ -334,20 +338,25 @@ void System::try_fetch(const Key& k, int node) {
     }
   }
   if (member == nullptr) return;  // responsibility handed off (pointer win)
-  if (member->has_data || member->fetch_in_flight) return;
+  // Not this member's own timer: replaced by an earlier one, or armed
+  // for a membership that has since ended.
+  if (member->fetch_due != sim_.now()) return;
+  member->fetch_due = kSimTimeNever;
+  D2_DCHECK(!member->has_data && !member->fetch_in_flight);
   if (!node_up(node)) return;  // recovery readjustment will reschedule
+  const SimTime retry_at = sim_.now() + kFetchRetryDelay;
   Bytes transfer_bytes;
   if (erasure()) {
     // Regenerating one fragment requires reading k others (the classic
     // erasure-coding repair penalty, §3's "cost of ... complexity").
     if (up_data_holders(*b) < config_.ec_data_fragments) {
-      schedule_fetch(k, node, kFetchRetryDelay);  // not reconstructible yet
+      schedule_fetch(k, *member, retry_at);  // not reconstructible yet
       return;
     }
     transfer_bytes = b->member_bytes * config_.ec_data_fragments;
   } else {
     if (!fetch_source(*b).has_value()) {
-      schedule_fetch(k, node, kFetchRetryDelay);  // no up source; retry
+      schedule_fetch(k, *member, retry_at);  // no up source; retry
       return;
     }
     transfer_bytes = b->size;
@@ -437,12 +446,14 @@ void System::reassign_block(const Key& k, SimTime fetch_delay) {
   target_replica_set(k, set);
   note_set_shape(k, set.size());
   map_.reassign_replicas(k, set, sim_.now());
-  const store::BlockState* b = map_.find(k);
+  store::BlockState* b = map_.find_mutable(k);
   D2_ASSERT(b != nullptr);
-  for (const store::Replica& r : b->replicas) {
-    if (!r.has_data && !r.fetch_in_flight) {
-      schedule_fetch(k, r.node, node_up(r.node) ? fetch_delay : 0);
-    }
+  for (store::Replica& r : b->replicas) {
+    if (r.has_data || r.fetch_in_flight) continue;
+    // A down member's timer finds it down and lapses; its recovery
+    // readjustment arms the real fetch.
+    const SimTime due = sim_.now() + (node_up(r.node) ? fetch_delay : 0);
+    if (due < r.fetch_due) schedule_fetch(k, r, due);
   }
 }
 
@@ -677,6 +688,7 @@ void System::reset_traffic_counters() {
   migration_bytes_c_->reset();
   lb_moves_c_->reset();
   replica_fetches_c_->reset();
+  fetch_timers_c_->reset();
   pointer_promotions_c_->reset();
 }
 

@@ -63,6 +63,8 @@
 
 namespace d2::core {
 
+struct SystemTestPeer;
+
 class System {
  public:
   /// When `metrics` is null the system owns a private obs::Registry; in
@@ -191,6 +193,9 @@ class System {
   void check_invariants() const;
 
  private:
+  /// Test hook (tests/test_system.cc): applies chosen ID moves directly.
+  friend struct SystemTestPeer;
+
   struct NodeState {
     sim::BandwidthLink migration_link;
     bool up = true;
@@ -227,9 +232,17 @@ class System {
   /// fetches for members lacking data. `fetch_delay` applies to newly
   /// created pointer members.
   void readjust_arc(int around_node, SimTime fetch_delay);
+  /// Fetch-timer ownership: each member lacking data has at most one
+  /// pending timer, due at Replica::fetch_due. A readjustment arms one
+  /// only when it wants the fetch earlier than the pending timer would.
   void reassign_block(const Key& k, SimTime fetch_delay);
   void note_set_shape(const Key& k, std::size_t set_size);
-  void schedule_fetch(const Key& k, int node, SimTime delay);
+  /// Arms `member`'s fetch timer for block `k` at `due`, replacing its
+  /// pending one (which then fires as a no-op).
+  void schedule_fetch(const Key& k, store::Replica& member, SimTime due);
+  /// Fetch-timer arc event. Acts only if it is the member's own timer —
+  /// the clock equals the member's fetch_due — so timers that were
+  /// replaced, or armed for a previous membership, do nothing.
   void try_fetch(const Key& k, int node);
   /// Resolves every staged bandwidth reservation in (time, arc, seq)
   /// order: enqueue on the node's migration link, then schedule the
@@ -352,6 +365,7 @@ class System {
   obs::Counter* migration_bytes_c_;
   obs::Counter* lb_moves_c_;
   obs::Counter* replica_fetches_c_;
+  obs::Counter* fetch_timers_c_;
   obs::Counter* pointer_promotions_c_;
 };
 

@@ -47,12 +47,13 @@ struct EventQueueTestPeer;
 using EventId = std::uint64_t;
 
 /// Inline capture budget for event callbacks. Audit of the schedule
-/// sites (DESIGN.md §5c): the largest steady-state closures are System's
-/// TTL-refresh timer capturing {this, Key, SimTime} and the fetch timers
-/// capturing {this, Key, int} — 80 bytes with padding; a 512-bit Key
-/// capture alone is 64, so most block-addressed events sit at 72-80.
-/// Raising this widens every slot in the slab; shrink closures before
-/// shrinking budgets.
+/// sites (DESIGN.md §5c): the largest closures are System's TTL expiry
+/// {this, Key, SimTime} at 80 bytes, then {this, Key, int} at 76 (80
+/// padded) — System's fetch timer and completion, RepairEngine's retry
+/// and repair completion. A fetch timer recognises itself by its due
+/// time (the clock when it fires), so it carries no tag. A 512-bit Key
+/// capture alone is 64 bytes. Raising this widens every slot in the
+/// slab; shrink closures before shrinking budgets.
 inline constexpr std::size_t kEventCaptureBytes = 80;
 
 /// A scheduled callback: non-allocating, captures stored inline.
@@ -118,6 +119,9 @@ class EventQueue {
   Event pop();
 
   std::size_t pending() const { return live_; }
+  /// Slab size: the most events ever pending at once (slots are recycled,
+  /// never freed), so it — not pending() — sets the queue's memory.
+  std::size_t slots() const { return meta_.size(); }
 
   /// Full-structure audit; throws InvariantError naming the violated
   /// invariant. Checks the heap property, the slab free list (no cycles,
@@ -130,10 +134,11 @@ class EventQueue {
  private:
   /// Corruption-injection hook for tests (tests/test_invariants.cc).
   friend struct EventQueueTestPeer;
-  // 2^28 slots bound *live* events per queue: a 10k-node availability
-  // trial keeps tens of millions of replica-fetch timers in flight at
-  // once (the old 24-bit space overflowed there). 36 seq bits still
-  // allow ~7e10 pushes per queue before generation tags could collide.
+  // 2^28 slots bound *live* events per queue. The old 24-bit space
+  // overflowed near 6k nodes, when every readjustment armed another
+  // fetch timer per pointer member; core::System now keeps at most one
+  // per member. 36 seq bits still allow ~7e10 pushes per queue before
+  // generation tags could collide.
   static constexpr std::uint32_t kNoSlot = 0xfffffffu;    // free-list end
   static constexpr std::uint32_t kLiveMark = 0xffffffeu;  // occupied slot
   static constexpr int kSeqBits = 36;
@@ -143,7 +148,7 @@ class EventQueue {
       (std::uint64_t{1} << kSlotBits) - 1;
 
   /// 16-byte heap entry: the seq tag (insertion order, for the FIFO
-  /// tie-break) in the high 40 bits and the slab slot in the low 24, so
+  /// tie-break) in the high 36 bits and the slab slot in the low 28, so
   /// comparing `tag` compares seq first and sift steps move one cache
   /// line's worth of entries.
   struct Entry {
@@ -166,8 +171,8 @@ class EventQueue {
     }
   };
 
-  /// Slot metadata word: current occupant's seq in the high 40 bits, and
-  /// in the low 24 either kLiveMark (occupied) or the free-list link.
+  /// Slot metadata word: current occupant's seq in the high 36 bits, and
+  /// in the low 28 either kLiveMark (occupied) or the free-list link.
   /// A heap entry is live iff its slot's word is exactly
   /// `seq << kSlotBits | kLiveMark` — seq and tag share the same shift,
   /// so the whole check is one load and one 64-bit compare against a

@@ -323,6 +323,12 @@ std::size_t Simulator::events_pending() const {
   return n;
 }
 
+std::size_t Simulator::event_slots() const {
+  std::size_t n = 0;
+  for (const EventQueue& q : queues_) n += q.slots();
+  return n;
+}
+
 void Simulator::bind_metrics(obs::Registry* registry) {
   metrics_ = registry;
   if (registry == nullptr) {
@@ -342,6 +348,7 @@ void Simulator::export_metrics() {
   if (metrics_ == nullptr) return;
   metrics_->gauge("sim.events_pending")
       .set(static_cast<double>(events_pending()));
+  metrics_->gauge("sim.event_slots").set(static_cast<double>(event_slots()));
   metrics_->gauge("sim.clock_seconds").set(to_seconds(now_));
   // Partition-coordinator window statistics (DESIGN.md §12): how wide
   // the parallel windows actually ran, how much work they carried, and

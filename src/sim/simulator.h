@@ -86,8 +86,8 @@ class Simulator {
   /// Mirrors simulator accounting into `registry` under `sim.*`:
   /// `sim.events_processed` is kept live from here on (any events already
   /// processed are added in, so simulators sharing a registry sum),
-  /// `sim.events_pending` / `sim.clock_seconds` gauges are refreshed by
-  /// export_metrics(). Pass nullptr to unbind.
+  /// `sim.events_pending` / `sim.event_slots` / `sim.clock_seconds`
+  /// gauges are refreshed by export_metrics(). Pass nullptr to unbind.
   void bind_metrics(obs::Registry* registry);
 
   /// Snapshots the point-in-time quantities (pending events, clock) into
@@ -224,6 +224,9 @@ class Simulator {
 
   std::uint64_t events_processed() const { return events_processed_; }
   std::size_t events_pending() const;
+  /// Summed slab size of every queue: each queue's pending-event
+  /// high-water mark, which sets its memory (slots are never freed).
+  std::size_t event_slots() const;
 
   /// Order-insensitive digest of everything executed: the wrapping sum of
   /// all executed event times. Within one engine mode the execution order

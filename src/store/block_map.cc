@@ -72,7 +72,13 @@ void BlockMap::insert(const Key& k, Bytes size, const std::vector<int>& nodes,
   b.size = size;
   b.member_bytes = member_bytes < 0 ? size : member_bytes;
   b.replicas.reserve(nodes.size());
-  for (int n : nodes) b.replicas.push_back(Replica{n, true, 0, false});
+  for (int n : nodes) {
+    b.replicas.push_back(Replica{.pointer_since = 0,
+                                 .fetch_due = kSimTimeNever,
+                                 .node = n,
+                                 .has_data = true,
+                                 .fetch_in_flight = false});
+  }
   // Insert first: it REQUIREs the key is new, and the accounting below
   // must not run for a rejected duplicate.
   const BlockState& stored = s.index.insert(k, std::move(b));
@@ -212,15 +218,20 @@ void BlockMap::reassign_replicas(const Key& k, const std::vector<int>& nodes,
   for (int n : nodes) {
     if (const Replica* r = old_state(n)) {
       new_replicas.push_back(*r);
-    } else if (std::find(b.stale_holders.begin(), b.stale_holders.end(), n) !=
-               b.stale_holders.end()) {
-      // Rejoining node already physically holds the block.
-      b.stale_holders.erase(
-          std::find(b.stale_holders.begin(), b.stale_holders.end(), n));
-      new_replicas.push_back(Replica{n, true, now, false});
-    } else {
-      new_replicas.push_back(Replica{n, false, now, false});
+      continue;
     }
+    // A joining member starts with no pending fetch timer, even if it
+    // held this block's set before: timers belong to one membership.
+    const auto stale =
+        std::find(b.stale_holders.begin(), b.stale_holders.end(), n);
+    const bool holds_copy = stale != b.stale_holders.end();
+    // A rejoining stale holder already physically holds the block.
+    if (holds_copy) b.stale_holders.erase(stale);
+    new_replicas.push_back(Replica{.pointer_since = now,
+                                   .fetch_due = kSimTimeNever,
+                                   .node = n,
+                                   .has_data = holds_copy,
+                                   .fetch_in_flight = false});
   }
 
   // Departing members: keep data as stale holder only while needed.

@@ -44,13 +44,19 @@ namespace d2::store {
 
 struct BlockMapTestPeer;
 
-/// One member of a block's responsible replica set.
+/// One member of a block's responsible replica set. The two times lead so
+/// the node and flags share the last word: 24 bytes, one per member of
+/// every block (core::RepairEngine shares the type).
 struct Replica {
+  SimTime pointer_since = 0;   // when this member became responsible
+  /// Due time of the member's single pending fetch timer (core::System),
+  /// kSimTimeNever when none is pending.
+  SimTime fetch_due = kSimTimeNever;
   int node = -1;
   bool has_data = false;       // physical copy present (false => pointer)
-  SimTime pointer_since = 0;   // when this member became responsible
   bool fetch_in_flight = false;
 };
+static_assert(sizeof(Replica) == 24, "Replica is stored per member per block");
 
 struct BlockState {
   Bytes size = 0;
@@ -129,8 +135,9 @@ class BlockMap {
   /// --- replica-state mutators (keep the accounting consistent) ---
 
   /// Replaces the responsible set of block `k` with `nodes`. Members kept
-  /// from the old set keep their data/pointer state; new members join as
-  /// pointers (pointer_since = now). Members removed drop out: their data
+  /// from the old set keep their data/pointer state and fetch timer; new
+  /// members join as pointers (pointer_since = now) with no fetch timer,
+  /// even if they held the set before. Members removed drop out: their data
   /// copy is deleted unless it is still needed as a fetch source (some
   /// remaining replica lacks data), in which case it becomes a stale
   /// holder. `primary_changed` reports old/new primary for accounting.

@@ -73,7 +73,11 @@ SystemConfig golden_system(int nodes) {
   return c;
 }
 
-constexpr std::uint64_t kAvailabilityGolden = 5282780080455404772ull;
+// Re-pinned for fetch-timer ownership: a replica-set member keeps at most
+// one pending fetch timer, and only that timer may start its fetch. A
+// node that rejoins a block's set no longer fetches early off a timer
+// its previous membership left behind, which shifts migration_bytes.
+constexpr std::uint64_t kAvailabilityGolden = 5949234668160264810ull;
 // Re-pinned after the TcpModel partial-final-window fix: slow start now
 // grows cwnd only by the packets actually acknowledged in the last RTT of
 // a transfer, which shifts every downstream latency figure.

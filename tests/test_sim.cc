@@ -2,6 +2,7 @@
 
 #include "common/assert.h"
 #include "common/key.h"
+#include "obs/metrics.h"
 #include "sim/bandwidth.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
@@ -150,6 +151,18 @@ TEST(Simulator, RecurringEventChain) {
   EXPECT_EQ(fires, 5);
   EXPECT_EQ(sim.now(), 50);
   EXPECT_EQ(sim.events_processed(), 5u);
+}
+
+TEST(Simulator, EventSlotsGaugeKeepsPendingHighWater) {
+  obs::Registry metrics;
+  Simulator sim;
+  sim.bind_metrics(&metrics);
+  for (int i = 1; i <= 4; ++i) sim.schedule_at(i, [] {});
+  sim.run();
+  sim.schedule_at(10, [] {});  // reuses a freed slot
+  sim.export_metrics();
+  EXPECT_EQ(metrics.find_gauge("sim.events_pending")->value(), 1.0);
+  EXPECT_EQ(metrics.find_gauge("sim.event_slots")->value(), 4.0);
 }
 
 TEST(Simulator, CancelScheduledEvent) {

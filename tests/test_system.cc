@@ -2,12 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/stats.h"
 #include "fs/key_encoding.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
 
 namespace d2::core {
+
+/// Applies ID moves chosen by the test instead of by a probe.
+struct SystemTestPeer {
+  static void move(System& sys, int node, const Key& new_id) {
+    sys.execute_move(dht::MoveDecision{node, sys.owner_of(new_id), new_id});
+  }
+};
+
 namespace {
 
 SystemConfig small_config() {
@@ -21,6 +31,36 @@ SystemConfig small_config() {
 // Sequential "D2-like" keys concentrated in a small region of the ring —
 // the skew that consistent hashing cannot balance.
 Key seq_key(std::uint64_t i) { return Key::from_uint64(1000 + i); }
+
+const store::Replica* member(const System& sys, const Key& k, int node) {
+  for (const store::Replica& r : sys.block_map().find(k)->replicas) {
+    if (r.node == node) return &r;
+  }
+  return nullptr;
+}
+
+/// Members that lack data and are up: the ones a fetch timer serves.
+std::size_t fetching_members(const System& sys) {
+  std::size_t n = 0;
+  sys.block_map().for_each_block([&](const Key&, const store::BlockState& b) {
+    for (const store::Replica& r : b.replicas) {
+      if (!r.has_data && sys.node_up(r.node)) ++n;
+    }
+  });
+  return n;
+}
+
+std::int64_t fetch_timers(const System& sys) {
+  return sys.metrics().find_counter("system.fetch_timers")->value();
+}
+
+/// A node outside `k`'s replica set.
+int node_outside_set(const System& sys, const Key& k) {
+  const std::vector<int> set = sys.replica_nodes(k);
+  int n = 0;
+  while (std::find(set.begin(), set.end(), n) != set.end()) ++n;
+  return n;
+}
 
 TEST(System, PutPlacesOnReplicaSet) {
   sim::Simulator sim;
@@ -153,6 +193,71 @@ TEST(System, PointerHandoffAvoidsDoubleMove) {
   EXPECT_LT(with_pointers, without_pointers);
 }
 
+TEST(System, RepeatedReadjustmentKeepsOneFetchTimerPerMember) {
+  // One real split makes pointer members; then the heavy node's ID moves
+  // back and forth inside its empty gap, so every move readjusts the same
+  // hot blocks without changing any replica set. However many such
+  // readjustments land inside the stabilization window, each pointer
+  // member keeps exactly one pending fetch timer.
+  SystemConfig c = small_config();
+  c.pointer_stabilization = hours(1);
+  sim::Simulator sim;
+  System sys(c, sim);
+  for (std::uint64_t i = 0; i < 400; ++i) sys.put(seq_key(i), kB(8));
+  const int heavy = sys.owner_of(seq_key(0));
+  SystemTestPeer::move(sys, node_outside_set(sys, seq_key(0)), seq_key(199));
+  const std::size_t pointers = fetching_members(sys);
+  ASSERT_GT(pointers, 0u);
+  EXPECT_EQ(sim.events_pending(), pointers);
+
+  const Key home = sys.ring().id_of(heavy);
+  const Key nudged = home - Key::from_uint64(1);
+  for (int n = 1; n <= 8; ++n) {
+    sim.run_until(minutes(5 * n));
+    const std::vector<int> before = sys.replica_nodes(seq_key(0));
+    SystemTestPeer::move(sys, heavy, n % 2 == 1 ? nudged : home);
+    ASSERT_EQ(sys.replica_nodes(seq_key(0)), before);
+    EXPECT_EQ(sim.events_pending(), pointers) << "after move " << n;
+  }
+  EXPECT_EQ(fetch_timers(sys), static_cast<std::int64_t>(pointers));
+
+  // The single timers still fetch every pointer member's data.
+  sim.run_until(hours(12));
+  EXPECT_EQ(fetching_members(sys), 0u);
+  EXPECT_EQ(sys.metrics().find_counter("system.replica_fetches")->value(),
+            static_cast<std::int64_t>(pointers));
+}
+
+TEST(System, RejoinedPointerMemberWaitsFullStabilization) {
+  // A node joins a block's set, leaves it, and rejoins inside one
+  // stabilization window. The timer armed for its first membership must
+  // not fetch for the second: the data arrives only once the rejoined
+  // membership has stabilized.
+  SystemConfig c = small_config();
+  c.pointer_stabilization = hours(1);
+  sim::Simulator sim;
+  System sys(c, sim);
+  for (std::uint64_t i = 0; i < 400; ++i) sys.put(seq_key(i), kB(8));
+  const Key k = seq_key(0);
+  const int light = node_outside_set(sys, k);
+  const Key home = sys.ring().id_of(light);
+
+  SystemTestPeer::move(sys, light, seq_key(199));  // joins k's set
+  ASSERT_NE(member(sys, k, light), nullptr);
+  sim.run_until(minutes(20));
+  SystemTestPeer::move(sys, light, home);  // leaves it
+  ASSERT_EQ(member(sys, k, light), nullptr);
+  sim.run_until(minutes(30));
+  SystemTestPeer::move(sys, light, seq_key(199));  // rejoins
+  const SimTime since = member(sys, k, light)->pointer_since;
+  EXPECT_EQ(since, minutes(30));
+
+  sim.run_until(since + c.pointer_stabilization - seconds(1));
+  EXPECT_FALSE(member(sys, k, light)->has_data);
+  sim.run_until(hours(12));
+  EXPECT_TRUE(member(sys, k, light)->has_data);
+}
+
 TEST(System, AvailabilitySurvivesMinorityReplicaFailure) {
   SystemConfig c = small_config();
   sim::Simulator sim;
@@ -243,8 +348,16 @@ TEST(System, WriteDuringReplicaDowntimeCatchesUpOnRecovery) {
   const auto nodes = sys.replica_nodes(key);  // empty (not inserted)
   EXPECT_TRUE(nodes.empty());
   const int owner = sys.owner_of(key);
-  const auto trace = sim::FailureTrace::from_intervals(
-      c.node_count, days(1), {{owner, minutes(1), hours(1)}});
+  // The write lands on the three successors of the down owner; they go
+  // down too before it recovers, leaving it no source from 1 h to 2 h.
+  std::vector<sim::FailureTrace::DownInterval> downs = {
+      {owner, minutes(1), hours(1)}};
+  for (int n = sys.ring().successor(owner); downs.size() < 4;
+       n = sys.ring().successor(n)) {
+    downs.push_back({n, minutes(30), hours(2)});
+  }
+  const auto trace =
+      sim::FailureTrace::from_intervals(c.node_count, days(1), downs);
   sys.attach_failure_trace(&trace, 0);
   sim.run_until(minutes(5));
   sys.put(key, kB(8));  // written while the primary is down
@@ -255,6 +368,25 @@ TEST(System, WriteDuringReplicaDowntimeCatchesUpOnRecovery) {
   }
   EXPECT_FALSE(owner_has_data);
   EXPECT_TRUE(sys.block_available(key));  // other replicas hold it
+
+  // No member has a fetch timer yet; the owner's recovery at 1 h fires
+  // one failure transition and arms one timer per member lacking data.
+  sim.run_until(minutes(55));
+  const std::size_t other_events = sim.events_pending() - 1;
+  sim.run_until(hours(1) + minutes(5));
+  EXPECT_FALSE(sys.block_available(key));
+  const std::size_t fetching = fetching_members(sys);
+  ASSERT_GT(fetching, 0u);
+  EXPECT_EQ(sim.events_pending(), other_events + fetching);
+  // Every kFetchRetryDelay (10 min) each of them retries, and the retry
+  // replaces its timer instead of stacking another.
+  const std::int64_t timers = fetch_timers(sys);
+  for (int round = 1; round <= 5; ++round) {
+    sim.run_until(hours(1) + minutes(5 + 10 * round));
+    EXPECT_EQ(sim.events_pending(), other_events + fetching);
+    EXPECT_EQ(fetch_timers(sys),
+              timers + round * static_cast<std::int64_t>(fetching));
+  }
   // After recovery the owner fetches the missed write.
   sim.run_until(hours(3));
   b = sys.block_map().find(key);
