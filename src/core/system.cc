@@ -1,6 +1,7 @@
 #include "core/system.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/assert.h"
 #include "common/lane.h"
@@ -65,6 +66,8 @@ System::System(const SystemConfig& config, sim::Simulator& sim,
   replica_fetches_c_ = &metrics_->counter("system.replica_fetches");
   fetch_timers_c_ = &metrics_->counter("system.fetch_timers");
   pointer_promotions_c_ = &metrics_->counter("system.pointer_promotions");
+  reassigned_blocks_c_ = &metrics_->counter("system.reassigned_blocks");
+  replica_set_changes_c_ = &metrics_->counter("system.replica_set_changes");
   balancer_.bind_metrics(metrics_);
   nodes_.reserve(static_cast<std::size_t>(config.node_count));
   for (int i = 0; i < config.node_count; ++i) {
@@ -92,17 +95,25 @@ Key System::scatter_position(const Key& k, int i) {
   return dht::hashed_key(k.hex() + "#scatter" + std::to_string(i));
 }
 
+int System::scattered_members() const {
+  return erasure() ? 0
+                   : std::min(config_.scatter_replicas, config_.replicas - 1);
+}
+
 void System::target_replica_set(const Key& k, std::vector<int>& out) const {
-  // Successor-order replica set for `k` under the current up/down state:
-  // the canonical successors, extended past down nodes until enough up
-  // members are included (bounded by scan_cap). With hybrid placement,
-  // the tail of the set lives at consistent-hash positions instead.
-  const int scatter =
-      erasure() ? 0 : std::min(config_.scatter_replicas, config_.replicas - 1);
-  const int r = effective_replicas() - scatter;
+  successor_set(ring_.owner(k), out);
+  append_scattered(k, out);
+}
+
+void System::successor_set(int owner, std::vector<int>& out) const {
+  // The canonical successors of `owner` under the current up/down state,
+  // extended past down nodes until enough up members are included
+  // (bounded by scan_cap). With hybrid placement, the tail of the set
+  // lives at consistent-hash positions instead (append_scattered).
+  const int r = effective_replicas() - scattered_members();
   out.clear();
   const int cap = std::min<int>(static_cast<int>(ring_.size()), scan_cap(r));
-  int node = ring_.owner(k);
+  int node = owner;
   int up_count = 0;
   for (int i = 0; i < cap; ++i) {
     out.push_back(node);
@@ -110,8 +121,12 @@ void System::target_replica_set(const Key& k, std::vector<int>& out) const {
     if (up_count >= r && static_cast<int>(out.size()) >= r) break;
     node = ring_.successor(node);
   }
+}
+
+void System::append_scattered(const Key& k, std::vector<int>& out) const {
   // Scattered members: first non-duplicate node at each hashed position,
   // plus the next up one if it is down (mirroring the successor logic).
+  const int scatter = scattered_members();
   for (int s = 0; s < scatter; ++s) {
     int candidate = ring_.owner(scatter_position(k, s));
     int steps = 0;
@@ -134,14 +149,14 @@ void System::target_replica_set(const Key& k, std::vector<int>& out) const {
 }
 
 void System::register_scatter(const Key& k) {
-  const int scatter = std::min(config_.scatter_replicas, config_.replicas - 1);
+  const int scatter = scattered_members();
   for (int s = 0; s < scatter; ++s) {
     scatter_index_.emplace(scatter_position(k, s), k);
   }
 }
 
 void System::forget_scatter(const Key& k) {
-  const int scatter = std::min(config_.scatter_replicas, config_.replicas - 1);
+  const int scatter = scattered_members();
   for (int s = 0; s < scatter; ++s) {
     const Key pos = scatter_position(k, s);
     auto [lo, hi] = scatter_index_.equal_range(pos);
@@ -441,20 +456,25 @@ void System::note_set_shape(const Key& k, std::size_t set_size) {
   }
 }
 
-void System::reassign_block(const Key& k, SimTime fetch_delay) {
-  std::vector<int>& set = replica_set_scratch_[shard_slot()];
-  target_replica_set(k, set);
+// Preconditions (non-empty set, `b` is k's state, owner lane) are enforced
+// by BlockMap::reassign_replicas.  d2-lint: allow(unguarded-mutator)
+bool System::reassign_block(const Key& k, store::BlockState& b,
+                            const std::vector<int>& set, SimTime fetch_delay) {
   note_set_shape(k, set.size());
-  map_.reassign_replicas(k, set, sim_.now());
-  store::BlockState* b = map_.find_mutable(k);
-  D2_ASSERT(b != nullptr);
-  for (store::Replica& r : b->replicas) {
+  const bool changed = map_.reassign_replicas(k, b, set, sim_.now());
+  for (store::Replica& r : b.replicas) {
     if (r.has_data || r.fetch_in_flight) continue;
     // A down member's timer finds it down and lapses; its recovery
     // readjustment arms the real fetch.
     const SimTime due = sim_.now() + (node_up(r.node) ? fetch_delay : 0);
     if (due < r.fetch_due) schedule_fetch(k, r, due);
   }
+  return changed;
+}
+
+void System::count_pass(const ReassignTally& tally) {
+  reassigned_blocks_c_->add(tally.blocks);
+  replica_set_changes_c_->add(tally.changed);
 }
 
 void System::readjust_arc(int around_node, SimTime fetch_delay) {
@@ -466,9 +486,29 @@ void System::readjust_arc(int around_node, SimTime fetch_delay) {
   for (int i = 0; i < steps; ++i) pred = ring_.predecessor(pred);
   const Key from = ring_.id_of(pred);
   const Key to = ring_.id_of(around_node);
-  for (const Key& k : map_.keys_in_arc(from, to)) {
-    reassign_block(k, fetch_delay);
-  }
+  ReassignTally tally;
+  // One walk in key order, reassigning each block where it is stored, so
+  // fetch timers are armed in key order. The successor part of a target
+  // set depends only on the key's owner and on which nodes are up, and
+  // neither changes during the walk: it is computed once per owned
+  // segment (seg_from, seg_to], and each key's scattered members are
+  // appended to it.
+  std::vector<int>& set = replica_set_scratch_[shard_slot()];
+  std::size_t successors = 0;
+  int owner = -1;
+  Key seg_from;
+  Key seg_to;
+  map_.for_each_in_arc(from, to, [&](const Key& k, store::BlockState& b) {
+    if (owner < 0 || !Key::in_arc(k, seg_from, seg_to)) {
+      owner = ring_.owner(k);
+      std::tie(seg_from, seg_to) = ring_.owned_arc(owner);
+      successor_set(owner, set);
+      successors = set.size();
+    }
+    set.resize(successors);  // drop the previous key's scattered members
+    append_scattered(k, set);
+    tally.add(reassign_block(k, b, set, fetch_delay));
+  });
   if (!scatter_index_.empty()) {
     // Blocks with a scattered replica anchored in this arc are affected
     // too (hybrid placement).
@@ -491,9 +531,13 @@ void System::readjust_arc(int around_node, SimTime fetch_delay) {
       }
     }
     for (const Key& k : affected) {
-      if (map_.contains(k)) reassign_block(k, fetch_delay);
+      if (store::BlockState* b = map_.find_mutable(k)) {
+        target_replica_set(k, set);
+        tally.add(reassign_block(k, *b, set, fetch_delay));
+      }
     }
   }
+  count_pass(tally);
 }
 
 // ------------------------------------------------------- load balancing --
@@ -666,13 +710,17 @@ void System::on_node_up(int node) {
   for (const std::set<Key>& shard : extended_) {
     extended.insert(extended.end(), shard.begin(), shard.end());
   }
+  std::vector<int>& set = replica_set_scratch_[shard_slot()];
+  ReassignTally tally;
   for (const Key& k : extended) {
-    if (map_.contains(k)) {
-      reassign_block(k, 0);
+    if (store::BlockState* b = map_.find_mutable(k)) {
+      target_replica_set(k, set);
+      tally.add(reassign_block(k, *b, set, 0));
     } else {
       extended_shard(k).erase(k);
     }
   }
+  count_pass(tally);
   maybe_audit(/*sampled=*/false);
 }
 
@@ -690,6 +738,8 @@ void System::reset_traffic_counters() {
   replica_fetches_c_->reset();
   fetch_timers_c_->reset();
   pointer_promotions_c_->reset();
+  reassigned_blocks_c_->reset();
+  replica_set_changes_c_->reset();
 }
 
 double System::load_imbalance() const {

@@ -207,8 +207,17 @@ class System {
   /// Up nodes currently holding a data copy/fragment of `b`.
   int up_data_holders(const store::BlockState& b) const;
   /// Fills `out` (cleared first) with the successor-order replica set for
-  /// `k`. Out-param so hot callers can reuse a scratch buffer.
+  /// `k`: successor_set of its owner plus append_scattered. Out-param so
+  /// hot callers can reuse a scratch buffer.
   void target_replica_set(const Key& k, std::vector<int>& out) const;
+  /// Fills `out` (cleared first) with the successor part of the replica
+  /// set of every key `owner` owns.
+  void successor_set(int owner, std::vector<int>& out) const;
+  /// Appends the scattered members of `k` (hybrid placement) to `out`,
+  /// which holds its successor part.
+  void append_scattered(const Key& k, std::vector<int>& out) const;
+  /// Replica-set members placed at hashed positions (hybrid placement).
+  int scattered_members() const;
   /// Ring position of the i-th scattered replica of key `k`.
   static Key scatter_position(const Key& k, int i);
   void register_scatter(const Key& k);
@@ -228,14 +237,30 @@ class System {
   }
   void execute_move(const dht::MoveDecision& decision);
   /// Recomputes replica sets for all blocks in the cover arc around
-  /// `around_node` (its (r+2) predecessors through itself) and schedules
-  /// fetches for members lacking data. `fetch_delay` applies to newly
-  /// created pointer members.
+  /// `around_node` (its scan_cap(r) = r+6 predecessors through itself)
+  /// and schedules fetches for members lacking data. `fetch_delay`
+  /// applies to newly created pointer members.
   void readjust_arc(int around_node, SimTime fetch_delay);
-  /// Fetch-timer ownership: each member lacking data has at most one
-  /// pending timer, due at Replica::fetch_due. A readjustment arms one
-  /// only when it wants the fetch earlier than the pending timer would.
-  void reassign_block(const Key& k, SimTime fetch_delay);
+  /// Gives block `k`, whose state `b` the caller holds, the replica set
+  /// `set`; returns whether its member list changed. Fetch-timer
+  /// ownership: each member lacking data has at most one pending timer,
+  /// due at Replica::fetch_due. A readjustment arms one only when it
+  /// wants the fetch earlier than the pending timer would.
+  bool reassign_block(const Key& k, store::BlockState& b,
+                      const std::vector<int>& set, SimTime fetch_delay);
+  /// Blocks one readjustment or recovery pass reassigned, and how many of
+  /// their member lists changed.
+  struct ReassignTally {
+    std::int64_t blocks = 0;
+    std::int64_t changed = 0;
+    void add(bool set_changed) {
+      ++blocks;
+      if (set_changed) ++changed;
+    }
+  };
+  /// Adds a pass's tally to system.reassigned_blocks and
+  /// system.replica_set_changes: one atomic add per pass, not per block.
+  void count_pass(const ReassignTally& tally);
   void note_set_shape(const Key& k, std::size_t set_size);
   /// Arms `member`'s fetch timer for block `k` at `due`, replacing its
   /// pending one (which then fires as a no-op).
@@ -367,6 +392,8 @@ class System {
   obs::Counter* replica_fetches_c_;
   obs::Counter* fetch_timers_c_;
   obs::Counter* pointer_promotions_c_;
+  obs::Counter* reassigned_blocks_c_;
+  obs::Counter* replica_set_changes_c_;
 };
 
 }  // namespace d2::core

@@ -12,9 +12,10 @@
 // Iteration order is exactly key order — identical to the std::map this
 // replaced — so every seeded experiment output is unchanged.
 //
-// Mutation during iteration is not allowed (callers snapshot keys first,
-// as System::readjust_arc does). Pointers returned by find() are
-// invalidated by insert/erase, like any vector-backed container.
+// A walk (for_each, walk_in_arc, for_each_in_arc) may change the values
+// it visits but must not insert or erase keys. Pointers returned by
+// find() are invalidated by insert/erase, like any vector-backed
+// container.
 #pragma once
 
 #include <memory>

@@ -174,24 +174,29 @@ std::optional<Key> BlockMap::median_primary_key(const Key& from,
   return mid;
 }
 
-std::vector<Key> BlockMap::keys_in_arc(const Key& from, const Key& to) const {
-  std::vector<Key> out;
-  const_cast<BlockMap&>(*this).walk_in_arc(
-      from, to, [&out](const Key& k, BlockState&) {
-        out.push_back(k);
-        return true;
-      });
-  return out;
+bool BlockMap::reassign_replicas(const Key& k, const std::vector<int>& nodes,
+                                 SimTime now) {
+  D2_ASSERT_OWNER_LANE(plan_.arc_of(k));
+  BlockState* b = slice_of(k).index.find(k);
+  D2_REQUIRE_MSG(b != nullptr, "reassigning unknown block");
+  return reassign_replicas(k, *b, nodes, now);
 }
 
-void BlockMap::reassign_replicas(const Key& k, const std::vector<int>& nodes,
-                                 SimTime now) {
+bool BlockMap::reassign_replicas(const Key& k, BlockState& b,
+                                 const std::vector<int>& nodes, SimTime now) {
   D2_REQUIRE(!nodes.empty());
   D2_ASSERT_OWNER_LANE(plan_.arc_of(k));
   Slice& s = slice_of(k);
-  BlockState* bp = s.index.find(k);
-  D2_REQUIRE_MSG(bp != nullptr, "reassigning unknown block");
-  BlockState& b = *bp;
+  D2_DCHECK_MSG(s.index.find(k) == &b, "reassigning a state that is not k's");
+
+  if (std::equal(b.replicas.begin(), b.replicas.end(), nodes.begin(),
+                 nodes.end(),
+                 [](const Replica& r, int n) { return r.node == n; })) {
+    prune_stale(s, b);
+    D2_PARANOID_AUDIT(if (s.audit_gate.due(s.index.size()))
+                          check_slice_invariants(plan_.arc_of(k)));
+    return false;
+  }
 
   const int old_primary = b.replicas.front().node;
   const int new_primary = nodes.front();
@@ -254,6 +259,7 @@ void BlockMap::reassign_replicas(const Key& k, const std::vector<int>& nodes,
   prune_stale(s, b);
   D2_PARANOID_AUDIT(if (s.audit_gate.due(s.index.size()))
                         check_slice_invariants(plan_.arc_of(k)));
+  return true;
 }
 
 void BlockMap::mark_data(const Key& k, int node) {

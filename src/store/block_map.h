@@ -116,11 +116,13 @@ class BlockMap {
   /// count: the median block's key. nullopt if the node owns < 2 blocks.
   std::optional<Key> median_primary_key(const Key& from, const Key& to) const;
 
-  /// Visits blocks with keys in the clockwise arc (from, to]; handles
-  /// wrap and slice boundaries. `fn(const Key&, BlockState&)` must not
-  /// insert or erase blocks. A template (not std::function) so the
-  /// per-block call is direct — these walks are the load balancer's
-  /// inner loop. from == to visits the whole ring.
+  /// Visits blocks with keys in the clockwise arc (from, to], in key
+  /// order from `from`; handles wrap and slice boundaries.
+  /// `fn(const Key&, BlockState&)` may change the visited block (e.g.
+  /// reassign_replicas on it) but must not insert or erase blocks. A
+  /// template (not std::function) so the per-block call is direct — these
+  /// walks are the load balancer's inner loop. from == to visits the
+  /// whole ring.
   template <class Fn>
   void for_each_in_arc(const Key& from, const Key& to, Fn&& fn) {
     walk_in_arc(from, to, [&fn](const Key& k, BlockState& b) {
@@ -128,9 +130,6 @@ class BlockMap {
       return true;
     });
   }
-
-  /// Keys in the arc (from, to].
-  std::vector<Key> keys_in_arc(const Key& from, const Key& to) const;
 
   /// --- replica-state mutators (keep the accounting consistent) ---
 
@@ -140,9 +139,16 @@ class BlockMap {
   /// even if they held the set before. Members removed drop out: their data
   /// copy is deleted unless it is still needed as a fetch source (some
   /// remaining replica lacks data), in which case it becomes a stale
-  /// holder. `primary_changed` reports old/new primary for accounting.
-  void reassign_replicas(const Key& k, const std::vector<int>& nodes,
+  /// holder. Returns whether the member list changed.
+  bool reassign_replicas(const Key& k, const std::vector<int>& nodes,
                          SimTime now);
+
+  /// Same, on `b`, block `k`'s state as held by the caller (e.g. inside
+  /// for_each_in_arc), without searching the index. When `nodes` equals
+  /// the current member list, node for node, the block keeps every
+  /// member as it is and nothing is allocated.
+  bool reassign_replicas(const Key& k, BlockState& b,
+                         const std::vector<int>& nodes, SimTime now);
 
   /// Marks the replica at `node` as holding data (pointer resolved after a
   /// fetch). Drops stale holders that are no longer needed.

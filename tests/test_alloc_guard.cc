@@ -9,7 +9,9 @@
 //     slot slab; no per-event nodes, no std::function boxes),
 //   * store::LookupCache hit path (chunked sorted index, no tree nodes),
 //   * store::RetrievalCache hit path and insert/evict churn at capacity
-//     (slab + intrusive LRU + backward-shift open addressing).
+//     (slab + intrusive LRU + backward-shift open addressing),
+//   * store::BlockMap reassigning blocks to their current members inside
+//     an arc walk (the unchanged sets of System's readjustment).
 //
 // These guards are the teeth behind DESIGN.md §5c: a regression that
 // reintroduces boxing (e.g., an std::function member, a node-based map)
@@ -35,6 +37,7 @@
 #include "common/key.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
+#include "store/block_map.h"
 #include "store/lookup_cache.h"
 #include "store/retrieval_cache.h"
 
@@ -200,6 +203,28 @@ TEST(AllocGuard, RetrievalCacheHitAndChurnAreAllocationFree) {
   }
   EXPECT_EQ(probe.news(), 0u) << "RetrievalCache steady state allocated";
   EXPECT_EQ(probe.deletes(), 0u);
+}
+
+TEST(AllocGuard, BlockMapReassignToCurrentMembersIsAllocationFree) {
+#ifdef D2_PARANOID
+  GTEST_SKIP() << "paranoid audits allocate inside the measured hot path";
+#endif
+  store::BlockMap map(8);
+  const std::vector<int> set = {0, 1, 2};
+  for (std::uint64_t i = 1; i <= 512; ++i) map.insert(K(i * 16), kB(8), set);
+
+  const AllocProbe probe;
+  int changed = 0;
+  for (int round = 0; round < 100; ++round) {
+    map.for_each_in_arc(K(100), K(4000),
+                        [&](const Key& k, store::BlockState& b) {
+                          changed += map.reassign_replicas(k, b, set, round);
+                        });
+    changed += map.reassign_replicas(K(16), set, round);
+  }
+  EXPECT_EQ(probe.news(), 0u) << "unchanged reassignment allocated";
+  EXPECT_EQ(probe.deletes(), 0u);
+  EXPECT_EQ(changed, 0);
 }
 
 }  // namespace

@@ -143,18 +143,69 @@ TEST(BlockMap, MedianAvoidsCollidingWithArcEnd) {
   EXPECT_FALSE(m2.median_primary_key(K(4), K(5)).has_value());
 }
 
+/// Keys for_each_in_arc visits over (from, to], in visiting order.
+std::vector<Key> visited(BlockMap& m, const Key& from, const Key& to) {
+  std::vector<Key> out;
+  m.for_each_in_arc(from, to,
+                    [&out](const Key& k, BlockState&) { out.push_back(k); });
+  return out;
+}
+
 TEST(BlockMap, ArcIterationNonWrapping) {
   BlockMap m(2);
   for (std::uint64_t i = 1; i <= 5; ++i) m.insert(K(i * 10), 8, {0});
-  EXPECT_EQ(m.keys_in_arc(K(10), K(30)), (std::vector<Key>{K(20), K(30)}));
-  EXPECT_TRUE(m.keys_in_arc(K(50), K(50)).size() == 5);  // whole ring
+  EXPECT_EQ(visited(m, K(10), K(30)), (std::vector<Key>{K(20), K(30)}));
+  EXPECT_EQ(visited(m, K(50), K(50)),  // whole ring
+            (std::vector<Key>{K(10), K(20), K(30), K(40), K(50)}));
 }
 
 TEST(BlockMap, ArcIterationWrapping) {
   BlockMap m(2);
   for (std::uint64_t i = 1; i <= 5; ++i) m.insert(K(i * 10), 8, {0});
-  auto keys = m.keys_in_arc(K(35), K(15));
-  EXPECT_EQ(keys, (std::vector<Key>{K(40), K(50), K(10)}));
+  m.insert(Key::max(), 8, {1});
+  EXPECT_EQ(visited(m, K(35), K(15)),
+            (std::vector<Key>{K(40), K(50), Key::max(), K(10)}));
+  EXPECT_EQ(visited(m, Key::max(), K(20)), (std::vector<Key>{K(10), K(20)}));
+}
+
+TEST(BlockMap, ReassignToCurrentMembersChangesNothing) {
+  BlockMap m(5);
+  m.insert(K(10), 100, {0, 1, 2});
+  m.insert(K(20), 100, {1, 2, 3});
+  m.reassign_replicas(K(10), {0, 1, 3}, 50);  // 3 joins as pointer, 2 stale
+  BlockState* b = m.find_mutable(K(10));
+  b->replicas[2].fetch_due = 90;  // a pending timer and a transfer in flight
+  b->replicas[2].fetch_in_flight = true;
+  const std::vector<Replica> replicas = b->replicas;
+  const std::vector<int> stale = b->stale_holders;
+  auto accounting = [&m] {
+    std::vector<std::int64_t> out;
+    for (int n = 0; n < m.node_count(); ++n) {
+      out.insert(out.end(),
+                 {m.primary_count(n), m.primary_bytes(n), m.physical_bytes(n)});
+    }
+    return out;
+  };
+  const std::vector<std::int64_t> before = accounting();
+
+  EXPECT_FALSE(m.reassign_replicas(K(10), {0, 1, 3}, 70));
+  EXPECT_FALSE(m.reassign_replicas(K(10), *b, {0, 1, 3}, 80));
+  ASSERT_EQ(b->replicas.size(), replicas.size());
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    const Replica& now = b->replicas[i];
+    EXPECT_EQ(now.node, replicas[i].node) << i;
+    EXPECT_EQ(now.pointer_since, replicas[i].pointer_since) << i;
+    EXPECT_EQ(now.fetch_due, replicas[i].fetch_due) << i;
+    EXPECT_EQ(now.has_data, replicas[i].has_data) << i;
+    EXPECT_EQ(now.fetch_in_flight, replicas[i].fetch_in_flight) << i;
+  }
+  EXPECT_EQ(b->stale_holders, stale);
+  EXPECT_EQ(accounting(), before);
+  // The same members in another order are a different set: the primary
+  // moves.
+  EXPECT_TRUE(m.reassign_replicas(K(10), *b, {1, 0, 3}, 90));
+  EXPECT_EQ(m.primary_count(1), 2);
+  m.check_invariants();
 }
 
 TEST(BlockMap, NodeHasDataQueries) {

@@ -16,6 +16,9 @@ struct SystemTestPeer {
   static void move(System& sys, int node, const Key& new_id) {
     sys.execute_move(dht::MoveDecision{node, sys.owner_of(new_id), new_id});
   }
+  static Key scatter_position(const Key& k, int i) {
+    return System::scatter_position(k, i);
+  }
 };
 
 namespace {
@@ -256,6 +259,86 @@ TEST(System, RejoinedPointerMemberWaitsFullStabilization) {
   EXPECT_FALSE(member(sys, k, light)->has_data);
   sim.run_until(hours(12));
   EXPECT_TRUE(member(sys, k, light)->has_data);
+}
+
+/// The replica set the placement rules give `k` right now, written out
+/// independently of System: the owner, then its successors, skipping past
+/// down nodes until r are up (at most r + 6 nodes); then each scattered
+/// member, the first node at or after its hashed position that is not in
+/// the set yet, continuing past down nodes to an up one.
+std::vector<int> reference_set(const System& sys, const Key& k) {
+  const int scatter =
+      std::min(sys.config().scatter_replicas, sys.config().replicas - 1);
+  const int r = sys.config().replicas - scatter;
+  const dht::Ring& ring = sys.ring();
+  std::vector<int> set;
+  int up = 0;
+  for (int node = ring.owner(k);
+       up < r && static_cast<int>(set.size()) < r + 6;
+       node = ring.successor(node)) {
+    set.push_back(node);
+    if (sys.node_up(node)) ++up;
+  }
+  for (int s = 0; s < scatter; ++s) {
+    for (int node = ring.owner(SystemTestPeer::scatter_position(k, s));;
+         node = ring.successor(node)) {
+      if (std::find(set.begin(), set.end(), node) != set.end()) continue;
+      set.push_back(node);
+      if (sys.node_up(node)) break;
+    }
+  }
+  return set;
+}
+
+/// Blocks across the whole keyspace, one node down long enough for its
+/// blocks' sets to be extended, then one move whose cover arc wraps past
+/// Key::max(): every block's members must match reference_set.
+void check_readjusted_sets_match_reference(int scatter_replicas) {
+  SystemConfig c = small_config();
+  c.scatter_replicas = scatter_replicas;
+  c.regen_delay = minutes(5);
+  sim::Simulator sim;
+  System sys(c, sim);
+  const std::vector<int> order = sys.ring().nodes_in_order();
+  Rng rng(11);
+  for (int i = 0; i < 600; ++i) sys.put(Key::random(rng), kB(8));
+  // Keys above the largest node ID belong to the smallest-ID node.
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    sys.put(Key::max() - Key::from_uint64(i), kB(8));
+  }
+  // order[0] goes down and stays down; regeneration extends its blocks'
+  // sets.
+  const auto trace = sim::FailureTrace::from_intervals(
+      c.node_count, days(1), {{order[0], minutes(10), days(1)}});
+  sys.attach_failure_trace(&trace, 0);
+  sim.run_until(hours(1));
+
+  // order[8] moves below the smallest ID. The cover arc of its new
+  // position runs from r + 6 predecessors back, past Key::max(), to its
+  // new ID, and order[0] now succeeds it.
+  const Key new_id = sys.ring().id_of(order[0]).half();
+  SystemTestPeer::move(sys, order[8], new_id);
+  ASSERT_EQ(sys.ring().successor(order[8]), order[0]);
+
+  std::size_t extended = 0;
+  std::size_t wrapped = 0;
+  sys.block_map().for_each_block([&](const Key& k, const store::BlockState&) {
+    const std::vector<int> expected = reference_set(sys, k);
+    EXPECT_EQ(sys.replica_nodes(k), expected) << k.short_hex();
+    if (static_cast<int>(expected.size()) > c.replicas) ++extended;
+    if (new_id < k && sys.owner_of(k) == order[8]) ++wrapped;
+  });
+  EXPECT_GT(extended, 0u);
+  EXPECT_GT(wrapped, 0u);
+  sys.check_invariants();
+}
+
+TEST(System, ReadjustedSetsMatchReferenceScan) {
+  check_readjusted_sets_match_reference(0);
+}
+
+TEST(System, ReadjustedSetsMatchReferenceScanWithScatter) {
+  check_readjusted_sets_match_reference(1);
 }
 
 TEST(System, AvailabilitySurvivesMinorityReplicaFailure) {
