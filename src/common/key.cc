@@ -36,18 +36,4 @@ std::ostream& operator<<(std::ostream& os, const Key& k) {
   return os << k.short_hex();
 }
 
-std::size_t KeyHash::operator()(const Key& k) const {
-  // FNV-1a over the big-endian bytes (same values as the historical
-  // byte-array implementation), processed a limb at a time.
-  std::size_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < Key::kLimbs; ++i) {
-    const std::uint64_t w = k.limb(i);
-    for (std::size_t j = 0; j < 8; ++j) {
-      h ^= static_cast<std::size_t>((w >> (8 * (7 - j))) & 0xff);
-      h *= 1099511628211ull;
-    }
-  }
-  return h;
-}
-
 }  // namespace d2

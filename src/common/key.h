@@ -242,8 +242,23 @@ class Key {
 
 std::ostream& operator<<(std::ostream& os, const Key& k);
 
+/// Hash for Key-keyed tables: one multiply per limb, then the splitmix64
+/// finalizer so every input bit reaches the low (bucket-index) bits.
+/// Values are not stable across versions and must never reach an
+/// output: every user does keyed find/insert/erase only.
 struct KeyHash {
-  std::size_t operator()(const Key& k) const;
+  std::size_t operator()(const Key& k) const {
+    std::uint64_t h = 0x9e3779b97f4a7c15ull;
+    for (std::size_t i = 0; i < Key::kLimbs; ++i) {
+      h = (h ^ k.limb(i)) * 0xff51afd7ed558ccdull;
+    }
+    h ^= h >> 30;
+    h *= 0xbf58476d1ce4e5b9ull;
+    h ^= h >> 27;
+    h *= 0x94d049bb133111ebull;
+    h ^= h >> 31;
+    return static_cast<std::size_t>(h);
+  }
 };
 
 }  // namespace d2

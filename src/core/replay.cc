@@ -1,5 +1,7 @@
 #include "core/replay.h"
 
+#include <algorithm>
+
 #include "common/assert.h"
 #include "fs/key_encoding.h"
 
@@ -12,31 +14,33 @@ fs::Volume& VolumeSet::volume_for(std::string_view path,
                                   std::string* relative) {
   // "home/uN/rest" -> volume "home/uN"; "shared/rest" -> volume "shared";
   // anything else -> volume = first component.
-  std::vector<std::string> parts = fs::split_path(path);
-  D2_REQUIRE_MSG(!parts.empty(), "empty path");
-  std::string vol_name;
-  std::size_t skip;
-  if (parts[0] == "home" && parts.size() >= 2) {
-    vol_name = parts[0] + "/" + parts[1];
-    skip = 2;
-  } else {
-    vol_name = parts[0];
-    skip = 1;
+  std::size_t pos = 0;
+  const std::string_view first = fs::next_path_component(path, &pos);
+  D2_REQUIRE_MSG(!first.empty(), "empty path");
+  name_buf_.assign(first);
+  if (first == "home") {
+    std::size_t user_end = pos;
+    const std::string_view user = fs::next_path_component(path, &user_end);
+    if (!user.empty()) {
+      name_buf_.push_back('/');
+      name_buf_.append(user);
+      pos = user_end;
+    }
   }
-  std::string rel;
-  for (std::size_t i = skip; i < parts.size(); ++i) {
-    if (!rel.empty()) rel.push_back('/');
-    rel += parts[i];
+  relative->clear();
+  for (std::string_view c = fs::next_path_component(path, &pos); !c.empty();
+       c = fs::next_path_component(path, &pos)) {
+    if (!relative->empty()) relative->push_back('/');
+    relative->append(c);
   }
-  *relative = rel;
-  auto it = volumes_.find(vol_name);
+  auto it = volumes_.find(name_buf_);
   if (it == volumes_.end()) {
     fs::VolumeConfig config;
     config.scheme = scheme_;
     config.writeback_ttl = writeback_ttl_;
     it = volumes_
-             .emplace(vol_name,
-                      std::make_unique<fs::Volume>(vol_name, config))
+             .emplace(name_buf_,
+                      std::make_unique<fs::Volume>(name_buf_, config))
              .first;
     it->second->bind_metrics(metrics_);
   }
@@ -45,17 +49,18 @@ fs::Volume& VolumeSet::volume_for(std::string_view path,
 
 void VolumeSet::bind_metrics(obs::Registry* registry) {
   metrics_ = registry;
+  // d2-lint: allow(unordered-iter) — binding is per volume; order-free.
   for (auto& [name, vol] : volumes_) vol->bind_metrics(registry);
 }
 
 void VolumeSet::apply(const trace::TraceRecord& r, SimTime now,
                       std::vector<fs::StoreOp>& out, bool include_reads) {
-  std::string rel;
+  std::string& rel = rel_buf_;
   switch (r.op) {
     case trace::TraceRecord::Op::kRead: {
       fs::Volume& v = volume_for(r.path, &rel);
       if (!include_reads) return;
-      if (!v.exists(rel) || v.is_directory(rel)) return;
+      if (!v.is_file(rel)) return;
       v.read(rel, r.offset, r.length, now, out);
       return;
     }
@@ -74,13 +79,12 @@ void VolumeSet::apply(const trace::TraceRecord& r, SimTime now,
     }
     case trace::TraceRecord::Op::kRename: {
       fs::Volume& v = volume_for(r.path, &rel);
-      std::string rel_to;
-      fs::Volume& v_to = volume_for(r.path2, &rel_to);
+      fs::Volume& v_to = volume_for(r.path2, &rel_to_buf_);
       // Cross-volume renames degenerate to keeping the file where it is
       // (single-writer volumes cannot adopt another volume's blocks).
       if (&v != &v_to) return;
-      if (!v.exists(rel) || v.exists(rel_to)) return;
-      v.rename(rel, rel_to, now, out);
+      if (!v.exists(rel) || v.exists(rel_to_buf_)) return;
+      v.rename(rel, rel_to_buf_, now, out);
       return;
     }
     case trace::TraceRecord::Op::kMkdir: {
@@ -94,17 +98,24 @@ void VolumeSet::apply(const trace::TraceRecord& r, SimTime now,
 
 void VolumeSet::insert_initial(const std::vector<trace::FileSpec>& files,
                                SimTime now, std::vector<fs::StoreOp>& out) {
-  std::string rel;
   for (const trace::FileSpec& f : files) {
     D2_REQUIRE_MSG(f.size >= 0, "initial file with negative size");
-    fs::Volume& v = volume_for(f.path, &rel);
-    v.write(rel, 0, f.size, now, out);
+    fs::Volume& v = volume_for(f.path, &rel_buf_);
+    v.write(rel_buf_, 0, f.size, now, out);
   }
   flush_all(now, out);
 }
 
 void VolumeSet::flush_all(SimTime now, std::vector<fs::StoreOp>& out) {
-  for (auto& [name, vol] : volumes_) vol->flush(now, out);
+  std::vector<fs::Volume*> order;
+  order.reserve(volumes_.size());
+  // d2-lint: allow(unordered-iter) — collected, then sorted by name below.
+  for (auto& [name, vol] : volumes_) order.push_back(vol.get());
+  std::sort(order.begin(), order.end(),
+            [](const fs::Volume* a, const fs::Volume* b) {
+              return a->name() < b->name();
+            });
+  for (fs::Volume* vol : order) vol->flush(now, out);
 }
 
 }  // namespace d2::core

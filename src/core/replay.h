@@ -8,10 +8,10 @@
 // artifact affecting ~5% of reads; see DESIGN.md.)
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "fs/volume.h"
@@ -37,10 +37,11 @@ class VolumeSet {
   void insert_initial(const std::vector<trace::FileSpec>& files, SimTime now,
                       std::vector<fs::StoreOp>& out);
 
-  /// Flushes every volume's write-back cache.
+  /// Flushes every volume's write-back cache, in volume-name order.
   void flush_all(SimTime now, std::vector<fs::StoreOp>& out);
 
-  /// Volume (and in-volume relative path) responsible for `path`.
+  /// Volume (and in-volume relative path, with empty components dropped)
+  /// responsible for `path`. Reuses `*relative`'s capacity.
   fs::Volume& volume_for(std::string_view path, std::string* relative);
 
   std::size_t volume_count() const { return volumes_.size(); }
@@ -53,7 +54,14 @@ class VolumeSet {
   fs::KeyScheme scheme_;
   SimTime writeback_ttl_;
   obs::Registry* metrics_ = nullptr;
-  std::map<std::string, std::unique_ptr<fs::Volume>> volumes_;
+  /// Volumes by name. bind_metrics walks them in hash order (binding is
+  /// order-free); flush_all sorts them by name first.
+  // d2-lint: allow(unordered-container) — keyed lookup; no walk leaks order
+  std::unordered_map<std::string, std::unique_ptr<fs::Volume>> volumes_;
+  // Reused parse buffers: a steady-state apply() allocates nothing.
+  std::string name_buf_;
+  std::string rel_buf_;
+  std::string rel_to_buf_;
 };
 
 }  // namespace d2::core

@@ -126,9 +126,12 @@ void System::successor_set(int owner, std::vector<int>& out) const {
 void System::append_scattered(const Key& k, std::vector<int>& out) const {
   // Scattered members: first non-duplicate node at each hashed position,
   // plus the next up one if it is down (mirroring the successor logic).
-  const int scatter = scattered_members();
-  for (int s = 0; s < scatter; ++s) {
-    int candidate = ring_.owner(scatter_position(k, s));
+  if (scattered_members() == 0) return;
+  const auto cached = scatter_positions_.find(k);
+  D2_ASSERT_MSG(cached != scatter_positions_.end(),
+                "scattered block has no registered positions");
+  for (const Key& position : cached->second) {
+    int candidate = ring_.owner(position);
     int steps = 0;
     bool added_up = false;
     while (steps < scan_cap(1) + static_cast<int>(out.size())) {
@@ -150,15 +153,19 @@ void System::append_scattered(const Key& k, std::vector<int>& out) const {
 
 void System::register_scatter(const Key& k) {
   const int scatter = scattered_members();
+  std::vector<Key>& positions = scatter_positions_[k];
+  D2_ASSERT_MSG(positions.empty(), "scatter positions registered twice");
   for (int s = 0; s < scatter; ++s) {
-    scatter_index_.emplace(scatter_position(k, s), k);
+    positions.push_back(scatter_position(k, s));
+    scatter_index_.emplace(positions.back(), k);
   }
 }
 
 void System::forget_scatter(const Key& k) {
-  const int scatter = scattered_members();
-  for (int s = 0; s < scatter; ++s) {
-    const Key pos = scatter_position(k, s);
+  const auto cached = scatter_positions_.find(k);
+  D2_ASSERT_MSG(cached != scatter_positions_.end(),
+                "forgetting a block with no registered scatter positions");
+  for (const Key& pos : cached->second) {
     auto [lo, hi] = scatter_index_.equal_range(pos);
     for (auto it = lo; it != hi; ++it) {
       if (it->second == k) {
@@ -167,6 +174,7 @@ void System::forget_scatter(const Key& k) {
       }
     }
   }
+  scatter_positions_.erase(cached);
 }
 
 std::vector<int> System::replica_nodes(const Key& k) const {
@@ -264,6 +272,8 @@ void System::put_at(const Key& k, Bytes size, SimTime t) {
       return;
     }
   }
+  // Registered first: the target set below reads the scatter positions.
+  if (fresh_key && config_.scatter_replicas > 0) register_scatter(k);
   std::vector<int>& set = replica_set_scratch_[shard_slot()];
   target_replica_set(k, set);
   const Bytes member_bytes =
@@ -275,7 +285,6 @@ void System::put_at(const Key& k, Bytes size, SimTime t) {
   for (int n : set) {
     if (!node_up(n)) map_.mark_missing(k, n);
   }
-  if (fresh_key && config_.scatter_replicas > 0) register_scatter(k);
   refresh_at(k, t);
   maybe_audit(/*sampled=*/true);
 }

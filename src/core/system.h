@@ -220,7 +220,10 @@ class System {
   int scattered_members() const;
   /// Ring position of the i-th scattered replica of key `k`.
   static Key scatter_position(const Key& k, int i);
+  /// Computes a newly stored block's scatter positions (once) and files
+  /// them in scatter_positions_ and scatter_index_.
   void register_scatter(const Key& k);
+  /// Drops a removed block's scatter positions from both.
   void forget_scatter(const Key& k);
   void schedule_probe(int node);
   /// Files node's next probe, due jitter past `from`, in the commit
@@ -335,6 +338,11 @@ class System {
   /// scatter position -> block key, for hybrid placement readjustment.
   /// Couples arbitrary keys, hence scatter requires config.arcs == 1.
   std::multimap<Key, Key> scatter_index_;
+  /// Block key -> its scatter positions, from register_scatter until
+  /// forget_scatter. Each position is a SHA-1 over the key's hex form;
+  /// caching them keeps readjustment walks from rehashing every key.
+  // d2-lint: allow(unordered-container) — keyed lookup only, never walked
+  std::unordered_map<Key, std::vector<Key>, KeyHash> scatter_positions_;
   /// Blocks whose replica set is currently extended past the canonical
   /// size (members down / regeneration), one shard per arc. Shards
   /// concatenated in arc order enumerate keys ascending, exactly like

@@ -62,15 +62,21 @@ EncodedPath extend_path(const EncodedPath& parent, std::uint16_t slot,
 
 std::vector<std::string> split_path(std::string_view path) {
   std::vector<std::string> parts;
-  std::size_t i = 0;
-  while (i < path.size()) {
-    while (i < path.size() && path[i] == '/') ++i;
-    std::size_t j = i;
-    while (j < path.size() && path[j] != '/') ++j;
-    if (j > i) parts.emplace_back(path.substr(i, j - i));
-    i = j;
+  std::size_t pos = 0;
+  for (std::string_view c = next_path_component(path, &pos); !c.empty();
+       c = next_path_component(path, &pos)) {
+    parts.emplace_back(c);
   }
   return parts;
+}
+
+std::string_view next_path_component(std::string_view path, std::size_t* pos) {
+  std::size_t i = *pos;
+  while (i < path.size() && path[i] == '/') ++i;
+  std::size_t j = i;
+  while (j < path.size() && path[j] != '/') ++j;
+  *pos = j;
+  return path.substr(i, j - i);
 }
 
 std::string reverse_domain_url(std::string_view url) {

@@ -76,6 +76,11 @@ EncodedPath extend_path(const EncodedPath& parent, std::uint16_t slot,
 /// slashes.
 std::vector<std::string> split_path(std::string_view path);
 
+/// The next component split_path would return, as a view into `path`:
+/// skips slashes from `*pos`, returns the component there and advances
+/// `*pos` past it. Returns an empty view once no component is left.
+std::string_view next_path_component(std::string_view path, std::size_t* pos);
+
 /// Reverses the domain tuples of a URL: "www.yahoo.com/a/b.html" ->
 /// "com.yahoo.www/a/b.html".
 std::string reverse_domain_url(std::string_view url);

@@ -29,8 +29,9 @@ struct Volume::Node {
   /// Latest version of this node's metadata block (0 = none yet). For
   /// kTraditionalFile file nodes this is the whole-file object version.
   std::uint32_t meta_version = 0;
-  // Directory state.
-  std::map<std::string, std::unique_ptr<Node>> children;
+  // Directory state. std::less<> lets path components (views into the
+  // caller's path) look children up without a copy.
+  std::map<std::string, std::unique_ptr<Node>, std::less<>> children;
   std::uint16_t next_slot = 1;
   // File state.
   Bytes size = 0;
@@ -38,6 +39,17 @@ struct Volume::Node {
 
   bool is_root() const { return parent == nullptr; }
 };
+
+namespace {
+
+/// Calls f(node) for every node from the root down to `n`.
+template <class Node, class F>
+void walk_from_root(Node* n, const F& f) {
+  if (n->parent != nullptr) walk_from_root(n->parent, f);
+  f(n);
+}
+
+}  // namespace
 
 Volume::Volume(std::string name, VolumeConfig config)
     : name_(std::move(name)),
@@ -116,7 +128,9 @@ Key Volume::root_key() const { return meta_key(*root_, 1); }
 
 Volume::Node* Volume::resolve(std::string_view path) const {
   Node* cur = root_.get();
-  for (const std::string& c : split_path(path)) {
+  std::size_t pos = 0;
+  for (std::string_view c = next_path_component(path, &pos); !c.empty();
+       c = next_path_component(path, &pos)) {
     if (!cur->is_dir) return nullptr;
     auto it = cur->children.find(c);
     if (it == cur->children.end()) return nullptr;
@@ -126,17 +140,19 @@ Volume::Node* Volume::resolve(std::string_view path) const {
 }
 
 Volume::Node* Volume::resolve_parent(std::string_view path,
-                                     std::string* leaf) const {
-  std::vector<std::string> parts = split_path(path);
-  if (parts.empty()) return nullptr;
-  *leaf = parts.back();
+                                     std::string_view* leaf) const {
+  std::size_t pos = 0;
+  std::string_view c = next_path_component(path, &pos);
+  if (c.empty()) return nullptr;
   Node* cur = root_.get();
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
+  for (std::string_view next = next_path_component(path, &pos); !next.empty();
+       c = next, next = next_path_component(path, &pos)) {
     if (!cur->is_dir) return nullptr;
-    auto it = cur->children.find(parts[i]);
+    auto it = cur->children.find(c);
     if (it == cur->children.end()) return nullptr;
     cur = it->second.get();
   }
+  *leaf = c;
   return cur->is_dir ? cur : nullptr;
 }
 
@@ -147,6 +163,11 @@ bool Volume::exists(std::string_view path) const {
 bool Volume::is_directory(std::string_view path) const {
   const Node* n = resolve(path);
   return n != nullptr && n->is_dir;
+}
+
+bool Volume::is_file(std::string_view path) const {
+  const Node* n = resolve(path);
+  return n != nullptr && !n->is_dir;
 }
 
 Bytes Volume::file_size(std::string_view path) const {
@@ -232,55 +253,45 @@ void Volume::emit_remove_of_block(const Key& current_key, bool has_version,
 
 // ------------------------------------------------------------ creation --
 
-Volume::Node* Volume::create_child_dir(Node* parent, const std::string& name,
-                                       SimTime now, std::vector<StoreOp>& out) {
-  (void)out;
+Volume::Node* Volume::create_child(Node* parent, std::string_view name,
+                                   bool is_dir, SimTime now) {
   auto node = std::make_unique<Node>();
   node->parent = parent;
   node->name = name;
-  node->is_dir = true;
+  node->is_dir = is_dir;
   const std::uint16_t slot = allocate_slot(parent);
   node->epath = extend_path(parent->epath, slot, name);
-  node->frozen_path = parent->frozen_path + "/" + name;
+  node->frozen_path = parent->frozen_path;
+  node->frozen_path += '/';
+  node->frozen_path += name;
   Node* raw = node.get();
   parent->children.emplace(name, std::move(node));
-  ++dirs_;
+  ++(is_dir ? dirs_ : files_);
   dirty_meta(raw, now);
   dirty_meta(parent, now);
   return raw;
 }
 
-Volume::Node* Volume::create_file(Node* parent, const std::string& name,
-                                  SimTime now, std::vector<StoreOp>& out) {
-  (void)out;
-  auto node = std::make_unique<Node>();
-  node->parent = parent;
-  node->name = name;
-  node->is_dir = false;
-  const std::uint16_t slot = allocate_slot(parent);
-  node->epath = extend_path(parent->epath, slot, name);
-  node->frozen_path = parent->frozen_path + "/" + name;
-  Node* raw = node.get();
-  parent->children.emplace(name, std::move(node));
-  ++files_;
-  dirty_meta(raw, now);
-  dirty_meta(parent, now);
-  return raw;
+Volume::Node* Volume::ensure_child_dir(Node* dir, std::string_view name,
+                                       SimTime now) {
+  D2_REQUIRE_MSG(dir->is_dir, "path component is a file: " + std::string(name));
+  auto it = dir->children.find(name);
+  if (it == dir->children.end()) return create_child(dir, name, true, now);
+  return it->second.get();
 }
 
-Volume::Node* Volume::ensure_directory(const std::vector<std::string>& components,
-                                       std::size_t count, SimTime now,
-                                       std::vector<StoreOp>& out) {
+Volume::Node* Volume::ensure_parent(std::string_view path, std::string_view* leaf,
+                                    SimTime now) {
+  std::size_t pos = 0;
+  std::string_view c = next_path_component(path, &pos);
   Node* cur = root_.get();
-  for (std::size_t i = 0; i < count; ++i) {
-    D2_REQUIRE_MSG(cur->is_dir, "path component is a file: " + components[i]);
-    auto it = cur->children.find(components[i]);
-    if (it == cur->children.end()) {
-      cur = create_child_dir(cur, components[i], now, out);
-    } else {
-      cur = it->second.get();
+  if (!c.empty()) {
+    for (std::string_view next = next_path_component(path, &pos);
+         !next.empty(); c = next, next = next_path_component(path, &pos)) {
+      cur = ensure_child_dir(cur, c, now);
     }
   }
+  *leaf = c;
   D2_REQUIRE_MSG(cur->is_dir, "not a directory");
   return cur;
 }
@@ -291,13 +302,13 @@ void Volume::write(std::string_view path, Bytes offset, Bytes len, SimTime now,
                    std::vector<StoreOp>& out) {
   D2_REQUIRE(offset >= 0 && len >= 0);
   cache_.collect_expired(now, out);
-  std::vector<std::string> parts = split_path(path);
-  D2_REQUIRE_MSG(!parts.empty(), "empty path");
-  Node* parent = ensure_directory(parts, parts.size() - 1, now, out);
+  std::string_view leaf;
+  Node* parent = ensure_parent(path, &leaf, now);
+  D2_REQUIRE_MSG(!leaf.empty(), "empty path");
   Node* file;
-  auto it = parent->children.find(parts.back());
+  auto it = parent->children.find(leaf);
   if (it == parent->children.end()) {
-    file = create_file(parent, parts.back(), now, out);
+    file = create_child(parent, leaf, false, now);
   } else {
     file = it->second.get();
     D2_REQUIRE_MSG(!file->is_dir, "write to a directory: " + std::string(path));
@@ -346,13 +357,9 @@ void Volume::write(std::string_view path, Bytes offset, Bytes len, SimTime now,
 }
 
 void Volume::read_meta_chain(Node* leaf, SimTime now, std::vector<StoreOp>& out) {
-  // Collect root -> leaf.
-  std::vector<Node*> chain;
-  for (Node* n = leaf; n != nullptr; n = n->parent) chain.push_back(n);
-  std::reverse(chain.begin(), chain.end());
-  for (Node* n : chain) {
+  walk_from_root(leaf, [&](const Node* n) {
     if (config_.scheme == KeyScheme::kTraditionalFile && !n->is_dir) {
-      continue;  // the file object get carries the requested byte count
+      return;  // the file object get carries the requested byte count
     }
     D2_ASSERT(n->meta_version > 0);
     const Key k = meta_key(*n, n->meta_version);
@@ -360,7 +367,7 @@ void Volume::read_meta_chain(Node* leaf, SimTime now, std::vector<StoreOp>& out)
       out.push_back(StoreOp{StoreOp::Kind::kGet, k, meta_block_size(*n)});
       cache_.mark_clean(k, now);
     }
-  }
+  });
 }
 
 void Volume::read(std::string_view path, Bytes offset, Bytes len, SimTime now,
@@ -428,7 +435,7 @@ void Volume::remove_node_blocks(Node* n, SimTime now, std::vector<StoreOp>& out)
 void Volume::remove(std::string_view path, SimTime now,
                     std::vector<StoreOp>& out) {
   cache_.collect_expired(now, out);
-  std::string leaf;
+  std::string_view leaf;
   Node* parent = resolve_parent(path, &leaf);
   D2_REQUIRE_MSG(parent != nullptr, "remove of missing path: " + std::string(path));
   auto it = parent->children.find(leaf);
@@ -441,26 +448,26 @@ void Volume::remove(std::string_view path, SimTime now,
 void Volume::rename(std::string_view from, std::string_view to, SimTime now,
                     std::vector<StoreOp>& out) {
   cache_.collect_expired(now, out);
-  std::string from_leaf;
+  std::string_view from_leaf;
   Node* from_parent = resolve_parent(from, &from_leaf);
   D2_REQUIRE_MSG(from_parent != nullptr, "rename of missing path: " + std::string(from));
   auto it = from_parent->children.find(from_leaf);
   D2_REQUIRE_MSG(it != from_parent->children.end(),
                  "rename of missing path: " + std::string(from));
 
-  std::vector<std::string> to_parts = split_path(to);
-  D2_REQUIRE_MSG(!to_parts.empty(), "empty rename target");
-  Node* to_parent = ensure_directory(to_parts, to_parts.size() - 1, now, out);
-  D2_REQUIRE_MSG(to_parent->children.count(to_parts.back()) == 0,
+  std::string_view to_leaf;
+  Node* to_parent = ensure_parent(to, &to_leaf, now);
+  D2_REQUIRE_MSG(!to_leaf.empty(), "empty rename target");
+  D2_REQUIRE_MSG(to_parent->children.count(to_leaf) == 0,
                  "rename target exists: " + std::string(to));
 
   std::unique_ptr<Node> node = std::move(it->second);
   from_parent->children.erase(it);
   node->parent = to_parent;
-  node->name = to_parts.back();
+  node->name = to_leaf;
   // Keys (epath / frozen_path) intentionally unchanged: the new parent
   // points at the file's original location (§4.2).
-  to_parent->children.emplace(to_parts.back(), std::move(node));
+  to_parent->children.emplace(to_leaf, std::move(node));
 
   dirty_meta_chain(from_parent, now);
   dirty_meta_chain(to_parent, now);
@@ -469,8 +476,10 @@ void Volume::rename(std::string_view from, std::string_view to, SimTime now,
 void Volume::mkdir(std::string_view path, SimTime now,
                    std::vector<StoreOp>& out) {
   cache_.collect_expired(now, out);
-  std::vector<std::string> parts = split_path(path);
-  Node* dir = ensure_directory(parts, parts.size(), now, out);
+  std::string_view leaf;
+  Node* dir = ensure_parent(path, &leaf, now);
+  if (!leaf.empty()) dir = ensure_child_dir(dir, leaf, now);
+  D2_REQUIRE_MSG(dir->is_dir, "not a directory");
   dirty_meta_chain(dir, now);
 }
 
@@ -512,15 +521,12 @@ std::vector<StoreOp> Volume::uncached_read_ops(std::string_view path) const {
   Node* file = resolve(path);
   D2_REQUIRE_MSG(file != nullptr && !file->is_dir, "not a file: " + std::string(path));
   std::vector<StoreOp> out;
-  std::vector<Node*> chain;
-  for (Node* n = file; n != nullptr; n = n->parent) chain.push_back(n);
-  std::reverse(chain.begin(), chain.end());
-  for (Node* n : chain) {
-    if (config_.scheme == KeyScheme::kTraditionalFile && !n->is_dir) continue;
-    if (n->meta_version == 0) continue;
+  walk_from_root(file, [&](const Node* n) {
+    if (config_.scheme == KeyScheme::kTraditionalFile && !n->is_dir) return;
+    if (n->meta_version == 0) return;
     out.push_back(StoreOp{StoreOp::Kind::kGet, meta_key(*n, n->meta_version),
                           meta_block_size(*n)});
-  }
+  });
   if (config_.scheme == KeyScheme::kTraditionalFile) {
     if (file->meta_version > 0 && file->size > 0) {
       out.push_back(StoreOp{StoreOp::Kind::kGet,

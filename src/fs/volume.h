@@ -93,6 +93,8 @@ class Volume {
 
   bool exists(std::string_view path) const;
   bool is_directory(std::string_view path) const;
+  /// exists(path) && !is_directory(path), in one walk.
+  bool is_file(std::string_view path) const;
   Bytes file_size(std::string_view path) const;
 
   std::uint64_t file_count() const { return files_; }
@@ -123,14 +125,19 @@ class Volume {
   struct Node;
 
   Node* resolve(std::string_view path) const;
-  Node* resolve_parent(std::string_view path, std::string* leaf) const;
-  Node* ensure_directory(const std::vector<std::string>& components,
-                         std::size_t count, SimTime now,
-                         std::vector<StoreOp>& out);
-  Node* create_file(Node* parent, const std::string& name, SimTime now,
-                    std::vector<StoreOp>& out);
-  Node* create_child_dir(Node* parent, const std::string& name, SimTime now,
-                         std::vector<StoreOp>& out);
+  /// Directory holding the last component of `path` (returned in `*leaf`,
+  /// a view into `path`), or nullptr if it does not exist.
+  Node* resolve_parent(std::string_view path, std::string_view* leaf) const;
+  /// Walks every component of `path` but the last, creating missing
+  /// directories, and returns the directory that holds the last one
+  /// (which goes to `*leaf`; empty if `path` has no component).
+  Node* ensure_parent(std::string_view path, std::string_view* leaf,
+                      SimTime now);
+  /// Child directory `name` of directory `dir`, created if missing.
+  Node* ensure_child_dir(Node* dir, std::string_view name, SimTime now);
+  /// New file or directory `name` in `parent`; dirties both.
+  Node* create_child(Node* parent, std::string_view name, bool is_dir,
+                     SimTime now);
 
   Key meta_key(const Node& n, std::uint32_t version) const;
   Key data_key(const Node& n, std::uint64_t block_index,

@@ -1,5 +1,7 @@
 #include "fs/writeback_cache.h"
 
+#include <algorithm>
+
 #include "common/assert.h"
 
 namespace d2::fs {
@@ -20,88 +22,141 @@ void WritebackCache::bind_metrics(obs::Registry* registry) {
   flushed_counter_ = &registry->counter("fs.writeback_cache.flushed_puts");
 }
 
+std::uint32_t WritebackCache::find_or_add(const Key& key) {
+  const std::size_t pos = index_.probe(key, slot_key());
+  if (index_[pos] != SlotTable::kNull) return index_[pos];
+  std::uint32_t s;
+  if (free_slots_.empty()) {
+    D2_REQUIRE_MSG(slots_.size() < SlotTable::kNull,
+                   "write-back cache slab exhausted");
+    s = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    s = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[s].key = key;
+  index_.insert_at(pos, s, slot_key());
+  return s;
+}
+
+void WritebackCache::queue_expiry(SimTime expires, std::uint32_t s, bool dirty) {
+  heap_.push(HeapEntry{expires, s, dirty});
+  ++slots_[s].heap_refs;
+}
+
+void WritebackCache::release_if_unused(std::uint32_t s) {
+  const Slot& slot = slots_[s];
+  if (slot.dirty || slot.clean || slot.heap_refs > 0) return;
+  index_.erase_at(index_.probe(slot.key, slot_key()), slot_key());
+  free_slots_.push_back(s);
+}
+
 void WritebackCache::stage_put(const Key& key, Bytes size, SimTime now,
                                std::optional<Key> remove_on_flush) {
-  D2_REQUIRE_MSG(dirty_.count(key) == 0, "put already staged; use touch_put");
-  dirty_.emplace(key, Pending{size, now, remove_on_flush});
-  heap_.push(HeapEntry{now + ttl_, key, true});
+  const std::uint32_t s = find_or_add(key);
+  Slot& slot = slots_[s];
+  D2_REQUIRE_MSG(!slot.dirty, "put already staged; use touch_put");
+  slot.dirty = true;
+  slot.size = size;
+  slot.since = now;
+  slot.has_remove = remove_on_flush.has_value();
+  if (remove_on_flush) slot.remove_on_flush = *remove_on_flush;
+  ++dirty_count_;
+  queue_expiry(now + ttl_, s, true);
   if (staged_counter_ != nullptr) staged_counter_->add(1);
 }
 
 void WritebackCache::touch_put(const Key& key, Bytes size, SimTime now) {
-  auto it = dirty_.find(key);
-  D2_REQUIRE_MSG(it != dirty_.end(), "touch_put without staged put");
-  it->second.size = size;
-  it->second.since = now;
-  heap_.push(HeapEntry{now + ttl_, key, true});
+  const std::uint32_t s = find(key);
+  D2_REQUIRE_MSG(s != SlotTable::kNull && slots_[s].dirty,
+                 "touch_put without staged put");
+  slots_[s].size = size;
+  slots_[s].since = now;
+  queue_expiry(now + ttl_, s, true);
   if (coalesced_counter_ != nullptr) coalesced_counter_->add(1);
 }
 
 std::optional<Key> WritebackCache::cancel_put(const Key& key) {
-  auto it = dirty_.find(key);
-  D2_REQUIRE_MSG(it != dirty_.end(), "cancel_put without staged put");
-  std::optional<Key> remove_old = it->second.remove_on_flush;
-  dirty_.erase(it);  // heap entry removed lazily
+  const std::uint32_t s = find(key);
+  D2_REQUIRE_MSG(s != SlotTable::kNull && slots_[s].dirty,
+                 "cancel_put without staged put");
+  Slot& slot = slots_[s];
+  std::optional<Key> remove_old;
+  if (slot.has_remove) remove_old = slot.remove_on_flush;
+  slot.dirty = false;  // heap entries drop out lazily
+  --dirty_count_;
+  release_if_unused(s);
   if (cancelled_counter_ != nullptr) cancelled_counter_->add(1);
   return remove_old;
 }
 
 bool WritebackCache::is_fresh(const Key& key, SimTime now) const {
-  if (dirty_.count(key) > 0) return true;  // dirty data is in memory
-  auto it = clean_.find(key);
-  return it != clean_.end() && now - it->second < ttl_;
+  const std::uint32_t s = find(key);
+  if (s == SlotTable::kNull) return false;
+  const Slot& slot = slots_[s];
+  if (slot.dirty) return true;  // dirty data is in memory
+  return slot.clean && now - slot.clean_at < ttl_;
 }
 
 void WritebackCache::mark_clean(const Key& key, SimTime now) {
+  const std::uint32_t s = find_or_add(key);
   // Dirty data is in memory and fresh by definition; the read path only
   // reaches here after is_fresh() returned false, which rules dirty out.
-  D2_DCHECK_MSG(dirty_.count(key) == 0, "marking a dirty key clean");
-  clean_[key] = now;
-  heap_.push(HeapEntry{now + ttl_, key, false});
+  D2_DCHECK_MSG(!slots_[s].dirty, "marking a dirty key clean");
+  slots_[s].clean = true;
+  slots_[s].clean_at = now;
+  queue_expiry(now + ttl_, s, false);
 }
 
-void WritebackCache::flush_entry(const Key& key, const Pending& p,
-                                 std::vector<StoreOp>& out) {
-  out.push_back(StoreOp{StoreOp::Kind::kPut, key, p.size});
-  if (p.remove_on_flush) {
-    out.push_back(StoreOp{StoreOp::Kind::kRemove, *p.remove_on_flush, 0});
+void WritebackCache::flush_slot(std::uint32_t s, SimTime committed_at,
+                                std::vector<StoreOp>& out) {
+  Slot& slot = slots_[s];
+  out.push_back(StoreOp{StoreOp::Kind::kPut, slot.key, slot.size});
+  if (slot.has_remove) {
+    out.push_back(StoreOp{StoreOp::Kind::kRemove, slot.remove_on_flush, 0});
   }
   if (flushed_counter_ != nullptr) flushed_counter_->add(1);
+  slot.clean = true;
+  slot.clean_at = committed_at;
+  slot.dirty = false;
+  --dirty_count_;
+  queue_expiry(committed_at + ttl_, s, false);
 }
 
 void WritebackCache::collect_expired(SimTime now, std::vector<StoreOp>& out) {
   while (!heap_.empty() && heap_.top().expires <= now) {
     const HeapEntry top = heap_.top();
     heap_.pop();
-    if (top.dirty_heap) {
-      auto it = dirty_.find(top.key);
-      if (it == dirty_.end()) continue;  // cancelled or already flushed
-      const SimTime real_expiry = it->second.since + ttl_;
-      if (real_expiry > now) continue;  // touched since; a newer heap entry exists
-      flush_entry(top.key, it->second, out);
-      // Flushed blocks stay readable from the moment they actually
-      // committed (staged time + TTL), not from this (possibly much
-      // later) lazy collection point.
-      const SimTime committed_at = real_expiry;
-      clean_[top.key] = committed_at;
-      heap_.push(HeapEntry{committed_at + ttl_, top.key, false});
-      dirty_.erase(it);
-    } else {
-      auto it = clean_.find(top.key);
-      if (it == clean_.end()) continue;
-      if (it->second + ttl_ > now) continue;  // refreshed since
-      clean_.erase(it);
+    Slot& slot = slots_[top.slot];
+    --slot.heap_refs;
+    if (top.dirty) {
+      // A cancelled or already-flushed put has no dirty state left; a
+      // touched one has a newer heap entry.
+      const SimTime real_expiry = slot.since + ttl_;
+      if (slot.dirty && real_expiry <= now) {
+        // Flushed blocks stay readable from the moment they actually
+        // committed (staged time + TTL), not from this (possibly much
+        // later) lazy collection point.
+        flush_slot(top.slot, real_expiry, out);
+      }
+    } else if (slot.clean && slot.clean_at + ttl_ <= now) {
+      slot.clean = false;  // not refreshed since this entry was pushed
     }
+    release_if_unused(top.slot);
   }
 }
 
 void WritebackCache::flush_all(SimTime now, std::vector<StoreOp>& out) {
-  for (const auto& [key, pending] : dirty_) {
-    flush_entry(key, pending, out);
-    clean_[key] = now;
-    heap_.push(HeapEntry{now + ttl_, key, false});
+  std::vector<std::uint32_t> order;
+  order.reserve(dirty_count_);
+  for (std::uint32_t s = 0; s < slots_.size(); ++s) {
+    if (slots_[s].dirty) order.push_back(s);
   }
-  dirty_.clear();
+  std::sort(order.begin(), order.end(), [this](std::uint32_t a, std::uint32_t b) {
+    return slots_[a].key < slots_[b].key;
+  });
+  for (const std::uint32_t s : order) flush_slot(s, now, out);
 }
 
 }  // namespace d2::fs

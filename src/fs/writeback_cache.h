@@ -12,15 +12,24 @@
 // version's key to remove once the new version commits) and *clean
 // entries* (recently-read blocks). Expiry uses a lazy min-heap so
 // operations stay O(log n).
+//
+// Layout: one slab slot per key holds both its dirty and its clean
+// state, found through the shared open-addressed key->slot table
+// (common/slot_table.h). Heap entries are 16 bytes {expires, slot,
+// dirty}. A slot is recycled only when it is neither dirty nor clean and
+// no heap entry names it (a per-slot count), so every popped entry still
+// names its key and a key keeps its slot while stale entries for it are
+// queued. Once slab, table and heap have reached their high-water marks,
+// nothing here allocates except flush_all's sort scratch.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <optional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "common/key.h"
+#include "common/slot_table.h"
 #include "common/units.h"
 #include "obs/metrics.h"
 
@@ -52,7 +61,10 @@ class WritebackCache {
                  std::optional<Key> remove_on_flush);
 
   /// True iff a put of `key` is staged (dirty, not yet flushed).
-  bool has_pending(const Key& key) const { return dirty_.count(key) > 0; }
+  bool has_pending(const Key& key) const {
+    const std::uint32_t s = find(key);
+    return s != SlotTable::kNull && slots_[s].dirty;
+  }
 
   /// Refreshes a staged put (another write to the same uncommitted
   /// version); updates its size and resets its age.
@@ -75,33 +87,58 @@ class WritebackCache {
   /// operation (the experiment drivers also call flush_all at trace end).
   void collect_expired(SimTime now, std::vector<StoreOp>& out);
 
-  /// Flushes everything regardless of age.
+  /// Flushes everything regardless of age, in key order.
   void flush_all(SimTime now, std::vector<StoreOp>& out);
 
-  std::size_t pending_puts() const { return dirty_.size(); }
+  std::size_t pending_puts() const { return dirty_count_; }
 
   SimTime ttl() const { return ttl_; }
 
  private:
-  struct Pending {
-    Bytes size;
-    SimTime since;
-    std::optional<Key> remove_on_flush;
+  /// Everything the cache knows about one key.
+  struct Slot {
+    Key key;
+    Key remove_on_flush;          // meaningful iff has_remove
+    Bytes size = 0;               // dirty: size of the staged put
+    SimTime since = 0;            // dirty: last stage/touch time
+    SimTime clean_at = 0;         // clean: last read, or a flush's commit
+    std::uint32_t heap_refs = 0;  // heap entries naming this slot
+    bool dirty = false;
+    bool clean = false;
+    bool has_remove = false;
   };
-
-  void flush_entry(const Key& key, const Pending& p, std::vector<StoreOp>& out);
-
-  SimTime ttl_;
-  std::map<Key, Pending> dirty_;
-  /// Keyed find/insert/erase only; never iterated.
-  std::unordered_map<Key, SimTime, KeyHash> clean_;  // d2-lint: allow(unordered-container)
 
   struct HeapEntry {
     SimTime expires;
-    Key key;
-    bool dirty_heap;  // which structure this entry tracks
+    std::uint32_t slot;
+    bool dirty;  // which of the slot's states this entry tracks
     bool operator>(const HeapEntry& o) const { return expires > o.expires; }
   };
+  static_assert(sizeof(HeapEntry) == 16);
+
+  auto slot_key() const {
+    return [this](std::uint32_t s) -> const Key& { return slots_[s].key; };
+  }
+  /// Slot of `key`, or SlotTable::kNull.
+  std::uint32_t find(const Key& key) const {
+    return index_.find(key, slot_key());
+  }
+  /// Slot of `key`, taking a free one if the key has none.
+  std::uint32_t find_or_add(const Key& key);
+  /// Queues a heap entry for state `dirty` of slot `s`, due at `expires`.
+  void queue_expiry(SimTime expires, std::uint32_t s, bool dirty);
+  /// Returns `s` to the free list once nothing refers to it any more.
+  void release_if_unused(std::uint32_t s);
+  /// Emits the put (and remove of the predecessor) of dirty slot `s` and
+  /// marks it clean as of `committed_at`.
+  void flush_slot(std::uint32_t s, SimTime committed_at,
+                  std::vector<StoreOp>& out);
+
+  SimTime ttl_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  SlotTable index_;  // key -> slot, for every slot not on the free list
+  std::size_t dirty_count_ = 0;
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap_;
 
   obs::Counter* staged_counter_ = nullptr;

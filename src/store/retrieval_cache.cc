@@ -1,19 +1,8 @@
 #include "store/retrieval_cache.h"
 
 #include "common/assert.h"
-#include "common/hash.h"
 
 namespace d2::store {
-
-namespace {
-constexpr std::size_t kMinTable = 16;
-
-std::size_t next_pow2(std::size_t n) {
-  std::size_t p = kMinTable;
-  while (p < n) p <<= 1;
-  return p;
-}
-}  // namespace
 
 RetrievalCache::RetrievalCache(Bytes capacity) : capacity_(capacity) {
   D2_REQUIRE(capacity >= 0);
@@ -29,51 +18,6 @@ void RetrievalCache::bind_metrics(obs::Registry* registry) {
   hits_counter_ = &registry->counter("store.retrieval_cache.hits");
   misses_counter_ = &registry->counter("store.retrieval_cache.misses");
   evictions_counter_ = &registry->counter("store.retrieval_cache.evictions");
-}
-
-std::size_t RetrievalCache::probe(const Key& k) const {
-  std::size_t pos = KeyHash{}(k) & mask_;
-  while (table_[pos] != kNull && !(slab_[table_[pos]].key == k)) {
-    pos = (pos + 1) & mask_;
-  }
-  return pos;
-}
-
-void RetrievalCache::table_remove(std::size_t pos) {
-  // Backward-shift deletion (Knuth 6.4 R): pull every displaced entry in
-  // the probe run back over the hole instead of leaving a tombstone, so
-  // table occupancy equals the live count and steady-state churn never
-  // degrades probe runs or forces a cleanup rehash.
-  std::size_t hole = pos;
-  std::size_t j = pos;
-  while (true) {
-    table_[hole] = kNull;
-    while (true) {
-      j = (j + 1) & mask_;
-      if (table_[j] == kNull) return;
-      const std::size_t home = KeyHash{}(slab_[table_[j]].key) & mask_;
-      // Entry at j can fill the hole unless its home lies cyclically in
-      // (hole, j] — moving it would put it before its probe start.
-      const bool skip = hole <= j ? (hole < home && home <= j)
-                                  : (hole < home || home <= j);
-      if (!skip) break;
-    }
-    table_[hole] = table_[j];
-    hole = j;
-  }
-}
-
-void RetrievalCache::rehash(std::size_t need) {
-  // Max load factor 1/2: probe runs stay short even for adversarial key
-  // clusters, and the 4-byte-per-bucket table is cheap to overprovision.
-  const std::size_t buckets = next_pow2(need * 2);
-  table_.assign(buckets, kNull);
-  mask_ = buckets - 1;
-  for (std::uint32_t s = lru_head_; s != kNull; s = slab_[s].next) {
-    std::size_t pos = KeyHash{}(slab_[s].key) & mask_;
-    while (table_[pos] != kNull) pos = (pos + 1) & mask_;
-    table_[pos] = s;
-  }
 }
 
 void RetrievalCache::lru_unlink(std::uint32_t s) {
@@ -115,7 +59,7 @@ void RetrievalCache::evict_lru() {
   const std::uint32_t victim = lru_tail_;
   D2_ASSERT(victim != kNull);
   used_ -= slab_[victim].size;
-  table_remove(probe(slab_[victim].key));
+  table_.erase_at(table_.probe(slab_[victim].key, slot_key()), slot_key());
   lru_unlink(victim);
   slab_[victim].next = free_head_;
   free_head_ = victim;
@@ -124,18 +68,12 @@ void RetrievalCache::evict_lru() {
 }
 
 bool RetrievalCache::lookup(const Key& k) {
-  if (table_.empty()) {
+  const std::uint32_t s = table_.find(k, slot_key());
+  if (s == kNull) {
     ++misses_;
     if (misses_counter_ != nullptr) misses_counter_->add(1);
     return false;
   }
-  const std::size_t pos = probe(k);
-  if (table_[pos] == kNull) {
-    ++misses_;
-    if (misses_counter_ != nullptr) misses_counter_->add(1);
-    return false;
-  }
-  const std::uint32_t s = table_[pos];
   if (s != lru_head_) {  // move to front
     lru_unlink(s);
     lru_push_front(s);
@@ -149,8 +87,7 @@ bool RetrievalCache::lookup(const Key& k) {
 void RetrievalCache::insert(const Key& k, Bytes size) {
   D2_REQUIRE(size >= 0);
   if (size > capacity_) return;
-  if (table_.empty()) rehash(kMinTable / 2);
-  std::size_t pos = probe(k);
+  const std::size_t pos = table_.probe(k, slot_key());
   if (table_[pos] != kNull) {
     // Refresh in place (a re-retrieved block, possibly a new size).
     const std::uint32_t s = table_[pos];
@@ -161,17 +98,13 @@ void RetrievalCache::insert(const Key& k, Bytes size) {
       lru_push_front(s);
     }
   } else {
-    // Grow before inserting so the table never exceeds half full. In
-    // steady state (slab at high-water) this never triggers: evictions
-    // backward-shift their table run, so occupancy tracks live entries.
-    if ((size_ + 1) * 2 > table_.size()) {
-      rehash(size_ + 1);
-      pos = probe(k);
-    }
+    // In steady state (slab at high-water) the table never grows:
+    // evictions backward-shift their probe run, so occupancy tracks live
+    // entries.
     const std::uint32_t s = alloc_slot();
     slab_[s].key = k;
     slab_[s].size = size;
-    table_[pos] = s;
+    table_.insert_at(pos, s, slot_key());
     lru_push_front(s);
     ++size_;
     used_ += size;
@@ -181,12 +114,11 @@ void RetrievalCache::insert(const Key& k, Bytes size) {
 }
 
 void RetrievalCache::erase(const Key& k) {
-  if (table_.empty()) return;
-  const std::size_t pos = probe(k);
-  if (table_[pos] == kNull) return;
+  const std::size_t pos = table_.probe(k, slot_key());
   const std::uint32_t s = table_[pos];
+  if (s == kNull) return;
   used_ -= slab_[s].size;
-  table_remove(pos);
+  table_.erase_at(pos, slot_key());
   lru_unlink(s);
   slab_[s].next = free_head_;
   free_head_ = s;
@@ -235,29 +167,16 @@ void RetrievalCache::check_invariants() const {
 
   // Table: exactly the live slots appear, each reachable by probing its
   // own key (no break in its probe run).
-  if (table_.empty()) {
-    D2_ASSERT_MSG(size_ == 0, "retrieval cache: entries but no table");
-    return;
-  }
-  D2_ASSERT_MSG(mask_ == table_.size() - 1 &&
-                    (table_.size() & mask_) == 0,
-                "retrieval cache: table size not a power of two");
   std::size_t table_count = 0;
-  for (std::size_t pos = 0; pos < table_.size(); ++pos) {
-    const std::uint32_t s = table_[pos];
-    if (s == kNull) continue;
+  table_.for_each([&](std::uint32_t s) {
     ++table_count;
     D2_ASSERT_MSG(s < slots, "retrieval cache: table slot out of range");
     D2_ASSERT_MSG(live[s] == 1,
                   "retrieval cache: table references a non-cached slot");
-  }
+  });
   D2_ASSERT_MSG(table_count == size_,
                 "retrieval cache: table population disagrees with size_");
-  for (std::uint32_t s = lru_head_; s != kNull; s = slab_[s].next) {
-    const std::size_t pos = probe(slab_[s].key);
-    D2_ASSERT_MSG(table_[pos] == s,
-                  "retrieval cache: entry unreachable from its probe chain");
-  }
+  table_.check_invariants(slot_key());
 }
 
 }  // namespace d2::store

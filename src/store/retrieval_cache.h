@@ -11,11 +11,11 @@
 // keys change on every write).
 //
 // Layout: entries live in a contiguous slab, linked into an intrusive
-// LRU list by 32-bit slot indices, and found through an open-addressed
-// (linear probing, backward-shift deletion) table of slot indices. A hit
-// is one probe run over a contiguous index array plus four index writes
-// to splice the LRU — no list-node churn, and in steady state (slab at
-// its high-water mark, table sized for it) lookup/insert/evict touch the
+// LRU list by 32-bit slot indices, and found through the shared
+// open-addressed key->slot table (common/slot_table.h). A hit is one
+// probe run over a contiguous index array plus four index writes to
+// splice the LRU — no list-node churn, and in steady state (slab at its
+// high-water mark, table sized for it) lookup/insert/evict touch the
 // heap zero times (tests/test_alloc_guard.cc enforces this).
 #pragma once
 
@@ -24,6 +24,7 @@
 
 #include "common/assert.h"
 #include "common/key.h"
+#include "common/slot_table.h"
 #include "common/units.h"
 #include "obs/metrics.h"
 
@@ -60,16 +61,16 @@ class RetrievalCache {
   /// Full-structure audit; throws InvariantError naming the violated
   /// invariant. Walks the LRU list (closed chain head<->tail, prev/next
   /// mirror each other, exactly size_ nodes), the free list (disjoint
-  /// from the LRU, covers the rest of the slab), the open-addressed
-  /// table (every live slot reachable by probing its key, exactly once)
-  /// and the byte accounting. O(n); wired into lookup/insert/erase in
+  /// from the LRU, covers the rest of the slab), the key->slot table
+  /// (exactly the live slots, each reachable by probing its key) and the
+  /// byte accounting. O(n); wired into lookup/insert/erase in
   /// paranoid builds and callable from tests in any build.
   void check_invariants() const;
 
  private:
   /// Corruption-injection hook for tests (tests/test_invariants.cc).
   friend struct RetrievalCacheTestPeer;
-  static constexpr std::uint32_t kNull = 0xffffffffu;
+  static constexpr std::uint32_t kNull = SlotTable::kNull;
 
   /// Slab entry: block metadata plus intrusive LRU links. Free slots are
   /// chained through `next`.
@@ -80,15 +81,10 @@ class RetrievalCache {
     std::uint32_t next = kNull;  // toward LRU / next free slot
   };
 
-  /// Table position of `k`'s slot, or the position it would occupy
-  /// (table_[pos] == kNull) if absent.
-  std::size_t probe(const Key& k) const;
-  /// Clears table position `pos`, backward-shifting the rest of the
-  /// probe run so lookups never need tombstones.
-  void table_remove(std::size_t pos);
-  /// Grows/initializes the table to hold `need` entries under the max
-  /// load factor and reindexes every live slab slot.
-  void rehash(std::size_t need);
+  /// key_of callable for table_.
+  auto slot_key() const {
+    return [this](std::uint32_t s) -> const Key& { return slab_[s].key; };
+  }
 
   void lru_unlink(std::uint32_t s);
   void lru_push_front(std::uint32_t s);
@@ -102,8 +98,7 @@ class RetrievalCache {
   std::uint32_t free_head_ = kNull;  // free-slot chain through Node::next
   std::uint32_t lru_head_ = kNull;   // most recently used
   std::uint32_t lru_tail_ = kNull;   // least recently used
-  std::vector<std::uint32_t> table_;  // open-addressed: slab slot or kNull
-  std::size_t mask_ = 0;              // table_.size() - 1 (power of two)
+  SlotTable table_;                  // key -> slab slot
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   ParanoidGate audit_gate_;  // paces paranoid-build audits

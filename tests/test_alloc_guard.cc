@@ -11,7 +11,12 @@
 //   * store::RetrievalCache hit path and insert/evict churn at capacity
 //     (slab + intrusive LRU + backward-shift open addressing),
 //   * store::BlockMap reassigning blocks to their current members inside
-//     an arc walk (the unchanged sets of System's readjustment).
+//     an arc walk (the unchanged sets of System's readjustment),
+//   * core::VolumeSet::apply of a read of an existing file (string_view
+//     routing into reused buffers, hashed volume lookup, heterogeneous
+//     child lookup, root-to-leaf meta walk, write-back cache slots),
+//   * fs::WritebackCache stage/touch/cancel/collect/mark_clean churn over
+//     recycled keys (slots recycle through the free list).
 //
 // These guards are the teeth behind DESIGN.md §5c: a regression that
 // reintroduces boxing (e.g., an std::function member, a node-based map)
@@ -25,7 +30,7 @@
 // Paranoid builds (-DD2_PARANOID=ON) run full-structure audits inside the
 // very mutators measured here, and the audits allocate scratch (census
 // vectors, heap copies) by design — so the zero-allocation assertions are
-// skipped there. The guarantee is about release hot paths, which the
+// skipped there (every guard above except the LookupCache hit path). The guarantee is about release hot paths, which the
 // default CI configuration still enforces.
 
 #include <gtest/gtest.h>
@@ -35,6 +40,8 @@
 #include <new>
 
 #include "common/key.h"
+#include "core/replay.h"
+#include "fs/writeback_cache.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "store/block_map.h"
@@ -225,6 +232,76 @@ TEST(AllocGuard, BlockMapReassignToCurrentMembersIsAllocationFree) {
   EXPECT_EQ(probe.news(), 0u) << "unchanged reassignment allocated";
   EXPECT_EQ(probe.deletes(), 0u);
   EXPECT_EQ(changed, 0);
+}
+
+TEST(AllocGuard, VolumeSetReadOfExistingFileIsAllocationFree) {
+#ifdef D2_PARANOID
+  GTEST_SKIP() << "paranoid audits allocate inside the measured hot path";
+#endif
+  using Op = trace::TraceRecord::Op;
+  core::VolumeSet volumes(fs::KeyScheme::kD2);
+  std::vector<fs::StoreOp> ops;
+  const std::string_view path = "home/u1/docs/src/main.c";
+  volumes.apply(trace::TraceRecord{0, 1, Op::kWrite, path, "", 0, kB(24)}, 0,
+                ops);
+  const trace::TraceRecord read{0, 1, Op::kRead, path, "", 0, kB(24)};
+  // Reads alternately inside and past the 30 s window: every other one
+  // re-fetches the metadata chain and the data blocks (new heap entries)
+  // and expires the previous fetch's entries.
+  SimTime t = minutes(1);
+  auto read_round = [&] {
+    std::size_t gets = 0;
+    for (const SimTime step : {seconds(10), seconds(45)}) {
+      t += step;
+      ops.clear();
+      volumes.apply(read, t, ops);
+      gets += ops.size();
+    }
+    return gets;
+  };
+  for (int i = 0; i < 8; ++i) read_round();
+
+  const AllocProbe probe;
+  std::size_t gets = 0;
+  for (int i = 0; i < 1000; ++i) gets += read_round();
+  EXPECT_EQ(probe.news(), 0u) << "VolumeSet read of an existing file allocated";
+  EXPECT_EQ(probe.deletes(), 0u);
+  // root, docs, src, inode and three data blocks, once per round.
+  EXPECT_EQ(gets, 1000u * 7);
+}
+
+TEST(AllocGuard, WritebackCacheChurnOverRecycledKeysIsAllocationFree) {
+#ifdef D2_PARANOID
+  GTEST_SKIP() << "paranoid audits allocate inside the measured hot path";
+#endif
+  fs::WritebackCache cache(seconds(30));
+  std::vector<fs::StoreOp> out;
+  // One round: a minute of staging, touching, cancelling and reading over
+  // fixed key sets. Rounds start two minutes apart, so each one flushes
+  // and expires the previous round's keys and their slots recycle.
+  auto round = [&](SimTime start) {
+    for (std::uint64_t i = 0; i < 64; ++i) {
+      const SimTime t = start + static_cast<SimTime>(i) * seconds(1);
+      cache.collect_expired(t, out);
+      const Key k = K(i % 48);
+      if (!cache.has_pending(k)) {
+        cache.stage_put(k, kB(8), t, K(1000 + i % 48));
+      } else if (i % 7 == 0) {
+        cache.cancel_put(k);
+      } else {
+        cache.touch_put(k, kB(8), t);
+      }
+      const Key r = K(500 + i % 32);
+      if (!cache.is_fresh(r, t)) cache.mark_clean(r, t);
+    }
+    out.clear();
+  };
+  for (int w = 0; w < 8; ++w) round(w * minutes(2));
+
+  const AllocProbe probe;
+  for (int w = 8; w < 400; ++w) round(w * minutes(2));
+  EXPECT_EQ(probe.news(), 0u) << "WritebackCache churn allocated";
+  EXPECT_EQ(probe.deletes(), 0u);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 // were recorded from the byte-wise Key / map-based BlockMap / hash-map
 // EventQueue implementation; any hot-path rewrite (limb keys, slab event
 // queue, contiguous block index, ...) must reproduce them bit-for-bit.
+// A third checksum covers the file-system layer alone: the StoreOp stream
+// the trace replay produces before any System sees it.
 //
 // If this test fails after an intentional *semantic* change (new physics,
 // different replica policy), re-record the constants by running the test
@@ -20,6 +22,8 @@
 
 #include "core/availability.h"
 #include "core/performance.h"
+#include "core/replay.h"
+#include "trace/harvard_gen.h"
 
 namespace d2::core {
 namespace {
@@ -82,6 +86,12 @@ constexpr std::uint64_t kAvailabilityGolden = 5949234668160264810ull;
 // grows cwnd only by the packets actually acknowledged in the last RTT of
 // a transfer, which shifts every downstream latency figure.
 constexpr std::uint64_t kPerformanceGolden = 18256943228967445713ull;
+// The file-system layer's own output: every StoreOp (kind, key, size)
+// that VolumeSet::insert_initial and apply emit for golden_workload(),
+// under D2, traditional and traditional-file keys in that order. Pins the
+// write-back cache's flush order and the path routing directly, without
+// going through a System.
+constexpr std::uint64_t kFsOpStreamGolden = 4425017394829546145ull;
 
 /// One seeded availability trial with the given partitioning, reduced to
 /// a checksum over every figure-bearing output.
@@ -145,6 +155,42 @@ std::uint64_t performance_checksum(int arcs, int arc_workers) {
   append_u64(&s, r.tcp_cold_starts);
   append_u64(&s, r.tcp_transfers);
   return fnv1a(s);
+}
+
+/// FNV-1a folded over every StoreOp the fs layer emits for the golden
+/// workload, one key scheme after another.
+std::uint64_t fs_op_stream_checksum() {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint8_t byte) {
+    h ^= byte;
+    h *= 1099511628211ull;
+  };
+  const trace::HarvardGenerator gen(golden_workload());
+  for (const fs::KeyScheme scheme :
+       {fs::KeyScheme::kD2, fs::KeyScheme::kTraditionalBlock,
+        fs::KeyScheme::kTraditionalFile}) {
+    VolumeSet volumes(scheme);
+    std::vector<fs::StoreOp> ops;
+    volumes.insert_initial(gen.initial_files(), 0, ops);
+    for (const trace::TraceRecord& r : gen.records()) {
+      volumes.apply(r, r.time, ops);
+    }
+    for (const fs::StoreOp& op : ops) {
+      mix(static_cast<std::uint8_t>(op.kind));
+      for (const std::uint8_t b : op.key.bytes()) mix(b);
+      for (int i = 0; i < 8; ++i) {
+        mix(static_cast<std::uint8_t>(static_cast<std::uint64_t>(op.size) >>
+                                      (8 * i)));
+      }
+    }
+  }
+  return h;
+}
+
+TEST(DeterminismGolden, FsOpStreamChecksum) {
+  const std::uint64_t checksum = fs_op_stream_checksum();
+  EXPECT_EQ(checksum, kFsOpStreamGolden)
+      << "fs op stream drifted; actual checksum=" << checksum;
 }
 
 TEST(DeterminismGolden, AvailabilityTrialChecksum) {

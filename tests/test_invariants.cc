@@ -21,6 +21,7 @@
 #include "common/assert.h"
 #include "common/key.h"
 #include "common/lane.h"
+#include "common/slot_table.h"
 #include "common/units.h"
 #include "core/config.h"
 #include "core/system.h"
@@ -32,6 +33,22 @@
 #include "store/block_map.h"
 #include "store/lookup_cache.h"
 #include "store/retrieval_cache.h"
+
+namespace d2 {
+
+struct SlotTableTestPeer {
+  /// Empties the first occupied bucket without touching size().
+  static void clear_first_bucket(SlotTable& t) {
+    for (auto& slot : t.table_) {
+      if (slot != SlotTable::kNull) {
+        slot = SlotTable::kNull;
+        return;
+      }
+    }
+  }
+};
+
+}  // namespace d2
 
 namespace d2::sim {
 
@@ -135,12 +152,7 @@ struct RetrievalCacheTestPeer {
     c.slab_[c.slab_[c.lru_head_].next].prev = RetrievalCache::kNull;
   }
   static void drop_table_entry(RetrievalCache& c) {
-    for (auto& slot : c.table_) {
-      if (slot != RetrievalCache::kNull) {
-        slot = RetrievalCache::kNull;
-        return;
-      }
-    }
+    SlotTableTestPeer::clear_first_bucket(c.table_);
   }
 };
 
@@ -429,6 +441,17 @@ TEST(Invariants, RetrievalCacheDetectsDroppedTableEntry) {
   store::RetrievalCacheTestPeer::drop_table_entry(rc);
   ExpectInvariantNamed([&] { rc.check_invariants(); },
                        "table population disagrees with size_");
+}
+
+TEST(Invariants, SlotTableDetectsDroppedEntry) {
+  const Key key = K(42);
+  const auto key_of = [&key](std::uint32_t) -> const Key& { return key; };
+  SlotTable t;
+  t.insert_at(t.probe(key, key_of), 0, key_of);
+  EXPECT_NO_THROW(t.check_invariants(key_of));
+  SlotTableTestPeer::clear_first_bucket(t);
+  ExpectInvariantNamed([&] { t.check_invariants(key_of); },
+                       "occupancy disagrees with entry count");
 }
 
 // ------------------------------------------------------------------- ring --

@@ -9,6 +9,7 @@
 
 #include "common/key_simd.h"
 #include "common/rng.h"
+#include "fs/key_encoding.h"
 
 namespace d2 {
 namespace {
@@ -144,6 +145,37 @@ TEST(Key, RingPositionSpansUnitInterval) {
 TEST(Key, HashDistinguishes) {
   KeyHash h;
   EXPECT_NE(h(Key::from_uint64(1)), h(Key::from_uint64(2)));
+}
+
+TEST(Key, HashSpreadsOneVolumesKeysOverLinearProbing) {
+  // 2^16 keys of one volume, laid out as Fig-4 block keys: a shared
+  // 20-byte volume prefix and path, consecutive block numbers, and
+  // consecutive versions of each block. Inserted into a 2^17-bucket
+  // linear-probing table (the client caches' layout at its maximum load),
+  // no probe run may grow long.
+  constexpr std::size_t kBuckets = std::size_t{1} << 17;
+  const fs::VolumeId volume = fs::make_volume_id("home/u1");
+  fs::EncodedPath path;
+  path = fs::extend_path(path, 3, "docs");
+  path = fs::extend_path(path, 7, "big.dat");
+  std::vector<char> used(kBuckets, 0);
+  std::size_t longest = 0;
+  const KeyHash h;
+  for (std::uint64_t block = 0; block < (1u << 14); ++block) {
+    for (std::uint32_t version = 1; version <= 4; ++version) {
+      const Key k = fs::encode_block_key(volume, path, fs::BlockType::kData,
+                                         block, version);
+      std::size_t pos = h(k) & (kBuckets - 1);
+      std::size_t run = 1;
+      while (used[pos] != 0) {
+        pos = (pos + 1) & (kBuckets - 1);
+        ++run;
+      }
+      used[pos] = 1;
+      longest = std::max(longest, run);
+    }
+  }
+  EXPECT_LE(longest, 32u);
 }
 
 // Property sweep: midpoint lies inside the arc and splits it into halves

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "fs/key_encoding.h"
 
 namespace d2::core {
@@ -132,6 +136,47 @@ TEST(VolumeSet, InsertInitialPopulatesAndFlushes) {
   std::string rel;
   EXPECT_EQ(vs.volume_for("home/u1/a", &rel).file_size("a"), kB(8));
   EXPECT_EQ(vs.volume_for("shared/lib", &rel).file_size("lib"), kB(8));
+}
+
+TEST(VolumeSet, VolumeForNormalizesPaths) {
+  struct Case {
+    std::string_view path;
+    std::string_view volume;
+    std::string_view relative;
+  };
+  const Case cases[] = {
+      {"/home/u1/a", "home/u1", "a"},  {"home//u1/a/", "home/u1", "a"},
+      {"home", "home", ""},            {"home/", "home", ""},
+      {"shared//x", "shared", "x"},
+  };
+  VolumeSet vs(fs::KeyScheme::kD2);
+  for (const Case& c : cases) {
+    std::string rel = "stale";
+    EXPECT_EQ(vs.volume_for(c.path, &rel).name(), c.volume) << c.path;
+    EXPECT_EQ(rel, c.relative) << c.path;
+  }
+  EXPECT_EQ(vs.volume_count(), 3u);  // home/u1, home, shared
+}
+
+TEST(VolumeSet, InsertInitialFlushesVolumesInNameOrder) {
+  // Touched as shared, home/u10, home/u2: name order is neither the
+  // touch order nor the numeric user order.
+  VolumeSet vs(fs::KeyScheme::kD2);
+  const std::vector<trace::FileSpec> files = {
+      {"shared/x", kB(8)}, {"home/u10/a", kB(8)}, {"home/u2/a", kB(8)}};
+  std::vector<fs::StoreOp> ops;
+  vs.insert_initial(files, 0, ops);
+  const std::vector<std::string> names = {"home/u10", "home/u2", "shared"};
+  std::vector<std::string> flushed;  // volume of each run of puts
+  for (const fs::StoreOp& op : ops) {
+    const auto bytes = op.key.bytes();
+    for (const std::string& name : names) {
+      const fs::VolumeId id = fs::make_volume_id(name);
+      if (!std::equal(id.begin(), id.end(), bytes.begin())) continue;
+      if (flushed.empty() || flushed.back() != name) flushed.push_back(name);
+    }
+  }
+  EXPECT_EQ(flushed, names);
 }
 
 class VolumeSetSchemeSweep : public ::testing::TestWithParam<fs::KeyScheme> {};
