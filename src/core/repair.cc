@@ -400,7 +400,7 @@ void RepairEngine::reconcile(const Key& key) {
   store::BlockState* b = map_.find_mutable(key);
   if (b == nullptr || dead_.count(key) != 0) return;
   target_replica_set(key, scratch_set_);
-  map_.reassign_replicas(key, scratch_set_, sim_.now());
+  map_.reassign_replicas(key, scratch_set_);
   // A member rejoining without the stale-holder fast path may still
   // physically hold its old fragment (kept as a detached sole copy):
   // reattach it rather than scheduling a redundant reconstruction.

@@ -65,6 +65,8 @@ System::System(const SystemConfig& config, sim::Simulator& sim,
   lb_moves_c_ = &metrics_->counter("system.lb_moves");
   replica_fetches_c_ = &metrics_->counter("system.replica_fetches");
   fetch_timers_c_ = &metrics_->counter("system.fetch_timers");
+  fetch_timers_discarded_c_ =
+      &metrics_->counter("system.fetch_timers_discarded");
   pointer_promotions_c_ = &metrics_->counter("system.pointer_promotions");
   reassigned_blocks_c_ = &metrics_->counter("system.reassigned_blocks");
   replica_set_changes_c_ = &metrics_->counter("system.replica_set_changes");
@@ -266,6 +268,7 @@ void System::put_at(const Key& k, Bytes size, SimTime t) {
     add_user_removed_bytes(existing->size);
     fresh_key = false;  // scatter-index entries stay valid
     if (existing->size != size) {
+      discard_fetch_timers(k, *existing);
       map_.erase(k);
     } else {
       refresh_at(k, t);
@@ -298,6 +301,7 @@ void System::remove_at(const Key& k, SimTime t) {
     D2_ASSERT_OWNER_LANE(map_.arc_of(k));
     if (const store::BlockState* b = map_.find(k)) {
       add_user_removed_bytes(b->size);
+      discard_fetch_timers(k, *b);
       map_.erase(k);
       expiry_shard(k).erase(k);
       extended_shard(k).erase(k);
@@ -313,7 +317,7 @@ void System::refresh_at(const Key& k, SimTime t) {
   D2_ASSERT_OWNER_LANE(map_.arc_of(k));
   const SimTime deadline = t + config_.block_ttl;
   expiry_shard(k)[k] = deadline;
-  // Deadline-check pattern (arc events are not cancellable): a later
+  // Deadline-check pattern (arc events are never cancelled exactly): a later
   // refresh bumps the shard entry and this event becomes a no-op.
   // d2-sched: arc-local — TTL expiry touches only k's shard
   sim_.schedule_arc_at(map_.arc_of(k), deadline, [this, k, deadline] {
@@ -326,6 +330,7 @@ void System::refresh_at(const Key& k, SimTime t) {
       if (tracer_ != nullptr) {
         tracer_->record(sim_.now(), obs::EventType::kBlockExpired, b->size);
       }
+      discard_fetch_timers(k, *b);
       map_.erase(k);
       extended_shard(k).erase(k);
       if (config_.scatter_replicas > 0) forget_scatter(k);
@@ -336,8 +341,8 @@ void System::refresh_at(const Key& k, SimTime t) {
 
 // -------------------------------------------------------------- fetches --
 
-void System::schedule_fetch(const Key& k, store::Replica& member,
-                            SimTime due) {
+sim::EventId System::schedule_fetch(const Key& k, store::Replica& member,
+                                    SimTime due) {
   member.fetch_due = due;
   fetch_timers_c_->add(1);
   // Arc-local by construction: the timer fires on the key's shard (block
@@ -346,8 +351,24 @@ void System::schedule_fetch(const Key& k, store::Replica& member,
   // Callable from the coordinator (readjustment) or from the key's own
   // lane (retry path).
   // d2-sched: arc-local — fetch timer for k runs on k's arc
-  sim_.schedule_arc_at(map_.arc_of(k), due,
-                       [this, k, node = member.node] { try_fetch(k, node); });
+  return sim_.schedule_arc_at(
+      map_.arc_of(k), due,
+      [this, k, node = member.node] { try_fetch(k, node); });
+}
+
+// Guarded by Simulator::discard (arc range, lane ownership).
+// d2-lint: allow(unguarded-mutator)
+void System::discard_fetch_timer(int arc, sim::EventId id) {
+  if (sim_.discard(arc, id)) fetch_timers_discarded_c_->add(1);
+}
+
+void System::discard_fetch_timers(const Key& k, const store::BlockState& b) {
+  const int arc = map_.arc_of(k);
+  D2_ASSERT_OWNER_LANE(arc);
+  D2_DCHECK_MSG(map_.find(k) == &b, "discarding timers of a state not k's");
+  for (const store::Replica& r : b.replicas) {
+    discard_fetch_timer(arc, r.fetch_timer);
+  }
 }
 
 void System::try_fetch(const Key& k, int node) {
@@ -366,8 +387,13 @@ void System::try_fetch(const Key& k, int node) {
   // for a membership that has since ended.
   if (member->fetch_due != sim_.now()) return;
   member->fetch_due = kSimTimeNever;
+  member->fetch_timer = sim::Simulator::kNoEvent;  // this timer, now fired
   D2_DCHECK(!member->has_data && !member->fetch_in_flight);
   if (!node_up(node)) return;  // recovery readjustment will reschedule
+  // A retry records no id: from a lane it may be mailboxed, so recording
+  // only the direct ones would tie the set of discarded timers to
+  // --arc-workers. An unrecorded retry that outlives its membership
+  // lapses through the fetch_due check above.
   const SimTime retry_at = sim_.now() + kFetchRetryDelay;
   Bytes transfer_bytes;
   if (erasure()) {
@@ -470,13 +496,27 @@ void System::note_set_shape(const Key& k, std::size_t set_size) {
 bool System::reassign_block(const Key& k, store::BlockState& b,
                             const std::vector<int>& set, SimTime fetch_delay) {
   note_set_shape(k, set.size());
-  const bool changed = map_.reassign_replicas(k, b, set, sim_.now());
+  const int arc = map_.arc_of(k);
+  // A member leaving the set takes its recorded timer with it.
+  for (const store::Replica& r : b.replicas) {
+    if (r.fetch_timer != sim::Simulator::kNoEvent &&
+        std::find(set.begin(), set.end(), r.node) == set.end()) {
+      discard_fetch_timer(arc, r.fetch_timer);
+    }
+  }
+  const bool changed = map_.reassign_replicas(k, b, set);
   for (store::Replica& r : b.replicas) {
     if (r.has_data || r.fetch_in_flight) continue;
     // A down member's timer finds it down and lapses; its recovery
     // readjustment arms the real fetch.
     const SimTime due = sim_.now() + (node_up(r.node) ? fetch_delay : 0);
-    if (due < r.fetch_due) schedule_fetch(k, r, due);
+    if (due >= r.fetch_due) continue;
+    // Armed before the discard: the superseded timer is then due after
+    // the new one on the same queue, never the queue's next event, so
+    // the discard always succeeds.
+    const sim::EventId superseded = r.fetch_timer;
+    r.fetch_timer = schedule_fetch(k, r, due);
+    discard_fetch_timer(arc, superseded);
   }
   return changed;
 }
@@ -746,6 +786,7 @@ void System::reset_traffic_counters() {
   lb_moves_c_->reset();
   replica_fetches_c_->reset();
   fetch_timers_c_->reset();
+  fetch_timers_discarded_c_->reset();
   pointer_promotions_c_->reset();
   reassigned_blocks_c_->reset();
   replica_set_changes_c_->reset();
@@ -783,6 +824,18 @@ void System::check_invariants() const {
     D2_ASSERT_MSG(!b.replicas.empty() &&
                       b.replicas.front().node == ring_.owner(k),
                   "system: block primary is not the ring owner of its key");
+    // A recorded fetch timer is the member's own pending timer: the one
+    // try_fetch will act on, so it must still be wanted and queued.
+    for (const store::Replica& r : b.replicas) {
+      if (r.fetch_timer == sim::Simulator::kNoEvent) continue;
+      D2_ASSERT_MSG(!r.has_data && !r.fetch_in_flight,
+                    "system: fetch timer recorded for a member that has "
+                    "data or a fetch in flight");
+      D2_ASSERT_MSG(
+          sim_.pending_time(map_.arc_of(k), r.fetch_timer) == r.fetch_due,
+          "system: recorded fetch timer is not pending on its key's arc "
+          "queue at the member's fetch_due");
+    }
   });
   // Partition-local bookkeeping must be filed under the owning arc —
   // the bijection the lane-confinement rules rest on (DESIGN.md §9).

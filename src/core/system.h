@@ -187,7 +187,10 @@ class System {
   /// after every ID change). With arcs > 1 it also audits the partition
   /// bijection: every TTL deadline and extended-set entry is filed under
   /// the arc shard that owns its key (the block map audits the same for
-  /// block storage). Wired into execute_move / on_node_down /
+  /// block storage). Every recorded fetch timer (Replica::fetch_timer)
+  /// must belong to a member lacking data with no fetch in flight and be
+  /// pending on its key's arc queue, due at the member's fetch_due.
+  /// Wired into execute_move / on_node_down /
   /// on_node_up and sampled put/remove paths when built with D2_PARANOID
   /// or running with config.paranoid_audits; callable from tests always.
   void check_invariants() const;
@@ -248,7 +251,9 @@ class System {
   /// `set`; returns whether its member list changed. Fetch-timer
   /// ownership: each member lacking data has at most one pending timer,
   /// due at Replica::fetch_due. A readjustment arms one only when it
-  /// wants the fetch earlier than the pending timer would.
+  /// wants the fetch earlier than the pending timer would, records its id
+  /// in Replica::fetch_timer, and discards the timer it supersedes; a
+  /// member leaving the set has its recorded timer discarded.
   bool reassign_block(const Key& k, store::BlockState& b,
                       const std::vector<int>& set, SimTime fetch_delay);
   /// Blocks one readjustment or recovery pass reassigned, and how many of
@@ -266,11 +271,21 @@ class System {
   void count_pass(const ReassignTally& tally);
   void note_set_shape(const Key& k, std::size_t set_size);
   /// Arms `member`'s fetch timer for block `k` at `due`, replacing its
-  /// pending one (which then fires as a no-op).
-  void schedule_fetch(const Key& k, store::Replica& member, SimTime due);
+  /// pending one as the member's own (the old one then fires as a no-op
+  /// unless it is discarded). Returns the new timer's id, kNoEvent when
+  /// it was mailboxed; only the caller decides whether to record it.
+  sim::EventId schedule_fetch(const Key& k, store::Replica& member,
+                              SimTime due);
+  /// Best-effort discard of a recorded fetch timer on `arc`'s queue
+  /// (kNoEvent is a no-op); counts it when the timer was removed.
+  void discard_fetch_timer(int arc, sim::EventId id);
+  /// Discards every member's recorded fetch timer of block `k`, whose
+  /// state `b` is about to be erased.
+  void discard_fetch_timers(const Key& k, const store::BlockState& b);
   /// Fetch-timer arc event. Acts only if it is the member's own timer —
-  /// the clock equals the member's fetch_due — so timers that were
-  /// replaced, or armed for a previous membership, do nothing.
+  /// the clock equals the member's fetch_due — so a replaced timer, or
+  /// one armed for a previous membership, that was not discarded does
+  /// nothing.
   void try_fetch(const Key& k, int node);
   /// Resolves every staged bandwidth reservation in (time, arc, seq)
   /// order: enqueue on the node's migration link, then schedule the
@@ -399,6 +414,7 @@ class System {
   obs::Counter* lb_moves_c_;
   obs::Counter* replica_fetches_c_;
   obs::Counter* fetch_timers_c_;
+  obs::Counter* fetch_timers_discarded_c_;
   obs::Counter* pointer_promotions_c_;
   obs::Counter* reassigned_blocks_c_;
   obs::Counter* replica_set_changes_c_;

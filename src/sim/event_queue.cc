@@ -46,11 +46,9 @@ void EventQueue::release_slot(std::uint32_t slot, std::uint64_t meta) {
 }
 
 bool EventQueue::cancel(EventId id) {
-  const std::uint32_t slot = static_cast<std::uint32_t>(id >> kSeqBits);
-  if (slot >= meta_.size()) return false;
-  const std::uint64_t meta = meta_[slot];
-  if (meta != live_meta(make_tag(slot, id & kSeqMask))) return false;
-  release_slot(slot, meta);
+  const std::uint32_t slot = live_slot(id);
+  if (slot == kNoSlot) return false;
+  release_slot(slot, meta_[slot]);
   if (kind_ == SchedulerKind::kWheel) {
     wheel_.remove(slot);
   } else {
@@ -58,6 +56,40 @@ bool EventQueue::cancel(EventId id) {
   }
   D2_PARANOID_AUDIT(if (audit_gate_.due(meta_.size())) check_invariants());
   return true;
+}
+
+bool EventQueue::discard(EventId id) {
+  const std::uint32_t slot = live_slot(id);
+  if (slot == kNoSlot || slot == next_slot()) return false;
+  release_slot(slot, meta_[slot]);
+  // Not the head, so the wheel unlinks without a head refresh, and the
+  // heap's live top stays live (the dead entry drops when it surfaces).
+  if (kind_ == SchedulerKind::kWheel) wheel_.remove(slot);
+  D2_PARANOID_AUDIT(if (audit_gate_.due(meta_.size())) check_invariants());
+  return true;
+}
+
+std::optional<SimTime> EventQueue::pending_time(EventId id) const {
+  const std::uint32_t slot = live_slot(id);
+  if (slot == kNoSlot) return std::nullopt;
+  if (kind_ == SchedulerKind::kWheel) return wheel_.slot_time(slot);
+  const std::uint64_t tag = make_tag(slot, id & kSeqMask);
+  for (const Entry& e : heap_entries()) {
+    if (e.tag == tag) return e.time;
+  }
+  D2_ASSERT_MSG(false, "event queue: live slot has no heap entry");
+  return std::nullopt;
+}
+
+const std::vector<EventQueue::Entry>& EventQueue::heap_entries() const {
+  // d2-lint: allow(priority-queue) — reading the reference scheduler
+  using RefHeap = std::priority_queue<Entry, std::vector<Entry>, Later>;
+  struct HeapAccess : RefHeap {
+    static const std::vector<Entry>& container(const RefHeap& q) {
+      return q.*(&HeapAccess::c);
+    }
+  };
+  return HeapAccess::container(heap_);
 }
 
 void EventQueue::drop_dead_top() {
@@ -146,14 +178,7 @@ void EventQueue::check_invariants() const {
 
   // Heap: ordering property holds, exactly the live slots have a live
   // entry, and a dead entry never sits on top.
-  // d2-lint: allow(priority-queue) — auditing the reference scheduler
-  using RefHeap = std::priority_queue<Entry, std::vector<Entry>, Later>;
-  struct HeapAccess : RefHeap {
-    static const std::vector<Entry>& container(const RefHeap& q) {
-      return q.*(&HeapAccess::c);
-    }
-  };
-  const std::vector<Entry>& entries = HeapAccess::container(heap_);
+  const std::vector<Entry>& entries = heap_entries();
   D2_ASSERT_MSG(std::is_heap(entries.begin(), entries.end(), Later{}),
                 "event queue: heap property violated");
   std::size_t live_entries = 0;

@@ -1,5 +1,5 @@
-// Priority queue of timestamped events with stable FIFO ordering for ties
-// and O(1) cancellation.
+// Priority queue of timestamped events with stable FIFO ordering for ties,
+// exact cancellation and O(1) best-effort discard.
 //
 // Layout: an ordering structure of lightweight per-slot entries over two
 // parallel slot arrays — a hot 8-byte metadata word per slot (sequence
@@ -15,8 +15,9 @@
 // Two interchangeable scheduler backends order the slots
 // (SchedulerKind, DESIGN.md §11):
 //   - kWheel (default): a hierarchical timing wheel
-//     (sim/timing_wheel.h) with O(1) amortized push/cancel/pop;
-//     cancellation unlinks the slot from its intrusive bucket list.
+//     (sim/timing_wheel.h) with O(1) amortized push/pop; cancellation
+//     unlinks the slot from its intrusive bucket list, and cancelling
+//     the queue's next event also rescans a bucket for the new minimum.
 //   - kHeap: the original binary heap of {time, seq} entries, retained
 //     as the differential reference (`--scheduler heap`). Cancellation
 //     flips the metadata word — it never touches the heap — and dead
@@ -29,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -104,6 +106,19 @@ class EventQueue {
   /// Cancels a pending event. Cancelling an already-fired or unknown id is
   /// a no-op (returns false).
   bool cancel(EventId id);
+
+  /// Best-effort cancel, always O(1): removes a pending event and frees
+  /// its slot for the next push, unless it is the queue's next event
+  /// (the one next_time() reports). That one stays and fires; removing
+  /// it would make the wheel rescan a bucket for the new minimum. So the
+  /// owner of a discarded event must still let it run as a no-op.
+  /// Returns whether the event was removed; fired, unknown and declined
+  /// ids return false.
+  bool discard(EventId id);
+
+  /// Due time of pending event `id`, or nullopt when `id` is not pending.
+  /// O(1) on the wheel; the heap reference scans its entries. For audits.
+  std::optional<SimTime> pending_time(EventId id) const;
 
   bool empty() const { return live_ == 0; }
   SimTime next_time() const;
@@ -187,6 +202,20 @@ class EventQueue {
   bool entry_live(const Entry& e) const {
     return meta_[tag_slot(e.tag)] == live_meta(e.tag);
   }
+  /// Slot of pending event `id`, or kNoSlot when `id` is not pending.
+  std::uint32_t live_slot(EventId id) const {
+    const auto slot = static_cast<std::uint32_t>(id >> kSeqBits);
+    if (slot >= meta_.size() ||
+        meta_[slot] != live_meta(make_tag(slot, id & kSeqMask))) {
+      return kNoSlot;
+    }
+    return slot;
+  }
+  /// Slot of the queue's next event. Requires !empty().
+  std::uint32_t next_slot() const {
+    return kind_ == SchedulerKind::kWheel ? wheel_.min_slot()
+                                          : tag_slot(heap_.top().tag);
+  }
 
   /// Pops a free-list slot (or grows the arrays); the caller fills its fn.
   std::uint32_t acquire_slot();
@@ -194,6 +223,9 @@ class EventQueue {
   EventId commit(SimTime t, std::uint32_t slot, std::uint64_t order);
   /// Returns `slot` (whose current meta word is `meta`) to the free list.
   void release_slot(std::uint32_t slot, std::uint64_t meta);
+
+  /// The heap's entries in container order, live and dead (heap backend).
+  const std::vector<Entry>& heap_entries() const;
 
   /// Restores the invariant after cancel/pop (heap backend only):
   /// discard heap entries whose slot was already freed until a live one

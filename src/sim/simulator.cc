@@ -69,6 +69,21 @@ bool Simulator::commit() {
   return events_pending() != before;
 }
 
+bool Simulator::discard(int arc, EventId id) {
+  D2_REQUIRE_MSG(arc >= kGlobalArc && arc < arcs_, "arc index out of range");
+  // Direct tl_lane_ member reads, no reference — see now().
+  D2_REQUIRE_MSG(tl_lane_.owner != this || arc == tl_lane_.arc,
+                 "arc lanes may only discard events on their own arc");
+  if (id == kNoEvent) return false;
+  return queues_[queue_index(arc)].discard(id);
+}
+
+std::optional<SimTime> Simulator::pending_time(int arc, EventId id) const {
+  D2_REQUIRE_MSG(arc >= kGlobalArc && arc < arcs_, "arc index out of range");
+  if (id == kNoEvent) return std::nullopt;
+  return queues_[queue_index(arc)].pending_time(id);
+}
+
 void Simulator::run() {
   while (true) {
     const int qi = min_queue();

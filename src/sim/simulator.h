@@ -33,6 +33,7 @@
 
 #include <functional>
 #include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -50,7 +51,7 @@ class Simulator {
  public:
   /// Arc index for the global (cross-arc) queue in schedule_arc_at.
   static constexpr int kGlobalArc = -1;
-  /// Returned for mailboxed schedules, which are not cancellable (queue
+  /// Returned for mailboxed schedules, which cannot be discarded (queue
   /// seqs start at 1, so no real event ever has id 0).
   static constexpr EventId kNoEvent = 0;
 
@@ -153,11 +154,24 @@ class Simulator {
   }
 
   /// Cancels a pending *global-queue* event; no-op if already fired.
-  /// Ids returned for arc-queue events are not cancellable (arc events
-  /// use deadline-check patterns instead — see System's TTL refresh).
+  /// Arc-queue events are never cancelled exactly: their owners discard
+  /// them (below), or leave them to fire against a deadline check (see
+  /// System's TTL refresh).
   bool cancel(EventId id) {
     return queues_[static_cast<std::size_t>(arcs_)].cancel(id);
   }
+
+  /// Best-effort, O(1) removal of pending event `id` from arc `arc`'s
+  /// queue (kGlobalArc for the global queue): EventQueue::discard. The
+  /// queue's next event is never removed, so the discarded event's owner
+  /// must still let it fire as a no-op. Callable from the coordinator, or
+  /// from the lane that owns `arc`. kNoEvent and ids that are no longer
+  /// pending are no-ops. Returns whether the event was removed.
+  bool discard(int arc, EventId id);
+
+  /// Due time of pending event `id` on arc `arc`'s queue, or nullopt when
+  /// it is not pending there. For audits (System::check_invariants).
+  std::optional<SimTime> pending_time(int arc, EventId id) const;
 
   /// Runs until every queue is empty (serial merged order).
   void run();

@@ -73,7 +73,7 @@ void BlockMap::insert(const Key& k, Bytes size, const std::vector<int>& nodes,
   b.member_bytes = member_bytes < 0 ? size : member_bytes;
   b.replicas.reserve(nodes.size());
   for (int n : nodes) {
-    b.replicas.push_back(Replica{.pointer_since = 0,
+    b.replicas.push_back(Replica{.fetch_timer = 0,
                                  .fetch_due = kSimTimeNever,
                                  .node = n,
                                  .has_data = true,
@@ -174,16 +174,15 @@ std::optional<Key> BlockMap::median_primary_key(const Key& from,
   return mid;
 }
 
-bool BlockMap::reassign_replicas(const Key& k, const std::vector<int>& nodes,
-                                 SimTime now) {
+bool BlockMap::reassign_replicas(const Key& k, const std::vector<int>& nodes) {
   D2_ASSERT_OWNER_LANE(plan_.arc_of(k));
   BlockState* b = slice_of(k).index.find(k);
   D2_REQUIRE_MSG(b != nullptr, "reassigning unknown block");
-  return reassign_replicas(k, *b, nodes, now);
+  return reassign_replicas(k, *b, nodes);
 }
 
 bool BlockMap::reassign_replicas(const Key& k, BlockState& b,
-                                 const std::vector<int>& nodes, SimTime now) {
+                                 const std::vector<int>& nodes) {
   D2_REQUIRE(!nodes.empty());
   D2_ASSERT_OWNER_LANE(plan_.arc_of(k));
   Slice& s = slice_of(k);
@@ -232,7 +231,7 @@ bool BlockMap::reassign_replicas(const Key& k, BlockState& b,
     const bool holds_copy = stale != b.stale_holders.end();
     // A rejoining stale holder already physically holds the block.
     if (holds_copy) b.stale_holders.erase(stale);
-    new_replicas.push_back(Replica{.pointer_since = now,
+    new_replicas.push_back(Replica{.fetch_timer = 0,
                                    .fetch_due = kSimTimeNever,
                                    .node = n,
                                    .has_data = holds_copy,

@@ -30,6 +30,7 @@
 // walk contiguous cache lines instead of tree nodes.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -44,11 +45,14 @@ namespace d2::store {
 
 struct BlockMapTestPeer;
 
-/// One member of a block's responsible replica set. The two times lead so
-/// the node and flags share the last word: 24 bytes, one per member of
-/// every block (core::RepairEngine shares the type).
+/// One member of a block's responsible replica set. The two 8-byte fields
+/// lead so the node and flags share the last word: 24 bytes, one per
+/// member of every block (core::RepairEngine shares the type).
 struct Replica {
-  SimTime pointer_since = 0;   // when this member became responsible
+  /// sim::EventId of the member's pending fetch timer when core::System
+  /// armed it from a readjustment, so the timer can be discarded once the
+  /// membership ends or a new timer supersedes it; 0 (no id) otherwise.
+  std::uint64_t fetch_timer = 0;
   /// Due time of the member's single pending fetch timer (core::System),
   /// kSimTimeNever when none is pending.
   SimTime fetch_due = kSimTimeNever;
@@ -135,20 +139,19 @@ class BlockMap {
 
   /// Replaces the responsible set of block `k` with `nodes`. Members kept
   /// from the old set keep their data/pointer state and fetch timer; new
-  /// members join as pointers (pointer_since = now) with no fetch timer,
-  /// even if they held the set before. Members removed drop out: their data
-  /// copy is deleted unless it is still needed as a fetch source (some
-  /// remaining replica lacks data), in which case it becomes a stale
-  /// holder. Returns whether the member list changed.
-  bool reassign_replicas(const Key& k, const std::vector<int>& nodes,
-                         SimTime now);
+  /// members join as pointers with no fetch timer, even if they held the
+  /// set before. Members removed drop out: their data copy is deleted
+  /// unless it is still needed as a fetch source (some remaining replica
+  /// lacks data), in which case it becomes a stale holder. Returns whether
+  /// the member list changed.
+  bool reassign_replicas(const Key& k, const std::vector<int>& nodes);
 
   /// Same, on `b`, block `k`'s state as held by the caller (e.g. inside
   /// for_each_in_arc), without searching the index. When `nodes` equals
   /// the current member list, node for node, the block keeps every
   /// member as it is and nothing is allocated.
   bool reassign_replicas(const Key& k, BlockState& b,
-                         const std::vector<int>& nodes, SimTime now);
+                         const std::vector<int>& nodes);
 
   /// Marks the replica at `node` as holding data (pointer resolved after a
   /// fetch). Drops stale holders that are no longer needed.

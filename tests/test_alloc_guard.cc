@@ -138,6 +138,41 @@ TEST(AllocGuard, EventQueuePushCancelPopIsAllocationFree) {
   EXPECT_GT(sink, 0);
 }
 
+TEST(AllocGuard, EventQueuePushDiscardPopIsAllocationFree) {
+#ifdef D2_PARANOID
+  GTEST_SKIP() << "paranoid audits allocate inside the measured hot path";
+#endif
+  sim::EventQueue q;
+  long long fired = 0;
+  std::vector<sim::EventId> ids;
+  // Discards free their slots for the next push, so each round refills
+  // the same slots and the slab stays at its warm-up size.
+  auto round_trip = [&](int round) {
+    ids.clear();  // capacity retained
+    for (int i = 0; i < 256; ++i) {
+      const Key k = K(static_cast<std::uint64_t>(i) + 1);
+      ids.push_back(q.push(round * 1000 + i, [&fired, k] {
+        fired += static_cast<long long>(k.limb(Key::kLimbs - 1) != 0);
+      }));
+    }
+    // Every other event, the first one (the queue's next) included: that
+    // one is declined and still pops.
+    for (int i = 0; i < 256; i += 2) {
+      q.discard(ids[static_cast<std::size_t>(i)]);
+    }
+    while (!q.empty()) q.pop().fn();
+  };
+  round_trip(0);
+  const std::size_t warm_slots = q.slots();
+
+  const AllocProbe probe;
+  for (int round = 1; round <= 100; ++round) round_trip(round);
+  EXPECT_EQ(probe.news(), 0u) << "EventQueue discard churn allocated";
+  EXPECT_EQ(probe.deletes(), 0u);
+  EXPECT_EQ(q.slots(), warm_slots);
+  EXPECT_EQ(fired, 101 * 129);  // 128 kept + the declined head, per round
+}
+
 TEST(AllocGuard, SimulatorScheduleDispatchIsAllocationFree) {
 #ifdef D2_PARANOID
   GTEST_SKIP() << "paranoid audits allocate inside the measured hot path";
@@ -225,9 +260,9 @@ TEST(AllocGuard, BlockMapReassignToCurrentMembersIsAllocationFree) {
   for (int round = 0; round < 100; ++round) {
     map.for_each_in_arc(K(100), K(4000),
                         [&](const Key& k, store::BlockState& b) {
-                          changed += map.reassign_replicas(k, b, set, round);
+                          changed += map.reassign_replicas(k, b, set);
                         });
-    changed += map.reassign_replicas(K(16), set, round);
+    changed += map.reassign_replicas(K(16), set);
   }
   EXPECT_EQ(probe.news(), 0u) << "unchanged reassignment allocated";
   EXPECT_EQ(probe.deletes(), 0u);

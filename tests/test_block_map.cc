@@ -46,14 +46,15 @@ TEST(BlockMap, DuplicateInsertThrows) {
 TEST(BlockMap, ReassignNewMembersJoinAsPointers) {
   BlockMap m(5);
   m.insert(K(10), 100, {0, 1, 2});
-  m.reassign_replicas(K(10), {0, 1, 3}, 50);
+  m.reassign_replicas(K(10), {0, 1, 3});
   const BlockState* b = m.find(K(10));
   ASSERT_NE(b, nullptr);
   ASSERT_EQ(b->replicas.size(), 3u);
   EXPECT_TRUE(b->replicas[0].has_data);
   EXPECT_TRUE(b->replicas[1].has_data);
   EXPECT_FALSE(b->replicas[2].has_data);  // node 3 joined as pointer
-  EXPECT_EQ(b->replicas[2].pointer_since, 50);
+  EXPECT_EQ(b->replicas[2].fetch_timer, 0u);  // with no fetch timer yet
+  EXPECT_EQ(b->replicas[2].fetch_due, kSimTimeNever);
   // Node 2 left but is kept as a stale holder because node 3 lacks data.
   EXPECT_EQ(b->stale_holders, (std::vector<int>{2}));
   EXPECT_EQ(m.physical_bytes(2), 100);
@@ -64,7 +65,7 @@ TEST(BlockMap, ReassignDropsUnneededDepartingCopy) {
   BlockMap m(5);
   m.insert(K(10), 100, {0, 1, 2});
   // All new members already have data -> departing copy deleted.
-  m.reassign_replicas(K(10), {0, 1}, 50);
+  m.reassign_replicas(K(10), {0, 1});
   const BlockState* b = m.find(K(10));
   EXPECT_TRUE(b->stale_holders.empty());
   EXPECT_EQ(m.physical_bytes(2), 0);
@@ -73,7 +74,7 @@ TEST(BlockMap, ReassignDropsUnneededDepartingCopy) {
 TEST(BlockMap, MarkDataResolvesPointerAndPrunesStale) {
   BlockMap m(5);
   m.insert(K(10), 100, {0, 1, 2});
-  m.reassign_replicas(K(10), {0, 1, 3}, 50);
+  m.reassign_replicas(K(10), {0, 1, 3});
   m.mark_data(K(10), 3);
   const BlockState* b = m.find(K(10));
   EXPECT_TRUE(b->replicas[2].has_data);
@@ -85,7 +86,7 @@ TEST(BlockMap, MarkDataResolvesPointerAndPrunesStale) {
 TEST(BlockMap, PrimaryChangeUpdatesCounts) {
   BlockMap m(5);
   m.insert(K(10), 100, {0, 1, 2});
-  m.reassign_replicas(K(10), {4, 0, 1}, 50);
+  m.reassign_replicas(K(10), {4, 0, 1});
   EXPECT_EQ(m.primary_count(0), 0);
   EXPECT_EQ(m.primary_count(4), 1);
   EXPECT_EQ(m.primary_bytes(4), 100);
@@ -94,8 +95,8 @@ TEST(BlockMap, PrimaryChangeUpdatesCounts) {
 TEST(BlockMap, RejoiningStaleHolderKeepsData) {
   BlockMap m(5);
   m.insert(K(10), 100, {0, 1, 2});
-  m.reassign_replicas(K(10), {0, 1, 3}, 50);  // 2 -> stale holder
-  m.reassign_replicas(K(10), {0, 1, 2}, 60);  // 2 rejoins
+  m.reassign_replicas(K(10), {0, 1, 3});  // 2 -> stale holder
+  m.reassign_replicas(K(10), {0, 1, 2});  // 2 rejoins
   const BlockState* b = m.find(K(10));
   EXPECT_TRUE(b->replicas[2].has_data);  // didn't lose its bytes
   EXPECT_EQ(m.physical_bytes(2), 100);
@@ -172,9 +173,11 @@ TEST(BlockMap, ReassignToCurrentMembersChangesNothing) {
   BlockMap m(5);
   m.insert(K(10), 100, {0, 1, 2});
   m.insert(K(20), 100, {1, 2, 3});
-  m.reassign_replicas(K(10), {0, 1, 3}, 50);  // 3 joins as pointer, 2 stale
+  m.reassign_replicas(K(10), {0, 1, 3});  // 3 joins as pointer, 2 stale
   BlockState* b = m.find_mutable(K(10));
-  b->replicas[2].fetch_due = 90;  // a pending timer and a transfer in flight
+  // A recorded pending timer and a transfer in flight.
+  b->replicas[2].fetch_timer = 7;
+  b->replicas[2].fetch_due = 90;
   b->replicas[2].fetch_in_flight = true;
   const std::vector<Replica> replicas = b->replicas;
   const std::vector<int> stale = b->stale_holders;
@@ -188,13 +191,13 @@ TEST(BlockMap, ReassignToCurrentMembersChangesNothing) {
   };
   const std::vector<std::int64_t> before = accounting();
 
-  EXPECT_FALSE(m.reassign_replicas(K(10), {0, 1, 3}, 70));
-  EXPECT_FALSE(m.reassign_replicas(K(10), *b, {0, 1, 3}, 80));
+  EXPECT_FALSE(m.reassign_replicas(K(10), {0, 1, 3}));
+  EXPECT_FALSE(m.reassign_replicas(K(10), *b, {0, 1, 3}));
   ASSERT_EQ(b->replicas.size(), replicas.size());
   for (std::size_t i = 0; i < replicas.size(); ++i) {
     const Replica& now = b->replicas[i];
     EXPECT_EQ(now.node, replicas[i].node) << i;
-    EXPECT_EQ(now.pointer_since, replicas[i].pointer_since) << i;
+    EXPECT_EQ(now.fetch_timer, replicas[i].fetch_timer) << i;
     EXPECT_EQ(now.fetch_due, replicas[i].fetch_due) << i;
     EXPECT_EQ(now.has_data, replicas[i].has_data) << i;
     EXPECT_EQ(now.fetch_in_flight, replicas[i].fetch_in_flight) << i;
@@ -203,7 +206,7 @@ TEST(BlockMap, ReassignToCurrentMembersChangesNothing) {
   EXPECT_EQ(accounting(), before);
   // The same members in another order are a different set: the primary
   // moves.
-  EXPECT_TRUE(m.reassign_replicas(K(10), *b, {1, 0, 3}, 90));
+  EXPECT_TRUE(m.reassign_replicas(K(10), *b, {1, 0, 3}));
   EXPECT_EQ(m.primary_count(1), 2);
   m.check_invariants();
 }
@@ -252,7 +255,7 @@ TEST_P(BlockMapInvariantSweep, AccountingMatchesRecount) {
         int n = static_cast<int>(rng.next_below(nodes));
         if (std::find(set.begin(), set.end(), n) == set.end()) set.push_back(n);
       }
-      m.reassign_replicas(live[i], set, step);
+      m.reassign_replicas(live[i], set);
       // Resolve some pointers.
       const BlockState* b = m.find(live[i]);
       for (const Replica& rep : b->replicas) {

@@ -3,20 +3,22 @@
 //
 // Every test drives two EventQueues — one per SchedulerKind — through an
 // identical op schedule and asserts the *observable* state agrees after
-// every single op: empty/pending, next_time, next_order, cancel results,
-// and the exact (time, id) of every pop. Because slot allocation and seq
-// assignment live in the shared slab (not the scheduler), the EventIds
-// themselves must match too, which pins equal-time FIFO order down to the
-// id. check_invariants() runs on both queues after every op, so any
+// every single op: empty/pending, next_time, next_order, cancel and
+// discard results, pending times, and the exact (time, id) of every pop.
+// Because slot allocation and seq assignment live in the shared slab (not
+// the scheduler), the EventIds themselves must match too, which pins
+// equal-time FIFO order down to the id. check_invariants() runs on both queues after every op, so any
 // structural drift (wheel bucket membership, heap property, free list)
 // surfaces at the op that caused it, not at the end.
 //
 // Coverage targets the wheel's hard cases: equal-time FIFO runs,
 // cancel-at-top (head-cache refresh without advancing the clock),
+// discard-at-top (declined, the event still pops),
 // cascade boundaries (times straddling 64^k digit rollovers), overdue
 // pushes (below the cursor after a pop), overflow times (above bit 47,
 // including kSimTimeNever), seq-tag reuse under slot churn, and long
-// randomized push/cancel/pop schedules over several time magnitudes.
+// randomized push/cancel/pop and push/discard/pop schedules over several
+// time magnitudes.
 
 #include "sim/event_queue.h"
 
@@ -24,6 +26,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -60,6 +63,33 @@ class QueuePair {
     const bool b = heap_.cancel(id);
     EXPECT_EQ(a, b) << "cancel result diverged for id=" << id;
     compare();
+    return a;
+  }
+
+  /// Best-effort discard on both queues: they must agree, and a declined
+  /// discard of a pending event must have targeted the queue's next one.
+  bool discard(EventId id) {
+    const std::optional<SimTime> before = wheel_.pending_time(id);
+    const SimTime next = wheel_.empty() ? 0 : wheel_.next_time();
+    const std::size_t pending = wheel_.pending();
+    const bool a = wheel_.discard(id);
+    const bool b = heap_.discard(id);
+    EXPECT_EQ(a, b) << "discard result diverged for id=" << id;
+    if (a) {
+      EXPECT_FALSE(wheel_.pending_time(id).has_value());
+      EXPECT_EQ(wheel_.pending(), pending - 1);
+    } else if (before.has_value()) {
+      EXPECT_EQ(*before, next) << "declined a discard that was not the head";
+      EXPECT_EQ(wheel_.pending_time(id), before);
+    }
+    compare();
+    return a;
+  }
+
+  /// Pending time of `id` on both queues; they must agree.
+  std::optional<SimTime> pending_time(EventId id) const {
+    const std::optional<SimTime> a = wheel_.pending_time(id);
+    EXPECT_EQ(a, heap_.pending_time(id)) << "pending time diverged, id=" << id;
     return a;
   }
 
@@ -159,6 +189,59 @@ TEST(EventQueueDifferential, CancelUnknownAndStaleIdsAreNoOps) {
   const EventId reused = q.push(seconds(2));
   EXPECT_FALSE(q.cancel(id)) << "stale id cancelled the slot's new tenant";
   EXPECT_TRUE(q.cancel(reused));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueDifferential, DiscardOfTheNextEventIsDeclinedAndItStillPops) {
+  QueuePair q;
+  const EventId first = q.push(seconds(1));
+  const EventId second = q.push(seconds(2));
+  EXPECT_FALSE(q.discard(first));
+  EXPECT_EQ(q.pending(), 2u);
+  EXPECT_EQ(q.pending_time(first), seconds(1));
+  const auto [t, id] = q.pop();
+  EXPECT_EQ(t, seconds(1));
+  EXPECT_EQ(id, first);
+  // The survivor is now the next event, so it is declined too.
+  EXPECT_FALSE(q.discard(second));
+  EXPECT_EQ(q.pop().second, second);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueDifferential, DiscardFreesItsSlotForTheNextPush) {
+  QueuePair q;
+  q.push(seconds(1));
+  const EventId later = q.push(seconds(5));
+  q.push(seconds(9));
+  EXPECT_EQ(q.pending_time(later), seconds(5));
+  EXPECT_TRUE(q.discard(later));
+  EXPECT_EQ(q.pending(), 2u);
+  EXPECT_FALSE(q.pending_time(later).has_value());
+  // The freed slot is the next one handed out: same slot, new seq.
+  const EventId reused = q.push(seconds(3));
+  EXPECT_EQ(reused >> 36, later >> 36);
+  EXPECT_NE(reused, later);
+  const auto popped = q.drain();
+  ASSERT_EQ(popped.size(), 3u);
+  EXPECT_EQ(popped[0].first, seconds(1));
+  EXPECT_EQ(popped[1].first, seconds(3));
+  EXPECT_EQ(popped[2].first, seconds(9));
+}
+
+TEST(EventQueueDifferential, DiscardOfStaleAndNoEventIdsIsANoOp) {
+  QueuePair q;
+  q.push(seconds(1));
+  const EventId id = q.push(seconds(2));
+  EXPECT_FALSE(q.discard(0));  // Simulator::kNoEvent: never a real id
+  EXPECT_FALSE(q.discard(id + (std::uint64_t{1} << 36)));  // unknown slot
+  EXPECT_TRUE(q.discard(id));
+  EXPECT_FALSE(q.discard(id));  // already discarded
+  const EventId reused = q.push(seconds(2));
+  EXPECT_FALSE(q.discard(id)) << "stale id discarded the slot's new tenant";
+  EXPECT_EQ(q.pending(), 2u);
+  EXPECT_TRUE(q.discard(reused));
+  q.pop();
+  EXPECT_FALSE(q.discard(reused));  // discarded, and its slot popped empty
   EXPECT_TRUE(q.empty());
 }
 
@@ -316,6 +399,33 @@ TEST_P(EventQueueRandomized, SchedulesAgreeOpByOp) {
       }
     }
   }
+  q.drain();
+}
+
+TEST_P(EventQueueRandomized, DiscardSchedulesAgreeOpByOp) {
+  // Discards land on random pending ids (the head among them now and
+  // then), on popped ids and on ids already discarded; pending times are
+  // compared on random ids after every op.
+  const auto [seed, range] = GetParam();
+  Rng rng(seed + 100);
+  QueuePair q;
+  std::vector<EventId> ids;  // every id pushed, pending or not
+  SimTime clock = 0;
+  int removed = 0;
+  for (int op = 0; op < 3000; ++op) {
+    const std::uint64_t roll = rng.next_below(100);
+    if (roll < 50 || q.empty()) {
+      SimTime t = clock + static_cast<SimTime>(rng.next_below(range));
+      if (roll % 8 == 0) t += SimTime{1} << 49;  // overflow list
+      ids.push_back(q.push(t));
+    } else if (roll < 80) {
+      removed += q.discard(ids[rng.next_below(ids.size())]) ? 1 : 0;
+    } else {
+      clock = std::max(clock, q.pop().first);
+    }
+    q.pending_time(ids[rng.next_below(ids.size())]);
+  }
+  EXPECT_GT(removed, 0);
   q.drain();
 }
 

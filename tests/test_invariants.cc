@@ -493,6 +493,75 @@ TEST(Invariants, RuntimeParanoidFlagAuditsWithoutParanoidBuild) {
   EXPECT_NO_THROW(system.check_invariants());
 }
 
+/// A system after one load-balancing move, so pointer members wait on
+/// recorded fetch timers; returns the last key with such a member, whose
+/// timer was armed after others and so is not its queue's next event.
+Key system_with_recorded_timer(core::System& system) {
+  for (std::uint64_t i = 0; i < 200; ++i) system.put(K(i * 37), 4096);
+  bool moved = false;
+  for (int p = 0; p < system.config().node_count && !moved; ++p) {
+    moved = system.probe_once(p);
+  }
+  D2_REQUIRE(moved);
+  EXPECT_NO_THROW(system.check_invariants());
+  Key found;
+  bool any = false;
+  system.block_map().for_each_block(
+      [&](const Key& k, const store::BlockState& b) {
+        for (const store::Replica& r : b.replicas) {
+          if (r.fetch_timer != sim::Simulator::kNoEvent) {
+            found = k;
+            any = true;
+          }
+        }
+      });
+  D2_REQUIRE(any);
+  return found;
+}
+
+store::Replica& recorded_member(core::System& system, const Key& k) {
+  for (store::Replica& r : system.block_map().find_mutable(k)->replicas) {
+    if (r.fetch_timer != sim::Simulator::kNoEvent) return r;
+  }
+  D2_REQUIRE(false);
+  return system.block_map().find_mutable(k)->replicas.front();
+}
+
+TEST(Invariants, SystemDetectsFetchTimerNotDueAtFetchDue) {
+  core::SystemConfig config;
+  config.node_count = 16;
+  sim::Simulator sim;
+  core::System system(config, sim);
+  const Key k = system_with_recorded_timer(system);
+  recorded_member(system, k).fetch_due += 1;
+  ExpectInvariantNamed([&] { system.check_invariants(); },
+                       "recorded fetch timer is not pending");
+}
+
+TEST(Invariants, SystemDetectsFetchTimerNamingNoPendingEvent) {
+  core::SystemConfig config;
+  config.node_count = 16;
+  sim::Simulator sim;
+  core::System system(config, sim);
+  const Key k = system_with_recorded_timer(system);
+  store::Replica& r = recorded_member(system, k);
+  EXPECT_TRUE(sim.discard(system.block_map().arc_of(k), r.fetch_timer));
+  ExpectInvariantNamed([&] { system.check_invariants(); },
+                       "recorded fetch timer is not pending");
+}
+
+TEST(Invariants, SystemDetectsFetchTimerForAMemberWithAFetchInFlight) {
+  core::SystemConfig config;
+  config.node_count = 16;
+  sim::Simulator sim;
+  core::System system(config, sim);
+  const Key k = system_with_recorded_timer(system);
+  recorded_member(system, k).fetch_in_flight = true;
+  ExpectInvariantNamed([&] { system.check_invariants(); },
+                       "fetch timer recorded for a member that has data or "
+                       "a fetch in flight");
+}
+
 // ----------------------------------------------------------- lane binding --
 
 // RAII around lane::bind so a failed assertion cannot leak a binding

@@ -174,6 +174,53 @@ TEST(Simulator, CancelScheduledEvent) {
   EXPECT_FALSE(fired);
 }
 
+TEST(Simulator, CoordinatorDiscardsArcEvents) {
+  Simulator sim(ArcConfig{3, 1, 0});
+  int fired = 0;
+  const EventId next = sim.schedule_arc_at(1, 10, [&] { fired += 1; });
+  const EventId later = sim.schedule_arc_at(1, 20, [&] { fired += 10; });
+  sim.schedule_arc_at(2, 30, [&] { fired += 100; });
+  EXPECT_EQ(sim.pending_time(1, later), SimTime{20});
+  EXPECT_FALSE(sim.discard(1, next));  // arc 1's next event: declined
+  EXPECT_TRUE(sim.discard(1, later));
+  EXPECT_FALSE(sim.pending_time(1, later).has_value());
+  EXPECT_FALSE(sim.discard(1, later));  // already gone
+  EXPECT_FALSE(sim.discard(1, Simulator::kNoEvent));
+  EXPECT_FALSE(sim.discard(Simulator::kGlobalArc, Simulator::kNoEvent));
+  EXPECT_EQ(sim.events_pending(), 2u);
+  sim.run();
+  EXPECT_EQ(fired, 101);
+  EXPECT_EQ(sim.events_processed(), 2u);
+}
+
+TEST(Simulator, LanesMayOnlyDiscardOnTheirOwnArc) {
+  Simulator sim(ArcConfig{2, 1, 0});
+  sim.schedule_arc_at(0, 10, [] {});
+  const EventId mine = sim.schedule_arc_at(0, 20, [] {});
+  sim.schedule_arc_at(1, 10, [] {});
+  const EventId theirs = sim.schedule_arc_at(1, 20, [] {});
+  const EventId global = sim.schedule_at(30, [] {});
+  bool discarded = false;
+  int threw = 0;
+  sim.run_arc_phase([&](int arc) {
+    if (arc != 0) return;
+    discarded = sim.discard(0, mine);
+    try {
+      sim.discard(1, theirs);  // cross-arc from lane 0
+    } catch (const d2::PreconditionError&) {
+      ++threw;
+    }
+    try {
+      sim.discard(Simulator::kGlobalArc, global);
+    } catch (const d2::PreconditionError&) {
+      ++threw;
+    }
+  });
+  EXPECT_TRUE(discarded);
+  EXPECT_EQ(threw, 2);
+  EXPECT_EQ(sim.events_pending(), 4u);
+}
+
 TEST(BandwidthLink, TransmissionTimeMatchesRate) {
   // 750 kbps, 750k bits = 93750 bytes in exactly 1 second.
   BandwidthLink link(kbps(750));

@@ -57,6 +57,33 @@ std::int64_t fetch_timers(const System& sys) {
   return sys.metrics().find_counter("system.fetch_timers")->value();
 }
 
+std::int64_t discarded_timers(const System& sys) {
+  return sys.metrics().find_counter("system.fetch_timers_discarded")->value();
+}
+
+std::int64_t replica_fetches(const System& sys) {
+  return sys.metrics().find_counter("system.replica_fetches")->value();
+}
+
+/// Recorded fetch-timer ids of `k`'s members.
+std::vector<sim::EventId> recorded_timers(const System& sys, const Key& k) {
+  std::vector<sim::EventId> out;
+  for (const store::Replica& r : sys.block_map().find(k)->replicas) {
+    if (r.fetch_timer != sim::Simulator::kNoEvent) out.push_back(r.fetch_timer);
+  }
+  return out;
+}
+
+/// How many of `ids` are still pending on `k`'s arc queue.
+std::size_t still_pending(const System& sys, const sim::Simulator& sim,
+                          const Key& k, const std::vector<sim::EventId>& ids) {
+  std::size_t n = 0;
+  for (sim::EventId id : ids) {
+    if (sim.pending_time(sys.block_map().arc_of(k), id).has_value()) ++n;
+  }
+  return n;
+}
+
 /// A node outside `k`'s replica set.
 int node_outside_set(const System& sys, const Key& k) {
   const std::vector<int> set = sys.replica_nodes(k);
@@ -252,13 +279,188 @@ TEST(System, RejoinedPointerMemberWaitsFullStabilization) {
   ASSERT_EQ(member(sys, k, light), nullptr);
   sim.run_until(minutes(30));
   SystemTestPeer::move(sys, light, seq_key(199));  // rejoins
-  const SimTime since = member(sys, k, light)->pointer_since;
-  EXPECT_EQ(since, minutes(30));
+  // Stabilization runs from the rejoin, not from the first join.
+  const SimTime due = member(sys, k, light)->fetch_due;
+  EXPECT_EQ(due, minutes(30) + c.pointer_stabilization);
 
-  sim.run_until(since + c.pointer_stabilization - seconds(1));
+  sim.run_until(due - seconds(1));
   EXPECT_FALSE(member(sys, k, light)->has_data);
   sim.run_until(hours(12));
   EXPECT_TRUE(member(sys, k, light)->has_data);
+}
+
+TEST(System, DroppedMemberTakesItsFetchTimerWithIt) {
+  // One split arms timers that stay pending; a second split five minutes
+  // later makes `light` a pointer member of blocks next to them, and
+  // moving it back drops every one of those memberships. Each dropped
+  // member's timer is discarded: none of them is the arc queue's next
+  // event, which is one of the first split's timers.
+  SystemConfig c = small_config();
+  c.pointer_stabilization = hours(1);
+  sim::Simulator sim;
+  System sys(c, sim);
+  for (std::uint64_t i = 0; i < 400; ++i) sys.put(seq_key(i), kB(8));
+  SystemTestPeer::move(sys, node_outside_set(sys, seq_key(0)), seq_key(99));
+  const std::size_t kept = sim.events_pending();
+  ASSERT_GT(kept, 0u);
+
+  sim.run_until(minutes(5));
+  int light = 0;
+  while (sys.block_map().find(seq_key(0))->is_replica(light) ||
+         sys.block_map().find(seq_key(200))->is_replica(light)) {
+    ++light;
+  }
+  const Key home = sys.ring().id_of(light);
+  SystemTestPeer::move(sys, light, seq_key(299));
+  const std::vector<sim::EventId> joined = recorded_timers(sys, seq_key(200));
+  ASSERT_EQ(joined.size(), 1u);
+  const std::size_t light_timers = sim.events_pending() - kept;
+  ASSERT_GT(light_timers, 0u);
+  EXPECT_EQ(discarded_timers(sys), 0);
+
+  sim.run_until(minutes(10));
+  SystemTestPeer::move(sys, light, home);
+  EXPECT_FALSE(sys.block_map().find(seq_key(200))->is_replica(light));
+  EXPECT_EQ(still_pending(sys, sim, seq_key(200), joined), 0u);
+  EXPECT_EQ(sim.events_pending(), kept);
+  EXPECT_EQ(discarded_timers(sys), static_cast<std::int64_t>(light_timers));
+  EXPECT_EQ(fetch_timers(sys), static_cast<std::int64_t>(kept + light_timers));
+
+  // The first split's timers still fetch; the dropped ones never run.
+  const std::uint64_t events_before = sim.events_processed();
+  sim.run_until(hours(12));
+  EXPECT_EQ(replica_fetches(sys), static_cast<std::int64_t>(kept));
+  EXPECT_EQ(fetching_members(sys), 0u);
+  EXPECT_EQ(sim.events_processed() - events_before, 2 * kept)
+      << "one timer and one completion per fetch, nothing else";
+}
+
+TEST(System, ErasingABlockDiscardsEveryMembersFetchTimer) {
+  // Two splits leave the lowest keys with two pointer members each. A
+  // put with a new size, a remove and a TTL expiry each erase one such
+  // block, and both members' timers go with it. The blocks' TTL events
+  // (3 h, 4 h) sit ahead of the fetch timers (6 h) on the arc queue, so
+  // no discard here targets the queue's next event.
+  SystemConfig c = small_config();
+  c.pointer_stabilization = hours(6);
+  c.block_ttl = hours(3);
+  sim::Simulator sim;
+  System sys(c, sim);
+  for (std::uint64_t i = 0; i < 400; ++i) sys.put(seq_key(i), kB(8));
+  SystemTestPeer::move(sys, node_outside_set(sys, seq_key(0)), seq_key(199));
+  SystemTestPeer::move(sys, node_outside_set(sys, seq_key(0)), seq_key(99));
+  const Key rewritten = seq_key(10);
+  const Key removed = seq_key(20);
+  const Key expired = seq_key(30);
+  const std::vector<sim::EventId> rewritten_timers =
+      recorded_timers(sys, rewritten);
+  const std::vector<sim::EventId> removed_timers =
+      recorded_timers(sys, removed);
+  const std::vector<sim::EventId> expired_timers =
+      recorded_timers(sys, expired);
+  ASSERT_EQ(rewritten_timers.size(), 2u);
+  ASSERT_EQ(removed_timers.size(), 2u);
+  ASSERT_EQ(expired_timers.size(), 2u);
+
+  sim.run_until(minutes(10));
+  sys.put(rewritten, kB(16));  // a new size replaces the block
+  EXPECT_EQ(still_pending(sys, sim, rewritten, rewritten_timers), 0u);
+  EXPECT_EQ(discarded_timers(sys), 2);
+  EXPECT_TRUE(recorded_timers(sys, rewritten).empty());
+
+  sys.remove(removed);
+  sim.run_until(minutes(11));
+  ASSERT_FALSE(sys.has(removed));
+  EXPECT_EQ(still_pending(sys, sim, removed, removed_timers), 0u);
+  EXPECT_EQ(discarded_timers(sys), 4);
+
+  // Everything but `expired` is refreshed to a 4 h deadline.
+  sim.run_until(hours(1));
+  for (std::uint64_t i = 0; i < 400; ++i) {
+    if (seq_key(i) != expired) sys.refresh(seq_key(i));
+  }
+  sim.run_until(hours(3) + seconds(1));
+  ASSERT_FALSE(sys.has(expired));
+  EXPECT_EQ(still_pending(sys, sim, expired, expired_timers), 0u);
+  EXPECT_EQ(discarded_timers(sys), 6);
+  sys.check_invariants();
+}
+
+TEST(System, EarlierRecoveryFetchDiscardsTheSupersededTimer) {
+  // A pointer member's node goes down ten minutes into its stabilization
+  // and recovers ten minutes later. The recovery wants the fetch now,
+  // earlier than the pending timer: it arms one for now and discards the
+  // one it supersedes.
+  SystemConfig c = small_config();
+  c.pointer_stabilization = hours(1);
+  sim::Simulator sim;
+  System sys(c, sim);
+  for (std::uint64_t i = 0; i < 400; ++i) sys.put(seq_key(i), kB(8));
+  const Key k = seq_key(0);
+  const int light = node_outside_set(sys, k);
+  const auto trace = sim::FailureTrace::from_intervals(
+      c.node_count, days(1), {{light, minutes(10), minutes(20)}});
+  sys.attach_failure_trace(&trace, 0);
+  SystemTestPeer::move(sys, light, seq_key(199));
+  const std::vector<sim::EventId> armed = recorded_timers(sys, k);
+  ASSERT_EQ(armed.size(), 1u);
+  EXPECT_EQ(member(sys, k, light)->fetch_due, hours(1));
+  const std::int64_t timers = fetch_timers(sys);
+  const std::size_t pointers = fetching_members(sys);
+
+  sim.run_until(minutes(20) - seconds(1));
+  EXPECT_EQ(discarded_timers(sys), 0);
+  sim.run_until(minutes(20));  // recovery
+  EXPECT_EQ(still_pending(sys, sim, k, armed), 0u);
+  EXPECT_EQ(discarded_timers(sys), static_cast<std::int64_t>(pointers));
+  EXPECT_EQ(fetch_timers(sys), timers + static_cast<std::int64_t>(pointers));
+
+  sim.run_until(hours(12));
+  EXPECT_TRUE(member(sys, k, light)->has_data);
+  EXPECT_EQ(replica_fetches(sys), static_cast<std::int64_t>(pointers));
+}
+
+TEST(System, DeclinedDiscardOfTheNextEventLapsesThroughFetchDue) {
+  // With one block, a pointer member's timer is its arc queue's only, and
+  // so next, event. The member leaves: the discard is declined and the
+  // timer stays. It rejoins before the timer is due: the old timer fires
+  // against the rejoined membership's later fetch_due and does nothing.
+  SystemConfig c = small_config();
+  c.pointer_stabilization = hours(1);
+  sim::Simulator sim;
+  System sys(c, sim);
+  const Key k = seq_key(0);
+  sys.put(k, kB(8));
+  const int light = node_outside_set(sys, k);
+  const Key home = sys.ring().id_of(light);
+  SystemTestPeer::move(sys, light, k);  // joins as the primary
+  ASSERT_NE(member(sys, k, light), nullptr);
+  const std::vector<sim::EventId> first = recorded_timers(sys, k);
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(sim.events_pending(), 1u);
+
+  sim.run_until(minutes(20));
+  SystemTestPeer::move(sys, light, home);  // leaves
+  ASSERT_EQ(member(sys, k, light), nullptr);
+  EXPECT_EQ(discarded_timers(sys), 0);
+  EXPECT_EQ(still_pending(sys, sim, k, first), 1u);
+
+  sim.run_until(minutes(30));
+  SystemTestPeer::move(sys, light, k);  // rejoins
+  EXPECT_EQ(member(sys, k, light)->fetch_due, minutes(90));
+  EXPECT_EQ(sim.events_pending(), 2u);
+
+  const std::uint64_t events_before = sim.events_processed();
+  sim.run_until(hours(1) + seconds(1));
+  EXPECT_EQ(sim.events_processed() - events_before, 1u);  // the old timer
+  EXPECT_EQ(replica_fetches(sys), 0);
+  EXPECT_FALSE(member(sys, k, light)->has_data);
+  EXPECT_EQ(member(sys, k, light)->fetch_due, minutes(90));
+  sys.check_invariants();
+
+  sim.run_until(hours(12));
+  EXPECT_TRUE(member(sys, k, light)->has_data);
+  EXPECT_EQ(replica_fetches(sys), 1);
 }
 
 /// The replica set the placement rules give `k` right now, written out

@@ -102,6 +102,7 @@ MUTATOR_VERBS = (
     "pop",
     "commit",
     "cancel",
+    "discard",
     "reassign",
     "mark_",
     "attach",
@@ -565,6 +566,14 @@ SELF_TEST_CASES = [
         "void Table::insert(const Key& k, int v) {\n"
         "  D2_REQUIRE(v >= 0);\n  data_[k] = v;\n}\n",
         None,
+    ),
+    (
+        "unguarded discard flagged",
+        "src/sim/x.cc",
+        "bool Queue::discard(EventId id) {\n"
+        "  return unlink(id);\n"
+        "}\n",
+        "unguarded-mutator",
     ),
     (
         "priority_queue in sim flagged",
