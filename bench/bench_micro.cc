@@ -17,7 +17,6 @@
 
 #include "common/hash.h"
 #include "common/key.h"
-#include "common/key_simd.h"
 #include "common/rng.h"
 #include "core/config.h"
 #include "core/system.h"
@@ -57,35 +56,22 @@ void BM_KeyCompare(benchmark::State& state) {
 }
 BENCHMARK(BM_KeyCompare);
 
-// Chunk-directory search as SortedKeyIndex does it: binary search over a
-// 128-key sorted run (store::kMaxChunk). _Scalar pins the plain limb-wise
-// compare; the unsuffixed variant uses the dispatched (AVX2 where
-// available) kernel from common/key_simd.h.
-void key_compare_batch_body(benchmark::State& state,
-                            std::size_t (*bound)(const Key*, std::size_t,
-                                                 const Key&)) {
+// In-chunk search as SortedKeyIndex does it: std::lower_bound over a
+// 128-key sorted run (kMaxChunk) with Key's limb-wise compare.
+void BM_KeyCompareBatch(benchmark::State& state) {
   std::vector<Key> keys = key_pool(20);
   keys.resize(128);
   std::sort(keys.begin(), keys.end());
   const std::vector<Key> probes = key_pool(21);
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        bound(keys.data(), keys.size(), probes[i & (kKeyPoolSize - 1)]));
+    benchmark::DoNotOptimize(std::lower_bound(
+        keys.begin(), keys.end(), probes[i & (kKeyPoolSize - 1)]));
     ++i;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-
-void BM_KeyCompareBatch(benchmark::State& state) {
-  key_compare_batch_body(state, key_lower_bound);
-}
 BENCHMARK(BM_KeyCompareBatch);
-
-void BM_KeyCompareBatch_Scalar(benchmark::State& state) {
-  key_compare_batch_body(state, key_lower_bound_scalar);
-}
-BENCHMARK(BM_KeyCompareBatch_Scalar);
 
 void BM_KeyAdd(benchmark::State& state) {
   const std::vector<Key> keys = key_pool(2);
@@ -158,11 +144,9 @@ void BM_HashedKey(benchmark::State& state) {
 BENCHMARK(BM_HashedKey);
 
 // (6,3) Reed–Solomon encode of an 8 KB block: 3 parity fragments of
-// 1366 bytes each. The _Scalar variants pin the plain table-multiply
-// kernel; the unsuffixed ones use the dispatched (GFNI/AVX2 where
-// available) mul_acc, so the pair quantifies the SIMD win on the same
-// machine.
-void ec_encode_body(benchmark::State& state) {
+// 1366 bytes each. The program itself only codes 128-byte payloads
+// (core/repair.cc); this sizes the codec for a whole logical block.
+void BM_EcEncode_8KB(benchmark::State& state) {
   const store::ErasureCodec codec(6, 3);
   Rng rng(17);
   std::vector<std::uint8_t> block(8192);
@@ -174,20 +158,11 @@ void ec_encode_body(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 8192);
 }
-
-void BM_EcEncode_8KB(benchmark::State& state) { ec_encode_body(state); }
 BENCHMARK(BM_EcEncode_8KB);
-
-void BM_EcEncode_8KB_Scalar(benchmark::State& state) {
-  store::gf256::use_mul_acc_kernel("scalar");
-  ec_encode_body(state);
-  store::gf256::use_mul_acc_kernel("auto");
-}
-BENCHMARK(BM_EcEncode_8KB_Scalar);
 
 // Worst-case decode: all three data-fragment erasures, so every output
 // byte goes through the inverted-submatrix multiply.
-void ec_decode_body(benchmark::State& state) {
+void BM_EcDecode_8KB(benchmark::State& state) {
   const store::ErasureCodec codec(6, 3);
   Rng rng(18);
   std::vector<std::uint8_t> block(8192);
@@ -206,16 +181,7 @@ void ec_decode_body(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 8192);
 }
-
-void BM_EcDecode_8KB(benchmark::State& state) { ec_decode_body(state); }
 BENCHMARK(BM_EcDecode_8KB);
-
-void BM_EcDecode_8KB_Scalar(benchmark::State& state) {
-  store::gf256::use_mul_acc_kernel("scalar");
-  ec_decode_body(state);
-  store::gf256::use_mul_acc_kernel("auto");
-}
-BENCHMARK(BM_EcDecode_8KB_Scalar);
 
 void BM_Sha1_8KB(benchmark::State& state) {
   const std::string data(8192, 'x');

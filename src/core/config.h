@@ -47,21 +47,10 @@ struct SystemConfig {
   /// every ID change (the ablation in Table 4).
   bool use_pointers = true;
 
-  /// Load-balancing probe interval (§8.1: 10 minutes).
+  /// Load-balancing probe interval (§8.1: 10 minutes). Probes are
+  /// evaluated at System::kProbeCommitInterval commit ticks (DESIGN.md
+  /// §12), so this must be at least twice that quantum.
   SimTime probe_interval = minutes(10);
-
-  /// Probe commit quantum (DESIGN.md §12). Each node keeps its own
-  /// jittered probe cadence, but evaluations are committed in epochs: one
-  /// global "tick" event per quantum processes every probe that came due
-  /// during it, in (due time, node) order, against system state at the
-  /// tick. This removes the per-probe global events that serialized the
-  /// parallel window at scale (node_count / probe_interval global events
-  /// per second) while keeping output byte-identical across
-  /// --arcs/--arc-workers. 0 restores the legacy one-global-event-per-
-  /// probe scheduling (bit-identical to pre-PR-9 engines). When enabled
-  /// it must be <= probe_interval / 2 so a committed probe's next due
-  /// time always lands in a later epoch.
-  SimTime probe_commit_interval = seconds(10);
 
   /// Pointer stabilization time (§8.1: 1 hour).
   SimTime pointer_stabilization = hours(1);

@@ -11,6 +11,11 @@ namespace d2::core {
 
 namespace {
 
+/// Real payload bytes carried per block through the codec, kept small so
+/// large runs fit in memory (traffic and storage accounting use
+/// RepairConfig::block_size). An rs-6-3 fragment is 22 bytes.
+constexpr Bytes kPayloadBytes = 128;
+
 bool stale_contains(const store::BlockState& b, int node) {
   return std::find(b.stale_holders.begin(), b.stale_holders.end(), node) !=
          b.stale_holders.end();
@@ -39,11 +44,10 @@ RepairEngine::RepairEngine(const RepairConfig& config, sim::Simulator& sim)
   D2_REQUIRE_MSG(cfg_.node_count >= n(),
                  "repair: need at least k + m nodes to place a block");
   D2_REQUIRE(cfg_.block_size > 0);
-  D2_REQUIRE(cfg_.payload_bytes > 0);
   D2_REQUIRE(cfg_.repair_bandwidth > 0);
   D2_REQUIRE(cfg_.data_loss_fraction >= 0.0 && cfg_.data_loss_fraction <= 1.0);
   frag_traffic_bytes_ = (cfg_.block_size + k() - 1) / k();
-  frag_payload_len_ = codec_.fragment_bytes(cfg_.payload_bytes);
+  frag_payload_len_ = codec_.fragment_bytes(kPayloadBytes);
   for (int node = 0; node < cfg_.node_count; ++node) {
     Key id = Key::random(rng_);
     while (ring_.id_taken(id)) id = Key::random(rng_);
@@ -59,8 +63,7 @@ std::vector<std::uint8_t> RepairEngine::payload_of(const Key& key) const {
   // be re-derived, which is what lets every reconstruction be verified
   // against a fresh encode of the true payload.
   Rng pr(key.limb(0) ^ (key.limb(7) * 0x9e3779b97f4a7c15ull) ^ cfg_.seed);
-  std::vector<std::uint8_t> payload(
-      static_cast<std::size_t>(cfg_.payload_bytes));
+  std::vector<std::uint8_t> payload(static_cast<std::size_t>(kPayloadBytes));
   std::size_t i = 0;
   while (i < payload.size()) {
     std::uint64_t w = pr.next_u64();

@@ -66,9 +66,6 @@ struct RepairConfig {
 
   /// Logical block size — drives all traffic and storage accounting.
   Bytes block_size = 8 * 1024;
-  /// Real payload bytes carried per block through the codec (kept small
-  /// so large runs fit in memory; accounting uses block_size).
-  Bytes payload_bytes = 128;
 
   /// Per-node bandwidth budget reserved for repair traffic; repairs
   /// into a node serialize through it (§8.1 uses the same 750 kbps cap

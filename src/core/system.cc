@@ -591,27 +591,10 @@ void System::readjust_arc(int around_node, SimTime fetch_delay) {
 
 // ------------------------------------------------------- load balancing --
 
-void System::schedule_probe(int node) {
-  if (config_.probe_commit_interval > 0) {
-    schedule_probe_due(node, sim_.now());
-    return;
-  }
-  // Legacy path: one global event per probe. Jittered interval so probes
-  // don't synchronize.
-  const auto jitter = static_cast<SimTime>(
-      static_cast<double>(config_.probe_interval) * (0.5 + rng_.next_double()));
-  // d2-sched: global — probes read ring/rng/primary counts across arcs
-  sim_.schedule_after(jitter, [this, node] {
-    if (node_up(node)) probe_once(node);
-    schedule_probe(node);
-  });
-}
-
 void System::schedule_probe_due(int node, SimTime from) {
-  // Same jittered cadence as the legacy path — and, crucially, the same
-  // rng draw position: the jitter is drawn right after the node's probe
-  // evaluation, so the serial probe-rng stream is reproduced draw for
-  // draw by the tick's (due, node) processing order.
+  // Jittered interval so probes don't synchronize. The jitter is drawn
+  // right after the node's probe evaluation, so the tick's (due, node)
+  // processing order fixes the probe-rng stream draw for draw.
   const auto jitter = static_cast<SimTime>(
       static_cast<double>(config_.probe_interval) * (0.5 + rng_.next_double()));
   const SimTime due = from + jitter;
@@ -622,7 +605,7 @@ void System::schedule_probe_tick() {
   D2_ASSERT(!probe_buckets_.empty());
   const std::int64_t epoch = probe_buckets_.begin()->first;
   // d2-sched: global — the commit tick batches cross-arc probe work
-  sim_.schedule_at(epoch * config_.probe_commit_interval,
+  sim_.schedule_at(epoch * kProbeCommitInterval,
                    [this, epoch] { probe_commit_tick(epoch); });
 }
 
@@ -634,8 +617,8 @@ void System::probe_commit_tick(std::int64_t epoch) {
   probe_buckets_.erase(it);
   // (due, node) order: node breaks the (measure-zero) due-time ties so
   // the batch order is deterministic. Each probe sees system state live
-  // at the tick — that is the probe-commit semantics (config.h) — but
-  // draws from rng_ in exactly the per-probe order the legacy path used.
+  // at the tick — that is the probe-commit semantics
+  // (kProbeCommitInterval) — and draws from rng_ in this order.
   std::sort(due.begin(), due.end());
   for (const auto& [t, node] : due) {
     if (node_up(node)) probe_once(node);
@@ -646,18 +629,15 @@ void System::probe_commit_tick(std::int64_t epoch) {
 
 void System::start_load_balancing() {
   if (!config_.active_load_balance) return;
-  if (config_.probe_commit_interval > 0) {
-    D2_REQUIRE_MSG(
-        2 * config_.probe_commit_interval <= config_.probe_interval,
-        "probe_commit_interval must be <= probe_interval / 2 (a committed "
-        "probe's next due time, at least half an interval out, must land "
-        "in a later epoch than its tick); set it to 0 for the legacy "
-        "per-probe scheduling");
+  D2_REQUIRE_MSG(
+      2 * kProbeCommitInterval <= config_.probe_interval,
+      "probe_interval must be >= 2 * System::kProbeCommitInterval (a "
+      "committed probe's next due time, at least half an interval out, "
+      "must land in a later epoch than its tick)");
+  for (int i = 0; i < config_.node_count; ++i) {
+    schedule_probe_due(i, sim_.now());
   }
-  for (int i = 0; i < config_.node_count; ++i) schedule_probe(i);
-  if (config_.probe_commit_interval > 0 && !probe_buckets_.empty()) {
-    schedule_probe_tick();
-  }
+  if (!probe_buckets_.empty()) schedule_probe_tick();
 }
 
 bool System::probe_once(int prober) {

@@ -31,7 +31,7 @@
 //     shared FIFO links see one canonical enqueue order in every
 //     arcs/workers configuration;
 //   - probes: per-node jittered due times live in a coordinator-side
-//     commit calendar; one global tick per probe_commit_interval
+//     commit calendar; one global tick per kProbeCommitInterval
 //     evaluates every probe due in the last epoch in (due, node) order
 //     against live state (probes read ring/rng/primary counts, so they
 //     are genuinely global — the tick just batches them).
@@ -80,6 +80,16 @@ class System {
 
   System(const System&) = delete;
   System& operator=(const System&) = delete;
+
+  /// Probe commit quantum (DESIGN.md §12). Each node keeps its own
+  /// jittered probe cadence, but evaluations are committed in epochs: one
+  /// global tick per quantum processes every probe that came due during
+  /// it, in (due time, node) order, against system state at the tick.
+  /// This keeps per-probe global events out of the parallel windows and
+  /// the output byte-identical across --arcs/--arc-workers.
+  /// SystemConfig::probe_interval must be at least twice the quantum so a
+  /// committed probe's next due time always lands in a later epoch.
+  static constexpr SimTime kProbeCommitInterval = seconds(10);
 
   const SystemConfig& config() const { return config_; }
   sim::Simulator& simulator() { return sim_; }
@@ -228,18 +238,16 @@ class System {
   void register_scatter(const Key& k);
   /// Drops a removed block's scatter positions from both.
   void forget_scatter(const Key& k);
-  void schedule_probe(int node);
   /// Files node's next probe, due jitter past `from`, in the commit
-  /// calendar (probe_commit_interval > 0 paths).
+  /// calendar.
   void schedule_probe_due(int node, SimTime from);
   /// Schedules the global tick for the first non-empty calendar epoch.
   void schedule_probe_tick();
   /// Processes every probe due in `epoch`, in (due, node) order, then
   /// chains the next tick.
   void probe_commit_tick(std::int64_t epoch);
-  std::int64_t probe_epoch(SimTime due) const {
-    return (due + config_.probe_commit_interval - 1) /
-           config_.probe_commit_interval;
+  static std::int64_t probe_epoch(SimTime due) {
+    return (due + kProbeCommitInterval - 1) / kProbeCommitInterval;
   }
   void execute_move(const dht::MoveDecision& decision);
   /// Recomputes replica sets for all blocks in the cover arc around

@@ -18,12 +18,19 @@
 // container.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "common/assert.h"
 #include "common/key.h"
-#include "common/key_simd.h"
+
+// Best-effort cache-line prefetch (no-op off GCC/Clang).
+#if defined(__GNUC__) || defined(__clang__)
+#define D2_PREFETCH(addr) __builtin_prefetch(addr)
+#else
+#define D2_PREFETCH(addr) ((void)0)
+#endif
 
 namespace d2::store {
 
@@ -258,13 +265,14 @@ class SortedKeyIndex {
         (hint_ == 0 || last_[hint_ - 1] < k)) {
       return hint_;
     }
-    // Batched (SIMD-dispatched) search over the contiguous directory.
-    hint_ = key_lower_bound(last_.data(), last_.size(), k);
+    hint_ = static_cast<std::size_t>(
+        std::lower_bound(last_.begin(), last_.end(), k) - last_.begin());
     return hint_;
   }
 
   static std::size_t lower_bound_in(const Chunk& c, const Key& k) {
-    return key_lower_bound(c.keys.data(), c.keys.size(), k);
+    return static_cast<std::size_t>(
+        std::lower_bound(c.keys.begin(), c.keys.end(), k) - c.keys.begin());
   }
 
   /// Splits chunk `ci` in half; the lower half stays in place.
@@ -331,7 +339,8 @@ class SortedKeyIndex {
   }
 
   static std::size_t upper_bound_in(const Chunk& c, const Key& k) {
-    return key_upper_bound(c.keys.data(), c.keys.size(), k);
+    return static_cast<std::size_t>(
+        std::upper_bound(c.keys.begin(), c.keys.end(), k) - c.keys.begin());
   }
 
   std::vector<std::unique_ptr<Chunk>> chunks_;  // ordered by key range

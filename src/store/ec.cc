@@ -1,17 +1,9 @@
 #include "store/ec.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/assert.h"
-
-#if defined(__x86_64__) || defined(_M_X64)
-#define D2_EC_SIMD_X86 1
-#if defined(__GNUC__) || defined(__clang__)
-#include <immintrin.h>
-#endif
-#endif
 
 namespace d2::store {
 
@@ -70,8 +62,8 @@ std::uint8_t mul_ref(std::uint8_t a, std::uint8_t b) {
   return static_cast<std::uint8_t>(acc);
 }
 
-void mul_acc_scalar(std::uint8_t* out, const std::uint8_t* src,
-                    std::uint8_t coeff, Bytes len) {
+void mul_acc(std::uint8_t* out, const std::uint8_t* src, std::uint8_t coeff,
+             Bytes len) {
   if (coeff == 0) return;
   if (coeff == 1) {
     for (Bytes b = 0; b < len; ++b) out[b] ^= src[b];
@@ -83,163 +75,6 @@ void mul_acc_scalar(std::uint8_t* out, const std::uint8_t* src,
     const std::uint8_t s = src[b];
     if (s != 0) out[b] ^= t.exp_[lc + t.log_[s]];
   }
-}
-
-namespace {
-
-#if defined(D2_EC_SIMD_X86) && (defined(__GNUC__) || defined(__clang__)) && \
-    !defined(D2_FORCE_SCALAR)
-#define D2_EC_SIMD 1
-
-/// AVX2 PSHUFB split-table kernel: two 16-entry nibble product tables
-/// per coefficient, one shuffle per nibble, 32 bytes per step.
-__attribute__((target("avx2"))) void mul_acc_avx2(std::uint8_t* out,
-                                                  const std::uint8_t* src,
-                                                  std::uint8_t coeff,
-                                                  Bytes len) {
-  if (coeff == 0) return;
-  Bytes b = 0;
-  if (coeff == 1) {
-    for (; b + 32 <= len; b += 32) {
-      const __m256i s =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + b));
-      const __m256i o =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(out + b));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + b),
-                          _mm256_xor_si256(o, s));
-    }
-    for (; b < len; ++b) out[b] ^= src[b];
-    return;
-  }
-  alignas(16) std::uint8_t lo[16];
-  alignas(16) std::uint8_t hi[16];
-  for (int i = 0; i < 16; ++i) {
-    lo[i] = mul(coeff, static_cast<std::uint8_t>(i));
-    hi[i] = mul(coeff, static_cast<std::uint8_t>(i << 4));
-  }
-  const __m256i vlo = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(lo)));
-  const __m256i vhi = _mm256_broadcastsi128_si256(
-      _mm_load_si128(reinterpret_cast<const __m128i*>(hi)));
-  const __m256i nib = _mm256_set1_epi8(0x0f);
-  for (; b + 32 <= len; b += 32) {
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + b));
-    const __m256i pl = _mm256_shuffle_epi8(vlo, _mm256_and_si256(s, nib));
-    const __m256i ph = _mm256_shuffle_epi8(
-        vhi, _mm256_and_si256(_mm256_srli_epi16(s, 4), nib));
-    const __m256i o =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(out + b));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + b),
-        _mm256_xor_si256(o, _mm256_xor_si256(pl, ph)));
-  }
-  mul_acc_scalar(out + b, src + b, coeff, len - b);
-}
-
-/// GFNI kernel. GF2P8MULB is hardwired to polynomial 0x11B — not this
-/// codec's 0x11d — but multiplication by a fixed constant is GF(2)-linear
-/// in the operand bits, so GF2P8AFFINEQB with the 8×8 bit matrix of
-/// "multiply by coeff mod 0x11d" computes our product exactly. Matrix
-/// packing (verified against mul()): qword byte (7 - i) holds row i,
-/// whose bit j is bit i of coeff * x^j.
-__attribute__((target("gfni,avx2"))) void mul_acc_gfni(std::uint8_t* out,
-                                                       const std::uint8_t* src,
-                                                       std::uint8_t coeff,
-                                                       Bytes len) {
-  if (coeff == 0) return;
-  std::uint64_t matrix = 0;
-  for (int i = 0; i < 8; ++i) {
-    std::uint8_t row = 0;
-    for (int j = 0; j < 8; ++j) {
-      const std::uint8_t col = mul(coeff, static_cast<std::uint8_t>(1 << j));
-      if ((col >> i) & 1) row |= static_cast<std::uint8_t>(1 << j);
-    }
-    matrix |= static_cast<std::uint64_t>(row) << (8 * (7 - i));
-  }
-  const __m256i a = _mm256_set1_epi64x(static_cast<long long>(matrix));
-  Bytes b = 0;
-  for (; b + 32 <= len; b += 32) {
-    const __m256i s =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + b));
-    const __m256i p = _mm256_gf2p8affine_epi64_epi8(s, a, 0);
-    const __m256i o =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(out + b));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + b),
-                        _mm256_xor_si256(o, p));
-  }
-  mul_acc_scalar(out + b, src + b, coeff, len - b);
-}
-#endif  // D2_EC_SIMD
-
-/// True when SIMD kernels must not be selected (compile definition or
-/// environment variable) — a fixed per-process input, like the CPU
-/// feature set, so dispatch stays deterministic.
-[[maybe_unused]] bool ec_force_scalar() {
-#if defined(D2_FORCE_SCALAR)
-  return true;
-#else
-  // getenv is only racy against setenv, which this process never
-  // calls. NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* v = std::getenv("D2_FORCE_SCALAR");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-#endif
-}
-
-MulAccKernel resolve_mul_acc() {
-#if defined(D2_EC_SIMD)
-  if (!ec_force_scalar()) {
-    if (__builtin_cpu_supports("gfni") && __builtin_cpu_supports("avx2")) {
-      return MulAccKernel{"gfni", mul_acc_gfni};
-    }
-    if (__builtin_cpu_supports("avx2")) {
-      return MulAccKernel{"avx2", mul_acc_avx2};
-    }
-  }
-#endif
-  return MulAccKernel{"scalar", mul_acc_scalar};
-}
-
-MulAccKernel& active_mul_acc() {
-  static MulAccKernel k = resolve_mul_acc();
-  return k;
-}
-
-}  // namespace
-
-void mul_acc(std::uint8_t* out, const std::uint8_t* src, std::uint8_t coeff,
-             Bytes len) {
-  active_mul_acc().fn(out, src, coeff, len);
-}
-
-const char* mul_acc_kernel() { return active_mul_acc().name; }
-
-std::vector<MulAccKernel> mul_acc_kernels() {
-  std::vector<MulAccKernel> kernels;
-  kernels.push_back(MulAccKernel{"scalar", mul_acc_scalar});
-#if defined(D2_EC_SIMD)
-  if (__builtin_cpu_supports("avx2")) {
-    kernels.push_back(MulAccKernel{"avx2", mul_acc_avx2});
-  }
-  if (__builtin_cpu_supports("gfni") && __builtin_cpu_supports("avx2")) {
-    kernels.push_back(MulAccKernel{"gfni", mul_acc_gfni});
-  }
-#endif
-  return kernels;
-}
-
-void use_mul_acc_kernel(const char* name) {
-  if (std::strcmp(name, "auto") == 0) {
-    active_mul_acc() = resolve_mul_acc();
-    return;
-  }
-  for (const MulAccKernel& k : mul_acc_kernels()) {
-    if (std::strcmp(k.name, name) == 0) {
-      active_mul_acc() = k;
-      return;
-    }
-  }
-  D2_REQUIRE_MSG(false, "gf256: unknown or unavailable mul_acc kernel");
 }
 
 }  // namespace gf256
@@ -288,12 +123,6 @@ std::vector<std::uint8_t> invert_matrix(std::vector<std::uint8_t> a, int k) {
   return inv;
 }
 
-/// out ^= coeff * src over `len` bytes (dispatched kernel).
-void mul_acc(std::uint8_t* out, const std::uint8_t* src, std::uint8_t coeff,
-             Bytes len) {
-  gf256::mul_acc(out, src, coeff, len);
-}
-
 }  // namespace
 
 ErasureCodec::ErasureCodec(int data_fragments, int parity_fragments)
@@ -335,8 +164,8 @@ std::vector<std::vector<std::uint8_t>> ErasureCodec::encode(
     std::uint8_t* out = frags[static_cast<std::size_t>(k_ + p)].data();
     const std::uint8_t* coeffs = row(k_ + p);
     for (int j = 0; j < k_; ++j) {
-      mul_acc(out, frags[static_cast<std::size_t>(j)].data(), coeffs[j],
-              frag_len);
+      gf256::mul_acc(out, frags[static_cast<std::size_t>(j)].data(),
+                     coeffs[j], frag_len);
     }
   }
   return frags;
@@ -363,7 +192,8 @@ std::vector<std::vector<std::uint8_t>> ErasureCodec::solve_data(
     std::uint8_t* out = data[static_cast<std::size_t>(i)].data();
     const std::uint8_t* coeffs = inv.data() + static_cast<std::size_t>(i) * k_;
     for (int j = 0; j < k_; ++j) {
-      mul_acc(out, fragments[static_cast<std::size_t>(j)], coeffs[j], frag_len);
+      gf256::mul_acc(out, fragments[static_cast<std::size_t>(j)], coeffs[j],
+                     frag_len);
     }
   }
   return data;
@@ -405,8 +235,8 @@ std::vector<std::uint8_t> ErasureCodec::reconstruct(
   std::vector<std::uint8_t> out(static_cast<std::size_t>(frag_len), 0);
   const std::uint8_t* coeffs = row(target);
   for (int j = 0; j < k_; ++j) {
-    mul_acc(out.data(), data[static_cast<std::size_t>(j)].data(), coeffs[j],
-            frag_len);
+    gf256::mul_acc(out.data(), data[static_cast<std::size_t>(j)].data(),
+                   coeffs[j], frag_len);
   }
   return out;
 }

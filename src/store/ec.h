@@ -40,36 +40,12 @@ std::uint8_t inv(std::uint8_t a);
 /// against. Not used on any hot path.
 std::uint8_t mul_ref(std::uint8_t a, std::uint8_t b);
 
-/// out ^= coeff * src over `len` bytes — the codec's hot kernel.
-/// Runtime-dispatched (DESIGN.md §11) to GFNI affine / AVX2 PSHUFB
-/// split-table / scalar; all kernels compute the same field arithmetic,
-/// so results are bit-identical. `D2_FORCE_SCALAR` (compile definition
-/// or environment variable) pins the scalar path.
+/// out ^= coeff * src over `len` bytes — the codec's hot kernel: one
+/// log/exp table lookup per nonzero source byte. The program only ever
+/// codes RepairEngine's 128-byte payloads (22-byte rs-6-3 fragments),
+/// below any vector width, so there is no SIMD variant (DESIGN.md §11b).
 void mul_acc(std::uint8_t* out, const std::uint8_t* src, std::uint8_t coeff,
              Bytes len);
-
-/// Always-built scalar reference (differential tests, forced fallback).
-void mul_acc_scalar(std::uint8_t* out, const std::uint8_t* src,
-                    std::uint8_t coeff, Bytes len);
-
-using MulAccFn = void (*)(std::uint8_t*, const std::uint8_t*, std::uint8_t,
-                          Bytes);
-struct MulAccKernel {
-  const char* name;
-  MulAccFn fn;
-};
-/// Every mul_acc kernel compiled in *and* runnable on this CPU, scalar
-/// first — for differential tests and SIMD-vs-scalar benches.
-std::vector<MulAccKernel> mul_acc_kernels();
-
-/// Name of the kernel mul_acc currently dispatches to
-/// ("gfni" | "avx2" | "scalar").
-const char* mul_acc_kernel();
-
-/// Pins mul_acc to a named kernel ("auto" restores dispatch); REQUIREs
-/// the kernel is available. Bench/test hook — process-global, not for
-/// concurrent use.
-void use_mul_acc_kernel(const char* name);
 
 }  // namespace gf256
 

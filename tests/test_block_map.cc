@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "common/assert.h"
 #include "common/rng.h"
@@ -289,6 +293,158 @@ TEST_P(BlockMapInvariantSweep, AccountingMatchesRecount) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BlockMapInvariantSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// --- SortedKeyIndex against std::map ---
+// The index's directory and chunk searches are plain std::lower_bound /
+// std::upper_bound over Key's limb compare. Their hard case is keys that
+// agree on the first 7 limbs, so the order is decided in the last one.
+// This differential drives the index and a std::map through the same
+// interleaved inserts, erases and erase_ifs, past kMaxChunk so chunks
+// split and empty out, and compares every query after each batch.
+
+/// `prefix` with its last limb replaced by `low`.
+Key with_low_limb(const Key& prefix, std::uint64_t low) {
+  return prefix - Key::from_uint64(prefix.low64()) + Key::from_uint64(low);
+}
+
+using Entries = std::vector<std::pair<Key, std::uint64_t>>;
+
+/// What walk_in_arc(from, to) must visit, in order: the whole map when
+/// from == to, else (from, MAX] then [MIN, to] restricted to the arc.
+Entries arc_of(const std::map<Key, std::uint64_t>& ref, const Key& from,
+               const Key& to) {
+  Entries out;
+  if (from == to) return Entries(ref.begin(), ref.end());
+  for (auto it = ref.upper_bound(from); it != ref.end(); ++it) {
+    if (Key::in_arc(it->first, from, to)) out.emplace_back(*it);
+  }
+  for (auto it = ref.begin(); it != ref.upper_bound(from); ++it) {
+    if (Key::in_arc(it->first, from, to)) out.emplace_back(*it);
+  }
+  return out;
+}
+
+TEST(SortedKeyIndex, MatchesStdMapUnderRandomEdits) {
+  using Index = SortedKeyIndex<std::uint64_t>;
+  Rng rng(23);
+  // Keys crowd below three prefixes (one next to Key::max()), plus
+  // uniformly random keys.
+  const Key prefixes[] = {Key::random(rng), Key::max(), Key::min()};
+  auto draw = [&]() {
+    const std::uint64_t pick = rng.next_below(4);
+    if (pick == 3) return Key::random(rng);
+    const std::uint64_t low = rng.next_below(2048);
+    return with_low_limb(prefixes[pick], pick == 1 ? ~low : low);
+  };
+
+  Index idx;
+  std::map<Key, std::uint64_t> ref;
+  std::uint64_t next_value = 0;
+  std::size_t peak = 0;
+  auto insert = [&](const Key& k) {
+    const std::uint64_t v = next_value++;
+    EXPECT_EQ(idx.insert(k, std::uint64_t{v}), v);
+    ref.emplace(k, v);
+    peak = std::max(peak, ref.size());
+  };
+  insert(Key::max());
+  insert(Key::min());
+
+  for (int batch = 0; batch < 24; ++batch) {
+    // Mostly inserts for the first half, mostly erases after.
+    const std::uint64_t insert_share = batch < 12 ? 3 : 1;
+    for (int op = 0; op < 400; ++op) {
+      const Key k = draw();
+      if (ref.count(k) != 0) {
+        idx.erase(k);
+        ref.erase(k);
+      } else if (rng.next_below(4) < insert_share) {
+        insert(k);
+      }
+    }
+    if (batch % 3 == 2) {
+      // Alternately drop a residue class of values (scattered) or a key
+      // arc (contiguous, so whole chunks empty out).
+      const bool by_arc = batch % 6 == 5;
+      const std::uint64_t residue = rng.next_below(5);
+      const Key lo = draw();
+      const Key hi = draw();
+      auto drop = [&](const Key& k, std::uint64_t v) {
+        return by_arc ? Key::in_arc(k, lo, hi) : v % 5 == residue;
+      };
+      const std::size_t dropped = idx.erase_if(
+          [&](const Key& k, std::uint64_t& v) { return drop(k, v); });
+      EXPECT_EQ(dropped, std::erase_if(ref, [&](const auto& kv) {
+                  return drop(kv.first, kv.second);
+                }));
+    }
+    ASSERT_NO_THROW(idx.check_invariants()) << "batch " << batch;
+    ASSERT_EQ(idx.size(), ref.size());
+    ASSERT_EQ(idx.empty(), ref.empty());
+
+    // Point queries: every stored key, fresh draws and the ring's ends.
+    std::vector<Key> probes{Key::min(), Key::max()};
+    for (const auto& kv : ref) probes.push_back(kv.first);
+    for (int i = 0; i < 400; ++i) probes.push_back(draw());
+    for (const Key& k : probes) {
+      const auto it = ref.find(k);
+      const std::uint64_t* got = std::as_const(idx).find(k);
+      ASSERT_EQ(got != nullptr, it != ref.end()) << k;
+      if (got != nullptr) {
+        EXPECT_EQ(*got, it->second);
+      }
+      EXPECT_EQ(idx.find(k), got);
+      EXPECT_EQ(idx.contains(k), it != ref.end());
+      const auto ge = ref.lower_bound(k);
+      const Index::Entry e = idx.first_ge(k);
+      if (ge == ref.end()) {
+        EXPECT_EQ(e.key, nullptr);
+        EXPECT_EQ(e.value, nullptr);
+      } else {
+        ASSERT_NE(e.key, nullptr) << k;
+        EXPECT_EQ(*e.key, ge->first);
+        EXPECT_EQ(*e.value, ge->second);
+      }
+    }
+
+    // Arcs: wrapping and not, the whole ring, ending at Key::max() or
+    // Key::min() and starting at Key::max(), bounded by stored keys and
+    // by fresh draws.
+    const Key a = draw();
+    const Key b = draw();
+    const Key stored =
+        ref.empty() ? draw()
+                    : std::next(ref.begin(),
+                                static_cast<std::ptrdiff_t>(
+                                    rng.next_below(ref.size())))->first;
+    const std::pair<Key, Key> arcs[] = {
+        {a, b},          {b, a},          {a, a},
+        {a, Key::max()}, {Key::max(), b}, {Key::min(), Key::max()},
+        {stored, a},     {a, stored},     {prefixes[0], Key::min()},
+    };
+    for (const auto& [from, to] : arcs) {
+      Entries want = arc_of(ref, from, to);
+      Entries seen;
+      idx.for_each_in_arc(from, to, [&seen](const Key& k, std::uint64_t& v) {
+        seen.emplace_back(k, v);
+      });
+      ASSERT_EQ(seen, want) << "arc (" << from << ", " << to << "]";
+      // An early exit stops right after the entry that returned false.
+      const std::size_t stop = rng.next_below(want.size() + 2);
+      seen.clear();
+      const bool finished =
+          idx.walk_in_arc(from, to, [&](const Key& k, std::uint64_t& v) {
+            seen.emplace_back(k, v);
+            return seen.size() != stop;
+          });
+      const bool stopped = stop >= 1 && stop <= want.size();
+      EXPECT_EQ(finished, !stopped);
+      want.resize(stopped ? stop : want.size());
+      ASSERT_EQ(seen, want);
+    }
+  }
+  EXPECT_GT(peak, 8 * Index::kMaxChunk);  // many splits, not one chunk
+}
 
 }  // namespace
 }  // namespace d2::store

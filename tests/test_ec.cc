@@ -173,73 +173,62 @@ TEST(ErasureCodec, TinyAndPaddedBlocks) {
   }
 }
 
-// --- SIMD kernel differentials (DESIGN.md §11) ---
+// --- mul_acc, the codec's inner loop ---
 
-TEST(Gf256, MulAccKernelsMatchScalarExhaustively) {
-  // Every kernel runnable on this CPU vs the scalar reference: all 256
-  // coefficients crossed with lengths around the 32-byte vector width
-  // (tail handling) plus a long unaligned-ish run.
-  const auto kernels = gf256::mul_acc_kernels();
-  ASSERT_FALSE(kernels.empty());
-  EXPECT_STREQ(kernels.front().name, "scalar");
+TEST(Gf256, MulAccMatchesBitwiseReference) {
+  // All 256 coefficients crossed with lengths from empty through a real
+  // rs-6-3 fragment (22 bytes: 128-byte payload / 6) to a long run; the
+  // expectation is built byte by byte from the bitwise reference.
   Rng rng(97);
-  for (const std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{31},
-                                std::size_t{32}, std::size_t{33},
-                                std::size_t{64}, std::size_t{95},
+  for (const std::size_t len : {std::size_t{0}, std::size_t{1},
+                                std::size_t{22}, std::size_t{33},
                                 std::size_t{1000}}) {
     const std::vector<std::uint8_t> src = random_block(rng, len);
     const std::vector<std::uint8_t> base = random_block(rng, len);
     for (int c = 0; c < 256; ++c) {
       const auto coeff = static_cast<std::uint8_t>(c);
       std::vector<std::uint8_t> want = base;
-      gf256::mul_acc_scalar(want.data(), src.data(), coeff,
-                            static_cast<Bytes>(len));
-      for (const auto& k : kernels) {
-        std::vector<std::uint8_t> got = base;
-        k.fn(got.data(), src.data(), coeff, static_cast<Bytes>(len));
-        ASSERT_EQ(got, want) << "kernel=" << k.name << " coeff=" << c
-                             << " len=" << len;
+      for (std::size_t i = 0; i < len; ++i) {
+        want[i] ^= gf256::mul_ref(coeff, src[i]);
       }
+      std::vector<std::uint8_t> got = base;
+      gf256::mul_acc(got.data(), src.data(), coeff, static_cast<Bytes>(len));
+      ASSERT_EQ(got, want) << "coeff=" << c << " len=" << len;
     }
   }
 }
 
-TEST(Gf256, KernelPinningRoundTrips) {
-  const char* initial = gf256::mul_acc_kernel();
-  for (const auto& k : gf256::mul_acc_kernels()) {
-    gf256::use_mul_acc_kernel(k.name);
-    EXPECT_STREQ(gf256::mul_acc_kernel(), k.name);
-  }
-  gf256::use_mul_acc_kernel("auto");
-  EXPECT_STREQ(gf256::mul_acc_kernel(), initial);
-  EXPECT_THROW(gf256::use_mul_acc_kernel("no-such-kernel"),
-               PreconditionError);
-}
-
 TEST(ErasureCodec, AllErasurePatternsIdenticalAcrossKernels) {
-  // The satellite guarantee behind `--scheduler`-style gating for EC:
-  // encode and every-k-subset decode are byte-identical no matter which
-  // mul_acc kernel is live. k=4, m=3 keeps the subset count (35) small
-  // enough to cross with every kernel pair.
+  // The codec's table-driven mul_acc against the bitwise reference: the
+  // encode must match a parity computed byte by byte with mul_ref from
+  // the public encode-matrix rows, and every k-subset decode must give
+  // the block back. k=4, m=3 keeps the subset count at 35.
   Rng rng(61);
   const int k = 4;
   const int m = 3;
   const int n = k + m;
   const ErasureCodec codec(k, m);
   const std::vector<std::uint8_t> block = random_block(rng, 4 * 33 + 2);
+  const auto frags = codec.encode(block);
+  ASSERT_EQ(frags.size(), static_cast<std::size_t>(n));
 
-  std::vector<std::vector<std::vector<std::uint8_t>>> encodes;
-  const auto kernels = gf256::mul_acc_kernels();
-  for (const auto& kern : kernels) {
-    gf256::use_mul_acc_kernel(kern.name);
-    encodes.push_back(codec.encode(block));
-  }
-  for (std::size_t i = 1; i < encodes.size(); ++i) {
-    ASSERT_EQ(encodes[i], encodes[0])
-        << "encode differs: " << kernels[i].name << " vs scalar";
+  const auto frag_len = static_cast<std::size_t>(
+      codec.fragment_bytes(static_cast<Bytes>(block.size())));
+  std::vector<std::uint8_t> padded = block;
+  padded.resize(frag_len * static_cast<std::size_t>(k), 0);
+  for (int r = 0; r < n; ++r) {
+    std::vector<std::uint8_t> want(frag_len, 0);
+    for (int j = 0; j < k; ++j) {
+      const std::uint8_t coeff = codec.row(r)[j];
+      for (std::size_t b = 0; b < frag_len; ++b) {
+        want[b] ^= gf256::mul_ref(
+            coeff, padded[static_cast<std::size_t>(j) * frag_len + b]);
+      }
+    }
+    ASSERT_EQ(frags[static_cast<std::size_t>(r)], want)
+        << "encode differs from bitwise reference: row=" << r;
   }
 
-  const auto& frags = encodes[0];
   for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
     if (__builtin_popcount(mask) != k) continue;
     std::vector<int> present;
@@ -250,14 +239,10 @@ TEST(ErasureCodec, AllErasurePatternsIdenticalAcrossKernels) {
         ptrs.push_back(frags[static_cast<std::size_t>(i)].data());
       }
     }
-    for (const auto& kern : kernels) {
-      gf256::use_mul_acc_kernel(kern.name);
-      ASSERT_EQ(codec.decode(present, ptrs, static_cast<Bytes>(block.size())),
-                block)
-          << "kernel=" << kern.name << " mask=" << mask;
-    }
+    ASSERT_EQ(codec.decode(present, ptrs, static_cast<Bytes>(block.size())),
+              block)
+        << "mask=" << mask;
   }
-  gf256::use_mul_acc_kernel("auto");
 }
 
 TEST(ErasureCodec, RejectsBadGeometry) {

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/key_simd.h"
 #include "common/rng.h"
 #include "fs/key_encoding.h"
 
@@ -371,70 +370,6 @@ TEST(Key, Low64ReadsLastLimb) {
             0xdeadbeefcafef00dull);
   // from_uint64 touches only the low limb.
   EXPECT_EQ(Key::from_uint64(UINT64_MAX).limb(Key::kLimbs - 2), 0u);
-}
-
-// --- key_lower_bound / key_upper_bound (common/key_simd.h) ---
-// Differential against std::lower_bound/std::upper_bound, and the
-// dispatched (possibly SIMD) kernel against the always-scalar one. Keys
-// are drawn to force long shared prefixes (the SIMD compare's hard case:
-// equality resolved in the second 32-byte half or full equality).
-
-TEST(KeySearch, BoundsMatchStdOnRandomRuns) {
-  Rng rng(5);
-  for (int round = 0; round < 50; ++round) {
-    const std::size_t n = rng.next_below(200);
-    std::vector<Key> keys;
-    for (std::size_t i = 0; i < n; ++i) keys.push_back(Key::random(rng));
-    // Duplicates make lower/upper bounds differ.
-    for (std::size_t i = 0; i + 1 < keys.size(); i += 3) {
-      keys[i + 1] = keys[i];
-    }
-    std::sort(keys.begin(), keys.end());
-    for (int probe = 0; probe < 40; ++probe) {
-      // Half the probes are members (including the duplicated ones),
-      // half are random misses.
-      const Key needle = (probe % 2 == 0 && !keys.empty())
-                             ? keys[rng.next_below(keys.size())]
-                             : Key::random(rng);
-      const auto want_lo = static_cast<std::size_t>(
-          std::lower_bound(keys.begin(), keys.end(), needle) - keys.begin());
-      const auto want_hi = static_cast<std::size_t>(
-          std::upper_bound(keys.begin(), keys.end(), needle) - keys.begin());
-      EXPECT_EQ(key_lower_bound(keys.data(), keys.size(), needle), want_lo);
-      EXPECT_EQ(key_upper_bound(keys.data(), keys.size(), needle), want_hi);
-      EXPECT_EQ(key_lower_bound_scalar(keys.data(), keys.size(), needle),
-                want_lo);
-      EXPECT_EQ(key_upper_bound_scalar(keys.data(), keys.size(), needle),
-                want_hi);
-    }
-  }
-}
-
-TEST(KeySearch, BoundsResolveLateLimbDifferences) {
-  // Keys identical through the first 7 limbs, differing only in the last
-  // (and one pair fully equal): exercises the second vector probe and
-  // the equal path of the SIMD compare.
-  std::vector<Key> keys;
-  for (std::uint64_t v : {5u, 5u, 9u, 12u, 700u}) {
-    keys.push_back(Key::from_uint64(v));
-  }
-  for (std::uint64_t v = 0; v < 800; v += 7) {
-    const Key needle = Key::from_uint64(v);
-    const auto want_lo = static_cast<std::size_t>(
-        std::lower_bound(keys.begin(), keys.end(), needle) - keys.begin());
-    const auto want_hi = static_cast<std::size_t>(
-        std::upper_bound(keys.begin(), keys.end(), needle) - keys.begin());
-    EXPECT_EQ(key_lower_bound(keys.data(), keys.size(), needle), want_lo);
-    EXPECT_EQ(key_upper_bound(keys.data(), keys.size(), needle), want_hi);
-  }
-}
-
-TEST(KeySearch, ReportsActiveKernel) {
-  // Whichever kernel resolved, it must be one of the two known names,
-  // and forcing scalar via the compile-time/env hook is covered by the
-  // D2_FORCE_SCALAR CI job.
-  const std::string name = key_search_kernel();
-  EXPECT_TRUE(name == "avx2" || name == "scalar") << name;
 }
 
 }  // namespace

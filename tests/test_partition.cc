@@ -400,7 +400,6 @@ TEST(PartitionedSystem, ProbeWorkReachesGlobalQueueOnlyAsCommitTicks) {
   cfg.replicas = 3;
   cfg.seed = 7;
   cfg.arcs = 8;
-  ASSERT_GT(cfg.probe_commit_interval, 0);
   sim::Simulator sim(sim::ArcConfig{cfg.arcs, 1, 0});
   core::System system(cfg, sim);
   system.start_load_balancing();
@@ -410,7 +409,8 @@ TEST(PartitionedSystem, ProbeWorkReachesGlobalQueueOnlyAsCommitTicks) {
   // are its epoch-aligned commit ticks.
   ASSERT_LT(sim.next_global_event_time(), kNever);
   for (int tick = 0; tick < 5; ++tick) {
-    EXPECT_EQ(sim.next_global_event_time() % cfg.probe_commit_interval, 0)
+    EXPECT_EQ(sim.next_global_event_time() % core::System::kProbeCommitInterval,
+              0)
         << "tick " << tick;
     sim.run_until(sim.next_global_event_time());
   }

@@ -54,7 +54,6 @@ RepairConfig small_config(bool erasure) {
   cfg.replicas = 3;
   cfg.ec_data_fragments = 4;
   cfg.ec_parity_fragments = 2;
-  cfg.payload_bytes = 64;
   cfg.detect_delay = minutes(2);
   cfg.retry_delay = minutes(1);
   cfg.seed = 9;
