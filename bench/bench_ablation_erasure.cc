@@ -3,50 +3,45 @@
 // The paper chooses replication "for simplicity" and argues the
 // D2-vs-traditional comparison holds under either scheme. Part 1 runs the
 // availability experiment for both redundancy schemes under both key
-// schemes. Part 2 runs the real repair engine (core/repair.h, fragments
-// produced by the store/ec.h Reed–Solomon codec) through a correlated
-// mass-failure week and reports durability, repair traffic (L/W), and
-// MTTR — the storage overheads are derived from the codec geometry, not
-// hardcoded.
+// schemes: replication r is the (n, k) = (r, 1) code. Part 2 runs the
+// real repair engine (core/repair.h, fragments produced by the store/ec.h
+// Reed–Solomon codec) through a correlated mass-failure week and reports
+// durability, repair traffic (L/W), and MTTR — the storage overheads are
+// derived from each run's (n, k), not hardcoded.
 #include "bench_common.h"
 #include "core/repair.h"
-#include "store/ec.h"
 
 using namespace d2;
 
 namespace {
 
+/// Physical bytes per logical byte of an (n, k) code: n members of
+/// size/k each.
+double storage_overhead(int n, int k) {
+  return static_cast<double>(n) / static_cast<double>(k);
+}
+
 struct Row {
   const char* name;
   double unavailability;
-  double storage_x;  // physical bytes / logical bytes, from the codec
+  double storage_x;  // physical bytes / logical bytes
   Bytes migration;
 };
 
-Row run(const char* name, fs::KeyScheme scheme,
-        core::SystemConfig::Redundancy redundancy) {
+Row run(const char* name, fs::KeyScheme scheme, int n, int k) {
   const int nodes = bench::availability_nodes();
   core::AvailabilityParams p;
   p.system = bench::system_config(scheme, nodes, 104);
-  p.system.replicas = 3;
-  p.system.redundancy = redundancy;
-  p.system.ec_total_fragments = 6;
-  p.system.ec_data_fragments = 3;
+  p.system.replicas = n;
+  p.system.ec_data_fragments = k;
   p.workload = bench::harvard_workload();
   p.failure = bench::failure_params(nodes);
   p.failure_seed = 900;
   p.warmup = days(1);
   p.inter = seconds(5);
   const core::AvailabilityResult r = core::AvailabilityExperiment(p).run();
-
-  // Storage overhead n/k from the codec geometry: replication r is the
-  // (1, r-1) code, (6,3) erasure stores 6 fragments per 3 data units.
-  const store::ErasureCodec codec(
-      redundancy == core::SystemConfig::Redundancy::kErasure ? 3 : 1,
-      redundancy == core::SystemConfig::Redundancy::kErasure ? 3 : 2);
-  const double storage =
-      static_cast<double>(codec.n()) / static_cast<double>(codec.k());
-  return Row{name, r.task_unavailability(), storage, r.migration_bytes};
+  return Row{name, r.task_unavailability(), storage_overhead(n, k),
+             r.migration_bytes};
 }
 
 struct RepairRow {
@@ -67,8 +62,9 @@ RepairRow run_repair(const char* name, bool erasure) {
   p.failure = bench::failure_params(p.repair.node_count);
   p.failure_seed = 902;
   const core::DurabilityResult r = core::run_durability(p);
-  const double storage = erasure ? 9.0 / 6.0 : 3.0;
-  return RepairRow{name, r, storage};
+  const int k = erasure ? p.repair.ec_data_fragments : 1;
+  const int n = erasure ? k + p.repair.ec_parity_fragments : p.repair.replicas;
+  return RepairRow{name, r, storage_overhead(n, k)};
 }
 
 }  // namespace
@@ -80,14 +76,12 @@ int main() {
   std::printf("%-28s %16s %10s %16s\n", "system", "unavailability",
               "storage x", "repair (MB)");
   const Row rows[] = {
-      run("d2 + replication(3)", fs::KeyScheme::kD2,
-          core::SystemConfig::Redundancy::kReplication),
-      run("d2 + erasure(6,3)", fs::KeyScheme::kD2,
-          core::SystemConfig::Redundancy::kErasure),
-      run("traditional + replication(3)", fs::KeyScheme::kTraditionalBlock,
-          core::SystemConfig::Redundancy::kReplication),
-      run("traditional + erasure(6,3)", fs::KeyScheme::kTraditionalBlock,
-          core::SystemConfig::Redundancy::kErasure),
+      run("d2 + replication(3)", fs::KeyScheme::kD2, 3, 1),
+      run("d2 + erasure(6,3)", fs::KeyScheme::kD2, 6, 3),
+      run("traditional + replication(3)",
+          fs::KeyScheme::kTraditionalBlock, 3, 1),
+      run("traditional + erasure(6,3)",
+          fs::KeyScheme::kTraditionalBlock, 6, 3),
   };
   for (const Row& r : rows) {
     std::printf("%-28s %16.2e %10.1f %16.1f\n", r.name, r.unavailability,

@@ -12,28 +12,24 @@ namespace d2::core {
 struct SystemConfig {
   int node_count = 200;
 
-  /// Replicas per block (r). The paper uses 3 in the availability study
-  /// and 4 in the performance study.
+  /// Members per block (n), placed on the successors of its key. The
+  /// paper uses 3 in the availability study and 4 in the performance
+  /// study.
   int replicas = 3;
 
-  /// Redundancy scheme (§3): whole-block replication (the paper's choice,
-  /// "for simplicity") or (n, k) erasure coding — n fragments of size/k on
-  /// the n successors, any k of which reconstruct the block. Erasure
-  /// saves storage (n/k x instead of r x) at the cost of read fan-out and
-  /// k x repair traffic.
-  enum class Redundancy { kReplication, kErasure };
-  Redundancy redundancy = Redundancy::kReplication;
-  /// Erasure parameters: n total fragments (placed like replicas), k data
-  /// fragments needed to read/reconstruct. Used when redundancy==kErasure;
-  /// `replicas` is ignored in that mode.
-  int ec_total_fragments = 6;
-  int ec_data_fragments = 3;
+  /// Redundancy (§3): any k of a block's n members serve or rebuild it,
+  /// each storing ceil(size / k) bytes. k = 1 is whole-block replication
+  /// (the paper's choice, "for simplicity"); k > 1 is (n, k) erasure
+  /// coding, which saves storage (n/k x instead of n x) at the cost of
+  /// read fan-out and k x repair traffic. Requires 1 <= k <= n.
+  int ec_data_fragments = 1;
 
-  /// Hybrid placement (the paper's §11 future work): this many of the r
-  /// replicas are placed at consistent-hash positions of the key instead
+  /// Hybrid placement (the paper's §11 future work): this many of the n
+  /// members are placed at consistent-hash positions of the key instead
   /// of on the successor chain. Scattered replicas restore parallel
   /// download bandwidth for large files and resist targeted ID-space
   /// attacks, at the cost of extra lookup state. 0 = pure D2 placement.
+  /// Requires 0 <= scatter_replicas < replicas, and k = 1.
   int scatter_replicas = 0;
 
   /// Key scheme of the system under test (D2 or a baseline).

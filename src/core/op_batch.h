@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "common/assert.h"
@@ -142,12 +143,13 @@ class OpBatchRunner {
       case fs::StoreOp::Kind::kGet: {
         GetOutcome& o = outcomes_[it.slot];
         o.tag = it.tag;
-        o.known = system_.has(it.key);
-        if (o.known) {
-          o.available = system_.block_available(it.key);
-          if (o.available) {
-            if (auto node = system_.serving_node(it.key)) o.serving = *node;
-          }
+        // One index search serves all three fields.
+        const store::BlockState* b = system_.block_map().find(it.key);
+        o.known = b != nullptr;
+        if (!o.known) return;
+        if (const std::optional<int> node = system_.serving_node(*b)) {
+          o.available = true;
+          o.serving = *node;
         }
         return;
       }

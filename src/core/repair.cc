@@ -87,19 +87,8 @@ const RepairEngine::FragSet* RepairEngine::find_frag_set(const Key& key) const {
 
 void RepairEngine::target_replica_set(const Key& key,
                                       std::vector<int>& out) const {
-  // Successor-order set extended past down nodes until n up members,
-  // mirroring System::target_replica_set (without scatter placement).
-  const int r = n();
-  out.clear();
-  const int cap = std::min<int>(static_cast<int>(ring_.size()), r + 6);
-  int node = ring_.owner(key);
-  int up_count = 0;
-  for (int i = 0; i < cap; ++i) {
-    out.push_back(node);
-    if (node_up(node)) ++up_count;
-    if (up_count >= r && static_cast<int>(out.size()) >= r) break;
-    node = ring_.successor(node);
-  }
+  ring_.successors(ring_.owner(key), n(),
+                   [this](int node) { return node_up(node); }, out);
 }
 
 bool RepairEngine::write_block(const Key& key, SimTime now, bool in_lane) {

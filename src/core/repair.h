@@ -167,8 +167,8 @@ class RepairEngine {
   const FragSet* find_frag_set(const Key& key) const;
 
   /// Successor-order replica set under the current up/down state:
-  /// canonical successors extended past down nodes until n up members
-  /// (mirrors System::target_replica_set, bounded by n + 6).
+  /// Ring::successors of the key's owner until n members are up, the
+  /// walk System places its members with.
   void target_replica_set(const Key& key, std::vector<int>& out) const;
 
   /// Inserts one block at the current time: BlockMap entry, encoded

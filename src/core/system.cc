@@ -11,21 +11,8 @@
 namespace d2::core {
 
 namespace {
-/// How far past the owner the replica scan may extend while skipping down
-/// nodes, and therefore how many predecessors a readjustment arc covers.
-int scan_cap(int replicas) { return replicas + 6; }
 constexpr SimTime kFetchRetryDelay = minutes(10);
 }  // namespace
-
-int System::effective_replicas() const {
-  return config_.redundancy == SystemConfig::Redundancy::kErasure
-             ? config_.ec_total_fragments
-             : config_.replicas;
-}
-
-bool System::erasure() const {
-  return config_.redundancy == SystemConfig::Redundancy::kErasure;
-}
 
 System::System(const SystemConfig& config, sim::Simulator& sim,
                obs::Registry* metrics)
@@ -50,15 +37,17 @@ System::System(const SystemConfig& config, sim::Simulator& sim,
   D2_REQUIRE_MSG(config.arcs >= 1, "system needs at least one arc");
   D2_REQUIRE_MSG(config.arcs == sim.arcs(),
                  "system arc count must match the simulator's");
+  D2_REQUIRE_MSG(config.ec_data_fragments >= 1 &&
+                     config.ec_data_fragments <= config.replicas,
+                 "a block needs 1 <= k <= n of its members");
+  D2_REQUIRE_MSG(config.scatter_replicas >= 0 &&
+                     config.scatter_replicas < config.replicas,
+                 "scatter_replicas must lie in [0, replicas)");
+  D2_REQUIRE_MSG(config.scatter_replicas == 0 || config.ec_data_fragments == 1,
+                 "hybrid placement + erasure coding not supported together");
   D2_REQUIRE_MSG(config.arcs == 1 || config.scatter_replicas == 0,
                  "hybrid placement couples arbitrary keys across the ring "
                  "and requires a single arc");
-  if (config.redundancy == SystemConfig::Redundancy::kErasure) {
-    D2_REQUIRE(config.ec_data_fragments > 0);
-    D2_REQUIRE(config.ec_total_fragments >= config.ec_data_fragments);
-    D2_REQUIRE_MSG(config.scatter_replicas == 0,
-                   "hybrid placement + erasure coding not supported together");
-  }
   user_write_bytes_c_ = &metrics_->counter("system.user_write_bytes");
   user_removed_bytes_c_ = &metrics_->counter("system.user_removed_bytes");
   migration_bytes_c_ = &metrics_->counter("system.migration_bytes");
@@ -97,38 +86,22 @@ Key System::scatter_position(const Key& k, int i) {
   return dht::hashed_key(k.hex() + "#scatter" + std::to_string(i));
 }
 
-int System::scattered_members() const {
-  return erasure() ? 0
-                   : std::min(config_.scatter_replicas, config_.replicas - 1);
-}
-
 void System::target_replica_set(const Key& k, std::vector<int>& out) const {
   successor_set(ring_.owner(k), out);
   append_scattered(k, out);
 }
 
 void System::successor_set(int owner, std::vector<int>& out) const {
-  // The canonical successors of `owner` under the current up/down state,
-  // extended past down nodes until enough up members are included
-  // (bounded by scan_cap). With hybrid placement, the tail of the set
-  // lives at consistent-hash positions instead (append_scattered).
-  const int r = effective_replicas() - scattered_members();
-  out.clear();
-  const int cap = std::min<int>(static_cast<int>(ring_.size()), scan_cap(r));
-  int node = owner;
-  int up_count = 0;
-  for (int i = 0; i < cap; ++i) {
-    out.push_back(node);
-    if (node_up(node)) ++up_count;
-    if (up_count >= r && static_cast<int>(out.size()) >= r) break;
-    node = ring_.successor(node);
-  }
+  // With hybrid placement, the tail of the set lives at consistent-hash
+  // positions instead (append_scattered).
+  ring_.successors(owner, config_.replicas - config_.scatter_replicas,
+                   [this](int node) { return node_up(node); }, out);
 }
 
 void System::append_scattered(const Key& k, std::vector<int>& out) const {
   // Scattered members: first non-duplicate node at each hashed position,
   // plus the next up one if it is down (mirroring the successor logic).
-  if (scattered_members() == 0) return;
+  if (config_.scatter_replicas == 0) return;
   const auto cached = scatter_positions_.find(k);
   D2_ASSERT_MSG(cached != scatter_positions_.end(),
                 "scattered block has no registered positions");
@@ -136,7 +109,7 @@ void System::append_scattered(const Key& k, std::vector<int>& out) const {
     int candidate = ring_.owner(position);
     int steps = 0;
     bool added_up = false;
-    while (steps < scan_cap(1) + static_cast<int>(out.size())) {
+    while (steps < 1 + dht::Ring::kMaxSkipped + static_cast<int>(out.size())) {
       const bool duplicate =
           std::find(out.begin(), out.end(), candidate) != out.end();
       if (!duplicate) {
@@ -154,10 +127,9 @@ void System::append_scattered(const Key& k, std::vector<int>& out) const {
 }
 
 void System::register_scatter(const Key& k) {
-  const int scatter = scattered_members();
   std::vector<Key>& positions = scatter_positions_[k];
   D2_ASSERT_MSG(positions.empty(), "scatter positions registered twice");
-  for (int s = 0; s < scatter; ++s) {
+  for (int s = 0; s < config_.scatter_replicas; ++s) {
     positions.push_back(scatter_position(k, s));
     scatter_index_.emplace(positions.back(), k);
   }
@@ -188,16 +160,6 @@ std::vector<int> System::replica_nodes(const Key& k) const {
   return out;
 }
 
-std::optional<int> System::fetch_source(const store::BlockState& b) const {
-  for (const store::Replica& r : b.replicas) {
-    if (r.has_data && node_up(r.node)) return r.node;
-  }
-  for (int n : b.stale_holders) {
-    if (node_up(n)) return n;
-  }
-  return std::nullopt;
-}
-
 int System::up_data_holders(const store::BlockState& b) const {
   int count = 0;
   for (const store::Replica& r : b.replicas) {
@@ -209,47 +171,27 @@ int System::up_data_holders(const store::BlockState& b) const {
   return count;
 }
 
-bool System::block_available(const Key& k) const {
-  const store::BlockState* b = map_.find(k);
-  if (b == nullptr) return false;
-  if (erasure()) {
-    // (n, k) coding: readable iff >= k fragments sit on up nodes (stale
-    // holders still carry their fragment).
-    return up_data_holders(*b) >= config_.ec_data_fragments;
-  }
-  bool responsible_up = false;
-  for (const store::Replica& r : b->replicas) {
-    if (!node_up(r.node)) continue;
-    if (r.has_data) return true;
-    responsible_up = true;
-  }
-  if (!responsible_up) return false;
-  // A responsible (pointer-holding) node is up; it can redirect to any up
-  // holder of the bytes.
-  for (int n : b->stale_holders) {
-    if (node_up(n)) return true;
-  }
-  return false;
-}
-
 std::optional<int> System::serving_node(const Key& k) const {
   const store::BlockState* b = map_.find(k);
   if (b == nullptr) return std::nullopt;
-  if (erasure()) {
-    // A read fans out to k fragment holders; report the primary-most one.
-    if (up_data_holders(*b) < config_.ec_data_fragments) return std::nullopt;
-  }
-  for (const store::Replica& r : b->replicas) {
-    if (r.has_data && node_up(r.node)) return r.node;
-  }
+  return serving_node(*b);
+}
+
+std::optional<int> System::serving_node(const store::BlockState& b) const {
+  // A read gathers k copies (stale holders still carry theirs); the
+  // primary-most up member with data serves.
+  if (up_data_holders(b) < config_.ec_data_fragments) return std::nullopt;
   bool responsible_up = false;
-  for (const store::Replica& r : b->replicas) {
-    if (node_up(r.node)) responsible_up = true;
+  for (const store::Replica& r : b.replicas) {
+    if (!node_up(r.node)) continue;
+    if (r.has_data) return r.node;
+    responsible_up = true;
   }
-  if (responsible_up) {
-    for (int n : b->stale_holders) {
-      if (node_up(n)) return n;
-    }
+  if (!responsible_up) return std::nullopt;
+  // A responsible (pointer-holding) node is up; it redirects to an up
+  // holder of the bytes.
+  for (int n : b.stale_holders) {
+    if (node_up(n)) return n;
   }
   return std::nullopt;
 }
@@ -279,10 +221,9 @@ void System::put_at(const Key& k, Bytes size, SimTime t) {
   if (fresh_key && config_.scatter_replicas > 0) register_scatter(k);
   std::vector<int>& set = replica_set_scratch_[shard_slot()];
   target_replica_set(k, set);
-  const Bytes member_bytes =
-      erasure() ? (size + config_.ec_data_fragments - 1) / config_.ec_data_fragments
-                : size;
-  map_.insert(k, size, set, member_bytes);
+  // Each member stores ceil(size / k) bytes: the whole block at k = 1.
+  const int data_fragments = config_.ec_data_fragments;
+  map_.insert(k, size, set, (size + data_fragments - 1) / data_fragments);
   note_set_shape(k, set.size());
   // A write cannot land on a down member; it catches up on recovery.
   for (int n : set) {
@@ -390,27 +331,18 @@ void System::try_fetch(const Key& k, int node) {
   member->fetch_timer = sim::Simulator::kNoEvent;  // this timer, now fired
   D2_DCHECK(!member->has_data && !member->fetch_in_flight);
   if (!node_up(node)) return;  // recovery readjustment will reschedule
-  // A retry records no id: from a lane it may be mailboxed, so recording
-  // only the direct ones would tie the set of discarded timers to
-  // --arc-workers. An unrecorded retry that outlives its membership
-  // lapses through the fetch_due check above.
-  const SimTime retry_at = sim_.now() + kFetchRetryDelay;
-  Bytes transfer_bytes;
-  if (erasure()) {
-    // Regenerating one fragment requires reading k others (the classic
-    // erasure-coding repair penalty, §3's "cost of ... complexity").
-    if (up_data_holders(*b) < config_.ec_data_fragments) {
-      schedule_fetch(k, *member, retry_at);  // not reconstructible yet
-      return;
-    }
-    transfer_bytes = b->member_bytes * config_.ec_data_fragments;
-  } else {
-    if (!fetch_source(*b).has_value()) {
-      schedule_fetch(k, *member, retry_at);  // no up source; retry
-      return;
-    }
-    transfer_bytes = b->size;
+  // Rebuilding a copy reads k others: one whole copy under replication,
+  // k fragments under erasure coding (its repair penalty, §3's "cost of
+  // ... complexity").
+  if (up_data_holders(*b) < config_.ec_data_fragments) {
+    // Too few up sources; retry. A retry records no id: from a lane it
+    // may be mailboxed, so recording only the direct ones would tie the
+    // set of discarded timers to --arc-workers. An unrecorded retry that
+    // outlives its membership lapses through the fetch_due check above.
+    schedule_fetch(k, *member, sim_.now() + kFetchRetryDelay);
+    return;
   }
+  const Bytes transfer_bytes = b->member_bytes * config_.ec_data_fragments;
   member->fetch_in_flight = true;
   migration_bytes_sh_[shard_slot()] += transfer_bytes;
   migration_bytes_c_->add(transfer_bytes);
@@ -484,7 +416,7 @@ void System::finish_fetch(const Key& k, int node) {
 
 void System::note_set_shape(const Key& k, std::size_t set_size) {
   D2_ASSERT_OWNER_LANE(map_.arc_of(k));
-  if (static_cast<int>(set_size) != effective_replicas()) {
+  if (static_cast<int>(set_size) != config_.replicas) {
     extended_shard(k).insert(k);
   } else {
     extended_shard(k).erase(k);
@@ -531,7 +463,7 @@ void System::readjust_arc(int around_node, SimTime fetch_delay) {
   // Cover every key whose replica scan can reach `around_node`.
   int pred = around_node;
   const int steps = std::min<int>(static_cast<int>(ring_.size()) - 1,
-                                  scan_cap(effective_replicas()));
+                                  config_.replicas + dht::Ring::kMaxSkipped);
   for (int i = 0; i < steps; ++i) pred = ring_.predecessor(pred);
   const Key from = ring_.id_of(pred);
   const Key to = ring_.id_of(around_node);

@@ -123,14 +123,20 @@ class System {
 
   bool has(const Key& k) const { return map_.contains(k); }
 
-  /// True iff the block can be served right now: some responsible replica
-  /// is up with data, or a responsible node is up and can redirect to an
-  /// up holder (block pointer indirection).
-  bool block_available(const Key& k) const;
+  /// True iff a get for `k` can be served right now (serving_node).
+  bool block_available(const Key& k) const {
+    return serving_node(k).has_value();
+  }
 
-  /// The node that would serve a get for `k` right now (first up replica
-  /// holding data), or nullopt if unavailable/unknown.
+  /// The node that would serve a get for `k` right now, or nullopt if the
+  /// block is unknown or unavailable.
   std::optional<int> serving_node(const Key& k) const;
+
+  /// The read rule, for a block's state `b`. At least k of its copies
+  /// must sit on up nodes (stale holders count). Then the first up member
+  /// with data serves; failing that, if some responsible member is up, it
+  /// redirects to the first up stale holder (block pointer indirection).
+  std::optional<int> serving_node(const store::BlockState& b) const;
 
   /// Current responsible replica nodes (successor order).
   std::vector<int> replica_nodes(const Key& k) const;
@@ -215,22 +221,19 @@ class System {
     explicit NodeState(BitRate rate) : migration_link(rate) {}
   };
 
-  int effective_replicas() const;
-  bool erasure() const;
-  /// Up nodes currently holding a data copy/fragment of `b`.
+  /// Up nodes currently holding a copy of `b`: members with data and
+  /// stale holders.
   int up_data_holders(const store::BlockState& b) const;
   /// Fills `out` (cleared first) with the successor-order replica set for
   /// `k`: successor_set of its owner plus append_scattered. Out-param so
   /// hot callers can reuse a scratch buffer.
   void target_replica_set(const Key& k, std::vector<int>& out) const;
   /// Fills `out` (cleared first) with the successor part of the replica
-  /// set of every key `owner` owns.
+  /// set of every key `owner` owns: Ring::successors with node_up.
   void successor_set(int owner, std::vector<int>& out) const;
   /// Appends the scattered members of `k` (hybrid placement) to `out`,
   /// which holds its successor part.
   void append_scattered(const Key& k, std::vector<int>& out) const;
-  /// Replica-set members placed at hashed positions (hybrid placement).
-  int scattered_members() const;
   /// Ring position of the i-th scattered replica of key `k`.
   static Key scatter_position(const Key& k, int i);
   /// Computes a newly stored block's scatter positions (once) and files
@@ -251,9 +254,9 @@ class System {
   }
   void execute_move(const dht::MoveDecision& decision);
   /// Recomputes replica sets for all blocks in the cover arc around
-  /// `around_node` (its scan_cap(r) = r+6 predecessors through itself)
-  /// and schedules fetches for members lacking data. `fetch_delay`
-  /// applies to newly created pointer members.
+  /// `around_node` (its r + Ring::kMaxSkipped predecessors through
+  /// itself) and schedules fetches for members lacking data.
+  /// `fetch_delay` applies to newly created pointer members.
   void readjust_arc(int around_node, SimTime fetch_delay);
   /// Gives block `k`, whose state `b` the caller holds, the replica set
   /// `set`; returns whether its member list changed. Fetch-timer
@@ -305,7 +308,6 @@ class System {
   void finish_fetch(const Key& k, int node);
   void on_node_down(int node);
   void on_node_up(int node);
-  std::optional<int> fetch_source(const store::BlockState& b) const;
 
   /// Runs check_invariants() when auditing is on (D2_PARANOID build or
   /// config.paranoid_audits). Topology changes audit unconditionally;

@@ -42,28 +42,6 @@ int Ring::owner(const Key& k) const {
   return it->second;
 }
 
-std::vector<int> Ring::replica_set(const Key& k, int r) const {
-  std::vector<int> out;
-  out.reserve(static_cast<std::size_t>(r));
-  replica_set(k, r, out);
-  return out;
-}
-
-void Ring::replica_set(const Key& k, int r, std::vector<int>& out) const {
-  D2_REQUIRE(!empty());
-  D2_REQUIRE(r > 0);
-  out.clear();
-  auto it = by_id_.lower_bound(k);
-  if (it == by_id_.end()) it = by_id_.begin();
-  const std::size_t n = by_id_.size();
-  for (std::size_t i = 0; i < std::min<std::size_t>(static_cast<std::size_t>(r), n);
-       ++i) {
-    out.push_back(it->second);
-    ++it;
-    if (it == by_id_.end()) it = by_id_.begin();
-  }
-}
-
 std::map<Key, int>::const_iterator Ring::iter_of(int node) const {
   auto idit = ids_.find(node);
   D2_REQUIRE_MSG(idit != ids_.end(), "node not on ring");
@@ -128,6 +106,7 @@ void Ring::check_invariants() const {
   // Successor / owner / replica-set consistency against clockwise order.
   const std::vector<int> order = nodes_in_order();
   const int r = static_cast<int>(std::min<std::size_t>(order.size(), 3));
+  const auto all_up = [](int) { return true; };
   std::vector<int> replicas;
   for (std::size_t i = 0; i < order.size(); ++i) {
     const int node = order[i];
@@ -138,7 +117,7 @@ void Ring::check_invariants() const {
                   "ring: predecessor is not successor's inverse");
     D2_ASSERT_MSG(owner(id_of(node)) == node,
                   "ring: node does not own its own ID");
-    replica_set(id_of(node), r, replicas);
+    successors(node, r, all_up, replicas);
     D2_ASSERT_MSG(replicas.size() == static_cast<std::size_t>(r),
                   "ring: replica set has wrong cardinality");
     for (int j = 0; j < r; ++j) {

@@ -7,10 +7,12 @@
 // node IDs (leave + rejoin), which this class supports directly.
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <unordered_map>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/key.h"
 
 namespace d2::dht {
@@ -38,13 +40,30 @@ class Ring {
   /// The node responsible for `k` (successor of k). Requires non-empty.
   int owner(const Key& k) const;
 
-  /// The r nodes succeeding `k` in clockwise order starting at the owner.
-  /// Returns fewer than r if the ring is smaller than r.
-  std::vector<int> replica_set(const Key& k, int r) const;
+  /// How many nodes `successors` may pass over past the first r while
+  /// looking for up ones.
+  static constexpr int kMaxSkipped = 6;
 
-  /// Allocation-free variant: clears `out` and fills it with the replica
-  /// set, reusing its capacity (the hot path in System's put/reassign).
-  void replica_set(const Key& k, int r, std::vector<int>& out) const;
+  /// Clears `out` and fills it with `owner` and its clockwise successors,
+  /// continuing past nodes `up` rejects until r accepted ones are in:
+  /// at most r + kMaxSkipped nodes, and never more than the ring holds.
+  /// The replica set of every key `owner` owns (§3), for both
+  /// core::System and core::RepairEngine. `up` is any `bool(int node)`
+  /// callable.
+  template <typename Up>
+  void successors(int owner, int r, const Up& up, std::vector<int>& out) const {
+    D2_REQUIRE(r > 0);
+    out.clear();
+    const std::size_t cap =
+        std::min(by_id_.size(), static_cast<std::size_t>(r + kMaxSkipped));
+    auto it = iter_of(owner);
+    int accepted = 0;
+    while (out.size() < cap) {
+      out.push_back(it->second);
+      if (up(it->second) && ++accepted == r) return;
+      if (++it == by_id_.end()) it = by_id_.begin();
+    }
+  }
 
   /// Ring neighbours of a node.
   int successor(int node) const;
@@ -68,7 +87,7 @@ class Ring {
 
   /// Full-structure audit; throws InvariantError naming the violated
   /// invariant. Checks that by_id_ and ids_ are inverse bijections and
-  /// that successor/predecessor/owner/replica_set agree with the clockwise
+  /// that successor/predecessor/owner/successors agree with the clockwise
   /// ID order. O(n log n); wired into add/remove/move in paranoid builds
   /// and callable from tests in any build.
   void check_invariants() const;

@@ -82,6 +82,10 @@ SystemConfig golden_system(int nodes) {
 // node that rejoins a block's set no longer fetches early off a timer
 // its previous membership left behind, which shifts migration_bytes.
 constexpr std::uint64_t kAvailabilityGolden = 5949234668160264810ull;
+// The same availability trial under (n, k) = (6, 3) erasure coding,
+// recorded while erasure was still a separate redundancy mode of System,
+// before replication and erasure became one (n, k) model.
+constexpr std::uint64_t kErasureAvailabilityGolden = 8648261805120728046ull;
 // Re-pinned after the TcpModel partial-final-window fix: slow start now
 // grows cwnd only by the packets actually acknowledged in the last RTT of
 // a transfer, which shifts every downstream latency figure.
@@ -93,11 +97,14 @@ constexpr std::uint64_t kPerformanceGolden = 18256943228967445713ull;
 // going through a System.
 constexpr std::uint64_t kFsOpStreamGolden = 4425017394829546145ull;
 
-/// One seeded availability trial with the given partitioning, reduced to
-/// a checksum over every figure-bearing output.
-std::uint64_t availability_checksum(int arcs, int arc_workers) {
+/// One seeded availability trial with the given partitioning and (n, k)
+/// redundancy, reduced to a checksum over every figure-bearing output.
+std::uint64_t availability_checksum(int arcs, int arc_workers, int n = 3,
+                                    int k = 1) {
   AvailabilityParams p;
   p.system = golden_system(20);
+  p.system.replicas = n;
+  p.system.ec_data_fragments = k;
   p.system.arcs = arcs;
   p.system.arc_workers = arc_workers;
   p.workload = golden_workload();
@@ -197,6 +204,13 @@ TEST(DeterminismGolden, AvailabilityTrialChecksum) {
   const std::uint64_t checksum = availability_checksum(1, 1);
   EXPECT_EQ(checksum, kAvailabilityGolden)
       << "availability outputs drifted; actual checksum=" << checksum;
+}
+
+TEST(DeterminismGolden, ErasureAvailabilityTrialChecksum) {
+  const std::uint64_t serial = availability_checksum(1, 1, 6, 3);
+  EXPECT_EQ(serial, kErasureAvailabilityGolden)
+      << "erasure availability outputs drifted; actual checksum=" << serial;
+  EXPECT_EQ(availability_checksum(4, 4, 6, 3), kErasureAvailabilityGolden);
 }
 
 TEST(DeterminismGolden, PerformanceTrialChecksum) {

@@ -469,8 +469,7 @@ TEST(System, DeclinedDiscardOfTheNextEventLapsesThroughFetchDue) {
 /// member, the first node at or after its hashed position that is not in
 /// the set yet, continuing past down nodes to an up one.
 std::vector<int> reference_set(const System& sys, const Key& k) {
-  const int scatter =
-      std::min(sys.config().scatter_replicas, sys.config().replicas - 1);
+  const int scatter = sys.config().scatter_replicas;
   const int r = sys.config().replicas - scatter;
   const dht::Ring& ring = sys.ring();
   std::vector<int> set;

@@ -17,9 +17,7 @@ namespace {
 /// replica set is exactly the r successors of its key, every member holds
 /// data, and no stale holders remain.
 void expect_canonical_state(System& sys) {
-  const int r = sys.config().redundancy == SystemConfig::Redundancy::kErasure
-                    ? sys.config().ec_total_fragments
-                    : sys.config().replicas;
+  const int r = sys.config().replicas;
   sys.block_map().for_each_block([&](const Key& key,
                                      const store::BlockState& block) {
     ASSERT_EQ(static_cast<int>(block.replicas.size()), r)
@@ -156,8 +154,7 @@ TEST(SystemStress, HybridPlacementQuiesces) {
 TEST(SystemStress, ErasureQuiesces) {
   StressOptions opt;
   opt.config.node_count = 24;
-  opt.config.redundancy = SystemConfig::Redundancy::kErasure;
-  opt.config.ec_total_fragments = 5;
+  opt.config.replicas = 5;
   opt.config.ec_data_fragments = 3;
   opt.seed = 13;
   opt.steps = 400;

@@ -250,10 +250,12 @@ bool parse_scheme(const std::string& name, fs::KeyScheme* scheme,
   return true;
 }
 
-core::SystemConfig system_config(const Args& args) {
+/// `default_replicas` is the command's --replicas default: the paper
+/// uses 3 in the availability study and 4 in the performance study.
+core::SystemConfig system_config(const Args& args, int default_replicas = 3) {
   core::SystemConfig c;
   c.node_count = static_cast<int>(args.num("nodes", 64));
-  c.replicas = static_cast<int>(args.num("replicas", 3));
+  c.replicas = static_cast<int>(args.num("replicas", default_replicas));
   c.seed = static_cast<std::uint64_t>(args.num("seed", 1)) + 1000;
   c.lb_threshold = static_cast<double>(args.num("threshold", 4));
   c.use_pointers = !args.flag("no-pointers");
@@ -262,6 +264,14 @@ core::SystemConfig system_config(const Args& args) {
   c.arcs = arc_count(args);
   c.arc_workers = arc_workers(args);
   c.scheduler = scheduler_kind(args);
+  if (c.replicas < 1) {
+    std::fprintf(stderr, "invalid --replicas (expected at least 1)\n");
+    throw UsageError("bad replica count");
+  }
+  if (c.scatter_replicas < 0 || c.scatter_replicas >= c.replicas) {
+    std::fprintf(stderr, "invalid --scatter (expected 0..replicas-1)\n");
+    throw UsageError("bad scatter count");
+  }
   if (c.scatter_replicas > 0 && c.arcs > 1) {
     std::fprintf(stderr,
                  "--scatter requires --arcs=1 (hybrid placement couples "
@@ -408,8 +418,7 @@ int cmd_balance(const Args& args) {
 
 int cmd_performance(const Args& args) {
   core::PerformanceParams p;
-  p.system = system_config(args);
-  p.system.replicas = static_cast<int>(args.num("replicas", 4));
+  p.system = system_config(args, /*default_replicas=*/4);
   if (!parse_scheme(args.str("scheme", "d2"), &p.system.scheme,
                     &p.system.active_load_balance)) {
     return 2;

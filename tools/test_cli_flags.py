@@ -23,6 +23,10 @@ CASES = [
     (["--arc-workers=xyz"], USAGE_EXIT, "non-numeric arc workers"),
     (["--accesses=-5"], USAGE_EXIT, "negative access rate"),
     (["--scatter=2", "--arcs=4"], USAGE_EXIT, "scatter with multiple arcs"),
+    (["--replicas=0"], USAGE_EXIT, "zero replicas"),
+    (["--scatter=-1"], USAGE_EXIT, "negative scatter"),
+    (["--scatter=3"], USAGE_EXIT, "scatter not below replicas"),
+    (["--replicas=4", "--scatter=3"], 0, "scatter just below replicas"),
     (["--scheduler=bogus"], USAGE_EXIT, "unknown scheduler backend"),
     (["--scheduler=wheel"], 0, "timing-wheel scheduler"),
     (["--scheduler=heap"], 0, "reference heap scheduler"),
