@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives: key
 // arithmetic, Fig-4 encoding, SHA-1, ring/router operations, lookup-cache
-// probes, block-map range scans, the event queue, and a mini end-to-end
-// System write/read trial.
+// probes, block-map range scans, sorted-index run inserts, the event
+// queue, and a mini end-to-end System write/read trial.
 //
 // tools/bench_to_json.py wraps this binary and emits BENCH_micro.json;
 // the committed baseline/after snapshots track the perf trajectory of the
@@ -27,6 +27,7 @@
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "sim/timing_wheel.h"
+#include "store/block_index.h"
 #include "store/block_map.h"
 #include "store/ec.h"
 #include "store/lookup_cache.h"
@@ -315,6 +316,36 @@ void BM_BlockMapRangeScan(benchmark::State& state) {
                           (blocks / 64));
 }
 BENCHMARK(BM_BlockMapRangeScan)->Arg(20000)->Arg(100000);
+
+void BM_SortedKeyIndexAscendingRuns(benchmark::State& state) {
+  // A volume's blocks reach the block map as ascending key runs (§4.2:
+  // keys sort in preorder), landing between keys already stored. That is
+  // the insert path where an overflowing chunk spills into a neighbour
+  // before it splits. Each iteration rebuilds 4096 spaced keys untimed,
+  // then times 8 runs of 512 keys, each between two of them.
+  constexpr std::uint64_t kExisting = 4096;
+  constexpr std::uint64_t kRuns = 8;
+  constexpr std::uint64_t kRunLength = 512;
+  store::SortedKeyIndex<store::BlockState> idx;
+  for (auto _ : state) {
+    state.PauseTiming();
+    idx.clear();
+    for (std::uint64_t i = 0; i < kExisting; ++i) {
+      idx.insert(Key::from_uint64(i << 32), store::BlockState{});
+    }
+    state.ResumeTiming();
+    for (std::uint64_t r = 0; r < kRuns; ++r) {
+      const std::uint64_t gap = (r * 509 % kExisting) << 32;
+      for (std::uint64_t j = 1; j <= kRunLength; ++j) {
+        idx.insert(Key::from_uint64(gap + j), store::BlockState{});
+      }
+    }
+    benchmark::DoNotOptimize(idx.size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kRuns * kRunLength));
+}
+BENCHMARK(BM_SortedKeyIndexAscendingRuns);
 
 void BM_EventQueue(benchmark::State& state) {
   for (auto _ : state) {

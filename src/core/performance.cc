@@ -87,10 +87,8 @@ std::vector<SimTime> pick_performance_windows(const trace::HarvardParams& wl,
 
 PerformanceResult PerformanceExperiment::run() {
   // Lookahead 0 = adaptive sync horizon (DESIGN.md §12): windows extend
-  // to the next global event, capped by the mailbox watermark only when
-  // a committed cross-arc send is outstanding. The old conservative
-  // min_one_way_bound() horizon survives as the ArcConfig::lookahead
-  // test knob.
+  // to the next global event. The old conservative min_one_way_bound()
+  // horizon survives as the ArcConfig::lookahead test knob.
   sim::Simulator sim(
       sim::ArcConfig{params_.system.arcs, params_.system.arc_workers, 0,
                      params_.system.scheduler});

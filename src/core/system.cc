@@ -402,7 +402,7 @@ void System::finish_fetch(const Key& k, int node) {
   for (store::Replica& r : blk->replicas) {
     if (r.node == node) {
       if (!r.has_data && r.fetch_in_flight) {
-        map_.mark_data(k, node);
+        map_.mark_data(k, *blk, node);
         // The member held (at most) a pointer until now; the fetch
         // completing promotes it to a full data holder.
         pointer_promotions_c_->add(1);

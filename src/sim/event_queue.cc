@@ -15,8 +15,8 @@ std::uint32_t EventQueue::acquire_slot() {
   const std::uint32_t slot = static_cast<std::uint32_t>(fns_.size());
   D2_REQUIRE_MSG(slot < kLiveMark, "event queue slot space exhausted");
   fns_.emplace_back();
-  meta_.push_back(0);
-  order_.push_back(0);
+  meta_.emplace_back(0);
+  order_.emplace_back(0);
   if (kind_ == SchedulerKind::kWheel) wheel_.ensure_capacity(fns_.size());
   return slot;
 }

@@ -1,16 +1,23 @@
 // Priority queue of timestamped events with stable FIFO ordering for ties,
 // exact cancellation and O(1) best-effort discard.
 //
-// Layout: an ordering structure of lightweight per-slot entries over two
+// Layout: an ordering structure of lightweight per-slot entries over
 // parallel slot arrays — a hot 8-byte metadata word per slot (sequence
 // tag, free-list link, liveness mark packed together, so a liveness
-// check is one load and one compare) and a wide closure slab the
-// ordering machinery never touches. Callbacks are InlineFunctions —
-// closures live inside their slab slot, not behind a std::function heap
-// cell — and push() constructs the closure directly in the slot (writing
-// only the capture's footprint), so push/cancel/pop perform no heap
-// allocation at all in steady state (all arrays grow to the high-water
-// mark and stay there; tests/test_alloc_guard.cc enforces this).
+// check is one load and one compare), the slot's cross-queue merge key,
+// and a wide closure slab the ordering machinery never touches.
+// Callbacks are InlineFunctions — closures live inside their slab slot,
+// not behind a std::function heap cell — and push() constructs the
+// closure directly in the slot (writing only the capture's footprint),
+// so push/cancel/pop perform no heap allocation at all in steady state
+// (tests/test_alloc_guard.cc enforces this).
+//
+// The slot arrays, and the wheel's per-slot entries, are PagedArrays
+// (sim/paged_array.h): pages of 1024 slots, allocated when the slot
+// high-water first reaches them and never moved, so a queue's memory is
+// its high-water mark rounded up to a page, with no doubling copy at
+// growth (slab_bytes() reports it). Slots are recycled through a free
+// list, never released.
 //
 // Two interchangeable scheduler backends order the slots
 // (SchedulerKind, DESIGN.md §11):
@@ -38,6 +45,7 @@
 #include "common/assert.h"
 #include "common/inline_function.h"
 #include "common/units.h"
+#include "sim/paged_array.h"
 #include "sim/timing_wheel.h"
 
 namespace d2::sim {
@@ -137,6 +145,12 @@ class EventQueue {
   /// Slab size: the most events ever pending at once (slots are recycled,
   /// never freed), so it — not pending() — sets the queue's memory.
   std::size_t slots() const { return meta_.size(); }
+  /// Bytes of the slab pages allocated so far: the slot arrays plus the
+  /// wheel's per-slot entries (the heap reference's entries not included).
+  std::size_t slab_bytes() const {
+    return fns_.allocated_bytes() + meta_.allocated_bytes() +
+           order_.allocated_bytes() + wheel_.slab_bytes();
+  }
 
   /// Full-structure audit; throws InvariantError naming the violated
   /// invariant. Checks the heap property, the slab free list (no cycles,
@@ -217,7 +231,8 @@ class EventQueue {
                                           : tag_slot(heap_.top().tag);
   }
 
-  /// Pops a free-list slot (or grows the arrays); the caller fills its fn.
+  /// Pops a free-list slot (or appends one to every slot array); the
+  /// caller fills its fn.
   std::uint32_t acquire_slot();
   /// Marks `slot` live at time `t`, inserts its heap entry, returns the id.
   EventId commit(SimTime t, std::uint32_t slot, std::uint64_t order);
@@ -237,9 +252,9 @@ class EventQueue {
   // Ordering structure for kHeap (empty for kWheel).
   // d2-lint: allow(priority-queue) — this IS the reference scheduler
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::vector<EventFn> fns_;          // wide slab: only push/pop touch it
-  std::vector<std::uint64_t> meta_;   // hot: seq | live-or-free-link
-  std::vector<std::uint64_t> order_;  // cross-queue merge key per slot
+  PagedArray<EventFn> fns_;          // wide slab: only push/pop touch it
+  PagedArray<std::uint64_t> meta_;   // hot: seq | live-or-free-link
+  PagedArray<std::uint64_t> order_;  // cross-queue merge key per slot
   std::uint32_t free_head_ = kNoSlot;
   std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <limits>
 #include <thread>
 #include <vector>
 
@@ -39,12 +38,11 @@ struct ArcConfig {
   /// knob: when > 0, parallel windows never span more than this much
   /// simulated time past their first event. The default 0 engages the
   /// adaptive horizon (DESIGN.md §12): windows extend all the way to the
-  /// next global event, further capped by the mailbox watermark only when
-  /// a committed cross-arc send is outstanding at window open — which the
-  /// barrier discipline (every barrier fully drains the mailbox) makes
-  /// impossible today, so 0 is both the fastest and an always-correct
-  /// setting. Output is byte-identical for any value (window-trace
-  /// differential tests in tests/test_partition.cc).
+  /// next global event. Every barrier fully drains the mailbox, so no
+  /// committed cross-arc send is outstanding at window open (the
+  /// simulator asserts it), and 0 is both the fastest and an
+  /// always-correct setting. Output is byte-identical for any value
+  /// (window-trace differential tests in tests/test_partition.cc).
   SimTime lookahead = 0;
   /// Scheduler backend for every queue: the timing wheel, or the binary
   /// heap kept as the differential reference (`--scheduler heap`). Pop
@@ -58,9 +56,6 @@ struct ArcConfig {
 /// drains everything in (time, src_arc, seq) order.
 class Mailbox {
  public:
-  /// watermark() when nothing is staged.
-  static constexpr SimTime kNoWatermark = std::numeric_limits<SimTime>::max();
-
   void reset(int arcs) {
     lanes_.assign(static_cast<std::size_t>(arcs), {});
     floor_ = 0;
@@ -86,19 +81,6 @@ class Mailbox {
     return n;
   }
 
-  /// The earliest committed-but-undelivered cross-arc send across all
-  /// source lanes, or kNoWatermark when nothing is staged. This is the
-  /// adaptive sync horizon's per-window bound (DESIGN.md §12): a window
-  /// may extend to the next global event unless a committed send would
-  /// land inside it first. Coordinator-only (lanes may be appending).
-  SimTime watermark() const {
-    SimTime wm = kNoWatermark;
-    for (const auto& lane : lanes_) {
-      for (const Msg& m : lane) wm = std::min(wm, m.time);
-    }
-    return wm;
-  }
-
   /// Sets the delivery floor: the start of the window whose lanes are
   /// about to post. Every message staged from now on must target a time
   /// at or after it — a send into the past would mean a lane outran the
@@ -108,7 +90,7 @@ class Mailbox {
 
   /// Audits the watermark invariant: no staged message precedes the
   /// delivery floor. Throws InvariantError naming the violation.
-  /// Coordinator-only, like watermark().
+  /// Coordinator-only (lanes may be appending).
   void check_invariants() const {
     for (const auto& lane : lanes_) {
       for (const Msg& m : lane) {

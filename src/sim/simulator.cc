@@ -144,14 +144,12 @@ void Simulator::run_until(SimTime t) {
     if (!global.empty()) window_end = std::min(window_end, global.next_time());
     // Adaptive sync horizon (DESIGN.md §12): every barrier fully drains
     // the mailbox, so at window-open no committed cross-arc send is
-    // outstanding and the window runs all the way to the bound above. A
-    // committed send (watermark) would cap it; the configured lookahead
-    // stays available as an explicit conservative cap (windows shrink,
-    // output is byte-identical — the window-trace differential tests).
-    const SimTime wm = mailbox_.watermark();
-    if (wm != Mailbox::kNoWatermark) {
-      window_end = std::min(window_end, std::max(head + 1, wm));
-    }
+    // outstanding and the window runs all the way to the bound above.
+    // The configured lookahead stays available as an explicit
+    // conservative cap (windows shrink, output is byte-identical — the
+    // window-trace differential tests).
+    D2_ASSERT_MSG(mailbox_.empty(),
+                  "committed cross-arc send outstanding at window open");
     if (lookahead_ > 0) window_end = std::min(window_end, head + lookahead_);
     if (window_end <= head) {
       // Horizon too tight to cover even the head event; run it serially
@@ -344,6 +342,12 @@ std::size_t Simulator::event_slots() const {
   return n;
 }
 
+std::size_t Simulator::event_slab_bytes() const {
+  std::size_t n = 0;
+  for (const EventQueue& q : queues_) n += q.slab_bytes();
+  return n;
+}
+
 void Simulator::bind_metrics(obs::Registry* registry) {
   metrics_ = registry;
   if (registry == nullptr) {
@@ -364,6 +368,8 @@ void Simulator::export_metrics() {
   metrics_->gauge("sim.events_pending")
       .set(static_cast<double>(events_pending()));
   metrics_->gauge("sim.event_slots").set(static_cast<double>(event_slots()));
+  metrics_->gauge("sim.event_slab_bytes")
+      .set(static_cast<double>(event_slab_bytes()));
   metrics_->gauge("sim.clock_seconds").set(to_seconds(now_));
   // Partition-coordinator window statistics (DESIGN.md §12): how wide
   // the parallel windows actually ran, how much work they carried, and

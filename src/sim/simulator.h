@@ -87,8 +87,9 @@ class Simulator {
   /// Mirrors simulator accounting into `registry` under `sim.*`:
   /// `sim.events_processed` is kept live from here on (any events already
   /// processed are added in, so simulators sharing a registry sum),
-  /// `sim.events_pending` / `sim.event_slots` / `sim.clock_seconds`
-  /// gauges are refreshed by export_metrics(). Pass nullptr to unbind.
+  /// `sim.events_pending` / `sim.event_slots` / `sim.event_slab_bytes` /
+  /// `sim.clock_seconds` gauges are refreshed by export_metrics(). Pass
+  /// nullptr to unbind.
   void bind_metrics(obs::Registry* registry);
 
   /// Snapshots the point-in-time quantities (pending events, clock) into
@@ -151,14 +152,6 @@ class Simulator {
   EventId schedule_arc_after(int arc, SimTime delay, F&& f) {
     D2_REQUIRE(delay >= 0);
     return schedule_arc_at(arc, now() + delay, std::forward<F>(f));
-  }
-
-  /// Cancels a pending *global-queue* event; no-op if already fired.
-  /// Arc-queue events are never cancelled exactly: their owners discard
-  /// them (below), or leave them to fire against a deadline check (see
-  /// System's TTL refresh).
-  bool cancel(EventId id) {
-    return queues_[static_cast<std::size_t>(arcs_)].cancel(id);
   }
 
   /// Best-effort, O(1) removal of pending event `id` from arc `arc`'s
@@ -241,6 +234,8 @@ class Simulator {
   /// Summed slab size of every queue: each queue's pending-event
   /// high-water mark, which sets its memory (slots are never freed).
   std::size_t event_slots() const;
+  /// Bytes of every queue's allocated slab pages (EventQueue::slab_bytes).
+  std::size_t event_slab_bytes() const;
 
   /// Order-insensitive digest of everything executed: the wrapping sum of
   /// all executed event times. Within one engine mode the execution order

@@ -2,17 +2,11 @@
 
 namespace d2::sim {
 
-void TimingWheel::ensure_capacity(std::size_t slots) {
-  if (slots <= next_.size()) return;
-  next_.resize(slots, kNil);
-  prev_.resize(slots, kNil);
-  time_.resize(slots, 0);
-}
-
 void TimingWheel::link(int bucket, std::uint32_t slot) {
   Bucket& bk = buckets_[static_cast<std::size_t>(bucket)];
-  prev_[slot] = bk.tail;
-  next_[slot] = kNil;
+  SlotState& st = slots_[slot];
+  st.prev = bk.tail;
+  st.next = kNil;
   if (bk.tail == kNil) {
     bk.head = slot;
     if (bucket < kNumWheelBuckets) {
@@ -20,22 +14,23 @@ void TimingWheel::link(int bucket, std::uint32_t slot) {
           std::uint64_t{1} << (static_cast<std::size_t>(bucket) % kWheelSlots);
     }
   } else {
-    next_[bk.tail] = slot;
+    slots_[bk.tail].next = slot;
   }
   bk.tail = slot;
 }
 
 void TimingWheel::unlink(int bucket, std::uint32_t slot) {
   Bucket& bk = buckets_[static_cast<std::size_t>(bucket)];
-  if (prev_[slot] != kNil) {
-    next_[prev_[slot]] = next_[slot];
+  const SlotState& st = slots_[slot];
+  if (st.prev != kNil) {
+    slots_[st.prev].next = st.next;
   } else {
-    bk.head = next_[slot];
+    bk.head = st.next;
   }
-  if (next_[slot] != kNil) {
-    prev_[next_[slot]] = prev_[slot];
+  if (st.next != kNil) {
+    slots_[st.next].prev = st.prev;
   } else {
-    bk.tail = prev_[slot];
+    bk.tail = st.prev;
   }
   if (bk.head == kNil && bucket < kNumWheelBuckets) {
     occupied_[static_cast<std::size_t>(bucket) / kWheelSlots] &=
@@ -44,20 +39,20 @@ void TimingWheel::unlink(int bucket, std::uint32_t slot) {
 }
 
 void TimingWheel::insert(std::uint32_t slot, SimTime t) {
-  D2_REQUIRE_MSG(slot < next_.size(),
+  D2_REQUIRE_MSG(slot < slots_.size(),
                  "timing wheel: insert past capacity (ensure_capacity first)");
-  time_[slot] = t;
+  slots_[slot].time = t;
   link(place(t), slot);
   ++live_;
   // Strict <: an equal-time incumbent was inserted earlier (smaller seq)
   // and keeps the head.
-  if (head_ == kNil || t < time_[head_]) head_ = slot;
+  if (head_ == kNil || t < slots_[head_].time) head_ = slot;
 }
 
 void TimingWheel::remove(std::uint32_t slot) {
-  D2_REQUIRE_MSG(slot < next_.size() && live_ > 0,
+  D2_REQUIRE_MSG(slot < slots_.size() && live_ > 0,
                  "timing wheel: remove of a non-resident slot");
-  unlink(place(time_[slot]), slot);
+  unlink(place(slots_[slot].time), slot);
   --live_;
   if (slot == head_) refresh_head();
 }
@@ -65,7 +60,7 @@ void TimingWheel::remove(std::uint32_t slot) {
 std::uint32_t TimingWheel::pop_min() {
   D2_ASSERT(head_ != kNil);
   const std::uint32_t slot = head_;
-  const SimTime t = time_[slot];
+  const SimTime t = slots_[slot].time;
   const int bucket = place(t);
   unlink(bucket, slot);
   --live_;
@@ -93,8 +88,8 @@ void TimingWheel::cascade(int bucket) {
   // a lower level is empty (see pop_min), and overflow re-appends keep
   // their relative order.
   while (s != kNil) {
-    const std::uint32_t nxt = next_[s];
-    link(place(time_[s]), s);
+    const std::uint32_t nxt = slots_[s].next;
+    link(place(slots_[s].time), s);
     s = nxt;
   }
 }
@@ -127,13 +122,15 @@ void TimingWheel::refresh_head() {
 
 std::uint32_t TimingWheel::scan_min(int bucket) const {
   std::uint32_t best = buckets_[static_cast<std::size_t>(bucket)].head;
-  SimTime best_time = time_[best];
+  SimTime best_time = slots_[best].time;
   // First occurrence of the minimum time wins: list order == seq order.
-  for (std::uint32_t s = next_[best]; s != kNil; s = next_[s]) {
-    if (time_[s] < best_time) {
+  for (std::uint32_t s = slots_[best].next; s != kNil;) {
+    const SlotState& st = slots_[s];
+    if (st.time < best_time) {
       best = s;
-      best_time = time_[s];
+      best_time = st.time;
     }
+    s = st.next;
   }
   return best;
 }

@@ -11,13 +11,16 @@
 // itself, and a slot's bucket can always be recomputed from its time.
 //
 // Buckets are intrusive doubly-linked lists threaded through per-slot
-// next/prev arrays indexed by the owner's slab slot ids — the wheel
-// allocates nothing in steady state. Two out-of-band lists complete the
-// domain: an *overflow* list for times differing from cur_ above bit 47
-// (e.g. kSimTimeNever sentinels) and an *overdue* list for pushes below
-// cur_ (legal for a standalone queue; the simulator never produces them
-// because cur_ only advances to popped event times, which trail the
-// simulation clock).
+// entries indexed by the owner's slab slot ids — the wheel allocates
+// nothing in steady state. A slot's time and both links share one
+// 16-byte entry, so a bucket walk touches one cache line per slot; like
+// the owner's slot arrays, the entries are paged (sim/paged_array.h):
+// they grow a slot at a time and never move. Two out-of-band lists
+// complete the domain: an *overflow* list for times differing from cur_
+// above bit 47 (e.g. kSimTimeNever sentinels) and an *overdue* list for
+// pushes below cur_ (legal for a standalone queue; the simulator never
+// produces them because cur_ only advances to popped event times, which
+// trail the simulation clock).
 //
 // FIFO tie order (equal times pop in push order) falls out of list
 // order: pushes append in increasing seq; a cascade moves a bucket's
@@ -43,6 +46,7 @@
 
 #include "common/assert.h"
 #include "common/units.h"
+#include "sim/paged_array.h"
 
 namespace d2::sim {
 
@@ -65,16 +69,22 @@ class TimingWheel {
   /// Time of the minimum. Requires !empty().
   SimTime min_time() const {
     D2_ASSERT(head_ != kNil);
-    return time_[head_];
+    return slots_[head_].time;
   }
   /// Time recorded for a resident slot.
-  SimTime slot_time(std::uint32_t slot) const { return time_[slot]; }
+  SimTime slot_time(std::uint32_t slot) const { return slots_[slot].time; }
   /// The wheel cursor: the last popped time (never decreases).
   SimTime cursor() const { return cur_; }
 
   /// Grows the per-slot arrays to cover slot ids < `slots`. Called by the
   /// owner when its slab grows; insert()/remove() never allocate.
-  void ensure_capacity(std::size_t slots);
+  void ensure_capacity(std::size_t slots) {
+    while (slots_.size() < slots) {
+      slots_.emplace_back(SlotState{0, kNil, kNil});
+    }
+  }
+  /// Bytes of the per-slot entries' allocated pages.
+  std::size_t slab_bytes() const { return slots_.allocated_bytes(); }
 
   /// Links `slot` (< capacity, not currently resident) at time `t`.
   /// Successive inserts must carry increasing insertion order (the
@@ -111,6 +121,13 @@ class TimingWheel {
     std::uint32_t tail = kNil;
   };
 
+  /// A slot's due time and its links in its bucket's list.
+  struct SlotState {
+    SimTime time;
+    std::uint32_t next;
+    std::uint32_t prev;
+  };
+
   /// Bucket index for time `t` under the current clock: overdue below
   /// cur_, overflow when the top 16 bits differ, otherwise the level of
   /// the highest differing base-64 digit and that digit's value in t.
@@ -143,9 +160,7 @@ class TimingWheel {
 
   std::array<Bucket, kNumBuckets> buckets_{};
   std::array<std::uint64_t, kLevels> occupied_{};  // bit = bucket non-empty
-  std::vector<std::uint32_t> next_;
-  std::vector<std::uint32_t> prev_;
-  std::vector<SimTime> time_;
+  PagedArray<SlotState> slots_;
   SimTime cur_ = 0;
   std::uint32_t head_ = kNil;
   std::size_t live_ = 0;
@@ -156,23 +171,24 @@ void TimingWheel::check_invariants(std::size_t expect_live,
                                    SeqOf&& seq_of) const {
   D2_ASSERT_MSG(live_ == expect_live,
                 "timing wheel: resident count disagrees with owner");
-  std::vector<char> seen(next_.size(), 0);
+  std::vector<char> seen(slots_.size(), 0);
   std::size_t walked = 0;
   std::uint32_t best = kNil;
   for (int b = 0; b < kNumBuckets; ++b) {
     std::uint32_t prev = kNil;
-    for (std::uint32_t s = buckets_[b].head; s != kNil; s = next_[s]) {
-      D2_ASSERT_MSG(s < next_.size(), "timing wheel: link out of range");
+    for (std::uint32_t s = buckets_[b].head; s != kNil; s = slots_[s].next) {
+      D2_ASSERT_MSG(s < slots_.size(), "timing wheel: link out of range");
       D2_ASSERT_MSG(seen[s] == 0, "timing wheel: slot linked twice");
       seen[s] = 1;
-      D2_ASSERT_MSG(prev_[s] == prev, "timing wheel: prev link broken");
-      D2_ASSERT_MSG(place(time_[s]) == b,
+      const SlotState& st = slots_[s];
+      D2_ASSERT_MSG(st.prev == prev, "timing wheel: prev link broken");
+      D2_ASSERT_MSG(place(st.time) == b,
                     "timing wheel: slot in wrong bucket for its time");
       if (b == kOverdueBucket) {
-        D2_ASSERT_MSG(time_[s] < cur_, "timing wheel: future slot overdue");
+        D2_ASSERT_MSG(st.time < cur_, "timing wheel: future slot overdue");
       }
-      if (best == kNil || time_[s] < time_[best] ||
-          (time_[s] == time_[best] && seq_of(s) < seq_of(best))) {
+      if (best == kNil || st.time < slots_[best].time ||
+          (st.time == slots_[best].time && seq_of(s) < seq_of(best))) {
         best = s;
       }
       prev = s;

@@ -9,8 +9,22 @@
 // to kMaxChunk entries), so point lookups are two binary searches over
 // contiguous arrays and range scans stream cache lines.
 //
+// Chunks are kept dense, because D2's keys sort in preorder (§4.2) and
+// so reach the block map as long ascending runs per volume. A chunk's
+// key and value arrays grow geometrically but never past kMaxChunk + 1
+// entries, the transient size of a chunk that just overflowed. An
+// overflowing chunk first spills into its next, then its previous
+// neighbour when that one is under 7/8 full (kSpillBelow), evening the
+// two out; only when neither has room does it split in half. A key
+// that falls between two chunks is appended to the lower one. A run
+// inserted between existing keys then leaves chunks about 7/8 full where
+// 50/50 splits alone left them half full: after perf-1k's warm-up, the
+// allocated slots per block fell from 2.01 to 1.16 (capacity() reads
+// them; DESIGN.md §5b).
+//
 // Iteration order is exactly key order — identical to the std::map this
-// replaced — so every seeded experiment output is unchanged.
+// replaced — so every seeded experiment output is unchanged: chunk
+// boundaries decide where entries are stored, never their order.
 //
 // A walk (for_each, walk_in_arc, for_each_in_arc) may change the values
 // it visits but must not insert or erase keys. Pointers returned by
@@ -19,6 +33,7 @@
 #pragma once
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -39,12 +54,23 @@ struct SortedKeyIndexTestPeer;
 template <class Value>
 class SortedKeyIndex {
  public:
-  /// Split threshold: chunks hold at most this many entries. 128 keys =
-  /// two 4 KB pages of contiguous key data per chunk.
+  /// Chunks hold at most this many entries. 128 keys = two 4 KB pages of
+  /// contiguous key data per chunk.
   static constexpr std::size_t kMaxChunk = 128;
+  /// An overflowing chunk spills into a neighbour holding fewer entries
+  /// than this (7/8 of kMaxChunk), and splits only when neither does.
+  static constexpr std::size_t kSpillBelow = kMaxChunk / 8 * 7;
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+
+  /// Entry slots allocated across all chunks (size() / capacity() is the
+  /// index's fill).
+  std::size_t capacity() const {
+    std::size_t n = 0;
+    for (const auto& c : chunks_) n += c->keys.capacity();
+    return n;
+  }
 
   void clear() {
     chunks_.clear();
@@ -99,21 +125,28 @@ class SortedKeyIndex {
     }
     std::size_t ci = chunk_for(k);
     if (ci == chunks_.size()) ci = chunks_.size() - 1;  // append past max
-    Chunk& c = *chunks_[ci];
-    const std::size_t pos = lower_bound_in(c, k);
-    D2_REQUIRE_MSG(pos == c.keys.size() || !(c.keys[pos] == k),
+    std::size_t pos = lower_bound_in(*chunks_[ci], k);
+    D2_REQUIRE_MSG(pos == chunks_[ci]->keys.size() ||
+                       !(chunks_[ci]->keys[pos] == k),
                    "duplicate block key");
+    if (pos == 0 && ci > 0) {
+      // k falls between two chunks: append it to the lower one instead
+      // of shifting the whole upper one, so an ascending run keeps
+      // extending a chunk's tail.
+      --ci;
+      pos = chunks_[ci]->keys.size();
+    }
+    Chunk& c = *chunks_[ci];
+    grow(c, c.keys.size() + 1);
     c.keys.insert(c.keys.begin() + static_cast<std::ptrdiff_t>(pos), k);
     c.vals.insert(c.vals.begin() + static_cast<std::ptrdiff_t>(pos),
                   std::move(v));
     if (pos == c.keys.size() - 1) last_[ci] = k;  // new chunk maximum
     ++size_;
     if (c.keys.size() > kMaxChunk) {
-      split(ci);
-      if (!(k <= last_[ci])) ++ci;  // value landed in the upper half
-      Chunk& after = *chunks_[ci];
+      relieve(ci);
       D2_PARANOID_AUDIT(if (audit_gate_.due(size_)) check_invariants());
-      return after.vals[lower_bound_in(after, k)];
+      return *find(k);  // the entry may have moved to a neighbour
     }
     D2_PARANOID_AUDIT(if (audit_gate_.due(size_)) check_invariants());
     return c.vals[pos];
@@ -210,12 +243,12 @@ class SortedKeyIndex {
   }
 
   /// Full-structure audit; throws InvariantError naming the violated
-  /// invariant. Checks per-chunk strict sortedness, chunk occupancy
-  /// bounds, directory consistency (last_[i] == chunks_[i]->keys.back(),
-  /// strictly increasing across chunks), parallel-array sync, the size
-  /// counter and the locality memo's range. O(n); wired into
-  /// insert/erase/erase_if in paranoid builds and callable from tests in
-  /// any build.
+  /// invariant. Checks per-chunk strict sortedness, chunk occupancy and
+  /// capacity bounds, directory consistency (last_[i] ==
+  /// chunks_[i]->keys.back(), strictly increasing across chunks),
+  /// parallel-array sync, the size counter and the locality memo's range.
+  /// O(n); wired into insert/erase/erase_if in paranoid builds and
+  /// callable from tests in any build.
   void check_invariants() const {
     D2_ASSERT_MSG(last_.size() == chunks_.size(),
                   "sorted index: directory size disagrees with chunk count");
@@ -226,6 +259,9 @@ class SortedKeyIndex {
       const Chunk& c = *chunks_[ci];
       D2_ASSERT_MSG(!c.keys.empty(), "sorted index: empty chunk");
       D2_ASSERT_MSG(c.keys.size() <= kMaxChunk, "sorted index: oversize chunk");
+      D2_ASSERT_MSG(c.keys.capacity() <= kMaxChunk + 1 &&
+                        c.vals.capacity() <= kMaxChunk + 1,
+                    "sorted index: chunk capacity past kMaxChunk + 1");
       D2_ASSERT_MSG(c.keys.size() == c.vals.size(),
                     "sorted index: keys/vals arrays out of sync");
       for (std::size_t i = 1; i < c.keys.size(); ++i) {
@@ -273,6 +309,64 @@ class SortedKeyIndex {
   static std::size_t lower_bound_in(const Chunk& c, const Key& k) {
     return static_cast<std::size_t>(
         std::lower_bound(c.keys.begin(), c.keys.end(), k) - c.keys.begin());
+  }
+
+  /// Makes room for `n` entries in `c`'s arrays, growing them
+  /// geometrically but never past kMaxChunk + 1 (n never exceeds it).
+  static void grow(Chunk& c, std::size_t n) {
+    if (n <= c.keys.capacity()) return;
+    const std::size_t cap =
+        std::min(std::max(n, 2 * c.keys.capacity()), kMaxChunk + 1);
+    c.keys.reserve(cap);
+    c.vals.reserve(cap);
+  }
+
+  /// Brings chunk `ci`, just overflowed to kMaxChunk + 1 entries, back
+  /// within kMaxChunk: evens it out with the next chunk, else the
+  /// previous one, when that neighbour is under kSpillBelow entries;
+  /// splits it in half when neither is. The overflowing chunk keeps the
+  /// larger half of an odd total.
+  void relieve(std::size_t ci) {
+    const std::size_t n = chunks_[ci]->keys.size();
+    if (ci + 1 < chunks_.size() &&
+        chunks_[ci + 1]->keys.size() < kSpillBelow) {
+      const std::size_t total = n + chunks_[ci + 1]->keys.size();
+      spill_to_next(ci, n - (total + 1) / 2);
+    } else if (ci > 0 && chunks_[ci - 1]->keys.size() < kSpillBelow) {
+      const std::size_t prev = chunks_[ci - 1]->keys.size();
+      spill_to_prev(ci, (n + prev) / 2 - prev);
+    } else {
+      split(ci);
+    }
+  }
+
+  /// Moves chunk `ci`'s last `m` entries to the front of chunk ci + 1.
+  void spill_to_next(std::size_t ci, std::size_t m) {
+    Chunk& c = *chunks_[ci];
+    Chunk& next = *chunks_[ci + 1];
+    const auto from = static_cast<std::ptrdiff_t>(c.keys.size() - m);
+    grow(next, next.keys.size() + m);
+    next.keys.insert(next.keys.begin(), c.keys.begin() + from, c.keys.end());
+    next.vals.insert(next.vals.begin(),
+                     std::make_move_iterator(c.vals.begin() + from),
+                     std::make_move_iterator(c.vals.end()));
+    c.keys.erase(c.keys.begin() + from, c.keys.end());
+    c.vals.erase(c.vals.begin() + from, c.vals.end());
+    last_[ci] = c.keys.back();
+  }
+
+  /// Moves chunk `ci`'s first `m` entries to the back of chunk ci - 1.
+  void spill_to_prev(std::size_t ci, std::size_t m) {
+    Chunk& prev = *chunks_[ci - 1];
+    Chunk& c = *chunks_[ci];
+    const auto to = static_cast<std::ptrdiff_t>(m);
+    grow(prev, prev.keys.size() + m);
+    prev.keys.insert(prev.keys.end(), c.keys.begin(), c.keys.begin() + to);
+    prev.vals.insert(prev.vals.end(), std::make_move_iterator(c.vals.begin()),
+                     std::make_move_iterator(c.vals.begin() + to));
+    c.keys.erase(c.keys.begin(), c.keys.begin() + to);
+    c.vals.erase(c.vals.begin(), c.vals.begin() + to);
+    last_[ci - 1] = prev.keys.back();
   }
 
   /// Splits chunk `ci` in half; the lower half stays in place.

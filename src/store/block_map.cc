@@ -217,8 +217,8 @@ bool BlockMap::reassign_replicas(const Key& k, BlockState& b,
     }
   }
 
-  std::vector<Replica> new_replicas;
-  new_replicas.reserve(nodes.size());
+  std::vector<Replica>& new_replicas = s.next_replicas;
+  new_replicas.clear();
   for (int n : nodes) {
     if (const Replica* r = old_state(n)) {
       new_replicas.push_back(*r);
@@ -249,7 +249,7 @@ bool BlockMap::reassign_replicas(const Key& k, BlockState& b,
     }
   }
 
-  b.replicas = std::move(new_replicas);
+  b.replicas.assign(new_replicas.begin(), new_replicas.end());
 
   if (old_primary != new_primary) {
     account_remove_primary(s, old_primary, b.size);
@@ -263,10 +263,15 @@ bool BlockMap::reassign_replicas(const Key& k, BlockState& b,
 
 void BlockMap::mark_data(const Key& k, int node) {
   D2_ASSERT_OWNER_LANE(plan_.arc_of(k));
+  BlockState* b = slice_of(k).index.find(k);
+  D2_REQUIRE_MSG(b != nullptr, "mark_data on unknown block");
+  mark_data(k, *b, node);
+}
+
+void BlockMap::mark_data(const Key& k, BlockState& b, int node) {
+  D2_ASSERT_OWNER_LANE(plan_.arc_of(k));
   Slice& s = slice_of(k);
-  BlockState* bp = s.index.find(k);
-  D2_REQUIRE_MSG(bp != nullptr, "mark_data on unknown block");
-  BlockState& b = *bp;
+  D2_DCHECK_MSG(s.index.find(k) == &b, "marking a state that is not k's");
   for (Replica& r : b.replicas) {
     if (r.node == node) {
       D2_REQUIRE_MSG(!r.has_data, "replica already has data");

@@ -147,15 +147,20 @@ class BlockMap {
   bool reassign_replicas(const Key& k, const std::vector<int>& nodes);
 
   /// Same, on `b`, block `k`'s state as held by the caller (e.g. inside
-  /// for_each_in_arc), without searching the index. When `nodes` equals
-  /// the current member list, node for node, the block keeps every
-  /// member as it is and nothing is allocated.
+  /// for_each_in_arc), without searching the index. The new member list
+  /// is built in the slice's scratch array and copied into the block's
+  /// existing one, so nothing is allocated unless the set outgrows that
+  /// array or a departing member's copy turns stale.
   bool reassign_replicas(const Key& k, BlockState& b,
                          const std::vector<int>& nodes);
 
   /// Marks the replica at `node` as holding data (pointer resolved after a
   /// fetch). Drops stale holders that are no longer needed.
   void mark_data(const Key& k, int node);
+
+  /// Same, on `b`, block `k`'s state as held by the caller, without
+  /// searching the index.
+  void mark_data(const Key& k, BlockState& b, int node);
 
   /// Downgrades the replica at `node` to a pointer (the write could not
   /// reach it — e.g. the node is down). Inverse of mark_data.
@@ -251,6 +256,7 @@ class BlockMap {
     std::vector<std::int64_t> primary_count;
     std::vector<Bytes> primary_bytes;
     std::vector<Bytes> physical_bytes;
+    std::vector<Replica> next_replicas;  // reassign_replicas' scratch
     ParanoidGate audit_gate;  // paces paranoid-build audits
   };
 

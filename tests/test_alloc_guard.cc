@@ -10,8 +10,9 @@
 //   * store::LookupCache hit path (chunked sorted index, no tree nodes),
 //   * store::RetrievalCache hit path and insert/evict churn at capacity
 //     (slab + intrusive LRU + backward-shift open addressing),
-//   * store::BlockMap reassigning blocks to their current members inside
-//     an arc walk (the unchanged sets of System's readjustment),
+//   * store::BlockMap reassigning blocks inside an arc walk, to their
+//     current members (the unchanged sets of System's readjustment) and
+//     to a same-size set whose departing member holds no data,
 //   * core::VolumeSet::apply of a read of an existing file (string_view
 //     routing into reused buffers, hashed volume lookup, heterogeneous
 //     child lookup, root-to-leaf meta walk, write-back cache slots),
@@ -267,6 +268,44 @@ TEST(AllocGuard, BlockMapReassignToCurrentMembersIsAllocationFree) {
   EXPECT_EQ(probe.news(), 0u) << "unchanged reassignment allocated";
   EXPECT_EQ(probe.deletes(), 0u);
   EXPECT_EQ(changed, 0);
+}
+
+TEST(AllocGuard, BlockMapSameSizeReassignmentIsAllocationFree) {
+#ifdef D2_PARANOID
+  GTEST_SKIP() << "paranoid audits allocate inside the measured hot path";
+#endif
+  // Every round swaps each block's third member between nodes 2 and 3.
+  // The departing member holds no data (node 2 lost its copy, node 3
+  // joins as a pointer), so no copy turns stale: the new member list is
+  // built in the slice's scratch array and copied over the old one.
+  store::BlockMap map(8);
+  const std::vector<int> with2 = {0, 1, 2};
+  const std::vector<int> with3 = {0, 1, 3};
+  for (std::uint64_t i = 1; i <= 512; ++i) {
+    map.insert(K(i * 16), kB(8), with2);
+    map.mark_missing(K(i * 16), 2);
+  }
+  auto swap_round = [&](const std::vector<int>& set) {
+    int changed = 0;
+    map.for_each_in_arc(K(0), K(512 * 16),
+                        [&](const Key& k, store::BlockState& b) {
+                          changed += map.reassign_replicas(k, b, set);
+                        });
+    return changed;
+  };
+  swap_round(with3);  // sizes the scratch array
+  swap_round(with2);
+
+  const AllocProbe probe;
+  int changed = 0;
+  for (int round = 0; round < 50; ++round) {
+    changed += swap_round(with3);
+    changed += swap_round(with2);
+  }
+  EXPECT_EQ(probe.news(), 0u) << "same-size reassignment allocated";
+  EXPECT_EQ(probe.deletes(), 0u);
+  EXPECT_EQ(changed, 100 * 512);
+  EXPECT_NO_THROW(map.check_invariants());
 }
 
 TEST(AllocGuard, VolumeSetReadOfExistingFileIsAllocationFree) {

@@ -446,5 +446,99 @@ TEST(SortedKeyIndex, MatchesStdMapUnderRandomEdits) {
   EXPECT_GT(peak, 8 * Index::kMaxChunk);  // many splits, not one chunk
 }
 
+// --- Dense chunks ---
+// An overflowing chunk spills into a neighbour under 7/8 full before it
+// splits. These differentials drive the three insert patterns that reach
+// the spill paths from both sides: ascending runs between existing keys
+// (the overflowing chunk's tail moves on), descending runs (its head moves
+// back), and random inserts and erases (chunks of every fill).
+
+enum class InsertPattern { kAscendingRuns, kDescendingRuns, kRandomEdits };
+
+class DenseIndexVsMap : public ::testing::TestWithParam<InsertPattern> {};
+
+TEST_P(DenseIndexVsMap, MatchesStdMapAfterEveryBatch) {
+  using Index = SortedKeyIndex<std::uint64_t>;
+  Rng rng(41);
+  Index idx;
+  std::map<Key, std::uint64_t> ref;
+  std::uint64_t next_value = 0;
+  auto insert = [&](const Key& k) {
+    const std::uint64_t v = next_value++;
+    std::uint64_t& stored = idx.insert(k, std::uint64_t{v});
+    // The returned slot is the entry's, even when the overflow moved it
+    // into a neighbour.
+    ASSERT_EQ(&stored, idx.find(k));
+    ASSERT_EQ(stored, v);
+    ref.emplace(k, v);
+  };
+  // Existing keys 2^20 apart leave room for runs between any two.
+  constexpr int kShift = 20;
+  for (std::uint64_t i = 0; i < 1500; ++i) insert(K(i << kShift));
+
+  for (int batch = 0; batch < 40; ++batch) {
+    const std::uint64_t gap = rng.next_below(1500) << kShift;
+    const std::uint64_t run = 1 + rng.next_below(600);
+    switch (GetParam()) {
+      case InsertPattern::kAscendingRuns:
+        for (std::uint64_t j = 1; j <= run; ++j) {
+          if (ref.count(K(gap + j)) == 0) insert(K(gap + j));
+        }
+        break;
+      case InsertPattern::kDescendingRuns:
+        for (std::uint64_t j = run; j >= 1; --j) {
+          if (ref.count(K(gap + j)) == 0) insert(K(gap + j));
+        }
+        break;
+      case InsertPattern::kRandomEdits:
+        for (std::uint64_t op = 0; op < run; ++op) {
+          const Key k = K(rng.next_below(std::uint64_t{1500} << kShift));
+          if (ref.count(k) != 0) {
+            idx.erase(k);
+            ref.erase(k);
+          } else {
+            insert(k);
+          }
+        }
+        break;
+    }
+    ASSERT_NO_THROW(idx.check_invariants()) << "batch " << batch;
+    ASSERT_EQ(idx.size(), ref.size());
+    Entries seen;
+    idx.for_each([&seen](const Key& k, std::uint64_t& v) {
+      seen.emplace_back(k, v);
+    });
+    ASSERT_EQ(seen, Entries(ref.begin(), ref.end())) << "batch " << batch;
+    for (int probe = 0; probe < 200; ++probe) {
+      const Key k = K(rng.next_below(std::uint64_t{1501} << kShift));
+      const auto it = ref.find(k);
+      const std::uint64_t* got = idx.find(k);
+      ASSERT_EQ(got != nullptr, it != ref.end()) << k;
+      if (got != nullptr) {
+        EXPECT_EQ(*got, it->second);
+      }
+    }
+  }
+  EXPECT_LE(idx.capacity(), 2 * idx.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Patterns, DenseIndexVsMap,
+                         ::testing::Values(InsertPattern::kAscendingRuns,
+                                           InsertPattern::kDescendingRuns,
+                                           InsertPattern::kRandomEdits));
+
+TEST(SortedKeyIndex, AscendingRunBetweenExistingKeysFillsChunks) {
+  SortedKeyIndex<std::uint64_t> idx;
+  for (std::uint64_t i = 0; i < 64; ++i) idx.insert(K(i << 32), std::uint64_t{i});
+  const std::uint64_t gap = std::uint64_t{31} << 32;
+  for (std::uint64_t j = 1; j <= 20000; ++j) idx.insert(K(gap + j), std::uint64_t{j});
+  ASSERT_NO_THROW(idx.check_invariants());
+  // 50/50 splits alone would leave the run's chunks half full.
+  const double fill = static_cast<double>(idx.size()) /
+                      static_cast<double>(idx.capacity());
+  EXPECT_GE(fill, 0.8) << idx.size() << " entries in " << idx.capacity()
+                       << " slots";
+}
+
 }  // namespace
 }  // namespace d2::store

@@ -32,6 +32,7 @@
 
 #include "common/rng.h"
 #include "common/units.h"
+#include "sim/paged_array.h"
 
 namespace d2::sim {
 namespace {
@@ -104,6 +105,10 @@ class QueuePair {
 
   bool empty() const { return wheel_.empty(); }
   std::size_t pending() const { return wheel_.pending(); }
+  std::size_t slots() const {
+    EXPECT_EQ(wheel_.slots(), heap_.slots()) << "slab sizes diverged";
+    return wheel_.slots();
+  }
   SimTime next_time() const { return wheel_.next_time(); }
 
   /// Drains both queues, asserting the merged stream is sorted by
@@ -266,6 +271,51 @@ TEST(EventQueueDifferential, SeqTagReuseUnderSlotChurn) {
     }
   }
   q.drain();
+}
+
+TEST(EventQueueDifferential, PagedSlabAcrossPageBoundaries) {
+  // The slot arrays are paged (sim/paged_array.h). Push, discard, cancel
+  // and pop at the slots on either side of page boundaries, then grow
+  // the slab past its high-water mark, with both backends in lockstep.
+  constexpr std::size_t kPage = PagedArray<EventFn>::kPageSlots;
+  const std::size_t edges[] = {kPage - 1, kPage, 3 * kPage};
+  auto slot_of = [](EventId id) { return static_cast<std::size_t>(id >> 36); };
+  QueuePair q;
+  std::size_t peak = 0;
+  auto push = [&](SimTime t) {
+    const EventId id = q.push(t);
+    peak = std::max(peak, q.pending());
+    return id;
+  };
+  // A fresh queue hands out slots 0, 1, 2, ... in push order.
+  std::vector<EventId> ids;
+  for (std::size_t s = 0; s <= 3 * kPage; ++s) {
+    ids.push_back(push(static_cast<SimTime>(1000 + s)));
+    ASSERT_EQ(slot_of(ids.back()), s);
+  }
+  EXPECT_EQ(q.slots(), 3 * kPage + 1);
+  EXPECT_TRUE(q.discard(ids[kPage - 1]));
+  EXPECT_TRUE(q.cancel(ids[kPage]));
+  EXPECT_TRUE(q.discard(ids[3 * kPage]));
+  // The free list hands the edge slots back, last freed first, before
+  // the slab grows; their early times make them the next three pops.
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(slot_of(push(static_cast<SimTime>(1 + i))), edges[2 - i]);
+  }
+  EXPECT_EQ(q.slots(), 3 * kPage + 1);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(slot_of(q.pop().second), edges[2 - i]);
+  }
+  // Free a page's worth of slots, then push three pages: the pushes
+  // refill the free slots and grow the slab into a fifth page.
+  for (std::size_t i = 0; i < kPage; ++i) q.pop();
+  for (std::size_t i = 0; i < 3 * kPage; ++i) {
+    push(static_cast<SimTime>(5000 + (i * 7) % 997));
+  }
+  EXPECT_GT(peak, 4 * kPage);
+  EXPECT_EQ(q.slots(), peak);
+  q.drain();
+  EXPECT_EQ(q.slots(), peak);  // slots are recycled, never released
 }
 
 TEST(EventQueueDifferential, CascadeBoundaries) {

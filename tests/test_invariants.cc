@@ -27,6 +27,7 @@
 #include "core/system.h"
 #include "dht/ring.h"
 #include "sim/event_queue.h"
+#include "sim/paged_array.h"
 #include "sim/partition.h"
 #include "sim/simulator.h"
 #include "store/block_index.h"
@@ -53,19 +54,21 @@ struct SlotTableTestPeer {
 namespace d2::sim {
 
 struct EventQueueTestPeer {
-  static std::vector<std::uint64_t>& meta(EventQueue& q) { return q.meta_; }
+  static PagedArray<std::uint64_t>& meta(EventQueue& q) { return q.meta_; }
+  static PagedArray<EventFn>& fns(EventQueue& q) { return q.fns_; }
+  static PagedArray<std::uint64_t>& order(EventQueue& q) { return q.order_; }
   static std::size_t& live(EventQueue& q) { return q.live_; }
   static constexpr std::uint64_t slot_mask() { return EventQueue::kSlotMask; }
   // Timing-wheel internals (TimingWheel befriends this peer too), for the
   // wheel corruption-injection tests.
-  static std::vector<SimTime>& wheel_time(EventQueue& q) {
-    return q.wheel_.time_;
+  static SimTime& wheel_time(EventQueue& q, std::uint32_t slot) {
+    return q.wheel_.slots_[slot].time;
   }
-  static std::vector<std::uint32_t>& wheel_next(EventQueue& q) {
-    return q.wheel_.next_;
+  static std::uint32_t& wheel_next(EventQueue& q, std::uint32_t slot) {
+    return q.wheel_.slots_[slot].next;
   }
-  static std::vector<std::uint32_t>& wheel_prev(EventQueue& q) {
-    return q.wheel_.prev_;
+  static std::uint32_t& wheel_prev(EventQueue& q, std::uint32_t slot) {
+    return q.wheel_.slots_[slot].prev;
   }
   static std::uint64_t& wheel_occupied(EventQueue& q, int level) {
     return q.wheel_.occupied_[static_cast<std::size_t>(level)];
@@ -92,6 +95,11 @@ struct SortedKeyIndexTestPeer {
   template <class V>
   static void corrupt_size(SortedKeyIndex<V>& idx) {
     ++idx.size_;
+  }
+  /// Grows the first chunk's key array past the kMaxChunk + 1 cap.
+  template <class V>
+  static void bloat_first_chunk(SortedKeyIndex<V>& idx) {
+    idx.chunks_.front()->keys.reserve(SortedKeyIndex<V>::kMaxChunk + 2);
   }
 };
 
@@ -255,6 +263,33 @@ TEST(Invariants, EventQueueDetectsFreeListCycle) {
   ExpectInvariantNamed([&] { q.check_invariants(); }, "free-list cycle");
 }
 
+TEST(Invariants, EventQueueSlotKeepsItsAddressAcrossPageGrowth) {
+  // The slab is paged: growth allocates new pages and never moves a slot
+  // already handed out, unlike a vector's doubling copy.
+  using Peer = sim::EventQueueTestPeer;
+  constexpr std::size_t kPage = sim::PagedArray<sim::EventFn>::kPageSlots;
+  sim::EventQueue q;
+  int fired = 0;
+  q.push(1, [&fired] { fired = 7; });  // slot 0
+  const sim::EventFn* fn = &Peer::fns(q)[0];
+  const std::uint64_t* meta = &Peer::meta(q)[0];
+  const std::uint64_t* order = &Peer::order(q)[0];
+  const SimTime* time = &Peer::wheel_time(q, 0);
+  const std::uint64_t meta_word = *meta;
+  for (std::size_t i = 0; i < 3 * kPage; ++i) q.push(2, [] {});
+  ASSERT_EQ(q.slots(), 3 * kPage + 1);
+  EXPECT_EQ(&Peer::fns(q)[0], fn);
+  EXPECT_EQ(&Peer::meta(q)[0], meta);
+  EXPECT_EQ(&Peer::order(q)[0], order);
+  EXPECT_EQ(&Peer::wheel_time(q, 0), time);
+  EXPECT_EQ(*meta, meta_word);
+  EXPECT_EQ(*time, SimTime{1});
+  EXPECT_NO_THROW(q.check_invariants());
+  sim::EventQueue::Event first = q.pop();
+  first.fn();
+  EXPECT_EQ(fired, 7);
+}
+
 TEST(Invariants, EventQueueDetectsLiveCountDrift) {
   sim::EventQueue q;
   q.push(1, [] {});
@@ -291,7 +326,7 @@ TEST(Invariants, WheelDetectsWrongBucketForSlotTime) {
   q.push(milliseconds(5), [] {});
   // Rewrite the resident slot's time: place() now maps it elsewhere, so
   // the bucket it physically sits in no longer matches its time.
-  sim::EventQueueTestPeer::wheel_time(q)[0] = milliseconds(9);
+  sim::EventQueueTestPeer::wheel_time(q, 0) = milliseconds(9);
   ExpectInvariantNamed([&] { q.check_invariants(); },
                        "wrong bucket for its time");
 }
@@ -300,7 +335,7 @@ TEST(Invariants, WheelDetectsBrokenPrevLink) {
   sim::EventQueue q;
   q.push(7, [] {});  // slot 0
   q.push(7, [] {});  // slot 1: same bucket, linked after slot 0
-  sim::EventQueueTestPeer::wheel_prev(q)[1] =
+  sim::EventQueueTestPeer::wheel_prev(q, 1) =
       sim::EventQueueTestPeer::wheel_nil();
   ExpectInvariantNamed([&] { q.check_invariants(); }, "prev link broken");
 }
@@ -311,7 +346,7 @@ TEST(Invariants, WheelDetectsLinkOutOfRange) {
   q.push(7, [] {});
   // Point a next link past the slot arrays (but not at the kNil end
   // marker): the walk must bounds-check before following it.
-  sim::EventQueueTestPeer::wheel_next(q)[0] = 1000000;
+  sim::EventQueueTestPeer::wheel_next(q, 0) = 1000000;
   ExpectInvariantNamed([&] { q.check_invariants(); }, "link out of range");
 }
 
@@ -365,6 +400,15 @@ TEST(Invariants, SortedIndexDetectsSizeDrift) {
   store::SortedKeyIndexTestPeer::corrupt_size(idx);
   ExpectInvariantNamed([&] { idx.check_invariants(); },
                        "size counter disagrees with contents");
+}
+
+TEST(Invariants, SortedIndexDetectsChunkCapacityPastTheCap) {
+  store::SortedKeyIndex<int> idx;
+  for (std::uint64_t i = 1; i <= 8; ++i) idx.insert(K(i * 10), int(i));
+  EXPECT_NO_THROW(idx.check_invariants());
+  store::SortedKeyIndexTestPeer::bloat_first_chunk(idx);
+  ExpectInvariantNamed([&] { idx.check_invariants(); },
+                       "chunk capacity past kMaxChunk + 1");
 }
 
 // -------------------------------------------------------------- block map --

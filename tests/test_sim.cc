@@ -165,13 +165,26 @@ TEST(Simulator, EventSlotsGaugeKeepsPendingHighWater) {
   EXPECT_EQ(metrics.find_gauge("sim.event_slots")->value(), 4.0);
 }
 
-TEST(Simulator, CancelScheduledEvent) {
-  Simulator sim;
-  bool fired = false;
-  EventId id = sim.schedule_at(10, [&] { fired = true; });
-  EXPECT_TRUE(sim.cancel(id));
+TEST(Simulator, EventSlabBytesGaugeCountsAllocatedPages) {
+  obs::Registry metrics;
+  Simulator sim(ArcConfig{2, 1, 0});
+  sim.bind_metrics(&metrics);
+  sim.export_metrics();
+  EXPECT_EQ(metrics.find_gauge("sim.event_slab_bytes")->value(), 0.0);
+  // One page of each per-slot array on the global queue and on arc 1's;
+  // arc 0's queue has never held an event and owns no page.
+  sim.schedule_at(1, [] {});
+  sim.schedule_arc_at(1, 2, [] {});
+  sim.schedule_arc_at(1, 3, [] {});
+  EventQueue one_page;
+  one_page.push(1, [] {});
+  sim.export_metrics();
+  EXPECT_EQ(sim.event_slab_bytes(), 2 * one_page.slab_bytes());
+  EXPECT_EQ(metrics.find_gauge("sim.event_slab_bytes")->value(),
+            static_cast<double>(sim.event_slab_bytes()));
+  // Pages stay allocated once the events have run.
   sim.run();
-  EXPECT_FALSE(fired);
+  EXPECT_EQ(sim.event_slab_bytes(), 2 * one_page.slab_bytes());
 }
 
 TEST(Simulator, CoordinatorDiscardsArcEvents) {
