@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the hot primitives: key
 // arithmetic, Fig-4 encoding, SHA-1, ring/router operations, lookup-cache
-// probes, block-map range scans, sorted-index run inserts, the event
-// queue, and a mini end-to-end System write/read trial.
+// probes, block-map point lookups and range scans, sorted-index run
+// inserts, the event queue (both closure tiers), and a mini end-to-end
+// System write/read trial.
 //
 // tools/bench_to_json.py wraps this binary and emits BENCH_micro.json;
 // the committed baseline/after snapshots track the perf trajectory of the
@@ -13,6 +14,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/hash.h"
@@ -290,6 +292,41 @@ void BM_BlockMapArcScan(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockMapArcScan);
 
+void BM_BlockMapFind(benchmark::State& state) {
+  // Point lookups over D2 keys as the workloads store them: four volumes
+  // of files in nested directories, so every key of a volume shares its
+  // 20-byte volume prefix and keys differ only in their path slots and
+  // block numbers. Probes walk the stored keys in a scrambled order; the
+  // cost is the index search plus the slab indirection from slot to
+  // block state.
+  store::BlockMap map(16);
+  std::vector<Key> keys;
+  for (int v = 0; v < 4; ++v) {
+    const fs::VolumeId vol = fs::make_volume_id("user" + std::to_string(v));
+    for (std::uint16_t d = 1; d <= 32; ++d) {
+      const fs::EncodedPath dir = fs::extend_path({}, d, "dir");
+      for (std::uint16_t f = 1; f <= 32; ++f) {
+        const fs::EncodedPath file = fs::extend_path(dir, f, "file");
+        for (std::uint64_t b = 0; b < 24; ++b) {
+          keys.push_back(
+              fs::encode_block_key(vol, file, fs::BlockType::kData, b, 0));
+          map.insert(keys.back(), kBlockSize, {static_cast<int>(b % 16)});
+        }
+      }
+    }
+  }
+  const std::size_t n = keys.size();  // 98,304
+  std::size_t i = 0;
+  Bytes found = 0;
+  for (auto _ : state) {
+    found += map.find(keys[(i * 7919) % n])->size;
+    ++i;
+  }
+  benchmark::DoNotOptimize(found);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_BlockMapFind);
+
 void BM_BlockMapRangeScan(benchmark::State& state) {
   // The load balancer's owned-arc walk: narrow arcs (~1/64 of the ring,
   // one node's share), visiting every block key in range. This is the
@@ -383,30 +420,24 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop);
 
-void BM_EventQueuePushPopClosure(benchmark::State& state) {
-  // The same steady-state churn loop as BM_EventQueuePushPop, but with
-  // capture-heavy closures shaped like the real schedule sites: System's
-  // TTL-refresh timer captures {this, Key, deadline} = 80 bytes. A
-  // type-erased std::function heap-allocates such a capture on every
-  // push; the event queue is only truly allocation-free if the callback
-  // storage is inline.
+/// The BM_EventQueuePushPop churn loop with closures built by
+/// `make(key, t)`, run after popping (so the closure is copied out of
+/// its slot or overflow entry).
+template <class Make>
+void event_queue_closure_churn(benchmark::State& state, Make&& make) {
   sim::EventQueue q;
   sim::EventId ids[256];
   const std::vector<Key> keys = key_pool(19);
-  std::uint64_t sink = 0;
   std::uint64_t t = 0;
   for (int i = 0; i < 4096; ++i) {
     q.push(t + (i * 7919) % 4096,
-           [p = &sink, k = keys[static_cast<std::size_t>(i) & (kKeyPoolSize - 1)],
-            d = t] { *p += k.low64() + static_cast<std::uint64_t>(d); });
+           make(keys[static_cast<std::size_t>(i) & (kKeyPoolSize - 1)], t));
   }
   std::size_t n = 0;
   for (auto _ : state) {
     for (int i = 0; i < 256; ++i) {
-      ids[i] = q.push(
-          t + 1 + (i * 127) % 1024,
-          [p = &sink, k = keys[n++ & (kKeyPoolSize - 1)],
-           d = t] { *p += k.low64() + static_cast<std::uint64_t>(d); });
+      ids[i] = q.push(t + 1 + (i * 127) % 1024,
+                      make(keys[n++ & (kKeyPoolSize - 1)], t));
     }
     for (int i = 0; i < 256; i += 3) q.cancel(ids[i]);
     for (int i = 0; i < 170; ++i) {
@@ -415,10 +446,39 @@ void BM_EventQueuePushPopClosure(benchmark::State& state) {
       ev.fn();
     }
   }
-  benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 256);
 }
-BENCHMARK(BM_EventQueuePushPopClosure);
+
+void BM_EventQueuePushPopClosure_Inline(benchmark::State& state) {
+  // Closures shaped like System's fetch timer and completion, {this,
+  // BlockHandle, node} = 24 bytes: built in their slot.
+  std::uint64_t sink = 0;
+  event_queue_closure_churn(state, [&sink](const Key& k, std::uint64_t d) {
+    auto fn = [p = &sink, h = k.low64(), node = static_cast<int>(d & 0xff)] {
+      *p += h + static_cast<std::uint64_t>(node);
+    };
+    static_assert(sim::kFitsInlineEvent<decltype(fn)>);
+    return fn;
+  });
+  benchmark::DoNotOptimize(sink);
+}
+BENCHMARK(BM_EventQueuePushPopClosure_Inline);
+
+void BM_EventQueuePushPopClosure_Overflow(benchmark::State& state) {
+  // Closures shaped like System's TTL-refresh timer, {this, Key,
+  // deadline} = 80 bytes: built in the overflow tier. A type-erased
+  // std::function heap-allocates such a capture on every push; the event
+  // queue is only truly allocation-free if the callback storage is
+  // inline.
+  std::uint64_t sink = 0;
+  event_queue_closure_churn(state, [&sink](const Key& k, std::uint64_t d) {
+    auto fn = [p = &sink, k, d] { *p += k.low64() + d; };
+    static_assert(!sim::kFitsInlineEvent<decltype(fn)>);
+    return fn;
+  });
+  benchmark::DoNotOptimize(sink);
+}
+BENCHMARK(BM_EventQueuePushPopClosure_Overflow);
 
 void BM_EventQueuePushPop_Heap(benchmark::State& state) {
   // The BM_EventQueuePushPop churn loop on the reference heap backend

@@ -30,6 +30,27 @@ namespace d2::common {
 template <class Signature, std::size_t Capacity>
 class InlineFunction;  // undefined; only the R(Args...) partial below
 
+namespace detail {
+
+template <class T>
+inline constexpr bool kIsInlineFunction = false;
+template <class Signature, std::size_t Capacity>
+inline constexpr bool kIsInlineFunction<InlineFunction<Signature, Capacity>> =
+    true;
+
+/// The invoker stored for closure type D. One function per (D, signature),
+/// shared by every capacity, so a widened copy keeps its target type.
+template <class D, class R, class... Args>
+R invoke_closure(const void* buf, Args... args) {
+  // The closure object was placement-new'd (or copied bytewise, being
+  // trivially copyable) into the buffer as a D; calling through a
+  // launder'd pointer is the defined way back to it.
+  return (*std::launder(static_cast<const D*>(buf)))(
+      std::forward<Args>(args)...);
+}
+
+}  // namespace detail
+
 template <class R, class... Args, std::size_t Capacity>
 class InlineFunction<R(Args...), Capacity> {
  public:
@@ -39,10 +60,19 @@ class InlineFunction<R(Args...), Capacity> {
   /// Wraps any callable whose capture state fits the inline budget.
   template <class F,
             class D = std::decay_t<F>,
-            class = std::enable_if_t<!std::is_same_v<D, InlineFunction> &&
+            class = std::enable_if_t<!detail::kIsInlineFunction<D> &&
                                      std::is_invocable_r_v<R, D&, Args...>>>
   InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
     rebind(std::forward<F>(f));
+  }
+
+  /// Copies a function with a smaller budget: the same callable, its
+  /// capture bytes copied (captures are trivially copyable).
+  template <std::size_t Smaller,
+            class = std::enable_if_t<(Smaller < Capacity)>>
+  explicit InlineFunction(const InlineFunction<R(Args...), Smaller>& f)
+      : invoke_(f.invoke_) {
+    std::memcpy(buf_, f.buf_, Smaller);
   }
 
   /// Replaces the wrapped callable in place. Writes only the capture's
@@ -52,7 +82,7 @@ class InlineFunction<R(Args...), Capacity> {
   /// the full budget.
   template <class F, class D = std::decay_t<F>>
   void rebind(F&& f) {
-    static_assert(!std::is_same_v<D, InlineFunction>,
+    static_assert(!detail::kIsInlineFunction<D>,
                   "rebind takes a raw callable, not another InlineFunction");
     static_assert(sizeof(D) <= Capacity,
                   "closure captures exceed the InlineFunction budget; "
@@ -66,12 +96,15 @@ class InlineFunction<R(Args...), Capacity> {
     static_assert(std::is_invocable_r_v<R, const D&, Args...>,
                   "mutable closures are not supported by InlineFunction");
     ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-    invoke_ = [](const void* buf, Args... args) -> R {
-      // The closure object was placement-new'd into buf_ as a D; calling
-      // through a launder'd pointer is the defined way back to it.
-      return (*std::launder(static_cast<const D*>(buf)))(
-          std::forward<Args>(args)...);
-    };
+    invoke_ = &detail::invoke_closure<D, R, Args...>;
+  }
+
+  /// The wrapped callable when it is a `D`, else nullptr
+  /// (std::function::target's contract; compares the stored invoker).
+  template <class D>
+  const D* target() const {
+    if (invoke_ != &detail::invoke_closure<D, R, Args...>) return nullptr;
+    return std::launder(reinterpret_cast<const D*>(buf_));
   }
 
   /// Calls the wrapped callable. Undefined when empty (the event queue
@@ -88,6 +121,9 @@ class InlineFunction<R(Args...), Capacity> {
   static constexpr std::size_t capacity() { return Capacity; }
 
  private:
+  template <class, std::size_t>
+  friend class InlineFunction;
+
   // 8-byte alignment, not max_align_t: event captures are pointers, Keys
   // (uint64 limbs), and SimTimes, so 16-byte alignment would only pad
   // every slab slot by 8 bytes. A capture needing more (long double,

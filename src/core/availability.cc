@@ -144,6 +144,7 @@ AvailabilityResult AvailabilityExperiment::run() {
   result.lb_moves = system.lb_moves();
   if (params_.metrics != nullptr) {
     sim.export_metrics();
+    system.export_metrics();
     params_.metrics->gauge("core.availability.task_unavailability")
         .set(result.task_unavailability());
   }

@@ -150,6 +150,7 @@ BalanceResult BalanceExperiment::run() {
   result.lb_moves = system.lb_moves();
   if (params_.metrics != nullptr) {
     sim.export_metrics();
+    system.export_metrics();
     params_.metrics->gauge("core.balance.load_imbalance")
         .set(system.load_imbalance());
     params_.metrics->gauge("core.balance.max_over_mean_load")

@@ -329,6 +329,7 @@ PerformanceResult PerformanceExperiment::run() {
   result.tcp_transfers = tcp.transfers();
   if (params_.metrics != nullptr) {
     sim.export_metrics();
+    system.export_metrics();
     params_.metrics->gauge("net.tcp.cold_start_rate")
         .set(result.tcp_transfers == 0
                  ? 0.0

@@ -282,8 +282,8 @@ void System::refresh_at(const Key& k, SimTime t) {
 
 // -------------------------------------------------------------- fetches --
 
-sim::EventId System::schedule_fetch(const Key& k, store::Replica& member,
-                                    SimTime due) {
+sim::EventId System::schedule_fetch(store::BlockHandle h,
+                                    store::Replica& member, SimTime due) {
   member.fetch_due = due;
   fetch_timers_c_->add(1);
   // Arc-local by construction: the timer fires on the key's shard (block
@@ -291,10 +291,12 @@ sim::EventId System::schedule_fetch(const Key& k, store::Replica& member,
   // node's migration link — is reached through the reservation relay.
   // Callable from the coordinator (readjustment) or from the key's own
   // lane (retry path).
+  auto fire = [this, h, node = member.node] { try_fetch(h, node); };
+  static_assert(sim::kFitsInlineEvent<decltype(fire)>,
+                "fetch timers must fit their event slot (hundreds of "
+                "thousands are pending at once)");
   // d2-sched: arc-local — fetch timer for k runs on k's arc
-  return sim_.schedule_arc_at(
-      map_.arc_of(k), due,
-      [this, k, node = member.node] { try_fetch(k, node); });
+  return sim_.schedule_arc_at(h.arc(), due, fire);
 }
 
 // Guarded by Simulator::discard (arc range, lane ownership).
@@ -312,10 +314,10 @@ void System::discard_fetch_timers(const Key& k, const store::BlockState& b) {
   }
 }
 
-void System::try_fetch(const Key& k, int node) {
-  D2_ASSERT_OWNER_LANE(map_.arc_of(k));
-  store::BlockState* b = map_.find_mutable(k);
-  if (b == nullptr) return;  // removed meanwhile
+void System::try_fetch(store::BlockHandle h, int node) {
+  D2_ASSERT_OWNER_LANE(h.arc());
+  store::BlockState* b = map_.at(h);
+  if (b == nullptr) return;  // erased meanwhile (even if put again)
   store::Replica* member = nullptr;
   for (store::Replica& r : b->replicas) {
     if (r.node == node) {
@@ -339,7 +341,7 @@ void System::try_fetch(const Key& k, int node) {
     // may be mailboxed, so recording only the direct ones would tie the
     // set of discarded timers to --arc-workers. An unrecorded retry that
     // outlives its membership lapses through the fetch_due check above.
-    schedule_fetch(k, *member, sim_.now() + kFetchRetryDelay);
+    schedule_fetch(h, *member, sim_.now() + kFetchRetryDelay);
     return;
   }
   const Bytes transfer_bytes = b->member_bytes * config_.ec_data_fragments;
@@ -356,8 +358,8 @@ void System::try_fetch(const Key& k, int node) {
   // reservation under the *key's* arc — the same slot in serial and
   // parallel execution — and let the commit hook resolve it in the
   // canonical (t, arc, seq) order.
-  fetch_reservations_[static_cast<std::size_t>(map_.arc_of(k))].push_back(
-      FetchReservation{sim_.now(), k, node, transfer_bytes});
+  fetch_reservations_[static_cast<std::size_t>(h.arc())].push_back(
+      FetchReservation{sim_.now(), h, node, transfer_bytes});
 }
 
 void System::resolve_fetch_reservations() {
@@ -389,20 +391,24 @@ void System::resolve_fetch_reservations() {
     // The link may have been idle, finishing the transfer before the
     // coordinator clock; completions still must not run in the past.
     const SimTime at = std::max(done, sim_.now());
+    auto complete = [this, h = r.block, node = r.node] {
+      finish_fetch(h, node);
+    };
+    static_assert(sim::kFitsInlineEvent<decltype(complete)>,
+                  "fetch completions must fit their event slot");
     // d2-sched: arc-local — completion touches only k's shard
-    sim_.schedule_arc_at(map_.arc_of(r.k), at,
-                         [this, k = r.k, node = r.node] { finish_fetch(k, node); });
+    sim_.schedule_arc_at(r.block.arc(), at, complete);
   }
   for (auto& staged : fetch_reservations_) staged.clear();
 }
 
-void System::finish_fetch(const Key& k, int node) {
-  store::BlockState* blk = map_.find_mutable(k);
-  if (blk == nullptr) return;
+void System::finish_fetch(store::BlockHandle h, int node) {
+  store::BlockState* blk = map_.at(h);
+  if (blk == nullptr) return;  // erased meanwhile (even if put again)
   for (store::Replica& r : blk->replicas) {
     if (r.node == node) {
       if (!r.has_data && r.fetch_in_flight) {
-        map_.mark_data(k, *blk, node);
+        map_.mark_data(h, *blk, node);
         // The member held (at most) a pointer until now; the fetch
         // completing promotes it to a full data holder.
         pointer_promotions_c_->add(1);
@@ -425,10 +431,11 @@ void System::note_set_shape(const Key& k, std::size_t set_size) {
 
 // Preconditions (non-empty set, `b` is k's state, owner lane) are enforced
 // by BlockMap::reassign_replicas.  d2-lint: allow(unguarded-mutator)
-bool System::reassign_block(const Key& k, store::BlockState& b,
-                            const std::vector<int>& set, SimTime fetch_delay) {
+bool System::reassign_block(const Key& k, store::BlockHandle h,
+                            store::BlockState& b, const std::vector<int>& set,
+                            SimTime fetch_delay) {
   note_set_shape(k, set.size());
-  const int arc = map_.arc_of(k);
+  const int arc = h.arc();
   // A member leaving the set takes its recorded timer with it.
   for (const store::Replica& r : b.replicas) {
     if (r.fetch_timer != sim::Simulator::kNoEvent &&
@@ -447,7 +454,7 @@ bool System::reassign_block(const Key& k, store::BlockState& b,
     // the new one on the same queue, never the queue's next event, so
     // the discard always succeeds.
     const sim::EventId superseded = r.fetch_timer;
-    r.fetch_timer = schedule_fetch(k, r, due);
+    r.fetch_timer = schedule_fetch(h, r, due);
     discard_fetch_timer(arc, superseded);
   }
   return changed;
@@ -460,12 +467,24 @@ void System::count_pass(const ReassignTally& tally) {
 
 void System::readjust_arc(int around_node, SimTime fetch_delay) {
   if (map_.block_count() == 0) return;
-  // Cover every key whose replica scan can reach `around_node`.
-  int pred = around_node;
-  const int steps = std::min<int>(static_cast<int>(ring_.size()) - 1,
-                                  config_.replicas + dht::Ring::kMaxSkipped);
-  for (int i = 0; i < steps; ++i) pred = ring_.predecessor(pred);
-  const Key from = ring_.id_of(pred);
+  // Cover every key whose successor walk (successor_set) reaches
+  // `around_node`. The walk from a key's owner stops once r' =
+  // replicas - scatter_replicas up nodes are in, or after
+  // r' + Ring::kMaxSkipped nodes. So an owner `back` places before
+  // `around_node` is covered while back < that cap and fewer than r' of
+  // the nodes from it up to around_node's predecessor are up. `first`
+  // is the farthest owner covered.
+  const int successors_wanted = config_.replicas - config_.scatter_replicas;
+  const int cap = std::min<int>(static_cast<int>(ring_.size()),
+                                successors_wanted + dht::Ring::kMaxSkipped);
+  int first = around_node;
+  int up_between = 0;
+  for (int back = 1; back < cap; ++back) {
+    const int p = ring_.predecessor(first);
+    if (node_up(p) && ++up_between == successors_wanted) break;
+    first = p;
+  }
+  const Key walk_from = ring_.id_of(ring_.predecessor(first));
   const Key to = ring_.id_of(around_node);
   ReassignTally tally;
   // One walk in key order, reassigning each block where it is stored, so
@@ -479,7 +498,8 @@ void System::readjust_arc(int around_node, SimTime fetch_delay) {
   int owner = -1;
   Key seg_from;
   Key seg_to;
-  map_.for_each_in_arc(from, to, [&](const Key& k, store::BlockState& b) {
+  map_.for_each_in_arc(walk_from, to, [&](const Key& k, store::BlockHandle h,
+                                          store::BlockState& b) {
     if (owner < 0 || !Key::in_arc(k, seg_from, seg_to)) {
       owner = ring_.owner(k);
       std::tie(seg_from, seg_to) = ring_.owned_arc(owner);
@@ -488,11 +508,18 @@ void System::readjust_arc(int around_node, SimTime fetch_delay) {
     }
     set.resize(successors);  // drop the previous key's scattered members
     append_scattered(k, set);
-    tally.add(reassign_block(k, b, set, fetch_delay));
+    tally.add(reassign_block(k, h, b, set, fetch_delay));
   });
   if (!scatter_index_.empty()) {
-    // Blocks with a scattered replica anchored in this arc are affected
-    // too (hybrid placement).
+    // Blocks with a scattered replica anchored near `around_node` are
+    // affected too (hybrid placement). A scattered member's walk
+    // (append_scattered) has its own bound, so these positions keep the
+    // wider cover of r + Ring::kMaxSkipped predecessors.
+    int pred = around_node;
+    const int steps = std::min<int>(static_cast<int>(ring_.size()) - 1,
+                                    config_.replicas + dht::Ring::kMaxSkipped);
+    for (int i = 0; i < steps; ++i) pred = ring_.predecessor(pred);
+    const Key from = ring_.id_of(pred);
     std::vector<Key> affected;
     auto collect = [this, &affected](const Key& lo_excl, const Key& hi_incl) {
       for (auto it = scatter_index_.upper_bound(lo_excl);
@@ -512,9 +539,10 @@ void System::readjust_arc(int around_node, SimTime fetch_delay) {
       }
     }
     for (const Key& k : affected) {
-      if (store::BlockState* b = map_.find_mutable(k)) {
+      const store::BlockHandle h = map_.handle_of(k);
+      if (store::BlockState* b = map_.at(h)) {
         target_replica_set(k, set);
-        tally.add(reassign_block(k, *b, set, fetch_delay));
+        tally.add(reassign_block(k, h, *b, set, fetch_delay));
       }
     }
   }
@@ -674,9 +702,10 @@ void System::on_node_up(int node) {
   std::vector<int>& set = replica_set_scratch_[shard_slot()];
   ReassignTally tally;
   for (const Key& k : extended) {
-    if (store::BlockState* b = map_.find_mutable(k)) {
+    const store::BlockHandle h = map_.handle_of(k);
+    if (store::BlockState* b = map_.at(h)) {
       target_replica_set(k, set);
-      tally.add(reassign_block(k, *b, set, 0));
+      tally.add(reassign_block(k, h, *b, set, 0));
     } else {
       extended_shard(k).erase(k);
     }
@@ -686,6 +715,11 @@ void System::on_node_up(int node) {
 }
 
 // -------------------------------------------------------------- metrics --
+
+void System::export_metrics() {
+  metrics_->gauge("store.block_map_bytes")
+      .set(static_cast<double>(map_.allocated_bytes()));
+}
 
 void System::reset_traffic_counters() {
   std::fill(user_write_bytes_sh_.begin(), user_write_bytes_sh_.end(), 0);

@@ -177,6 +177,11 @@ class System {
     tracer_ = tracer;
   }
 
+  /// Snapshots the block map's allocated bytes into the registry
+  /// (`store.block_map_bytes`); call before dumping, next to
+  /// Simulator::export_metrics.
+  void export_metrics();
+
   // Legacy accessors — per-instance totals. The registry carries the same
   // quantities under `system.*`, but a registry shared across trials
   // aggregates every bound System; these members answer "what did *this*
@@ -253,19 +258,24 @@ class System {
     return (due + kProbeCommitInterval - 1) / kProbeCommitInterval;
   }
   void execute_move(const dht::MoveDecision& decision);
-  /// Recomputes replica sets for all blocks in the cover arc around
-  /// `around_node` (its r + Ring::kMaxSkipped predecessors through
-  /// itself) and schedules fetches for members lacking data.
-  /// `fetch_delay` applies to newly created pointer members.
+  /// Recomputes the replica sets of the blocks whose successor walk can
+  /// reach `around_node` (their owner is `around_node` or one of its
+  /// predecessors with fewer than r' = replicas - scatter_replicas up
+  /// nodes from it to `around_node`, at most r' + Ring::kMaxSkipped
+  /// owners; plus, under hybrid placement, blocks with a scattered
+  /// position among its r + Ring::kMaxSkipped predecessors) and
+  /// schedules fetches for members lacking data. `fetch_delay` applies
+  /// to newly created pointer members.
   void readjust_arc(int around_node, SimTime fetch_delay);
-  /// Gives block `k`, whose state `b` the caller holds, the replica set
-  /// `set`; returns whether its member list changed. Fetch-timer
-  /// ownership: each member lacking data has at most one pending timer,
-  /// due at Replica::fetch_due. A readjustment arms one only when it
-  /// wants the fetch earlier than the pending timer would, records its id
-  /// in Replica::fetch_timer, and discards the timer it supersedes; a
-  /// member leaving the set has its recorded timer discarded.
-  bool reassign_block(const Key& k, store::BlockState& b,
+  /// Gives block `k`, whose handle `h` and state `b` the caller holds,
+  /// the replica set `set`; returns whether its member list changed.
+  /// Fetch-timer ownership: each member lacking data has at most one
+  /// pending timer, due at Replica::fetch_due. A readjustment arms one
+  /// only when it wants the fetch earlier than the pending timer would,
+  /// records its id in Replica::fetch_timer, and discards the timer it
+  /// supersedes; a member leaving the set has its recorded timer
+  /// discarded.
+  bool reassign_block(const Key& k, store::BlockHandle h, store::BlockState& b,
                       const std::vector<int>& set, SimTime fetch_delay);
   /// Blocks one readjustment or recovery pass reassigned, and how many of
   /// their member lists changed.
@@ -281,11 +291,11 @@ class System {
   /// system.replica_set_changes: one atomic add per pass, not per block.
   void count_pass(const ReassignTally& tally);
   void note_set_shape(const Key& k, std::size_t set_size);
-  /// Arms `member`'s fetch timer for block `k` at `due`, replacing its
+  /// Arms `member`'s fetch timer for block `h` at `due`, replacing its
   /// pending one as the member's own (the old one then fires as a no-op
   /// unless it is discarded). Returns the new timer's id, kNoEvent when
   /// it was mailboxed; only the caller decides whether to record it.
-  sim::EventId schedule_fetch(const Key& k, store::Replica& member,
+  sim::EventId schedule_fetch(store::BlockHandle h, store::Replica& member,
                               SimTime due);
   /// Best-effort discard of a recorded fetch timer on `arc`'s queue
   /// (kNoEvent is a no-op); counts it when the timer was removed.
@@ -293,19 +303,20 @@ class System {
   /// Discards every member's recorded fetch timer of block `k`, whose
   /// state `b` is about to be erased.
   void discard_fetch_timers(const Key& k, const store::BlockState& b);
-  /// Fetch-timer arc event. Acts only if it is the member's own timer —
-  /// the clock equals the member's fetch_due — so a replaced timer, or
-  /// one armed for a previous membership, that was not discarded does
-  /// nothing.
-  void try_fetch(const Key& k, int node);
+  /// Fetch-timer arc event. Acts only if block `h` still exists and it is
+  /// the member's own timer — the clock equals the member's fetch_due —
+  /// so a replaced timer, one armed for a previous membership, or one
+  /// whose block was erased (and perhaps put again under the same key)
+  /// that was not discarded does nothing.
+  void try_fetch(store::BlockHandle h, int node);
   /// Resolves every staged bandwidth reservation in (time, arc, seq)
   /// order: enqueue on the node's migration link, then schedule the
   /// fetch-completion event on the key's arc. Runs at the simulator's
   /// commit points (coordinator only) — see the class comment.
   void resolve_fetch_reservations();
   /// Fetch-completion arc event: promotes the member to a data holder if
-  /// the fetch is still wanted.
-  void finish_fetch(const Key& k, int node);
+  /// block `h` still exists and the fetch is still wanted.
+  void finish_fetch(store::BlockHandle h, int node);
   void on_node_down(int node);
   void on_node_up(int node);
 
@@ -400,7 +411,7 @@ class System {
   /// drains them at commit points.
   struct FetchReservation {
     SimTime t;  // lane event time of the admitting try_fetch
-    Key k;
+    store::BlockHandle block;
     int node;
     Bytes bytes;
   };

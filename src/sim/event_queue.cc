@@ -21,6 +21,20 @@ std::uint32_t EventQueue::acquire_slot() {
   return slot;
 }
 
+EventFn& EventQueue::overflow_fn(std::uint32_t slot) {
+  std::uint32_t entry = overflow_free_;
+  if (entry != kNoSlot) {
+    overflow_free_ = overflow_[entry].next_free;
+  } else {
+    entry = static_cast<std::uint32_t>(overflow_.size());
+    D2_REQUIRE_MSG(entry < kLiveMark, "event queue overflow space exhausted");
+    overflow_.emplace_back();
+  }
+  overflow_[entry].next_free = kLiveMark;
+  fns_[slot].rebind(OverflowRef{entry});
+  return overflow_[entry].fn;
+}
+
 EventId EventQueue::commit(SimTime t, std::uint32_t slot,
                            std::uint64_t order) {
   const std::uint64_t seq = next_seq_++;
@@ -39,10 +53,16 @@ EventId EventQueue::commit(SimTime t, std::uint32_t slot,
 void EventQueue::release_slot(std::uint32_t slot, std::uint64_t meta) {
   // Keep the seq bits, swap the live mark for the free-list link: any
   // heap entry still pointing here no longer matches live_meta. The
-  // closure slab is left as-is (captures are trivially destructible).
+  // closures are left as-is (captures are trivially destructible); a
+  // freed slot's stale OverflowRef is never read again, because only a
+  // live slot's closure is.
   meta_[slot] = (meta & ~kSlotMask) | free_head_;
   free_head_ = slot;
   --live_;
+  if (const OverflowRef* ref = fns_[slot].target<OverflowRef>()) {
+    overflow_[ref->entry].next_free = overflow_free_;
+    overflow_free_ = ref->entry;
+  }
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -113,7 +133,7 @@ EventQueue::Event EventQueue::pop() {
   if (kind_ == SchedulerKind::kWheel) {
     const std::uint32_t slot = wheel_.pop_min();
     const std::uint64_t seq = meta_[slot] >> kSlotBits;
-    Event ev{wheel_.slot_time(slot), make_id(slot, seq), fns_[slot]};
+    Event ev{wheel_.slot_time(slot), make_id(slot, seq), slot_fn(slot)};
     release_slot(slot, meta_[slot]);
     D2_PARANOID_AUDIT(if (audit_gate_.due(meta_.size())) check_invariants());
     return ev;
@@ -123,7 +143,7 @@ EventQueue::Event EventQueue::pop() {
   heap_.pop();
   const std::uint32_t slot = tag_slot(top.tag);
   const std::uint64_t seq = top.tag >> kSlotBits;
-  Event ev{top.time, make_id(slot, seq), fns_[slot]};
+  Event ev{top.time, make_id(slot, seq), slot_fn(slot)};
   release_slot(slot, meta_[slot]);
   drop_dead_top();
   D2_PARANOID_AUDIT(if (audit_gate_.due(meta_.size())) check_invariants());
@@ -163,6 +183,41 @@ void EventQueue::check_invariants() const {
                 "event queue: live-mark count disagrees with live_");
   D2_ASSERT_MSG(free_count + live_count == slots,
                 "event queue: slot accounting does not cover the slab");
+
+  // Overflow tier: in-range free list without cycles, and each live
+  // entry referred to by exactly one live slot.
+  const std::size_t overflow_entries = overflow_.size();
+  std::vector<char> entry_state(overflow_entries, 0);  // 1 free, 2 referred to
+  std::size_t free_entries = 0;
+  for (std::uint32_t e = overflow_free_; e != kNoSlot;
+       e = overflow_[e].next_free) {
+    D2_ASSERT_MSG(e < overflow_entries,
+                  "event queue: overflow free-list link out of range");
+    D2_ASSERT_MSG(entry_state[e] == 0, "event queue: overflow free-list cycle");
+    entry_state[e] = 1;
+    ++free_entries;
+  }
+  std::size_t referred = 0;
+  for (std::size_t s = 0; s < slots; ++s) {
+    if ((meta_[s] & kSlotMask) != kLiveMark) continue;
+    D2_ASSERT_MSG(static_cast<bool>(fns_[s]),
+                  "event queue: live slot without a closure");
+    const OverflowRef* ref = fns_[s].target<OverflowRef>();
+    if (ref == nullptr) continue;
+    D2_ASSERT_MSG(ref->entry < overflow_entries,
+                  "event queue: slot refers past the overflow tier");
+    D2_ASSERT_MSG(entry_state[ref->entry] != 1,
+                  "event queue: slot refers to a free overflow entry");
+    D2_ASSERT_MSG(entry_state[ref->entry] != 2,
+                  "event queue: two slots share an overflow entry");
+    D2_ASSERT_MSG(overflow_[ref->entry].next_free == kLiveMark,
+                  "event queue: referred overflow entry not marked live");
+    entry_state[ref->entry] = 2;
+    ++referred;
+  }
+  D2_ASSERT_MSG(free_entries + referred == overflow_entries,
+                "event queue: orphaned overflow entry (neither referred to "
+                "nor free)");
 
   if (kind_ == SchedulerKind::kWheel) {
     // Wheel: every live slot resident in exactly the bucket its time

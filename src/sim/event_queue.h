@@ -5,12 +5,22 @@
 // parallel slot arrays — a hot 8-byte metadata word per slot (sequence
 // tag, free-list link, liveness mark packed together, so a liveness
 // check is one load and one compare), the slot's cross-queue merge key,
-// and a wide closure slab the ordering machinery never touches.
-// Callbacks are InlineFunctions — closures live inside their slab slot,
-// not behind a std::function heap cell — and push() constructs the
-// closure directly in the slot (writing only the capture's footprint),
-// so push/cancel/pop perform no heap allocation at all in steady state
+// and a closure slab the ordering machinery never touches.
+// Callbacks are InlineFunctions — closures live inside the slab, not
+// behind a std::function heap cell — and push() constructs the closure
+// directly in place (writing only the capture's footprint), so
+// push/cancel/pop perform no heap allocation at all in steady state
 // (tests/test_alloc_guard.cc enforces this).
+//
+// Closures come in two tiers. One whose captures fit kEventInlineBytes
+// (24: a pointer plus two words, e.g. System's fetch timer {this,
+// BlockHandle, node}) is built in its slot's 32-byte InlineEventFn. A
+// larger one, up to kEventCaptureBytes, is built in an entry of the
+// queue's overflow slab (its own paged array and free list) and the slot
+// holds a reference to it; pop, cancel and discard free that entry with
+// the slot. So a slot costs 64 bytes (closure 32, metadata 8, merge key
+// 8, wheel entry 16), and the overflow tier grows only to the most large
+// closures ever pending at once.
 //
 // The slot arrays, and the wheel's per-slot entries, are PagedArrays
 // (sim/paged_array.h): pages of 1024 slots, allocated when the slot
@@ -39,6 +49,7 @@
 #include <cstdint>
 #include <optional>
 #include <queue>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -56,18 +67,37 @@ struct EventQueueTestPeer;
 /// low 36 (distinguishes generations of a recycled slot).
 using EventId = std::uint64_t;
 
-/// Inline capture budget for event callbacks. Audit of the schedule
-/// sites (DESIGN.md §5c): the largest closures are System's TTL expiry
-/// {this, Key, SimTime} at 80 bytes, then {this, Key, int} at 76 (80
-/// padded) — System's fetch timer and completion, RepairEngine's retry
-/// and repair completion. A fetch timer recognises itself by its due
-/// time (the clock when it fires), so it carries no tag. A 512-bit Key
-/// capture alone is 64 bytes. Raising this widens every slot in the
-/// slab; shrink closures before shrinking budgets.
+/// Capture budget of an event slot's own closure (the inline tier).
+/// Audit of the schedule sites (DESIGN.md §5c): System's fetch timer and
+/// fetch completion capture {this, BlockHandle, int} (20 bytes, 24
+/// padded); a `static_assert(kFitsInlineEvent<...>)` at both sites keeps
+/// their hundreds of thousands of pending timers here. A fetch timer
+/// recognises itself by its due time (the clock when it fires), so it
+/// carries no tag. The probe tick {this, epoch}, the failure transitions
+/// {this, node} and every other pointer-plus-scalars closure fit too.
+/// Raising it widens every slot.
+inline constexpr std::size_t kEventInlineBytes = 24;
+
+/// Capture budget of the overflow tier, the largest closure any site may
+/// schedule. Its users capture a 64-byte Key: System's TTL expiry {this,
+/// Key, SimTime} at 80 bytes and delayed remove {this, Key} at 72, and
+/// RepairEngine's retry and repair completion {this, Key, int} at 76 (80
+/// padded). Mailboxed relays are stored at this size too.
 inline constexpr std::size_t kEventCaptureBytes = 80;
 
-/// A scheduled callback: non-allocating, captures stored inline.
+/// A callback at the overflow budget: what pop() returns, what mailboxes
+/// carry. Non-allocating, captures stored inline.
 using EventFn = common::InlineFunction<void(), kEventCaptureBytes>;
+/// A slot-resident callback (the inline tier).
+using InlineEventFn = common::InlineFunction<void(), kEventInlineBytes>;
+static_assert(sizeof(InlineEventFn) == 32, "an event slot's closure is 32 B");
+
+/// True when closure type F is built in its event slot rather than in
+/// the overflow tier.
+template <class F>
+inline constexpr bool kFitsInlineEvent =
+    sizeof(std::decay_t<F>) <= kEventInlineBytes &&
+    alignof(std::decay_t<F>) <= alignof(std::uint64_t);
 
 class EventQueue {
  public:
@@ -78,14 +108,16 @@ class EventQueue {
 
   /// Schedules callable `f` at time `t`. Events at equal times fire in
   /// insertion order. Returns an id usable with cancel(). The closure is
-  /// built in place in its slab slot (no intermediate EventFn copy); its
-  /// captures must satisfy EventFn's budget and triviality static_asserts.
+  /// built in place, in its slot or in the overflow tier (no intermediate
+  /// EventFn copy); its captures must satisfy EventFn's budget and
+  /// triviality static_asserts.
   template <class F>
   EventId push(SimTime t, F&& f) {
     return push_ordered(t, next_seq_, std::forward<F>(f));
   }
 
-  /// Overload for a prebuilt EventFn (copied whole into the slot).
+  /// Overload for a prebuilt EventFn (copied whole into the overflow
+  /// tier: its capture size is not known).
   EventId push(SimTime t, const EventFn& fn) {
     return push_ordered(t, next_seq_, fn);
   }
@@ -101,13 +133,17 @@ class EventQueue {
   template <class F>
   EventId push_ordered(SimTime t, std::uint64_t order, F&& f) {
     const std::uint32_t slot = acquire_slot();
-    fns_[slot].rebind(std::forward<F>(f));
+    if constexpr (kFitsInlineEvent<F>) {
+      fns_[slot].rebind(std::forward<F>(f));
+    } else {
+      overflow_fn(slot).rebind(std::forward<F>(f));
+    }
     return commit(t, slot, order);
   }
 
   EventId push_ordered(SimTime t, std::uint64_t order, const EventFn& fn) {
     const std::uint32_t slot = acquire_slot();
-    fns_[slot] = fn;  // trivially copyable: a straight memcpy
+    overflow_fn(slot) = fn;  // trivially copyable: a straight memcpy
     return commit(t, slot, order);
   }
 
@@ -145,19 +181,25 @@ class EventQueue {
   /// Slab size: the most events ever pending at once (slots are recycled,
   /// never freed), so it — not pending() — sets the queue's memory.
   std::size_t slots() const { return meta_.size(); }
-  /// Bytes of the slab pages allocated so far: the slot arrays plus the
-  /// wheel's per-slot entries (the heap reference's entries not included).
+  /// Overflow-tier size: the most large-closure events ever pending at
+  /// once (entries are recycled, never freed).
+  std::size_t overflow_slots() const { return overflow_.size(); }
+  /// Bytes of the slab pages allocated so far: the slot arrays, the
+  /// wheel's per-slot entries and the overflow tier (the heap
+  /// reference's entries not included).
   std::size_t slab_bytes() const {
     return fns_.allocated_bytes() + meta_.allocated_bytes() +
-           order_.allocated_bytes() + wheel_.slab_bytes();
+           order_.allocated_bytes() + wheel_.slab_bytes() +
+           overflow_.allocated_bytes();
   }
 
   /// Full-structure audit; throws InvariantError naming the violated
   /// invariant. Checks the heap property, the slab free list (no cycles,
   /// in-range links, no orphaned slots), live-mark consistency (live
-  /// slot count == live_ == live heap entries) and the live-top
-  /// invariant. O(n); wired into push/cancel/pop in paranoid builds and
-  /// callable from tests in any build.
+  /// slot count == live_ == live heap entries), the live-top invariant
+  /// and the overflow tier (its free list, and exactly one live slot
+  /// referring to each live entry). O(n); wired into push/cancel/pop in
+  /// paranoid builds and callable from tests in any build.
   void check_invariants() const;
 
  private:
@@ -231,12 +273,36 @@ class EventQueue {
                                           : tag_slot(heap_.top().tag);
   }
 
+  /// A slot's closure when it lives in the overflow tier: the entry
+  /// holding it.
+  struct OverflowRef {
+    std::uint32_t entry;
+    void operator()() const {}  // never invoked: pop() calls the entry
+  };
+  /// An overflow-tier entry: a closure at the full budget, or a free-list
+  /// link.
+  struct OverflowEntry {
+    EventFn fn;
+    std::uint32_t next_free = kLiveMark;  // free-list link, or kLiveMark
+  };
+
   /// Pops a free-list slot (or appends one to every slot array); the
   /// caller fills its fn.
   std::uint32_t acquire_slot();
+  /// Takes an overflow entry (free list first) for `slot`, points the
+  /// slot's closure at it and returns the entry's closure to fill.
+  EventFn& overflow_fn(std::uint32_t slot);
+  /// `slot`'s closure at the full budget, wherever it lives.
+  EventFn slot_fn(std::uint32_t slot) const {
+    if (const OverflowRef* ref = fns_[slot].target<OverflowRef>()) {
+      return overflow_[ref->entry].fn;
+    }
+    return EventFn(fns_[slot]);
+  }
   /// Marks `slot` live at time `t`, inserts its heap entry, returns the id.
   EventId commit(SimTime t, std::uint32_t slot, std::uint64_t order);
-  /// Returns `slot` (whose current meta word is `meta`) to the free list.
+  /// Returns `slot` (whose current meta word is `meta`) to the free list,
+  /// and its overflow entry, if any, to the overflow free list.
   void release_slot(std::uint32_t slot, std::uint64_t meta);
 
   /// The heap's entries in container order, live and dead (heap backend).
@@ -252,10 +318,12 @@ class EventQueue {
   // Ordering structure for kHeap (empty for kWheel).
   // d2-lint: allow(priority-queue) — this IS the reference scheduler
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  PagedArray<EventFn> fns_;          // wide slab: only push/pop touch it
+  PagedArray<InlineEventFn> fns_;    // closure slab: only push/pop touch it
   PagedArray<std::uint64_t> meta_;   // hot: seq | live-or-free-link
   PagedArray<std::uint64_t> order_;  // cross-queue merge key per slot
+  PagedArray<OverflowEntry> overflow_;  // large closures, by OverflowRef
   std::uint32_t free_head_ = kNoSlot;
+  std::uint32_t overflow_free_ = kNoSlot;
   std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;
   ParanoidGate audit_gate_;  // paces paranoid-build audits

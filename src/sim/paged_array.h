@@ -8,13 +8,14 @@
 // slot count. A PagedArray allocates one page of kPageSlots slots when
 // its size first reaches that page and never reallocates or copies a
 // slot afterwards. Slot addresses are therefore stable for the array's
-// lifetime. Each slot is constructed when emplace_back hands it out, so a
-// page's untouched tail costs address space, not resident memory, and
-// a queue that never holds many events pays for one partly-touched page.
+// lifetime, which is also what lets store::BlockMap hand out block
+// handles into its slab of block states. Each slot is constructed when
+// emplace_back hands it out, so a page's untouched tail costs address
+// space, not resident memory, and a queue that never holds many events
+// pays for one partly-touched page.
 //
-// Indexing is one extra load (the page pointer) over a vector's. Only
-// trivially destructible element types are supported: nothing is
-// destroyed slot by slot, pages are simply freed.
+// Indexing is one extra load (the page pointer) over a vector's. Slots
+// are destroyed, in index order, only when the array is.
 #pragma once
 
 #include <cstddef>
@@ -28,8 +29,6 @@ namespace d2::sim {
 
 template <class T>
 class PagedArray {
-  static_assert(std::is_trivially_destructible_v<T>,
-                "pages are freed without destroying their slots");
   static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
                 "pages come from plain operator new");
 
@@ -37,8 +36,20 @@ class PagedArray {
   static constexpr std::size_t kPageSlots = 1024;
 
   PagedArray() = default;
-  PagedArray(PagedArray&&) noexcept = default;
-  PagedArray& operator=(PagedArray&&) noexcept = default;
+  PagedArray(const PagedArray&) = delete;
+  PagedArray& operator=(const PagedArray&) = delete;
+  // A moved-from array keeps no slots, so its destructor destroys none.
+  PagedArray(PagedArray&& o) noexcept
+      : pages_(std::move(o.pages_)), size_(std::exchange(o.size_, 0)) {}
+  PagedArray& operator=(PagedArray&& o) noexcept {
+    if (this != &o) {
+      destroy_slots();
+      pages_ = std::move(o.pages_);
+      size_ = std::exchange(o.size_, 0);
+    }
+    return *this;
+  }
+  ~PagedArray() { destroy_slots(); }
 
   std::size_t size() const { return size_; }
 
@@ -73,6 +84,12 @@ class PagedArray {
   struct FreePage {
     void operator()(T* page) const { ::operator delete(page); }
   };
+  void destroy_slots() {
+    if constexpr (!std::is_trivially_destructible_v<T>) {
+      for (std::size_t i = 0; i < size_; ++i) (*this)[i].~T();
+    }
+    size_ = 0;
+  }
   std::vector<std::unique_ptr<T, FreePage>> pages_;
   std::size_t size_ = 0;
 };

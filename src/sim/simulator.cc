@@ -342,6 +342,12 @@ std::size_t Simulator::event_slots() const {
   return n;
 }
 
+std::size_t Simulator::event_overflow_slots() const {
+  std::size_t n = 0;
+  for (const EventQueue& q : queues_) n += q.overflow_slots();
+  return n;
+}
+
 std::size_t Simulator::event_slab_bytes() const {
   std::size_t n = 0;
   for (const EventQueue& q : queues_) n += q.slab_bytes();
@@ -368,6 +374,8 @@ void Simulator::export_metrics() {
   metrics_->gauge("sim.events_pending")
       .set(static_cast<double>(events_pending()));
   metrics_->gauge("sim.event_slots").set(static_cast<double>(event_slots()));
+  metrics_->gauge("sim.event_overflow_slots")
+      .set(static_cast<double>(event_overflow_slots()));
   metrics_->gauge("sim.event_slab_bytes")
       .set(static_cast<double>(event_slab_bytes()));
   metrics_->gauge("sim.clock_seconds").set(to_seconds(now_));

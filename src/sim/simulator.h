@@ -87,7 +87,8 @@ class Simulator {
   /// Mirrors simulator accounting into `registry` under `sim.*`:
   /// `sim.events_processed` is kept live from here on (any events already
   /// processed are added in, so simulators sharing a registry sum),
-  /// `sim.events_pending` / `sim.event_slots` / `sim.event_slab_bytes` /
+  /// `sim.events_pending` / `sim.event_slots` /
+  /// `sim.event_overflow_slots` / `sim.event_slab_bytes` /
   /// `sim.clock_seconds` gauges are refreshed by export_metrics(). Pass
   /// nullptr to unbind.
   void bind_metrics(obs::Registry* registry);
@@ -97,10 +98,11 @@ class Simulator {
   void export_metrics();
 
   /// Schedules `f` at absolute simulated time `t` (>= now) on the global
-  /// queue. The callback becomes an EventFn built in place in its queue
-  /// slot: its captures must fit the inline budget (kEventCaptureBytes)
-  /// and be trivially copyable — scheduling never heap-allocates. Must
-  /// not be called from an arc lane (global events are coordinator-only).
+  /// queue. The callback is built in place in its queue slot, or in the
+  /// queue's overflow tier when its captures outgrow kEventInlineBytes:
+  /// they must fit kEventCaptureBytes and be trivially copyable —
+  /// scheduling never heap-allocates. Must not be called from an arc
+  /// lane (global events are coordinator-only).
   template <class F>
   EventId schedule_at(SimTime t, F&& f) {
     return schedule_arc_at(kGlobalArc, t, std::forward<F>(f));
@@ -234,6 +236,9 @@ class Simulator {
   /// Summed slab size of every queue: each queue's pending-event
   /// high-water mark, which sets its memory (slots are never freed).
   std::size_t event_slots() const;
+  /// Summed overflow-tier size of every queue: each queue's high-water of
+  /// pending events whose closure outgrew its slot (EventQueue).
+  std::size_t event_overflow_slots() const;
   /// Bytes of every queue's allocated slab pages (EventQueue::slab_bytes).
   std::size_t event_slab_bytes() const;
 

@@ -1,4 +1,4 @@
-// Sorted contiguous index of Key -> Value (block states, cache entries).
+// Sorted contiguous index of Key -> Value (block-state slots, cache entries).
 //
 // The load balancer's probe/readjust cycle is dominated by ordered range
 // scans over block keys (owned-arc walks, median splits), and the client
@@ -69,6 +69,17 @@ class SortedKeyIndex {
   std::size_t capacity() const {
     std::size_t n = 0;
     for (const auto& c : chunks_) n += c->keys.capacity();
+    return n;
+  }
+
+  /// Bytes allocated for the chunk arrays and the directory.
+  std::size_t allocated_bytes() const {
+    std::size_t n = last_.capacity() * sizeof(Key) +
+                    chunks_.capacity() * sizeof(std::unique_ptr<Chunk>);
+    for (const auto& c : chunks_) {
+      n += sizeof(Chunk) + c->keys.capacity() * sizeof(Key) +
+           c->vals.capacity() * sizeof(Value);
+    }
     return n;
   }
 
@@ -217,6 +228,15 @@ class SortedKeyIndex {
   void for_each(Fn&& fn) {
     for (const auto& c : chunks_) {
       for (std::size_t i = 0; i < c->keys.size(); ++i) fn(c->keys[i], c->vals[i]);
+    }
+  }
+
+  /// Visits every chunk in key order: `fn(const Key* keys, Value* vals,
+  /// std::size_t n)` over the chunk's n entries.
+  template <class Fn>
+  void for_each_chunk(Fn&& fn) {
+    for (const auto& c : chunks_) {
+      fn(c->keys.data(), c->vals.data(), c->keys.size());
     }
   }
 

@@ -60,15 +60,49 @@ void BlockMap::account_remove_primary(Slice& s, int node, Bytes size) {
   D2_ASSERT(s.primary_count[static_cast<std::size_t>(node)] >= 0);
 }
 
-void BlockMap::insert(const Key& k, Bytes size, const std::vector<int>& nodes,
-                      Bytes member_bytes) {
+std::uint32_t BlockMap::acquire_slot(Slice& s) {
+  if (s.free_head != kNoSlot) {
+    const std::uint32_t slot = s.free_head;
+    BlockSlot& bs = s.slab[slot];
+    s.free_head = bs.next_free;
+    bs.next_free = kLiveSlot;
+    return slot;
+  }
+  const auto slot = static_cast<std::uint32_t>(s.slab.size());
+  D2_REQUIRE_MSG(slot < BlockHandle::kMaxSlots,
+                 "block map slice slot space exhausted");
+  s.slab.emplace_back();
+  return slot;
+}
+
+void BlockMap::release_slot(Slice& s, std::uint32_t slot) {
+  BlockSlot& bs = s.slab[slot];
+  bs.state = BlockState{};  // frees the member vectors, as erasing did
+  // Generation 0 is never issued, so the default handle names no block.
+  bs.generation = bs.generation == BlockHandle::kGenerationMask
+                      ? 1
+                      : bs.generation + 1;
+  bs.next_free = s.free_head;
+  s.free_head = slot;
+}
+
+BlockHandle BlockMap::insert(const Key& k, Bytes size,
+                             const std::vector<int>& nodes,
+                             Bytes member_bytes) {
   D2_REQUIRE(!nodes.empty());
   D2_REQUIRE_MSG(size >= 0, "negative block size");
   D2_REQUIRE_MSG(member_bytes <= size, "member bytes exceed block size");
   for (int n : nodes) D2_REQUIRE(n >= 0 && n < node_count_);
-  D2_ASSERT_OWNER_LANE(plan_.arc_of(k));
-  Slice& s = slice_of(k);
-  BlockState b;
+  const int arc = plan_.arc_of(k);
+  D2_ASSERT_OWNER_LANE(arc);
+  Slice& s = slices_[static_cast<std::size_t>(arc)];
+  // Index first: it REQUIREs the key is new, and neither the slot nor the
+  // accounting below may be taken for a rejected duplicate.
+  std::uint32_t& indexed = s.index.insert(k, std::uint32_t{kNoSlot});
+  const std::uint32_t slot = acquire_slot(s);
+  indexed = slot;
+  BlockSlot& bs = s.slab[slot];
+  BlockState& b = bs.state;
   b.size = size;
   b.member_bytes = member_bytes < 0 ? size : member_bytes;
   b.replicas.reserve(nodes.size());
@@ -78,25 +112,22 @@ void BlockMap::insert(const Key& k, Bytes size, const std::vector<int>& nodes,
                                  .node = n,
                                  .has_data = true,
                                  .fetch_in_flight = false});
-  }
-  // Insert first: it REQUIREs the key is new, and the accounting below
-  // must not run for a rejected duplicate.
-  const BlockState& stored = s.index.insert(k, std::move(b));
-  for (const Replica& r : stored.replicas) {
-    account_add_data(s, r.node, stored.member_bytes);
+    account_add_data(s, n, b.member_bytes);
   }
   account_add_primary(s, nodes.front(), size);
   s.total_bytes += size;
   D2_PARANOID_AUDIT(if (s.audit_gate.due(s.index.size()))
-                        check_slice_invariants(plan_.arc_of(k)));
+                        check_slice_invariants(arc));
+  return BlockHandle(arc, slot, bs.generation);
 }
 
 void BlockMap::erase(const Key& k) {
   D2_ASSERT_OWNER_LANE(plan_.arc_of(k));
   Slice& s = slice_of(k);
-  BlockState* bp = s.index.find(k);
-  D2_REQUIRE_MSG(bp != nullptr, "erasing unknown block");
-  BlockState& b = *bp;
+  const std::uint32_t* slot = s.index.find(k);
+  D2_REQUIRE_MSG(slot != nullptr, "erasing unknown block");
+  const std::uint32_t freed = *slot;
+  BlockState& b = s.slab[freed].state;
   for (const Replica& r : b.replicas) {
     if (r.has_data) account_remove_data(s, r.node, b.member_bytes);
   }
@@ -104,8 +135,25 @@ void BlockMap::erase(const Key& k) {
   account_remove_primary(s, b.replicas.front().node, b.size);
   s.total_bytes -= b.size;
   s.index.erase(k);
+  release_slot(s, freed);
   D2_PARANOID_AUDIT(if (s.audit_gate.due(s.index.size()))
                         check_slice_invariants(plan_.arc_of(k)));
+}
+
+BlockHandle BlockMap::handle_of(const Key& k) const {
+  const int arc = plan_.arc_of(k);
+  const Slice& s = slices_[static_cast<std::size_t>(arc)];
+  const std::uint32_t* slot = s.index.find(k);
+  if (slot == nullptr) return BlockHandle{};
+  return BlockHandle(arc, *slot, s.slab[*slot].generation);
+}
+
+std::size_t BlockMap::allocated_bytes() const {
+  std::size_t n = 0;
+  for (const Slice& s : slices_) {
+    n += s.index.allocated_bytes() + s.slab.allocated_bytes();
+  }
+  return n;
 }
 
 std::size_t BlockMap::block_count() const {
@@ -176,7 +224,7 @@ std::optional<Key> BlockMap::median_primary_key(const Key& from,
 
 bool BlockMap::reassign_replicas(const Key& k, const std::vector<int>& nodes) {
   D2_ASSERT_OWNER_LANE(plan_.arc_of(k));
-  BlockState* b = slice_of(k).index.find(k);
+  BlockState* b = find_mutable(k);
   D2_REQUIRE_MSG(b != nullptr, "reassigning unknown block");
   return reassign_replicas(k, *b, nodes);
 }
@@ -186,7 +234,7 @@ bool BlockMap::reassign_replicas(const Key& k, BlockState& b,
   D2_REQUIRE(!nodes.empty());
   D2_ASSERT_OWNER_LANE(plan_.arc_of(k));
   Slice& s = slice_of(k);
-  D2_DCHECK_MSG(s.index.find(k) == &b, "reassigning a state that is not k's");
+  D2_DCHECK_MSG(find_mutable(k) == &b, "reassigning a state that is not k's");
 
   if (std::equal(b.replicas.begin(), b.replicas.end(), nodes.begin(),
                  nodes.end(),
@@ -262,16 +310,16 @@ bool BlockMap::reassign_replicas(const Key& k, BlockState& b,
 }
 
 void BlockMap::mark_data(const Key& k, int node) {
-  D2_ASSERT_OWNER_LANE(plan_.arc_of(k));
-  BlockState* b = slice_of(k).index.find(k);
+  const BlockHandle h = handle_of(k);
+  BlockState* b = at(h);
   D2_REQUIRE_MSG(b != nullptr, "mark_data on unknown block");
-  mark_data(k, *b, node);
+  mark_data(h, *b, node);
 }
 
-void BlockMap::mark_data(const Key& k, BlockState& b, int node) {
-  D2_ASSERT_OWNER_LANE(plan_.arc_of(k));
-  Slice& s = slice_of(k);
-  D2_DCHECK_MSG(s.index.find(k) == &b, "marking a state that is not k's");
+void BlockMap::mark_data(BlockHandle h, BlockState& b, int node) {
+  D2_ASSERT_OWNER_LANE(h.arc());
+  Slice& s = slices_[static_cast<std::size_t>(h.arc())];
+  D2_DCHECK_MSG(at(h) == &b, "marking a state that is not the handle's");
   for (Replica& r : b.replicas) {
     if (r.node == node) {
       D2_REQUIRE_MSG(!r.has_data, "replica already has data");
@@ -280,7 +328,7 @@ void BlockMap::mark_data(const Key& k, BlockState& b, int node) {
       account_add_data(s, node, b.member_bytes);
       prune_stale(s, b);
       D2_PARANOID_AUDIT(if (s.audit_gate.due(s.index.size()))
-                            check_slice_invariants(plan_.arc_of(k)));
+                            check_slice_invariants(h.arc()));
       return;
     }
   }
@@ -290,7 +338,7 @@ void BlockMap::mark_data(const Key& k, BlockState& b, int node) {
 void BlockMap::mark_missing(const Key& k, int node) {
   D2_ASSERT_OWNER_LANE(plan_.arc_of(k));
   Slice& s = slice_of(k);
-  BlockState* bp = s.index.find(k);
+  BlockState* bp = find_mutable(k);
   D2_REQUIRE_MSG(bp != nullptr, "mark_missing on unknown block");
   BlockState& b = *bp;
   for (Replica& r : b.replicas) {
@@ -310,7 +358,7 @@ void BlockMap::mark_missing(const Key& k, int node) {
 void BlockMap::drop_stale(const Key& k, int node) {
   D2_ASSERT_OWNER_LANE(plan_.arc_of(k));
   Slice& s = slice_of(k);
-  BlockState* bp = s.index.find(k);
+  BlockState* bp = find_mutable(k);
   D2_REQUIRE_MSG(bp != nullptr, "drop_stale on unknown block");
   BlockState& b = *bp;
   const auto it =
@@ -331,10 +379,52 @@ void BlockMap::prune_stale(Slice& s, BlockState& b) {
   b.stale_holders.clear();
 }
 
+void BlockMap::check_slab(const Slice& s) {
+  const std::size_t slots = s.slab.size();
+  // Free list: in-range links, no cycles, only free slots on it.
+  std::vector<char> on_free(slots, 0);
+  std::size_t free_count = 0;
+  for (std::uint32_t i = s.free_head; i != kNoSlot; i = s.slab[i].next_free) {
+    D2_ASSERT_MSG(i < slots, "block map: slab free-list link out of range");
+    D2_ASSERT_MSG(on_free[i] == 0, "block map: slab free-list cycle");
+    on_free[i] = 1;
+    ++free_count;
+  }
+  // Every index entry names its own live slot.
+  std::vector<char> indexed(slots, 0);
+  const_cast<SortedKeyIndex<std::uint32_t>&>(s.index).for_each(
+      [&](const Key&, std::uint32_t slot) {
+        D2_ASSERT_MSG(slot < slots, "block map: index names a slot past the slab");
+        D2_ASSERT_MSG(s.slab[slot].next_free == kLiveSlot,
+                      "block map: index names a free slab slot");
+        D2_ASSERT_MSG(indexed[slot] == 0,
+                      "block map: two keys share a slab slot");
+        indexed[slot] = 1;
+      });
+  for (std::size_t i = 0; i < slots; ++i) {
+    const BlockSlot& bs = s.slab[i];
+    D2_ASSERT_MSG(bs.generation != 0 &&
+                      bs.generation <= BlockHandle::kGenerationMask,
+                  "block map: slab generation out of range");
+    if (bs.next_free == kLiveSlot) {
+      D2_ASSERT_MSG(indexed[i] == 1,
+                    "block map: live slab slot not in the index");
+    } else {
+      D2_ASSERT_MSG(on_free[i] == 1,
+                    "block map: orphaned slab slot (neither live nor free)");
+      D2_ASSERT_MSG(bs.state.replicas.empty() && bs.state.stale_holders.empty(),
+                    "block map: free slab slot still holds members");
+    }
+  }
+  D2_ASSERT_MSG(free_count + s.index.size() == slots,
+                "block map: slab slots disagree with the index and free list");
+}
+
 void BlockMap::check_slice_invariants(int arc) const {
   D2_REQUIRE(arc >= 0 && arc < plan_.arcs());
   const Slice& s = slices_[static_cast<std::size_t>(arc)];
   s.index.check_invariants();
+  check_slab(s);
 
   const auto n = static_cast<std::size_t>(node_count_);
   std::vector<std::int64_t> primary_count(n, 0);
@@ -342,8 +432,9 @@ void BlockMap::check_slice_invariants(int arc) const {
   std::vector<Bytes> physical_bytes(n, 0);
   Bytes total = 0;
 
-  const_cast<SortedKeyIndex<BlockState>&>(s.index).for_each([&](const Key& k,
-                                                                BlockState& b) {
+  const_cast<SortedKeyIndex<std::uint32_t>&>(s.index).for_each([&](const Key& k,
+                                                                   std::uint32_t slot) {
+    const BlockState& b = s.slab[slot].state;
     D2_ASSERT_MSG(plan_.arc_of(k) == arc,
                   "block map: key stored in a slice that does not own it");
     D2_ASSERT_MSG(b.size >= 0 && b.member_bytes >= 0,

@@ -25,20 +25,28 @@
 // check_invariants() additionally audits the ownership bijection: a key
 // stored in slice `a` satisfies plan.arc_of(key) == a.
 //
-// Blocks live in a SortedKeyIndex (chunked sorted arrays) per slice
-// rather than a std::map, so the load balancer's owned-arc range scans
-// walk contiguous cache lines instead of tree nodes.
+// Each slice keeps its block states in a slab of slots that never move
+// (sim::PagedArray pages, a free list, a generation per slot) and a
+// SortedKeyIndex (chunked sorted arrays, not a std::map) from key to
+// slot, so the load balancer's owned-arc range scans walk contiguous
+// cache lines instead of tree nodes. A stored block has a stable
+// BlockHandle: at() resolves it in O(1) with no key search, and returns
+// null once the block is erased. Pointers from find()/at() survive
+// other blocks' inserts and erases.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/arc_plan.h"
+#include "common/assert.h"
 #include "common/key.h"
 #include "common/thread_annotations.h"
 #include "common/units.h"
+#include "sim/paged_array.h"
 #include "store/block_index.h"
 
 namespace d2::store {
@@ -78,6 +86,49 @@ struct BlockState {
   bool is_replica(int node) const;
 };
 
+/// Stable 8-byte name of a stored block: its slice (arc), its slot in the
+/// slice's slab and the slot's generation when the block was stored.
+/// Erasing the block bumps the generation, so an old handle then resolves
+/// to nothing even after the slot and the key are reused. Event closures
+/// and fetch reservations carry it instead of a 64-byte Key. The default
+/// handle names no block.
+class BlockHandle {
+ public:
+  static constexpr int kSlotBits = 26;        // 64M slots per slice
+  static constexpr int kGenerationBits = 28;  // wraps back to 1, never 0
+  static constexpr std::uint32_t kMaxSlots = std::uint32_t{1} << kSlotBits;
+  static constexpr std::uint32_t kGenerationMask =
+      (std::uint32_t{1} << kGenerationBits) - 1;
+
+  BlockHandle() = default;
+  BlockHandle(int arc, std::uint32_t slot, std::uint32_t generation)
+      : bits_(static_cast<std::uint64_t>(arc) << (kSlotBits + kGenerationBits) |
+              static_cast<std::uint64_t>(slot) << kGenerationBits |
+              generation) {}
+
+  int arc() const {
+    return static_cast<int>(bits_ >> (kSlotBits + kGenerationBits));
+  }
+  std::uint32_t slot() const {
+    return static_cast<std::uint32_t>(bits_ >> kGenerationBits) &
+           (kMaxSlots - 1);
+  }
+  std::uint32_t generation() const {
+    return static_cast<std::uint32_t>(bits_) & kGenerationMask;
+  }
+  bool operator==(const BlockHandle&) const = default;
+
+ private:
+  std::uint64_t bits_ = 0;  // arc | slot | generation
+};
+static_assert(sizeof(BlockHandle) == 8 &&
+                  std::is_trivially_copyable_v<BlockHandle>,
+              "handles ride in 24-byte event captures");
+static_assert(ArcPlan::kMaxArcs <=
+                  1 << (64 - BlockHandle::kSlotBits -
+                        BlockHandle::kGenerationBits),
+              "a handle's arc field must hold every arc");
+
 class BlockMap {
  public:
   explicit BlockMap(int node_count, int arcs = 1);
@@ -88,18 +139,41 @@ class BlockMap {
   int arc_of(const Key& k) const { return plan_.arc_of(k); }
 
   /// Inserts a block whose replica set is `nodes` (all holding data
-  /// immediately — a fresh write pushes bytes to all replicas).
-  /// `member_bytes` is what each member stores (defaults to `size`, i.e.
-  /// whole-block replication; erasure coding passes the fragment size).
-  void insert(const Key& k, Bytes size, const std::vector<int>& nodes,
-              Bytes member_bytes = -1);
+  /// immediately — a fresh write pushes bytes to all replicas) and
+  /// returns its handle. `member_bytes` is what each member stores
+  /// (defaults to `size`, i.e. whole-block replication; erasure coding
+  /// passes the fragment size).
+  BlockHandle insert(const Key& k, Bytes size, const std::vector<int>& nodes,
+                     Bytes member_bytes = -1);
 
-  /// Removes a block entirely.
+  /// Removes a block entirely. Its handle stops resolving.
   void erase(const Key& k);
 
   bool contains(const Key& k) const { return slice_of(k).index.contains(k); }
-  const BlockState* find(const Key& k) const { return slice_of(k).index.find(k); }
-  BlockState* find_mutable(const Key& k) { return slice_of(k).index.find(k); }
+  const BlockState* find(const Key& k) const {
+    return const_cast<BlockMap*>(this)->find_mutable(k);
+  }
+  BlockState* find_mutable(const Key& k) {
+    Slice& s = slice_of(k);
+    const std::uint32_t* slot = s.index.find(k);
+    return slot == nullptr ? nullptr : &s.slab[*slot].state;
+  }
+
+  /// Handle of block `k`, or the default (null) handle when absent.
+  BlockHandle handle_of(const Key& k) const;
+
+  /// The block `h` names, in O(1) without a key search; null once that
+  /// block was erased (even if its key was stored again since).
+  BlockState* at(BlockHandle h) {
+    D2_DCHECK(h.arc() < plan_.arcs());
+    Slice& s = slices_[static_cast<std::size_t>(h.arc())];
+    if (h.slot() >= s.slab.size()) return nullptr;
+    BlockSlot& slot = s.slab[h.slot()];
+    return slot.generation == h.generation() ? &slot.state : nullptr;
+  }
+  const BlockState* at(BlockHandle h) const {
+    return const_cast<BlockMap*>(this)->at(h);
+  }
 
   std::size_t block_count() const;
   Bytes total_bytes() const;
@@ -110,6 +184,11 @@ class BlockMap {
   std::size_t slice_block_count(int arc) const {
     return slices_[static_cast<std::size_t>(arc)].index.size();
   }
+
+  /// Bytes the map's structures allocated: every slice's index chunk
+  /// arrays and directory plus its slab pages (store.block_map_bytes).
+  /// Replica and stale-holder vectors are not included.
+  std::size_t allocated_bytes() const;
 
   /// Per-node accounting (summed across slices).
   std::int64_t primary_count(int node) const;
@@ -122,15 +201,22 @@ class BlockMap {
 
   /// Visits blocks with keys in the clockwise arc (from, to], in key
   /// order from `from`; handles wrap and slice boundaries.
-  /// `fn(const Key&, BlockState&)` may change the visited block (e.g.
-  /// reassign_replicas on it) but must not insert or erase blocks. A
-  /// template (not std::function) so the per-block call is direct — these
-  /// walks are the load balancer's inner loop. from == to visits the
-  /// whole ring.
+  /// `fn(const Key&, BlockState&)`, or `fn(const Key&, BlockHandle,
+  /// BlockState&)` for callers that keep the block's handle, may change
+  /// the visited block (e.g. reassign_replicas on it) but must not insert
+  /// or erase blocks. A template (not std::function) so the per-block
+  /// call is direct — these walks are the load balancer's inner loop.
+  /// from == to visits the whole ring.
   template <class Fn>
   void for_each_in_arc(const Key& from, const Key& to, Fn&& fn) {
-    walk_in_arc(from, to, [&fn](const Key& k, BlockState& b) {
-      fn(k, b);
+    walk_slots_in_arc(from, to, [&](int arc, const Key& k, std::uint32_t slot) {
+      BlockSlot& bs = slices_[static_cast<std::size_t>(arc)].slab[slot];
+      if constexpr (std::is_invocable_v<Fn&, const Key&, BlockHandle,
+                                        BlockState&>) {
+        fn(k, BlockHandle(arc, slot, bs.generation), bs.state);
+      } else {
+        fn(k, bs.state);
+      }
       return true;
     });
   }
@@ -158,9 +244,9 @@ class BlockMap {
   /// fetch). Drops stale holders that are no longer needed.
   void mark_data(const Key& k, int node);
 
-  /// Same, on `b`, block `k`'s state as held by the caller, without
-  /// searching the index.
-  void mark_data(const Key& k, BlockState& b, int node);
+  /// Same, on `b`, the state of the block `h` names, as held by the
+  /// caller, without searching the index.
+  void mark_data(BlockHandle h, BlockState& b, int node);
 
   /// Downgrades the replica at `node` to a pointer (the write could not
   /// reach it — e.g. the node is down). Inverse of mark_data.
@@ -172,62 +258,32 @@ class BlockMap {
 
   /// Visits all blocks in key order (for iteration by experiments).
   /// `fn(const Key&, const BlockState&)` must not insert or erase blocks.
+  /// The states sit in slab (insertion) order, not key order, so each
+  /// chunk's states are prefetched together before it is visited: their
+  /// cache misses overlap instead of stalling the walk one by one
+  /// (RepairEngine scans the whole map on every node event).
   template <class Fn>
   void for_each_block(Fn&& fn) const {
     for (const Slice& s : slices_) {
-      const_cast<SortedKeyIndex<BlockState>&>(s.index).for_each(
-          [&fn](const Key& k, BlockState& b) {
-            fn(k, static_cast<const BlockState&>(b));
+      const_cast<SortedKeyIndex<std::uint32_t>&>(s.index).for_each_chunk(
+          [&](const Key* keys, const std::uint32_t* slots, std::size_t n) {
+            for (std::size_t i = 0; i < n; ++i) {
+              D2_PREFETCH(&s.slab[slots[i]].state);
+            }
+            for (std::size_t i = 0; i < n; ++i) {
+              fn(keys[i], static_cast<const BlockState&>(s.slab[slots[i]].state));
+            }
           });
     }
-  }
-
-  /// Mutable variant for callers that adjust per-replica state in bulk
-  /// (e.g. failure injection flipping has_data). `fn(const Key&,
-  /// BlockState&)` must not insert or erase blocks, and must keep the
-  /// per-node accounting consistent via mark_data/mark_missing rather
-  /// than flipping Replica fields directly.
-  template <class Fn>
-  void for_each_block_mut(Fn&& fn) {
-    for (Slice& s : slices_) s.index.for_each(fn);
   }
 
   /// Early-exit range walk over (from, to]: `fn(const Key&, BlockState&)`
   /// returns false to stop. from == to visits the whole ring.
   template <class Fn>
   void walk_in_arc(const Key& from, const Key& to, Fn&& fn) {
-    if (from == to) {
-      // Whole ring: every slice, in key (== slice) order.
-      for (Slice& s : slices_) {
-        bool more = true;
-        s.index.walk_in_arc(from, to, [&](const Key& k, BlockState& b) {
-          more = fn(k, b);
-          return more;
-        });
-        if (!more) return;
-      }
-      return;
-    }
-    if (from < to) {
-      walk_slices(plan_.arc_of(from), plan_.arc_of(to), from, to,
-                  std::forward<Fn>(fn));
-      return;
-    }
-    // Wrapped arc: clockwise (from, max] then (min-1, to] == [min, to].
-    // Each leg is non-wrapping within its slices; skip a leg that is
-    // empty by construction (from == max has nothing after it).
-    bool more = true;
-    if (!(from == Key::max())) {
-      walk_slices(plan_.arc_of(from), plan_.arcs() - 1, from, Key::max(),
-                  [&](const Key& k, BlockState& b) {
-                    more = fn(k, b);
-                    return more;
-                  });
-    }
-    if (more) {
-      // (max, to] under the slice walker's wrap rules == keys <= to.
-      walk_slices(0, plan_.arc_of(to), Key::max(), to, std::forward<Fn>(fn));
-    }
+    walk_slots_in_arc(from, to, [&](int arc, const Key& k, std::uint32_t slot) {
+      return fn(k, slices_[static_cast<std::size_t>(arc)].slab[slot].state);
+    });
   }
 
   /// Full-structure audit; throws InvariantError naming the violated
@@ -249,9 +305,26 @@ class BlockMap {
   /// Corruption-injection hook for tests (tests/test_invariants.cc).
   friend struct BlockMapTestPeer;
 
+  /// Marks a slab slot that holds a block (BlockSlot::next_free).
+  static constexpr std::uint32_t kLiveSlot = 0xffffffffu;
+  /// Free-list end.
+  static constexpr std::uint32_t kNoSlot = 0xfffffffeu;
+
+  /// A slab slot: one block's state, or a free-list entry. The state's
+  /// address never changes while the slot holds the block.
+  struct BlockSlot {
+    BlockState state;  // empty while the slot is free
+    /// Bumped by each erase, in [1, 2^28): a handle resolves only while
+    /// its generation is the slot's.
+    std::uint32_t generation = 1;
+    std::uint32_t next_free = kLiveSlot;  // free-list link, or kLiveSlot
+  };
+
   /// Arc-confined shard: a lane owning arc `a` may touch only slice `a`.
   struct Slice {
-    SortedKeyIndex<BlockState> index;
+    SortedKeyIndex<std::uint32_t> index;  // key -> slot in `slab`
+    sim::PagedArray<BlockSlot> slab;
+    std::uint32_t free_head = kNoSlot;
     Bytes total_bytes = 0;
     std::vector<std::int64_t> primary_count;
     std::vector<Bytes> primary_bytes;
@@ -267,21 +340,55 @@ class BlockMap {
     return slices_[static_cast<std::size_t>(plan_.arc_of(k))];
   }
 
-  /// Runs `fn` over slices [first_arc, last_arc] with the slice-level
-  /// walk bounds (from, to]; fn returns false to stop.
+  /// Early-exit walk over (from, to] in key order: `fn(int arc, const
+  /// Key&, std::uint32_t slot)` returns false to stop. from == to visits
+  /// the whole ring.
   template <class Fn>
-  void walk_slices(int first_arc, int last_arc, const Key& from, const Key& to,
-                   Fn&& fn) {
-    for (int arc = first_arc; arc <= last_arc; ++arc) {
-      bool more = true;
-      slices_[static_cast<std::size_t>(arc)].index.walk_in_arc(
-          from, to, [&](const Key& k, BlockState& b) {
-            more = fn(k, b);
-            return more;
-          });
-      if (!more) return;
+  void walk_slots_in_arc(const Key& from, const Key& to, Fn&& fn) {
+    if (from == to) {
+      // Whole ring: every slice, in key (== slice) order.
+      walk_slices(0, plan_.arcs() - 1, from, to, fn);
+      return;
     }
+    if (from < to) {
+      walk_slices(plan_.arc_of(from), plan_.arc_of(to), from, to, fn);
+      return;
+    }
+    // Wrapped arc: clockwise (from, max] then (min-1, to] == [min, to].
+    // Each leg is non-wrapping within its slices; skip a leg that is
+    // empty by construction (from == max has nothing after it).
+    if (!(from == Key::max()) &&
+        !walk_slices(plan_.arc_of(from), plan_.arcs() - 1, from, Key::max(),
+                     fn)) {
+      return;
+    }
+    // (max, to] under the slice walker's wrap rules == keys <= to.
+    walk_slices(0, plan_.arc_of(to), Key::max(), to, fn);
   }
+
+  /// Runs `fn` over slices [first_arc, last_arc] with the slice-level
+  /// walk bounds (from, to]; fn returns false to stop, and so does
+  /// walk_slices.
+  template <class Fn>
+  bool walk_slices(int first_arc, int last_arc, const Key& from, const Key& to,
+                   Fn& fn) {
+    for (int arc = first_arc; arc <= last_arc; ++arc) {
+      const bool more = slices_[static_cast<std::size_t>(arc)].index.walk_in_arc(
+          from, to, [&](const Key& k, std::uint32_t slot) {
+            return fn(arc, k, slot);
+          });
+      if (!more) return false;
+    }
+    return true;
+  }
+
+  /// Takes a slot off `s`'s free list, or appends one to its slab.
+  static std::uint32_t acquire_slot(Slice& s);
+  /// Empties `slot`, bumps its generation and returns it to the free list.
+  static void release_slot(Slice& s, std::uint32_t slot);
+  /// Slab audit of one slice (free list, live slots vs the index,
+  /// generations).
+  static void check_slab(const Slice& s);
 
   static void account_add_data(Slice& s, int node, Bytes size);
   static void account_remove_data(Slice& s, int node, Bytes size);

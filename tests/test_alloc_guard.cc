@@ -42,6 +42,7 @@
 
 #include "common/key.h"
 #include "core/replay.h"
+#include "core/system.h"
 #include "fs/writeback_cache.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
@@ -87,6 +88,16 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 }
 
 namespace d2 {
+namespace core {
+
+struct SystemTestPeer {
+  static void move(System& sys, int node, const Key& new_id) {
+    sys.execute_move(dht::MoveDecision{node, sys.owner_of(new_id), new_id});
+  }
+};
+
+}  // namespace core
+
 namespace {
 
 Key K(std::uint64_t v) { return Key::from_uint64(v); }
@@ -112,10 +123,12 @@ TEST(AllocGuard, EventQueuePushCancelPopIsAllocationFree) {
 #endif
   sim::EventQueue q;
   long long sink = 0;
-  // Warm to high-water: slot slab and heap vector reach steady capacity.
+  // Warm to high-water: slot slab, overflow tier (the Key captures below
+  // outgrow a slot) and heap vector reach steady capacity.
   std::vector<sim::EventId> ids;
   for (int i = 0; i < 256; ++i) {
-    ids.push_back(q.push(i, [&sink] { ++sink; }));
+    const Key k = K(static_cast<std::uint64_t>(i));
+    ids.push_back(q.push(i, [&sink, k] { sink += k.limb(0) == 0 ? 1 : 0; }));
   }
   for (int i = 0; i < 256; i += 2) q.cancel(ids[static_cast<std::size_t>(i)]);
   while (!q.empty()) q.pop().fn();
@@ -172,6 +185,123 @@ TEST(AllocGuard, EventQueuePushDiscardPopIsAllocationFree) {
   EXPECT_EQ(probe.deletes(), 0u);
   EXPECT_EQ(q.slots(), warm_slots);
   EXPECT_EQ(fired, 101 * 129);  // 128 kept + the declined head, per round
+}
+
+/// One round of push / cancel / discard / pop over 256 closures built by
+/// `make(i)`, at times from `base`; `ids` is reused scratch.
+template <class Make>
+void churn_round(sim::EventQueue& q, SimTime base, Make&& make,
+                 std::vector<sim::EventId>& ids) {
+  ids.clear();
+  for (int i = 0; i < 256; ++i) ids.push_back(q.push(base + i, make(i)));
+  for (int i = 0; i < 256; i += 4) q.cancel(ids[static_cast<std::size_t>(i)]);
+  for (int i = 2; i < 256; i += 4) q.discard(ids[static_cast<std::size_t>(i)]);
+  while (!q.empty()) q.pop().fn();
+}
+
+TEST(AllocGuard, EventQueueInlineTierIsAllocationFree) {
+#ifdef D2_PARANOID
+  GTEST_SKIP() << "paranoid audits allocate inside the measured hot path";
+#endif
+  // Pointer-plus-scalars closures, like the fetch timer's, stay in their
+  // slots: the overflow tier is never touched.
+  sim::EventQueue q;
+  long long sink = 0;
+  auto make = [&sink](int i) {
+    auto fn = [s = &sink, i] { *s += i; };
+    static_assert(sim::kFitsInlineEvent<decltype(fn)>);
+    return fn;
+  };
+  std::vector<sim::EventId> ids;
+  churn_round(q, 0, make, ids);
+  const std::size_t slots = q.slots();
+
+  const AllocProbe probe;
+  for (int round = 1; round <= 100; ++round) {
+    churn_round(q, round * 1000, make, ids);
+  }
+  EXPECT_EQ(probe.news(), 0u) << "inline-tier churn allocated";
+  EXPECT_EQ(probe.deletes(), 0u);
+  EXPECT_EQ(q.slots(), slots);
+  EXPECT_EQ(q.overflow_slots(), 0u);
+  EXPECT_GT(sink, 0);
+}
+
+TEST(AllocGuard, EventQueueOverflowTierIsAllocationFree) {
+#ifdef D2_PARANOID
+  GTEST_SKIP() << "paranoid audits allocate inside the measured hot path";
+#endif
+  // Key-capturing closures live in the overflow tier; its entries
+  // recycle through their own free list like the slots do.
+  sim::EventQueue q;
+  long long sink = 0;
+  auto make = [&sink](int i) {
+    const Key k = K(static_cast<std::uint64_t>(i) + 1);
+    auto fn = [s = &sink, k] { *s += static_cast<long long>(k.limb(Key::kLimbs - 1)); };
+    static_assert(!sim::kFitsInlineEvent<decltype(fn)>);
+    return fn;
+  };
+  std::vector<sim::EventId> ids;
+  churn_round(q, 0, make, ids);
+  const std::size_t slots = q.slots();
+  const std::size_t overflow = q.overflow_slots();
+  ASSERT_GT(overflow, 0u);
+
+  const AllocProbe probe;
+  for (int round = 1; round <= 100; ++round) {
+    churn_round(q, round * 1000, make, ids);
+  }
+  EXPECT_EQ(probe.news(), 0u) << "overflow-tier churn allocated";
+  EXPECT_EQ(probe.deletes(), 0u);
+  EXPECT_EQ(q.slots(), slots);
+  EXPECT_EQ(q.overflow_slots(), overflow);
+  EXPECT_GT(sink, 0);
+}
+
+TEST(AllocGuard, SystemFetchArmFireCompleteIsAllocationFree) {
+#ifdef D2_PARANOID
+  GTEST_SKIP() << "paranoid audits allocate inside the measured hot path";
+#endif
+  // A move makes a node the pointer primary of a run of blocks; the node
+  // is down when the stabilization timers fire, so they lapse, and its
+  // recovery arms a fetch timer per pointer member; each fires, stages
+  // its bandwidth reservation, and the completion promotes the member.
+  // The first cycle sizes every buffer; the second, over fewer blocks,
+  // runs its arm -> fire -> complete span without allocating. (Moves
+  // themselves allocate: the ring is a std::map.)
+  core::SystemConfig c;
+  c.node_count = 16;
+  c.replicas = 3;
+  c.seed = 7;
+  c.pointer_stabilization = hours(1);
+  c.regen_delay = days(30);  // no regeneration inside the test
+  sim::Simulator sim;
+  core::System sys(c, sim, nullptr);
+  auto key = [](std::uint64_t i) { return K(1000 + i); };
+  for (std::uint64_t i = 0; i < 300; ++i) sys.put(key(i), kB(8));
+  for (std::uint64_t i = 5000; i < 5100; ++i) sys.put(key(i), kB(8));
+  // Every key sits below every node ID: the smallest-ID node owns them.
+  const int light = sys.ring().nodes_in_order().back();
+  const auto trace = sim::FailureTrace::from_intervals(
+      c.node_count, days(1),
+      {{light, minutes(30), minutes(90)},
+       {light, hours(3) + minutes(30), hours(3) + minutes(90)}});
+  sys.attach_failure_trace(&trace, 0);
+  const auto promotions = [&sys] {
+    return sys.metrics().find_counter("system.pointer_promotions")->value();
+  };
+
+  core::SystemTestPeer::move(sys, light, key(299));  // 300 pointers
+  sim.run_until(hours(3));
+  ASSERT_EQ(promotions(), 300);
+  core::SystemTestPeer::move(sys, light, key(5099));  // 100 pointers
+  const std::int64_t before = promotions();
+
+  const AllocProbe probe;
+  sim.run_until(hours(6));
+  EXPECT_EQ(probe.news(), 0u) << "fetch arm/fire/complete allocated";
+  EXPECT_EQ(probe.deletes(), 0u);
+  EXPECT_EQ(promotions() - before, 100);
 }
 
 TEST(AllocGuard, SimulatorScheduleDispatchIsAllocationFree) {

@@ -294,6 +294,98 @@ TEST_P(BlockMapInvariantSweep, AccountingMatchesRecount) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BlockMapInvariantSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
+// --- Block handles ---
+
+/// Every stored key's handle resolves to the state find() returns.
+void ExpectHandlesResolve(const BlockMap& m,
+                          const std::vector<std::pair<Key, BlockHandle>>& held) {
+  for (const auto& [k, h] : held) {
+    ASSERT_NE(m.at(h), nullptr) << "handle of a stored key stopped resolving";
+    EXPECT_EQ(m.at(h), m.find(k));
+    EXPECT_EQ(m.handle_of(k), h);
+  }
+}
+
+TEST(BlockHandle, SurvivesChunkSpillsSplitsAndNeighbourErases) {
+  BlockMap m(8, 4);
+  std::vector<std::pair<Key, BlockHandle>> held;
+  std::vector<const BlockState*> addresses;
+  // Sparse anchors, then ascending runs between them: the runs overflow
+  // chunks, which spill into neighbours and split, moving index entries
+  // (never block states) between chunks.
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    const Key k = Key::from_high64(i << 56);
+    held.emplace_back(k, m.insert(k, 100, {int(i % 8)}));
+  }
+  for (std::uint64_t run = 0; run < 64; run += 5) {
+    for (std::uint64_t j = 1; j <= 300; ++j) {
+      const Key k = Key::from_high64((run << 56) + j);
+      held.emplace_back(k, m.insert(k, 100, {int(j % 8), int((j + 1) % 8)}));
+    }
+  }
+  for (const auto& [k, h] : held) addresses.push_back(m.at(h));
+  ASSERT_NO_THROW(m.check_invariants());
+  ExpectHandlesResolve(m, held);
+  // Erase every third key: the survivors' handles and state addresses
+  // are unchanged, the erased ones resolve to nothing.
+  std::vector<std::pair<Key, BlockHandle>> kept;
+  for (std::size_t i = 0; i < held.size(); ++i) {
+    if (i % 3 == 0) {
+      m.erase(held[i].first);
+      EXPECT_EQ(m.at(held[i].second), nullptr);
+      EXPECT_EQ(m.handle_of(held[i].first), BlockHandle{});
+    } else {
+      kept.push_back(held[i]);
+    }
+  }
+  ExpectHandlesResolve(m, kept);
+  for (std::size_t i = 0; i < held.size(); ++i) {
+    if (i % 3 != 0) {
+      EXPECT_EQ(m.at(held[i].second), addresses[i]);
+    }
+  }
+  ASSERT_NO_THROW(m.check_invariants());
+  EXPECT_EQ(m.at(BlockHandle{}), nullptr);
+}
+
+TEST(BlockHandle, ErasedAndPutAgainKeyGetsANewHandle) {
+  BlockMap m(4);
+  const BlockHandle first = m.insert(K(7), 100, {0, 1});
+  m.insert(K(8), 100, {1, 2});
+  m.erase(K(7));
+  EXPECT_EQ(m.at(first), nullptr);
+  // The freed slot is reused for the same key, under a new generation.
+  const BlockHandle second = m.insert(K(7), 200, {2, 3});
+  EXPECT_NE(second, first);
+  EXPECT_EQ(second.slot(), first.slot());
+  EXPECT_EQ(m.at(first), nullptr) << "a stale handle found the new block";
+  ASSERT_NE(m.at(second), nullptr);
+  EXPECT_EQ(m.at(second)->size, 200);
+  EXPECT_EQ(m.handle_of(K(7)), second);
+}
+
+TEST(BlockHandle, FindPointersSurviveOtherBlocksInsertsAndErases) {
+  BlockMap m(4);
+  m.insert(K(1000), 100, {0});
+  const BlockState* b = m.find(K(1000));
+  for (std::uint64_t i = 0; i < 2000; ++i) m.insert(K(2 * i + 1), 10, {int(i % 4)});
+  for (std::uint64_t i = 0; i < 2000; i += 2) m.erase(K(2 * i + 1));
+  EXPECT_EQ(m.find(K(1000)), b);
+  EXPECT_EQ(b->size, 100);
+}
+
+TEST(BlockHandle, PacksArcSlotAndGeneration) {
+  const BlockHandle h(ArcPlan::kMaxArcs - 1, BlockHandle::kMaxSlots - 1,
+                      BlockHandle::kGenerationMask);
+  EXPECT_EQ(h.arc(), ArcPlan::kMaxArcs - 1);
+  EXPECT_EQ(h.slot(), BlockHandle::kMaxSlots - 1);
+  EXPECT_EQ(h.generation(), BlockHandle::kGenerationMask);
+  const BlockHandle g(3, 5, 1);
+  EXPECT_EQ(g.arc(), 3);
+  EXPECT_EQ(g.slot(), 5u);
+  EXPECT_EQ(g.generation(), 1u);
+}
+
 // --- SortedKeyIndex against std::map ---
 // The index's directory and chunk searches are plain std::lower_bound /
 // std::upper_bound over Key's limb compare. Their hard case is keys that

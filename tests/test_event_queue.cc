@@ -26,10 +26,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "common/key.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "sim/paged_array.h"
@@ -103,6 +106,52 @@ class QueuePair {
     return {a.time, a.id};
   }
 
+  /// Pushes a closure that records `tag` when it runs: a two-word one
+  /// that lives in its slot, or, when `big`, one carrying a Key, which
+  /// outgrows the slot and lives in the overflow tier.
+  EventId push_tagged(SimTime t, std::uint64_t tag, bool big) {
+    EventId a;
+    EventId b;
+    if (big) {
+      auto fn = [](std::uint64_t* sink, std::uint64_t v) {
+        return [sink, k = Key::from_uint64(v)] { *sink = k.limb(Key::kLimbs - 1); };
+      };
+      static_assert(!kFitsInlineEvent<decltype(fn(nullptr, 0))>);
+      a = wheel_.push(t, fn(&wheel_ran_, tag));
+      b = heap_.push(t, fn(&heap_ran_, tag));
+    } else {
+      auto fn = [](std::uint64_t* sink, std::uint64_t v) {
+        return [sink, v] { *sink = v; };
+      };
+      static_assert(kFitsInlineEvent<decltype(fn(nullptr, 0))>);
+      a = wheel_.push(t, fn(&wheel_ran_, tag));
+      b = heap_.push(t, fn(&heap_ran_, tag));
+    }
+    EXPECT_EQ(a, b) << "slot/seq allocation diverged at t=" << t;
+    compare();
+    return a;
+  }
+
+  /// Pops both queues and runs both closures; they must record the same
+  /// tag, which is returned with the popped id.
+  std::pair<EventId, std::uint64_t> pop_run() {
+    const EventQueue::Event a = wheel_.pop();
+    const EventQueue::Event b = heap_.pop();
+    EXPECT_EQ(a.time, b.time) << "pop time diverged";
+    EXPECT_EQ(a.id, b.id) << "pop id diverged at t=" << a.time;
+    compare();
+    a.fn();
+    b.fn();
+    EXPECT_EQ(wheel_ran_, heap_ran_) << "popped closures diverged";
+    return {a.id, wheel_ran_};
+  }
+
+  std::size_t overflow_slots() const {
+    EXPECT_EQ(wheel_.overflow_slots(), heap_.overflow_slots())
+        << "overflow tiers diverged";
+    return wheel_.overflow_slots();
+  }
+
   bool empty() const { return wheel_.empty(); }
   std::size_t pending() const { return wheel_.pending(); }
   std::size_t slots() const {
@@ -110,6 +159,10 @@ class QueuePair {
     return wheel_.slots();
   }
   SimTime next_time() const { return wheel_.next_time(); }
+  /// next_time(), or `fallback` when empty.
+  SimTime next_time_or(SimTime fallback) const {
+    return wheel_.empty() ? fallback : wheel_.next_time();
+  }
 
   /// Drains both queues, asserting the merged stream is sorted by
   /// (time, id-order) — FIFO for equal times because ids carry seqs.
@@ -143,6 +196,8 @@ class QueuePair {
 
   EventQueue wheel_;
   EventQueue heap_;
+  std::uint64_t wheel_ran_ = 0;  // tag of the last closure run (wheel)
+  std::uint64_t heap_ran_ = 0;   // and on the heap
 };
 
 TEST(EventQueueDifferential, EqualTimeTiesPopInPushOrder) {
@@ -316,6 +371,67 @@ TEST(EventQueueDifferential, PagedSlabAcrossPageBoundaries) {
   EXPECT_EQ(q.slots(), peak);
   q.drain();
   EXPECT_EQ(q.slots(), peak);  // slots are recycled, never released
+}
+
+TEST(EventQueueDifferential, MixedTiersAcrossPageBoundaries) {
+  // Slot-resident and overflow-tier closures interleaved over more than
+  // two pages of each tier, with cancels, discards (the head among them)
+  // and pops; every popped closure must be the one pushed under its id,
+  // and the overflow tier must end at the most large closures pending.
+  constexpr std::size_t kPage = PagedArray<InlineEventFn>::kPageSlots;
+  QueuePair q;
+  Rng rng(23);
+  std::map<EventId, std::pair<std::uint64_t, bool>> pending;  // tag, big
+  std::size_t big_pending = 0;
+  std::size_t big_peak = 0;
+  std::uint64_t next_tag = 1;
+  auto push = [&](SimTime t) {
+    const bool big = rng.next_below(3) != 0;
+    const std::uint64_t tag = next_tag++;
+    pending[q.push_tagged(t, tag, big)] = {tag, big};
+    if (big) big_peak = std::max(big_peak, ++big_pending);
+  };
+  auto forget = [&](EventId id) {
+    if (pending.at(id).second) --big_pending;
+    pending.erase(id);
+  };
+  auto pick = [&] {
+    auto it = pending.begin();
+    std::advance(it, static_cast<std::ptrdiff_t>(rng.next_below(pending.size())));
+    return it->first;
+  };
+  SimTime clock = 0;
+  for (std::size_t i = 0; i < 7 * kPage / 2; ++i) {
+    push(clock + static_cast<SimTime>(rng.next_below(1u << 16)));
+  }
+  for (int op = 0; op < 12000; ++op) {
+    const std::uint64_t roll = rng.next_below(100);
+    if (roll < 40 || pending.empty()) {
+      push(clock + static_cast<SimTime>(rng.next_below(1u << 16)));
+    } else if (roll < 55) {
+      const EventId id = pick();
+      EXPECT_TRUE(q.cancel(id));
+      forget(id);
+    } else if (roll < 70) {
+      const EventId id = pick();
+      if (q.discard(id)) forget(id);
+    } else {
+      const auto [id, ran] = q.pop_run();
+      ASSERT_EQ(pending.count(id), 1u) << "popped an id that is not pending";
+      EXPECT_EQ(ran, pending.at(id).first) << "popped another id's closure";
+      forget(id);
+      clock = std::max(clock, q.next_time_or(clock));
+    }
+  }
+  EXPECT_GT(big_peak, 2 * kPage);
+  EXPECT_EQ(q.overflow_slots(), big_peak);
+  while (!pending.empty()) {
+    const auto [id, ran] = q.pop_run();
+    EXPECT_EQ(ran, pending.at(id).first);
+    forget(id);
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.overflow_slots(), big_peak);  // recycled, never released
 }
 
 TEST(EventQueueDifferential, CascadeBoundaries) {

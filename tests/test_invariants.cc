@@ -55,7 +55,7 @@ namespace d2::sim {
 
 struct EventQueueTestPeer {
   static PagedArray<std::uint64_t>& meta(EventQueue& q) { return q.meta_; }
-  static PagedArray<EventFn>& fns(EventQueue& q) { return q.fns_; }
+  static PagedArray<InlineEventFn>& fns(EventQueue& q) { return q.fns_; }
   static PagedArray<std::uint64_t>& order(EventQueue& q) { return q.order_; }
   static std::size_t& live(EventQueue& q) { return q.live_; }
   static constexpr std::uint64_t slot_mask() { return EventQueue::kSlotMask; }
@@ -74,6 +74,20 @@ struct EventQueueTestPeer {
     return q.wheel_.occupied_[static_cast<std::size_t>(level)];
   }
   static std::uint32_t& wheel_head(EventQueue& q) { return q.wheel_.head_; }
+  // Overflow-tier internals.
+  static std::uint32_t& overflow_next_free(EventQueue& q, std::uint32_t e) {
+    return q.overflow_[e].next_free;
+  }
+  /// Points slot `slot`'s closure at overflow entry `entry`.
+  static void refer_to_overflow(EventQueue& q, std::uint32_t slot,
+                                std::uint32_t entry) {
+    q.fns_[slot].rebind(EventQueue::OverflowRef{entry});
+  }
+  /// Replaces slot `slot`'s closure with an inline one, leaving its
+  /// overflow entry live but unreferenced.
+  static void inline_closure(EventQueue& q, std::uint32_t slot) {
+    q.fns_[slot].rebind([] {});
+  }
   static std::size_t& wheel_live(EventQueue& q) { return q.wheel_.live_; }
   static constexpr std::uint32_t wheel_nil() { return TimingWheel::kNil; }
 };
@@ -104,6 +118,19 @@ struct SortedKeyIndexTestPeer {
 };
 
 struct BlockMapTestPeer {
+  static BlockMap::Slice& slice(BlockMap& m) { return m.slices_.front(); }
+  /// Slot of stored key `k` (single-slice maps).
+  static std::uint32_t& slot_of(BlockMap& m, const Key& k) {
+    return *slice(m).index.find(k);
+  }
+  static std::uint32_t& next_free(BlockMap& m, std::uint32_t slot) {
+    return slice(m).slab[slot].next_free;
+  }
+  static std::uint32_t& generation(BlockMap& m, std::uint32_t slot) {
+    return slice(m).slab[slot].generation;
+  }
+  static std::uint32_t& free_head(BlockMap& m) { return slice(m).free_head; }
+  static constexpr std::uint32_t no_slot() { return BlockMap::kNoSlot; }
   static void drift_primary_count(BlockMap& m) {
     ++m.slices_.front().primary_count[0];
   }
@@ -118,20 +145,23 @@ struct BlockMapTestPeer {
     const int wrong = (owner + 1) % m.plan_.arcs();
     auto& src = m.slices_[static_cast<std::size_t>(owner)];
     auto& dst = m.slices_[static_cast<std::size_t>(wrong)];
-    BlockState* b = src.index.find(k);
+    BlockState* b = m.find_mutable(k);
     D2_REQUIRE(b != nullptr);
     BlockState moved = *b;
     const Bytes size = moved.size;
     const int primary = moved.replicas.front().node;
+    BlockMap::release_slot(src, *src.index.find(k));
     src.index.erase(k);
-    dst.index.insert(k, std::move(moved));
+    const std::uint32_t slot = BlockMap::acquire_slot(dst);
+    dst.slab[slot].state = std::move(moved);
+    dst.index.insert(k, std::uint32_t{slot});
     src.total_bytes -= size;
     dst.total_bytes += size;
     src.primary_count[static_cast<std::size_t>(primary)] -= 1;
     dst.primary_count[static_cast<std::size_t>(primary)] += 1;
     src.primary_bytes[static_cast<std::size_t>(primary)] -= size;
     dst.primary_bytes[static_cast<std::size_t>(primary)] += size;
-    const BlockState& placed = *dst.index.find(k);
+    const BlockState& placed = dst.slab[slot].state;
     for (const Replica& r : placed.replicas) {
       if (!r.has_data) continue;
       src.physical_bytes[static_cast<std::size_t>(r.node)] -=
@@ -271,7 +301,7 @@ TEST(Invariants, EventQueueSlotKeepsItsAddressAcrossPageGrowth) {
   sim::EventQueue q;
   int fired = 0;
   q.push(1, [&fired] { fired = 7; });  // slot 0
-  const sim::EventFn* fn = &Peer::fns(q)[0];
+  const sim::InlineEventFn* fn = &Peer::fns(q)[0];
   const std::uint64_t* meta = &Peer::meta(q)[0];
   const std::uint64_t* order = &Peer::order(q)[0];
   const SimTime* time = &Peer::wheel_time(q, 0);
@@ -288,6 +318,40 @@ TEST(Invariants, EventQueueSlotKeepsItsAddressAcrossPageGrowth) {
   sim::EventQueue::Event first = q.pop();
   first.fn();
   EXPECT_EQ(fired, 7);
+}
+
+/// A closure too large for an event slot: it goes to the overflow tier.
+auto big_closure() {
+  const Key k = K(42);
+  return [k] { (void)k; };
+}
+
+TEST(Invariants, EventQueueDetectsOverflowFreeListCycle) {
+  sim::EventQueue q;
+  const sim::EventId id = q.push(1, big_closure());
+  q.push(2, big_closure());
+  q.cancel(id);  // overflow entry 0 joins the overflow free list
+  sim::EventQueueTestPeer::overflow_next_free(q, 0) = 0;
+  ExpectInvariantNamed([&] { q.check_invariants(); },
+                       "overflow free-list cycle");
+}
+
+TEST(Invariants, EventQueueDetectsSlotReferringToAFreeOverflowEntry) {
+  sim::EventQueue q;
+  const sim::EventId id = q.push(1, big_closure());  // slot 0, entry 0
+  q.push(2, big_closure());                          // slot 1, entry 1
+  q.cancel(id);
+  sim::EventQueueTestPeer::refer_to_overflow(q, 1, 0);
+  ExpectInvariantNamed([&] { q.check_invariants(); },
+                       "slot refers to a free overflow entry");
+}
+
+TEST(Invariants, EventQueueDetectsOrphanedOverflowEntry) {
+  sim::EventQueue q;
+  q.push(1, big_closure());
+  sim::EventQueueTestPeer::inline_closure(q, 0);
+  ExpectInvariantNamed([&] { q.check_invariants(); },
+                       "orphaned overflow entry");
 }
 
 TEST(Invariants, EventQueueDetectsLiveCountDrift) {
@@ -450,6 +514,73 @@ TEST(Invariants, BlockMapDetectsDuplicateReplica) {
   b->replicas.push_back(b->replicas.front());
   ExpectInvariantNamed([&] { map.check_invariants(); },
                        "duplicate node in replica set");
+}
+
+TEST(Invariants, BlockMapDetectsSlabFreeListCycle) {
+  using Peer = store::BlockMapTestPeer;
+  store::BlockMap map(4);
+  map.insert(K(1), 100, {0, 1});
+  map.insert(K(2), 100, {1, 2});
+  const std::uint32_t freed = Peer::slot_of(map, K(1));
+  map.erase(K(1));
+  Peer::next_free(map, freed) = freed;
+  ExpectInvariantNamed([&] { map.check_invariants(); },
+                       "slab free-list cycle");
+}
+
+TEST(Invariants, BlockMapDetectsSlabFreeListLinkOutOfRange) {
+  using Peer = store::BlockMapTestPeer;
+  store::BlockMap map(4);
+  map.insert(K(1), 100, {0, 1});
+  const std::uint32_t freed = Peer::slot_of(map, K(1));
+  map.erase(K(1));
+  Peer::next_free(map, freed) = 1000;
+  ExpectInvariantNamed([&] { map.check_invariants(); },
+                       "slab free-list link out of range");
+}
+
+TEST(Invariants, BlockMapDetectsIndexNamingAFreeSlot) {
+  using Peer = store::BlockMapTestPeer;
+  store::BlockMap map(4);
+  map.insert(K(1), 100, {0, 1});
+  map.insert(K(2), 100, {1, 2});
+  const std::uint32_t freed = Peer::slot_of(map, K(1));
+  map.erase(K(1));
+  Peer::slot_of(map, K(2)) = freed;
+  ExpectInvariantNamed([&] { map.check_invariants(); },
+                       "index names a free slab slot");
+}
+
+TEST(Invariants, BlockMapDetectsTwoKeysSharingASlot) {
+  using Peer = store::BlockMapTestPeer;
+  store::BlockMap map(4);
+  map.insert(K(1), 100, {0, 1});
+  map.insert(K(2), 100, {1, 2});
+  Peer::slot_of(map, K(2)) = Peer::slot_of(map, K(1));
+  ExpectInvariantNamed([&] { map.check_invariants(); },
+                       "two keys share a slab slot");
+}
+
+TEST(Invariants, BlockMapDetectsOrphanedSlabSlot) {
+  using Peer = store::BlockMapTestPeer;
+  store::BlockMap map(4);
+  map.insert(K(1), 100, {0, 1});
+  map.insert(K(2), 100, {1, 2});
+  map.erase(K(1));
+  Peer::free_head(map) = Peer::no_slot();  // the freed slot is lost
+  ExpectInvariantNamed([&] { map.check_invariants(); },
+                       "orphaned slab slot");
+}
+
+TEST(Invariants, BlockMapDetectsZeroGeneration) {
+  // Generation 0 is the default handle's: a slot holding it would make
+  // BlockHandle{} resolve to a block.
+  using Peer = store::BlockMapTestPeer;
+  store::BlockMap map(4);
+  map.insert(K(1), 100, {0, 1});
+  Peer::generation(map, Peer::slot_of(map, K(1))) = 0;
+  ExpectInvariantNamed([&] { map.check_invariants(); },
+                       "slab generation out of range");
 }
 
 // ----------------------------------------------------------- lookup cache --

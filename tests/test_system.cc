@@ -84,6 +84,12 @@ std::size_t still_pending(const System& sys, const sim::Simulator& sim,
   return n;
 }
 
+/// True when `node` is not in `k`'s replica set.
+bool member_absent(const System& sys, const Key& k, int node) {
+  const std::vector<int> set = sys.replica_nodes(k);
+  return std::find(set.begin(), set.end(), node) == set.end();
+}
+
 /// A node outside `k`'s replica set.
 int node_outside_set(const System& sys, const Key& k) {
   const std::vector<int> set = sys.replica_nodes(k);
@@ -531,6 +537,125 @@ void check_readjusted_sets_match_reference(int scatter_replicas) {
   });
   EXPECT_GT(extended, 0u);
   EXPECT_GT(wrapped, 0u);
+  sys.check_invariants();
+}
+
+TEST(System, MoveReassignsOnlyBlocksWhoseWalkReachesTheMovedNodes) {
+  // On a failure-free ring a move can change only the replica sets whose
+  // successor walk reaches the light node at its new position or the
+  // light node's old successor. The move's two readjustments visit
+  // exactly those blocks: each readjustment counts every block whose
+  // walk reaches its node.
+  SystemConfig c = small_config();
+  sim::Simulator sim;
+  System sys(c, sim);
+  Rng rng(5);
+  for (int i = 0; i < 2000; ++i) sys.put(Key::random(rng), kB(8));
+  const std::vector<int> order = sys.ring().nodes_in_order();
+  const int light = order[3];
+  const int old_successor = sys.ring().successor(light);
+  const Key new_id = Key::midpoint(sys.ring().id_of(order[9]),
+                                   sys.ring().id_of(order[10]));
+  const auto reassigned = [&sys] {
+    return sys.metrics().find_counter("system.reassigned_blocks")->value();
+  };
+  const std::int64_t before = reassigned();
+  SystemTestPeer::move(sys, light, new_id);
+
+  std::int64_t expected = 0;
+  std::vector<int> walk;
+  sys.block_map().for_each_block([&](const Key& k, const store::BlockState&) {
+    sys.ring().successors(sys.owner_of(k), c.replicas,
+                          [](int) { return true; }, walk);
+    for (const int around : {old_successor, light}) {
+      if (std::find(walk.begin(), walk.end(), around) != walk.end()) {
+        ++expected;
+      }
+    }
+  });
+  EXPECT_GT(expected, 0);
+  EXPECT_EQ(reassigned() - before, expected);
+  sys.check_invariants();
+}
+
+TEST(System, StaleFetchEventsLeaveAReputBlockUntouched) {
+  // A pointer member's fetch is in flight when its block is removed. The
+  // key is put again while the member's node is down, and the node's
+  // recovery starts the new block's own fetch, queued on the same link
+  // behind the old one. The old fetch's completion names the erased
+  // block, so it must not promote the new block's member; only the new
+  // fetch's completion does. A fetch timer that outlives its block
+  // likewise leaves the block put under its key afterwards alone.
+  SystemConfig c = small_config();
+  c.pointer_stabilization = minutes(1);
+  c.remove_delay = 0;
+  sim::Simulator sim;
+  System sys(c, sim);
+  const Key k = seq_key(0);
+  const Key k2 = seq_key(50);
+  const Bytes size = mB(4);  // ~45 s on a 750 kbps migration link
+  sys.put(k, size);
+  sys.put(k2, kB(8));
+  const int light = node_outside_set(sys, k);
+  int joiner = 0;
+  while (joiner == light || !member_absent(sys, k2, joiner)) ++joiner;
+  const auto trace = sim::FailureTrace::from_intervals(
+      c.node_count, days(1),
+      {{light, seconds(80), seconds(90)},
+       {joiner, minutes(6) + seconds(2), minutes(10)}});
+  sys.attach_failure_trace(&trace, 0);
+  SystemTestPeer::move(sys, light, k);  // joins as the pointer primary
+  const auto promotions = [&sys] {
+    return sys.metrics().find_counter("system.pointer_promotions")->value();
+  };
+
+  sim.run_until(seconds(61));  // the timer fired: the old fetch is in flight
+  ASSERT_TRUE(member(sys, k, light)->fetch_in_flight);
+  sim.run_until(seconds(82));  // light is down
+  sys.remove(k);
+  sim.run_until(seconds(83));
+  ASSERT_FALSE(sys.has(k));
+  sys.put(k, size);  // light is down: its new member lacks the data
+  ASSERT_FALSE(member(sys, k, light)->has_data);
+  sim.run_until(seconds(91));  // recovered: the new fetch is in flight
+  ASSERT_TRUE(member(sys, k, light)->fetch_in_flight);
+  ASSERT_EQ(promotions(), 0);
+
+  // The old transfer ends at ~105 s, the new one at ~150 s.
+  sim.run_until(seconds(120));
+  EXPECT_FALSE(member(sys, k, light)->has_data)
+      << "the erased block's fetch completion promoted the new block";
+  EXPECT_TRUE(member(sys, k, light)->fetch_in_flight);
+  EXPECT_EQ(promotions(), 0);
+  sim.run_until(minutes(5));
+  EXPECT_TRUE(member(sys, k, light)->has_data);
+  EXPECT_EQ(promotions(), 1);
+
+  // The timer: with `k` gone, the joiner's timer for `k2` is its arc
+  // queue's next event, so erasing `k2` cannot discard it.
+  sys.remove(k);
+  sim.run_until(minutes(6));
+  SystemTestPeer::move(sys, joiner, k2);  // joins as the pointer primary
+  const std::vector<sim::EventId> old_timers = recorded_timers(sys, k2);
+  ASSERT_EQ(old_timers.size(), 1u);
+  sys.remove(k2);
+  sim.run_until(minutes(6) + seconds(1));
+  ASSERT_FALSE(sys.has(k2));
+  ASSERT_EQ(still_pending(sys, sim, k2, old_timers), 1u);
+  sim.run_until(minutes(6) + seconds(3));  // the joiner is down
+  sys.put(k2, kB(8));
+  const store::Replica* again = member(sys, k2, joiner);
+  ASSERT_NE(again, nullptr);
+  ASSERT_FALSE(again->has_data);
+  sim.run_until(minutes(7) + seconds(1));  // the old timer fired
+  EXPECT_EQ(still_pending(sys, sim, k2, old_timers), 0u);
+  again = member(sys, k2, joiner);
+  EXPECT_FALSE(again->has_data);
+  EXPECT_FALSE(again->fetch_in_flight);
+  EXPECT_EQ(again->fetch_due, kSimTimeNever);
+  EXPECT_EQ(again->fetch_timer, sim::Simulator::kNoEvent);
+  sim.run_until(minutes(15));  // recovery fetches the new block's copy
+  EXPECT_TRUE(member(sys, k2, joiner)->has_data);
   sys.check_invariants();
 }
 
