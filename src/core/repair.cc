@@ -5,7 +5,6 @@
 #include <bitset>
 
 #include "common/assert.h"
-#include "common/lane.h"
 
 namespace d2::core {
 
@@ -28,6 +27,29 @@ store::Replica* find_member(store::BlockState& b, int node) {
   return nullptr;
 }
 
+/// RepairStats as repair.* instruments: counts as counters (added, so
+/// runs sharing a registry sum), the MTTR figures as gauges.
+void export_metrics(const RepairStats& s, obs::Registry& m) {
+  const auto count = [&m](const char* name, std::uint64_t v) {
+    m.counter(name).add(static_cast<std::int64_t>(v));
+  };
+  count("repair.blocks", s.blocks);
+  count("repair.blocks_lost", s.blocks_lost);
+  count("repair.repair_bytes", static_cast<std::uint64_t>(s.repair_bytes));
+  count("repair.user_write_bytes",
+        static_cast<std::uint64_t>(s.user_write_bytes));
+  count("repair.repairs_started", s.repairs_started);
+  count("repair.repairs_completed", s.repairs_completed);
+  count("repair.repair_retries", s.repair_retries);
+  count("repair.verified_reconstructions", s.verified_reconstructions);
+  count("repair.writes_failed", s.writes_failed);
+  count("repair.mttr_episodes", s.mttr_episodes);
+  count("repair.open_episodes", s.open_episodes);
+  count("repair.node_event_blocks", s.node_event_blocks);
+  m.gauge("repair.mttr_mean_s").set(s.mttr_mean_s);
+  m.gauge("repair.mttr_p99_s").set(s.mttr_p99_s);
+}
+
 }  // namespace
 
 RepairEngine::RepairEngine(const RepairConfig& config, sim::Simulator& sim)
@@ -40,7 +62,8 @@ RepairEngine::RepairEngine(const RepairConfig& config, sim::Simulator& sim)
       codec_(config.erasure ? config.ec_data_fragments : 1,
              config.erasure ? config.ec_parity_fragments
                             : config.replicas - 1),
-      frag_shards_(static_cast<std::size_t>(config.arcs)) {
+      records_(static_cast<std::size_t>(config.arcs)),
+      node_blocks_(static_cast<std::size_t>(config.node_count)) {
   D2_REQUIRE_MSG(cfg_.node_count >= n(),
                  "repair: need at least k + m nodes to place a block");
   D2_REQUIRE(cfg_.block_size > 0);
@@ -74,21 +97,57 @@ std::vector<std::uint8_t> RepairEngine::payload_of(const Key& key) const {
   return payload;
 }
 
-RepairEngine::FragSet& RepairEngine::frag_set(const Key& key) {
-  D2_ASSERT_OWNER_LANE(map_.arc_of(key));
-  return frag_shards_[static_cast<std::size_t>(map_.arc_of(key))][key];
-}
-
-const RepairEngine::FragSet* RepairEngine::find_frag_set(const Key& key) const {
-  const auto& shard = frag_shards_[static_cast<std::size_t>(map_.arc_of(key))];
-  const auto it = shard.find(key);
-  return it == shard.end() ? nullptr : &it->second;
-}
-
 void RepairEngine::target_replica_set(const Key& key,
                                       std::vector<int>& out) const {
   ring_.successors(ring_.owner(key), n(),
                    [this](int node) { return node_up(node); }, out);
+}
+
+void RepairEngine::index_add(int node, store::BlockHandle h) {
+  std::vector<store::BlockHandle>& list =
+      node_blocks_[static_cast<std::size_t>(node)];
+  const auto pos = std::lower_bound(
+      list.begin(), list.end(), record(h).key,
+      [this](store::BlockHandle x, const Key& k) { return record(x).key < k; });
+  D2_DCHECK_MSG(pos == list.end() || !(*pos == h),
+                "repair: block indexed twice under one node");
+  list.insert(pos, h);
+}
+
+void RepairEngine::index_remove(int node, store::BlockHandle h) {
+  std::vector<store::BlockHandle>& list =
+      node_blocks_[static_cast<std::size_t>(node)];
+  const auto pos = std::lower_bound(
+      list.begin(), list.end(), record(h).key,
+      [this](store::BlockHandle x, const Key& k) { return record(x).key < k; });
+  D2_ASSERT_MSG(pos != list.end() && *pos == h,
+                "repair: node index lacks a block its node held");
+  list.erase(pos);
+}
+
+void RepairEngine::holders_of(const store::BlockState& b,
+                              std::vector<int>& out) {
+  out.clear();
+  for (const store::Replica& r : b.replicas) out.push_back(r.node);
+  out.insert(out.end(), b.stale_holders.begin(), b.stale_holders.end());
+}
+
+void RepairEngine::reindex(store::BlockHandle h,
+                           const std::vector<int>& before) {
+  // A node is never both member and stale holder, so each list holds a
+  // block at most once.
+  holders_of(state(h), scratch_after_);
+  for (int node : before) {
+    if (std::find(scratch_after_.begin(), scratch_after_.end(), node) ==
+        scratch_after_.end()) {
+      index_remove(node, h);
+    }
+  }
+  for (int node : scratch_after_) {
+    if (std::find(before.begin(), before.end(), node) == before.end()) {
+      index_add(node, h);
+    }
+  }
 }
 
 bool RepairEngine::write_block(const Key& key, SimTime now, bool in_lane) {
@@ -105,14 +164,20 @@ bool RepairEngine::write_block(const Key& key, SimTime now, bool in_lane) {
     ++writes_failed_;
     return false;
   }
-  map_.insert(key, cfg_.block_size, set, frag_traffic_bytes_);
+  const store::BlockHandle h =
+      map_.insert(key, cfg_.block_size, set, frag_traffic_bytes_);
+  sim::PagedArray<Record>& arc_records =
+      records_[static_cast<std::size_t>(h.arc())];
+  D2_ASSERT_MSG(h.slot() == arc_records.size(),
+                "repair: a new block's slab slot is not the next record");
+  Record& rec = arc_records.emplace_back();
+  rec.key = key;
   std::vector<std::vector<std::uint8_t>> encoded =
       codec_.encode(payload_of(key));
-  FragSet& fs = frag_set(key);
   int next_index = 0;
   for (int node : set) {
     if (node_up(node) && next_index < n()) {
-      fs.frags.push_back(
+      rec.frags.push_back(
           Frag{next_index, node, std::move(encoded[
               static_cast<std::size_t>(next_index)])});
       ++next_index;
@@ -121,21 +186,26 @@ bool RepairEngine::write_block(const Key& key, SimTime now, bool in_lane) {
     }
   }
   if (!in_lane) {
+    for (int node : set) index_add(node, h);
     user_write_bytes_ += cfg_.block_size;
     // Degraded at birth only if fewer than n fragments could be placed:
     // the target set extends past down nodes, so a write can carry a
     // down, data-less member and still be fully protected by n up ones.
     if (next_index < n()) {
-      degraded_since_.emplace(key, now);
+      rec.degraded_since = now;
+      ++open_episodes_;
       // The members lacking data are down (no transition will fire for
       // them); give the block its own detect-delay re-protection pass.
-      // d2-sched: global — RepairEngine runs an unpartitioned serial sim
-      sim_.schedule_after(cfg_.detect_delay, [this, key] {
-        if (dead_.count(key) == 0) {
-          reconcile(key);
+      auto detect = [this, h] {
+        if (!record(h).dead) {
+          reconcile(h);
           maybe_audit();
         }
-      });
+      };
+      static_assert(sim::kFitsInlineEvent<decltype(detect)>,
+                    "repair closures must fit their event slot");
+      // d2-sched: global — RepairEngine runs an unpartitioned serial sim
+      sim_.schedule_after(cfg_.detect_delay, detect);
     }
     maybe_audit();
   }
@@ -157,6 +227,10 @@ void RepairEngine::populate(std::int64_t count) {
     }
     planned.push_back(key);
   }
+  std::vector<std::size_t> first_new;
+  for (const sim::PagedArray<Record>& arc_records : records_) {
+    first_new.push_back(arc_records.size());
+  }
   // Each lane inserts the keys its arc owns, in generation order: the
   // resulting state is identical for any arc/worker setting, and the
   // encode work parallelizes across workers.
@@ -166,6 +240,42 @@ void RepairEngine::populate(std::int64_t count) {
       if (map_.arc_of(key) == arc) write_block(key, now, /*in_lane=*/true);
     }
   });
+  // The node index is shared across arcs, so the new blocks are indexed
+  // here, serially. The walk is in key order and so hands each node its
+  // new blocks sorted: one walk sizes the lists, a second appends, and a
+  // merge places each appended run among the node's earlier entries.
+  auto for_each_new_holding = [&](auto&& fn) {
+    map_.for_each_in_arc(
+        Key::min(), Key::min(),
+        [&](const Key&, store::BlockHandle h, store::BlockState& b) {
+          if (h.slot() < first_new[static_cast<std::size_t>(h.arc())]) return;
+          for (const store::Replica& r : b.replicas) {
+            fn(static_cast<std::size_t>(r.node), h);
+          }
+        });
+  };
+  std::vector<std::size_t> old_size;
+  for (const std::vector<store::BlockHandle>& list : node_blocks_) {
+    old_size.push_back(list.size());
+  }
+  std::vector<std::size_t> new_size = old_size;
+  for_each_new_holding(
+      [&](std::size_t node, store::BlockHandle) { ++new_size[node]; });
+  for (std::size_t node = 0; node < node_blocks_.size(); ++node) {
+    node_blocks_[node].reserve(new_size[node]);
+  }
+  for_each_new_holding([this](std::size_t node, store::BlockHandle h) {
+    node_blocks_[node].push_back(h);
+  });
+  for (std::size_t node = 0; node < node_blocks_.size(); ++node) {
+    std::vector<store::BlockHandle>& list = node_blocks_[node];
+    std::inplace_merge(
+        list.begin(),
+        list.begin() + static_cast<std::ptrdiff_t>(old_size[node]),
+        list.end(), [this](store::BlockHandle x, store::BlockHandle y) {
+          return record(x).key < record(y).key;
+        });
+  }
   user_write_bytes_ += count * cfg_.block_size;
   maybe_audit();
 }
@@ -176,16 +286,20 @@ void RepairEngine::attach_failure_trace(const sim::FailureTrace& trace) {
   for (const sim::FailureTrace::Transition& tr : trace.transitions()) {
     const int node = tr.node;
     if (tr.up) {
+      auto up = [this, node] { on_node_up(node); };
+      static_assert(sim::kFitsInlineEvent<decltype(up)>,
+                    "repair closures must fit their event slot");
       // d2-sched: global — up/down transitions mutate cross-node state
-      sim_.schedule_at(tr.time, [this, node] { on_node_up(node); });
+      sim_.schedule_at(tr.time, up);
     } else {
       // Drawn here, not at event time, so the loss outcome depends only
       // on the trace — never on event interleaving.
       const bool lose = rng_.bernoulli(cfg_.data_loss_fraction);
+      auto down = [this, node, lose] { on_node_down(node, lose); };
+      static_assert(sim::kFitsInlineEvent<decltype(down)>,
+                    "repair closures must fit their event slot");
       // d2-sched: global — up/down transitions mutate cross-node state
-      sim_.schedule_at(tr.time, [this, node, lose] {
-        on_node_down(node, lose);
-      });
+      sim_.schedule_at(tr.time, down);
     }
   }
 }
@@ -204,8 +318,11 @@ void RepairEngine::schedule_next_write(int node) {
   const SimTime next =
       sim_.now() + static_cast<SimTime>(rng_.exponential(write_mean_us_));
   if (next > writes_until_) return;
+  auto write = [this, node] { do_foreground_write(node); };
+  static_assert(sim::kFitsInlineEvent<decltype(write)>,
+                "repair closures must fit their event slot");
   // d2-sched: global — RepairEngine runs an unpartitioned serial sim
-  sim_.schedule_at(next, [this, node] { do_foreground_write(node); });
+  sim_.schedule_at(next, write);
 }
 
 void RepairEngine::do_foreground_write(int node) {
@@ -217,21 +334,19 @@ void RepairEngine::do_foreground_write(int node) {
   schedule_next_write(node);
 }
 
-int RepairEngine::intact_indices(const Key& key) const {
-  const FragSet* fs = find_frag_set(key);
-  if (fs == nullptr) return 0;
+int RepairEngine::intact_indices(const std::vector<Frag>& frags) {
   std::bitset<256> seen;
-  for (const Frag& f : fs->frags) seen.set(static_cast<std::size_t>(f.index));
+  for (const Frag& f : frags) seen.set(static_cast<std::size_t>(f.index));
   return static_cast<int>(seen.count());
 }
 
 int RepairEngine::live_indices(const store::BlockState& b,
-                               const FragSet& fs) const {
+                               const std::vector<Frag>& frags) const {
   // Only fragments on up *members* count as protection; copies on stale
   // or detached holders are recovery sources, not redundancy (a member
-  // holding a fragment always has has_data by the sidecar invariant).
+  // holding a fragment always has has_data by the fragment invariant).
   std::bitset<256> seen;
-  for (const Frag& f : fs.frags) {
+  for (const Frag& f : frags) {
     if (node_up(f.node) && b.is_replica(f.node)) {
       seen.set(static_cast<std::size_t>(f.index));
     }
@@ -239,13 +354,12 @@ int RepairEngine::live_indices(const store::BlockState& b,
   return static_cast<int>(seen.count());
 }
 
-bool RepairEngine::pick_sources(const Key& key, int exclude_node,
+bool RepairEngine::pick_sources(const std::vector<Frag>& frags,
+                                int exclude_node,
                                 std::vector<const Frag*>& out) const {
   out.clear();
-  const FragSet* fs = find_frag_set(key);
-  if (fs == nullptr) return false;
   int last_index = -1;
-  for (const Frag& f : fs->frags) {  // sorted by (index, node)
+  for (const Frag& f : frags) {  // sorted by (index, node)
     if (f.index == last_index) continue;
     if (f.node == exclude_node || !node_up(f.node)) continue;
     out.push_back(&f);
@@ -255,40 +369,42 @@ bool RepairEngine::pick_sources(const Key& key, int exclude_node,
   return false;
 }
 
-void RepairEngine::mark_dead(const Key& key) {
-  D2_DCHECK_MSG(intact_indices(key) < k(),
+void RepairEngine::mark_dead(Record& rec) {
+  D2_DCHECK_MSG(intact_indices(rec.frags) < k(),
                 "mark_dead on a block with >= k intact fragments");
-  if (!dead_.insert(key).second) return;
+  if (rec.dead) return;
+  rec.dead = true;
+  ++dead_blocks_;
   // A dead block's degradation episode never closes; it is excluded from
   // MTTR and counted by durability instead.
-  degraded_since_.erase(key);
+  if (rec.degraded_since != kNoEpisode) {
+    rec.degraded_since = kNoEpisode;
+    --open_episodes_;
+  }
 }
 
-void RepairEngine::update_episode(const Key& key,
-                                  const store::BlockState& b) {
-  const FragSet* fs = find_frag_set(key);
-  const int live = fs == nullptr ? 0 : live_indices(b, *fs);
-  const auto it = degraded_since_.find(key);
-  if (live >= n()) {
-    if (it != degraded_since_.end()) {
-      mttr_s_.add(to_seconds(sim_.now() - it->second));
-      degraded_since_.erase(it);
+void RepairEngine::update_episode(Record& rec, const store::BlockState& b) {
+  if (live_indices(b, rec.frags) >= n()) {
+    if (rec.degraded_since != kNoEpisode) {
+      mttr_s_.add(to_seconds(sim_.now() - rec.degraded_since));
+      rec.degraded_since = kNoEpisode;
+      --open_episodes_;
     }
     return;
   }
-  if (it == degraded_since_.end() && dead_.count(key) == 0) {
-    degraded_since_.emplace(key, sim_.now());
+  if (rec.degraded_since == kNoEpisode && !rec.dead) {
+    rec.degraded_since = sim_.now();
+    ++open_episodes_;
   }
 }
 
-void RepairEngine::sync_frags(const Key& key, const store::BlockState& b) {
-  FragSet& fs = frag_set(key);
+void RepairEngine::sync_frags(Record& rec, const store::BlockState& b) {
   std::array<int, 256> copies{};
-  for (const Frag& f : fs.frags) ++copies[static_cast<std::size_t>(f.index)];
-  const int live = live_indices(b, fs);
+  for (const Frag& f : rec.frags) ++copies[static_cast<std::size_t>(f.index)];
+  const int live = live_indices(b, rec.frags);
   std::vector<Frag> kept;
-  kept.reserve(fs.frags.size());
-  for (Frag& f : fs.frags) {
+  kept.reserve(rec.frags.size());
+  for (Frag& f : rec.frags) {
     const bool attached = b.is_replica(f.node) || stale_contains(b, f.node);
     if (attached) {
       kept.push_back(std::move(f));
@@ -304,115 +420,116 @@ void RepairEngine::sync_frags(const Key& key, const store::BlockState& b) {
       continue;
     }
     const auto oit = orphans_.find(f.node);
-    if (oit != orphans_.end()) oit->second.erase(key);
+    if (oit != orphans_.end()) oit->second.erase(rec.key);
   }
-  fs.frags = std::move(kept);
-  for (const Frag& f : fs.frags) {
+  rec.frags = std::move(kept);
+  for (const Frag& f : rec.frags) {
     const bool attached = b.is_replica(f.node) || stale_contains(b, f.node);
     if (attached) {
       const auto oit = orphans_.find(f.node);
-      if (oit != orphans_.end()) oit->second.erase(key);
+      if (oit != orphans_.end()) oit->second.erase(rec.key);
     } else {
-      orphans_[f.node].insert(key);
+      orphans_[f.node].insert(rec.key);
     }
   }
 }
 
 void RepairEngine::on_node_down(int node, bool lose_data) {
   up_[static_cast<std::size_t>(node)] = 0;
-  scratch_keys_.clear();
-  map_.for_each_block([&](const Key& key, const store::BlockState& b) {
-    if (b.is_replica(node) || stale_contains(b, node)) {
-      scratch_keys_.push_back(key);
-    }
-  });
+  // Key order, then on a disk loss the node's orphans in key order.
+  const std::vector<store::BlockHandle>& held =
+      node_blocks_[static_cast<std::size_t>(node)];
+  scratch_blocks_.assign(held.begin(), held.end());
   if (lose_data) {
     // Disk loss: every fragment stored on the node is gone, including
     // detached (orphan) copies kept alive only for recoverability.
     const auto oit = orphans_.find(node);
     if (oit != orphans_.end()) {
-      for (const Key& key : oit->second) scratch_keys_.push_back(key);
+      for (const Key& key : oit->second) {
+        scratch_blocks_.push_back(map_.handle_of(key));
+      }
       oit->second.clear();
     }
   }
-  for (const Key& key : scratch_keys_) {
-    store::BlockState* b = map_.find_mutable(key);
-    if (b == nullptr) continue;
+  node_event_blocks_ += scratch_blocks_.size();
+  for (const store::BlockHandle h : scratch_blocks_) {
+    Record& rec = record(h);
+    store::BlockState& b = state(h);
     if (lose_data) {
-      FragSet& fs = frag_set(key);
-      const auto split = std::remove_if(
-          fs.frags.begin(), fs.frags.end(),
-          [node](const Frag& f) { return f.node == node; });
-      fs.frags.erase(split, fs.frags.end());
-      if (b->is_replica(node)) {
-        if (b->node_has_data(node)) map_.mark_missing(key, node);
-      } else {
-        // Stale or detached holder: its physical copy is gone too.
-        map_.drop_stale(key, node);
+      std::erase_if(rec.frags,
+                    [node](const Frag& f) { return f.node == node; });
+      if (b.is_replica(node)) {
+        if (b.node_has_data(node)) map_.mark_missing(rec.key, node);
+      } else if (stale_contains(b, node)) {
+        // Stale holder: its physical copy is gone too.
+        map_.drop_stale(rec.key, node);
+        index_remove(node, h);
       }
-      if (dead_.count(key) == 0 && intact_indices(key) < k()) mark_dead(key);
+      if (!rec.dead && intact_indices(rec.frags) < k()) mark_dead(rec);
     }
-    if (dead_.count(key) == 0) update_episode(key, *b);
+    if (!rec.dead) update_episode(rec, b);
   }
-  // d2-sched: global — RepairEngine runs an unpartitioned serial sim
-  sim_.schedule_after(cfg_.detect_delay, [this, node] {
+  auto detect = [this, node] {
     if (!node_up(node)) repair_scan(node);
-  });
+  };
+  static_assert(sim::kFitsInlineEvent<decltype(detect)>,
+                "repair closures must fit their event slot");
+  // d2-sched: global — RepairEngine runs an unpartitioned serial sim
+  sim_.schedule_after(cfg_.detect_delay, detect);
   maybe_audit();
 }
 
 void RepairEngine::repair_scan(int node) {
-  scratch_keys_.clear();
-  map_.for_each_block([&](const Key& key, const store::BlockState& b) {
-    if (b.is_replica(node)) scratch_keys_.push_back(key);
-  });
-  const std::vector<Key> keys = scratch_keys_;
-  for (const Key& key : keys) {
-    if (dead_.count(key) == 0) reconcile(key);
+  const std::vector<store::BlockHandle>& held =
+      node_blocks_[static_cast<std::size_t>(node)];
+  node_event_blocks_ += held.size();
+  scratch_blocks_.clear();
+  for (const store::BlockHandle h : held) {
+    if (state(h).is_replica(node)) scratch_blocks_.push_back(h);
+  }
+  for (const store::BlockHandle h : scratch_blocks_) {
+    if (!record(h).dead) reconcile(h);
   }
   maybe_audit();
 }
 
 void RepairEngine::on_node_up(int node) {
   up_[static_cast<std::size_t>(node)] = 1;
-  scratch_keys_.clear();
-  map_.for_each_block([&](const Key& key, const store::BlockState& b) {
-    if (b.is_replica(node) || stale_contains(b, node)) {
-      scratch_keys_.push_back(key);
-    }
-  });
-  const std::vector<Key> keys = scratch_keys_;
-  for (const Key& key : keys) {
-    if (dead_.count(key) == 0) reconcile(key);
+  const std::vector<store::BlockHandle>& held =
+      node_blocks_[static_cast<std::size_t>(node)];
+  scratch_blocks_.assign(held.begin(), held.end());
+  node_event_blocks_ += scratch_blocks_.size();
+  for (const store::BlockHandle h : scratch_blocks_) {
+    if (!record(h).dead) reconcile(h);
   }
   maybe_audit();
 }
 
-void RepairEngine::reconcile(const Key& key) {
-  store::BlockState* b = map_.find_mutable(key);
-  if (b == nullptr || dead_.count(key) != 0) return;
-  target_replica_set(key, scratch_set_);
-  map_.reassign_replicas(key, scratch_set_);
+void RepairEngine::reconcile(store::BlockHandle h) {
+  Record& rec = record(h);
+  if (rec.dead) return;
+  store::BlockState& b = state(h);
+  holders_of(b, scratch_holders_);
+  target_replica_set(rec.key, scratch_set_);
+  map_.reassign_replicas(rec.key, b, scratch_set_);
   // A member rejoining without the stale-holder fast path may still
   // physically hold its old fragment (kept as a detached sole copy):
   // reattach it rather than scheduling a redundant reconstruction.
-  {
-    const FragSet& fs = frag_set(key);
-    for (const store::Replica& r : b->replicas) {
-      if (r.has_data) continue;
-      for (const Frag& f : fs.frags) {
-        if (f.node == r.node) {
-          map_.mark_data(key, r.node);
-          break;
-        }
+  for (const store::Replica& r : b.replicas) {
+    if (r.has_data) continue;
+    for (const Frag& f : rec.frags) {
+      if (f.node == r.node) {
+        map_.mark_data(h, b, r.node);
+        break;
       }
     }
   }
-  sync_frags(key, *b);
-  for (store::Replica& r : b->replicas) {
+  reindex(h, scratch_holders_);
+  sync_frags(rec, b);
+  for (const store::Replica& r : b.replicas) {
     if (node_up(r.node) && !r.has_data && !r.fetch_in_flight &&
-        inflight_.count({key, r.node}) == 0) {
-      start_repair(key, r.node);
+        inflight_.count({rec.key, r.node}) == 0) {
+      start_repair(h, r.node);
     }
   }
   // A rebuilt fragment can duplicate an index whose original holder later
@@ -420,12 +537,12 @@ void RepairEngine::reconcile(const Key& key) {
   // live only on a detached holder (or nowhere up) and the per-member
   // loop above has nothing to repair. Re-target the duplicate holders so
   // the member set converges to n distinct indices.
-  if (live_indices(*b, frag_set(key)) < n()) {
+  if (live_indices(b, rec.frags) < n()) {
     std::bitset<256> seen;
     std::vector<int> dup_nodes;
-    for (const Frag& f : frag_set(key).frags) {
-      if (!node_up(f.node) || !b->is_replica(f.node) ||
-          !b->node_has_data(f.node)) {
+    for (const Frag& f : rec.frags) {
+      if (!node_up(f.node) || !b.is_replica(f.node) ||
+          !b.node_has_data(f.node)) {
         continue;
       }
       if (seen.test(static_cast<std::size_t>(f.index))) {
@@ -435,40 +552,39 @@ void RepairEngine::reconcile(const Key& key) {
       }
     }
     for (int node : dup_nodes) {
-      if (inflight_.count({key, node}) != 0) continue;
-      map_.mark_missing(key, node);
-      FragSet& fs = frag_set(key);
-      for (auto it = fs.frags.begin(); it != fs.frags.end(); ++it) {
+      if (inflight_.count({rec.key, node}) != 0) continue;
+      map_.mark_missing(rec.key, node);
+      for (auto it = rec.frags.begin(); it != rec.frags.end(); ++it) {
         if (it->node == node) {
-          fs.frags.erase(it);
+          rec.frags.erase(it);
           break;
         }
       }
-      start_repair(key, node);
+      start_repair(h, node);
     }
   }
-  update_episode(key, *b);
+  update_episode(rec, b);
   // No audit here: reconcile runs inside the on_node_up / repair_scan
-  // batch loops, where episode bookkeeping for not-yet-visited keys
+  // batch loops, where episode bookkeeping for not-yet-visited blocks
   // legitimately lags the up_ flip — callers audit once the batch is
   // consistent again.
 }
 
-void RepairEngine::start_repair(const Key& key, int node) {
-  store::BlockState* b = map_.find_mutable(key);
-  D2_ASSERT(b != nullptr);
-  store::Replica* r = find_member(*b, node);
+void RepairEngine::start_repair(store::BlockHandle h, int node) {
+  const Record& rec = record(h);
+  store::Replica* r = find_member(state(h), node);
   D2_ASSERT(r != nullptr);
-  std::vector<const Frag*> sources;
-  if (!pick_sources(key, node, sources)) {
-    if (intact_indices(key) >= k()) {
+  std::vector<const Frag*>& sources = scratch_sources_;
+  if (!pick_sources(rec.frags, node, sources)) {
+    if (intact_indices(rec.frags) >= k()) {
       // Recoverable, but some needed fragment sits on a down node: back
       // off and retry once its holder may have returned.
       ++repair_retries_;
+      auto retry = [this, h, node] { retry_repair(h, node); };
+      static_assert(sim::kFitsInlineEvent<decltype(retry)>,
+                    "repair closures must fit their event slot");
       // d2-sched: global — RepairEngine runs an unpartitioned serial sim
-      sim_.schedule_after(cfg_.retry_delay, [this, key, node] {
-        retry_repair(key, node);
-      });
+      sim_.schedule_after(cfg_.retry_delay, retry);
     }
     return;
   }
@@ -488,53 +604,56 @@ void RepairEngine::start_repair(const Key& key, int node) {
   const SimTime finish = std::max(now + lat, link_done);
   for (const Frag* f : sources) tcp_.touch(f->node, node, finish);
   r->fetch_in_flight = true;
-  inflight_.insert({key, node});
+  inflight_.insert({rec.key, node});
   repair_bytes_ += total;
   ++repairs_started_;
+  auto done = [this, h, node] { finish_repair(h, node); };
+  static_assert(sim::kFitsInlineEvent<decltype(done)>,
+                "repair closures must fit their event slot");
   // d2-sched: global — RepairEngine runs an unpartitioned serial sim
-  sim_.schedule_at(finish, [this, key, node] { finish_repair(key, node); });
+  sim_.schedule_at(finish, done);
 }
 
-void RepairEngine::retry_repair(const Key& key, int node) {
-  store::BlockState* b = map_.find_mutable(key);
-  if (b == nullptr || dead_.count(key) != 0) return;
-  store::Replica* r = find_member(*b, node);
+void RepairEngine::retry_repair(store::BlockHandle h, int node) {
+  const Record& rec = record(h);
+  if (rec.dead) return;
+  const store::Replica* r = find_member(state(h), node);
   if (r == nullptr || !node_up(node) || r->has_data || r->fetch_in_flight ||
-      inflight_.count({key, node}) != 0) {
+      inflight_.count({rec.key, node}) != 0) {
     return;
   }
-  start_repair(key, node);
+  start_repair(h, node);
 }
 
-void RepairEngine::finish_repair(const Key& key, int node) {
-  inflight_.erase({key, node});
-  store::BlockState* b = map_.find_mutable(key);
-  if (b == nullptr) return;
-  store::Replica* r = find_member(*b, node);
+void RepairEngine::finish_repair(store::BlockHandle h, int node) {
+  Record& rec = record(h);
+  inflight_.erase({rec.key, node});
+  store::BlockState& b = state(h);
+  store::Replica* r = find_member(b, node);
   if (r != nullptr) r->fetch_in_flight = false;
-  if (dead_.count(key) != 0) return;
+  if (rec.dead) return;
   if (r == nullptr || !node_up(node) || r->has_data) {
     // Membership moved on or the target died mid-transfer; the next
     // down-scan or reconcile of this block reissues what is still needed.
     return;
   }
-  std::vector<const Frag*> sources;
-  if (!pick_sources(key, node, sources)) {
-    if (intact_indices(key) >= k()) {
+  std::vector<const Frag*>& sources = scratch_sources_;
+  if (!pick_sources(rec.frags, node, sources)) {
+    if (intact_indices(rec.frags) >= k()) {
       ++repair_retries_;
+      auto retry = [this, h, node] { retry_repair(h, node); };
+      static_assert(sim::kFitsInlineEvent<decltype(retry)>,
+                    "repair closures must fit their event slot");
       // d2-sched: global — RepairEngine runs an unpartitioned serial sim
-      sim_.schedule_after(cfg_.retry_delay, [this, key, node] {
-        retry_repair(key, node);
-      });
+      sim_.schedule_after(cfg_.retry_delay, retry);
     }
     return;
   }
   // Rebuild the lowest fragment index not held by an up member (a copy
   // on a stale holder is only a source — it does not protect the block).
-  const FragSet& fs = frag_set(key);
   std::bitset<256> live_idx;
-  for (const Frag& f : fs.frags) {
-    if (node_up(f.node) && b->is_replica(f.node)) {
+  for (const Frag& f : rec.frags) {
+    if (node_up(f.node) && b.is_replica(f.node)) {
       live_idx.set(static_cast<std::size_t>(f.index));
     }
   }
@@ -547,7 +666,7 @@ void RepairEngine::finish_repair(const Key& key, int node) {
   }
   if (target < 0) {
     // Every fragment already lives on an up member: nothing to rebuild.
-    update_episode(key, *b);
+    update_episode(rec, b);
     return;
   }
   std::vector<int> indices;
@@ -563,29 +682,30 @@ void RepairEngine::finish_repair(const Key& key, int node) {
   // End-to-end codec check on every repair: reconstruction from whatever
   // k fragments survived must equal a fresh encode of the true payload.
   const std::vector<std::vector<std::uint8_t>> expected =
-      codec_.encode(payload_of(key));
+      codec_.encode(payload_of(rec.key));
   D2_ASSERT_MSG(rebuilt == expected[static_cast<std::size_t>(target)],
                 "repair: reconstructed fragment mismatches original encoding");
   ++verified_;
-  FragSet& mut_fs = frag_set(key);
   Frag nf{target, node, std::move(rebuilt)};
   const auto pos = std::upper_bound(
-      mut_fs.frags.begin(), mut_fs.frags.end(), nf,
+      rec.frags.begin(), rec.frags.end(), nf,
       [](const Frag& a, const Frag& f) {
         return a.index != f.index ? a.index < f.index : a.node < f.node;
       });
-  mut_fs.frags.insert(pos, std::move(nf));
-  map_.mark_data(key, node);  // may prune stale holders
-  sync_frags(key, *b);
+  rec.frags.insert(pos, std::move(nf));
+  holders_of(b, scratch_holders_);
+  map_.mark_data(h, b, node);  // may prune stale holders
+  reindex(h, scratch_holders_);
+  sync_frags(rec, b);
   ++repairs_completed_;
-  update_episode(key, *b);
+  update_episode(rec, b);
   maybe_audit();
 }
 
 RepairStats RepairEngine::snapshot() const {
   RepairStats s;
   s.blocks = map_.block_count();
-  s.blocks_lost = dead_.size();
+  s.blocks_lost = dead_blocks_;
   s.repair_bytes = repair_bytes_;
   s.user_write_bytes = user_write_bytes_;
   s.repairs_started = repairs_started_;
@@ -596,7 +716,8 @@ RepairStats RepairEngine::snapshot() const {
   s.mttr_episodes = mttr_s_.count();
   s.mttr_mean_s = mttr_s_.empty() ? 0.0 : mttr_s_.mean();
   s.mttr_p99_s = mttr_s_.empty() ? 0.0 : mttr_s_.percentile(99.0);
-  s.open_episodes = degraded_since_.size();
+  s.open_episodes = open_episodes_;
+  s.node_event_blocks = node_event_blocks_;
   return s;
 }
 
@@ -612,19 +733,26 @@ void RepairEngine::check_invariants() const {
   for (const sim::BandwidthLink& l : links_) link_bytes += l.total_bytes();
   D2_ASSERT_MSG(link_bytes == repair_bytes_,
                 "repair: budget-link bytes diverge from repair accounting");
+  for (int arc = 0; arc < map_.arcs(); ++arc) {
+    // Blocks are never erased, so a slice's slab has one slot per block.
+    D2_ASSERT_MSG(records_[static_cast<std::size_t>(arc)].size() ==
+                      map_.slice_block_count(arc),
+                  "repair: records out of step with the block map's slots");
+  }
   std::size_t inflight_flags = 0;
-  std::size_t frag_blocks = 0;
+  std::size_t dead_blocks = 0;
+  std::size_t open_episodes = 0;
+  std::size_t holdings = 0;  // (node, block) pairs: members + stale holders
   map_.for_each_block([&](const Key& key, const store::BlockState& b) {
-    const FragSet* fs = find_frag_set(key);
-    D2_ASSERT_MSG(fs != nullptr, "repair: block missing its fragment set");
-    ++frag_blocks;
-    const bool dead = dead_.count(key) != 0;
+    const Record& rec = record(map_.handle_of(key));
+    D2_ASSERT_MSG(rec.key == key, "repair: record names another block");
+    holdings += b.replicas.size() + b.stale_holders.size();
     std::bitset<256> indices;
     std::array<int, 256> copies{};
     int last_index = -1;
     int last_node = -1;
     std::vector<char> holder(static_cast<std::size_t>(cfg_.node_count), 0);
-    for (const Frag& f : fs->frags) {
+    for (const Frag& f : rec.frags) {
       D2_ASSERT_MSG(f.index >= 0 && f.index < n(),
                     "repair: fragment index out of range");
       D2_ASSERT_MSG(f.node >= 0 && f.node < cfg_.node_count,
@@ -653,8 +781,8 @@ void RepairEngine::check_invariants() const {
                       "repair: in-flight member not tracked in repair queue");
       }
     }
-    const int live = live_indices(b, *fs);
-    for (const Frag& f : fs->frags) {
+    const int live = live_indices(b, rec.frags);
+    for (const Frag& f : rec.frags) {
       const bool attached = b.is_replica(f.node) || stale_contains(b, f.node);
       if (!attached) {
         D2_ASSERT_MSG(copies[static_cast<std::size_t>(f.index)] == 1,
@@ -667,27 +795,47 @@ void RepairEngine::check_invariants() const {
       }
     }
     const int intact = static_cast<int>(indices.count());
-    if (dead) {
+    if (rec.dead) {
+      ++dead_blocks;
       D2_ASSERT_MSG(intact < k(), "repair: dead block is recoverable");
     } else {
       D2_ASSERT_MSG(intact >= k(), "repair: live block below k fragments");
     }
-    const auto eit = degraded_since_.find(key);
-    if (eit != degraded_since_.end()) {
-      D2_ASSERT_MSG(!dead, "repair: dead block has an open episode");
+    if (rec.degraded_since != kNoEpisode) {
+      ++open_episodes;
+      D2_ASSERT_MSG(!rec.dead, "repair: dead block has an open episode");
       D2_ASSERT_MSG(live < n(),
                     "repair: fully protected block has an open episode");
-    } else if (!dead) {
+      D2_ASSERT_MSG(rec.degraded_since <= sim_.now(),
+                    "repair: episode starts in the future");
+    } else if (!rec.dead) {
       D2_ASSERT_MSG(live >= n(),
                     "repair: degraded block has no open episode");
     }
   });
-  std::size_t sidecar_blocks = 0;
-  for (const auto& shard : frag_shards_) {
-    sidecar_blocks += shard.size();
+  D2_ASSERT_MSG(dead_blocks == dead_blocks_,
+                "repair: dead-block counter diverges from the records");
+  D2_ASSERT_MSG(open_episodes == open_episodes_,
+                "repair: open-episode counter diverges from the records");
+  std::size_t indexed = 0;
+  for (int node = 0; node < cfg_.node_count; ++node) {
+    const std::vector<store::BlockHandle>& list =
+        node_blocks_[static_cast<std::size_t>(node)];
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      const store::BlockHandle h = list[i];
+      const store::BlockState* b =
+          h.arc() < map_.arcs() ? map_.at(h) : nullptr;
+      D2_ASSERT_MSG(b != nullptr, "repair: node index names no block");
+      D2_ASSERT_MSG(b->is_replica(node) || stale_contains(*b, node),
+                    "repair: node index lists a block its node does not hold");
+      D2_ASSERT_MSG(i == 0 || record(list[i - 1]).key < record(h).key,
+                    "repair: node index out of key order");
+    }
+    indexed += list.size();
   }
-  D2_ASSERT_MSG(sidecar_blocks == frag_blocks,
-                "repair: fragment sidecar holds unknown blocks");
+  // Every entry is a holding and no list repeats a block (strict key
+  // order), so equal totals mean every holding is listed.
+  D2_ASSERT_MSG(indexed == holdings, "repair: node index misses a holder");
   for (const auto& [key, node] : inflight_) {
     D2_ASSERT_MSG(map_.contains(key),
                   "repair: queue entry references unknown block");
@@ -698,18 +846,13 @@ void RepairEngine::check_invariants() const {
                 "repair: more in-flight flags than queue entries");
   for (const auto& [node, keys] : orphans_) {
     for (const Key& key : keys) {
-      const FragSet* fs = find_frag_set(key);
+      const store::BlockHandle h = map_.handle_of(key);
       bool found = false;
-      if (fs != nullptr) {
-        for (const Frag& f : fs->frags) found |= f.node == node;
+      if (map_.at(h) != nullptr) {
+        for (const Frag& f : record(h).frags) found |= f.node == node;
       }
       D2_ASSERT_MSG(found, "repair: orphan index entry without a fragment");
     }
-  }
-  for (const auto& [key, since] : degraded_since_) {
-    D2_ASSERT_MSG(map_.contains(key),
-                  "repair: episode references unknown block");
-    D2_ASSERT_MSG(since <= sim_.now(), "repair: episode starts in the future");
   }
 }
 
@@ -720,6 +863,7 @@ DurabilityResult run_durability(const DurabilityParams& params) {
   ac.lookahead = 0;
   ac.scheduler = params.repair.scheduler;
   sim::Simulator sim(ac);
+  sim.bind_metrics(params.metrics);
   RepairEngine engine(params.repair, sim);
   engine.populate(static_cast<std::int64_t>(params.blocks_per_node) *
                   params.repair.node_count);
@@ -747,6 +891,10 @@ DurabilityResult run_durability(const DurabilityParams& params) {
           ? 0.0
           : static_cast<double>(result.stats.repair_bytes) /
                 static_cast<double>(result.stats.user_write_bytes);
+  if (params.metrics != nullptr) {
+    sim.export_metrics();
+    export_metrics(result.stats, *params.metrics);
+  }
   return result;
 }
 

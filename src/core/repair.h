@@ -3,9 +3,10 @@
 // ROADMAP item 2 / DESIGN.md §10. The availability experiments treat
 // redundancy as accounting; this engine runs the real thing, modeled on
 // gluster's AFR self-heal daemon: it subscribes to FailureTrace
-// transitions, scans the BlockMap for under-replicated / under-coded
-// blocks when a node goes down (after a transient-failure damping delay)
-// or rejoins, and schedules fragment reconstruction as simulator events
+// transitions, walks the node's blocks (a per-node index of block
+// handles) for under-replicated / under-coded ones when a node goes down
+// (after a transient-failure damping delay) or rejoins, and schedules
+// fragment reconstruction as simulator events
 // whose transfer cost combines net::TcpModel slow-start latency,
 // net::LatencyModel RTTs, and a per-node repair-bandwidth budget
 // (sim::BandwidthLink) so repair competes with — rather than preempts —
@@ -32,13 +33,13 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/arc_plan.h"
 #include "common/assert.h"
 #include "common/key.h"
+#include "common/lane.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/thread_annotations.h"
@@ -46,8 +47,10 @@
 #include "dht/ring.h"
 #include "net/latency.h"
 #include "net/tcp_model.h"
+#include "obs/metrics.h"
 #include "sim/bandwidth.h"
 #include "sim/failure.h"
+#include "sim/paged_array.h"
 #include "sim/simulator.h"
 #include "store/block_map.h"
 #include "store/ec.h"
@@ -104,6 +107,10 @@ struct RepairStats {
   double mttr_mean_s = 0.0;
   double mttr_p99_s = 0.0;
   std::size_t open_episodes = 0;  // still degraded at snapshot time
+  /// Blocks the node-down, detect-delay and node-up passes visited: the
+  /// node's index entries, plus its orphans on a lossy down. Work, not
+  /// an outcome.
+  std::uint64_t node_event_blocks = 0;
 };
 
 class RepairEngine {
@@ -135,14 +142,17 @@ class RepairEngine {
   RepairStats snapshot() const;
 
   /// Full-structure audit; throws InvariantError naming the violated
-  /// invariant. Audits the ring and BlockMap, the fragment sidecar
-  /// against replica membership (member has_data ⟺ it holds a fragment;
-  /// stale holders keep theirs; every fragment belongs to a member or
-  /// stale holder and has the right length), the dead-set (< k intact
-  /// fragments iff dead), the repair queue (every in-flight member is
-  /// tracked, tracked entries reference live blocks), episode records
-  /// (degraded blocks only), and byte accounting (repair bytes == the
-  /// sum over per-node budget links).
+  /// invariant. Audits the ring and BlockMap, one record per block in
+  /// its slab slot, each record's fragments against replica membership
+  /// (member has_data ⟺ it holds a fragment; stale holders keep theirs;
+  /// every fragment belongs to a member or stale holder and has the
+  /// right length), dead flags (< k intact fragments iff dead), the
+  /// repair queue (every in-flight member is tracked, tracked entries
+  /// reference live blocks), episode starts (degraded blocks only), the
+  /// dead and open-episode counters, the node index (each node lists
+  /// exactly the blocks it is a member or stale holder of, in key
+  /// order) and byte accounting (repair bytes == the sum over per-node
+  /// budget links).
   void check_invariants() const;
 
  private:
@@ -154,27 +164,50 @@ class RepairEngine {
     int node;
     std::vector<std::uint8_t> bytes;
   };
-  struct FragSet {
+
+  static constexpr SimTime kNoEpisode = kSimTimeNever;
+
+  /// RepairEngine's state of one block. It sits in the slot the block's
+  /// BlockMap slab slot has: RepairEngine never erases a block, so each
+  /// slice hands out slots 0, 1, 2, ... and records_[arc][slot] belongs
+  /// to the block BlockHandle(arc, slot, ·) names.
+  struct Record {
+    Key key;
     /// Sorted by (index, node); unique per (index, node).
     std::vector<Frag> frags;
+    /// When protection first dropped, or kNoEpisode.
+    SimTime degraded_since = kNoEpisode;
+    /// Unrecoverable (fewer than k intact indices); never reset.
+    bool dead = false;
   };
 
   bool node_up(int node) const {
     return up_[static_cast<std::size_t>(node)] != 0;
   }
+  Record& record(store::BlockHandle h) {
+    D2_ASSERT_OWNER_LANE(h.arc());
+    return records_[static_cast<std::size_t>(h.arc())][h.slot()];
+  }
+  const Record& record(store::BlockHandle h) const {
+    return records_[static_cast<std::size_t>(h.arc())][h.slot()];
+  }
+  store::BlockState& state(store::BlockHandle h) {
+    store::BlockState* b = map_.at(h);
+    D2_DCHECK(b != nullptr);
+    return *b;
+  }
   std::vector<std::uint8_t> payload_of(const Key& key) const;
-  FragSet& frag_set(const Key& key);
-  const FragSet* find_frag_set(const Key& key) const;
 
   /// Successor-order replica set under the current up/down state:
   /// Ring::successors of the key's owner until n members are up, the
   /// walk System places its members with.
   void target_replica_set(const Key& key, std::vector<int>& out) const;
 
-  /// Inserts one block at the current time: BlockMap entry, encoded
-  /// fragments on the up members. Returns false (a failed write) when
-  /// fewer than k members are reachable. Safe in an arc lane only when
-  /// `in_lane` (no global scheduling; caller guarantees all-up).
+  /// Inserts one block at the current time: BlockMap entry, record,
+  /// encoded fragments on the up members. Returns false (a failed
+  /// write) when fewer than k members are reachable. Safe in an arc lane
+  /// only when `in_lane` (no global scheduling, no node index; caller
+  /// guarantees all-up).
   bool write_block(const Key& key, SimTime now, bool in_lane);
 
   void schedule_next_write(int node);
@@ -186,27 +219,37 @@ class RepairEngine {
   void repair_scan(int node);
 
   /// Re-derives one block's membership from the ring + up/down state,
-  /// syncs the fragment sidecar, schedules reconstruction for up members
+  /// syncs its fragments, schedules reconstruction for up members
   /// lacking data, and updates its degradation episode.
-  void reconcile(const Key& key);
-  void start_repair(const Key& key, int node);
-  void finish_repair(const Key& key, int node);
-  void retry_repair(const Key& key, int node);
+  void reconcile(store::BlockHandle h);
+  void start_repair(store::BlockHandle h, int node);
+  void finish_repair(store::BlockHandle h, int node);
+  void retry_repair(store::BlockHandle h, int node);
 
   /// Distinct fragment indices intact anywhere (down-but-intact counts).
-  int intact_indices(const Key& key) const;
+  static int intact_indices(const std::vector<Frag>& frags);
   /// Distinct fragment indices held by up members with data.
-  int live_indices(const store::BlockState& b, const FragSet& fs) const;
+  int live_indices(const store::BlockState& b,
+                   const std::vector<Frag>& frags) const;
   /// Picks k reachable fragments (distinct indices, up holders,
   /// excluding `exclude_node`) in (index, node) order. Returns false if
   /// fewer than k are reachable.
-  bool pick_sources(const Key& key, int exclude_node,
+  bool pick_sources(const std::vector<Frag>& frags, int exclude_node,
                     std::vector<const Frag*>& out) const;
-  void mark_dead(const Key& key);
-  void update_episode(const Key& key, const store::BlockState& b);
-  /// Drops sidecar fragments on nodes that are neither members nor stale
+  void mark_dead(Record& rec);
+  void update_episode(Record& rec, const store::BlockState& b);
+  /// Drops fragments on nodes that are neither members nor stale
   /// holders of the block (after reassign/mark_data pruning).
-  void sync_frags(const Key& key, const store::BlockState& b);
+  void sync_frags(Record& rec, const store::BlockState& b);
+
+  /// Node index upkeep. index_add/index_remove put `h` into / take it
+  /// out of `node`'s key-ordered list. reindex brings every list up to
+  /// date after a mutation that may have changed block `h`'s holders,
+  /// given its holders (members, then stale holders) from before it.
+  void index_add(int node, store::BlockHandle h);
+  void index_remove(int node, store::BlockHandle h);
+  static void holders_of(const store::BlockState& b, std::vector<int>& out);
+  void reindex(store::BlockHandle h, const std::vector<int>& before);
   void maybe_audit();
 
   RepairConfig cfg_;
@@ -223,15 +266,16 @@ class RepairEngine {
   std::vector<char> up_;
   std::vector<sim::BandwidthLink> links_;  // per-node repair budget
 
-  /// Fragment sidecar, sharded by arc so populate lanes stay confined.
-  /// Keyed find/emplace/erase only; iterated solely by check_invariants.
-  // d2-lint: allow(unordered-container) -- keyed access only; audits count
-  std::vector<std::unordered_map<Key, FragSet, KeyHash>> frag_shards_ D2_SHARDED_BY_ARC(arc);
-
-  /// Blocks that became unrecoverable (ever); never leaves the set.
-  std::set<Key> dead_;
-  /// Open degradation episodes: key -> time protection first dropped.
-  std::map<Key, SimTime> degraded_since_;
+  /// Per-block records, one array per arc so populate lanes stay
+  /// confined, slot-aligned with the BlockMap slices' slabs.
+  std::vector<sim::PagedArray<Record>> records_ D2_SHARDED_BY_ARC(arc);
+  /// node -> handles of the blocks it is a member or stale holder of,
+  /// in key order: what a node event walks instead of the whole map.
+  /// Only the coordinator touches it (populate fills it after its arc
+  /// phase).
+  std::vector<std::vector<store::BlockHandle>> node_blocks_;
+  std::size_t dead_blocks_ = 0;    // records with dead set
+  std::size_t open_episodes_ = 0;  // records with an episode start
   /// Reconstructions in flight, (key, target node); authoritative for
   /// the fetch_in_flight flags in the BlockMap.
   std::set<std::pair<Key, int>> inflight_;
@@ -248,12 +292,16 @@ class RepairEngine {
   std::uint64_t repair_retries_ = 0;
   std::uint64_t verified_ = 0;
   std::uint64_t writes_failed_ = 0;
+  std::uint64_t node_event_blocks_ = 0;
   SimTime writes_until_ = 0;
   double write_mean_us_ = 0.0;
 
   ParanoidGate audit_gate_;
   std::vector<int> scratch_set_;
-  std::vector<Key> scratch_keys_;
+  std::vector<int> scratch_holders_;
+  std::vector<int> scratch_after_;
+  std::vector<store::BlockHandle> scratch_blocks_;
+  std::vector<const Frag*> scratch_sources_;
 };
 
 /// PlanetLab-style durability scenario (ROADMAP item 2): a correlated
@@ -269,6 +317,9 @@ struct DurabilityParams {
   SimTime drain = hours(12);
   int arc_workers = 1;
   std::uint64_t failure_seed = 42;
+  /// When set, run_durability binds the simulator to it and exports the
+  /// sim.* gauges and the RepairStats fields as repair.* instruments.
+  obs::Registry* metrics = nullptr;
 };
 
 struct DurabilityResult {

@@ -69,20 +69,20 @@ using EventId = std::uint64_t;
 
 /// Capture budget of an event slot's own closure (the inline tier).
 /// Audit of the schedule sites (DESIGN.md §5c): System's fetch timer and
-/// fetch completion capture {this, BlockHandle, int} (20 bytes, 24
-/// padded); a `static_assert(kFitsInlineEvent<...>)` at both sites keeps
-/// their hundreds of thousands of pending timers here. A fetch timer
-/// recognises itself by its due time (the clock when it fires), so it
-/// carries no tag. The probe tick {this, epoch}, the failure transitions
-/// {this, node} and every other pointer-plus-scalars closure fit too.
-/// Raising it widens every slot.
+/// fetch completion, and RepairEngine's retry, repair completion and
+/// detect pass, capture at most {this, BlockHandle, int} (20 bytes, 24
+/// padded); a `static_assert(kFitsInlineEvent<...>)` at each site keeps
+/// them here, hundreds of thousands of pending fetch timers among them.
+/// A fetch timer recognises itself by its due time (the clock when it
+/// fires), so it carries no tag. The probe tick {this, epoch}, the
+/// failure transitions {this, node} and every other pointer-plus-scalars
+/// closure fit too. Raising it widens every slot.
 inline constexpr std::size_t kEventInlineBytes = 24;
 
 /// Capture budget of the overflow tier, the largest closure any site may
 /// schedule. Its users capture a 64-byte Key: System's TTL expiry {this,
-/// Key, SimTime} at 80 bytes and delayed remove {this, Key} at 72, and
-/// RepairEngine's retry and repair completion {this, Key, int} at 76 (80
-/// padded). Mailboxed relays are stored at this size too.
+/// Key, SimTime} at 80 bytes and delayed remove {this, Key} at 72.
+/// Mailboxed relays are stored at this size too.
 inline constexpr std::size_t kEventCaptureBytes = 80;
 
 /// A callback at the overflow budget: what pop() returns, what mailboxes

@@ -231,15 +231,6 @@ class SortedKeyIndex {
     }
   }
 
-  /// Visits every chunk in key order: `fn(const Key* keys, Value* vals,
-  /// std::size_t n)` over the chunk's n entries.
-  template <class Fn>
-  void for_each_chunk(Fn&& fn) {
-    for (const auto& c : chunks_) {
-      fn(c->keys.data(), c->vals.data(), c->keys.size());
-    }
-  }
-
   /// Early-exit walk over the clockwise arc (from, to] (whole index when
   /// from == to, wrapping when from > to). `fn(const Key&, Value&)` returns
   /// false to stop; walk_in_arc returns false iff it was stopped.

@@ -7,28 +7,6 @@
 
 namespace d2::store {
 
-bool BlockState::any_data() const {
-  for (const Replica& r : replicas) {
-    if (r.has_data) return true;
-  }
-  return !stale_holders.empty();
-}
-
-bool BlockState::node_has_data(int node) const {
-  for (const Replica& r : replicas) {
-    if (r.node == node) return r.has_data;
-  }
-  return std::find(stale_holders.begin(), stale_holders.end(), node) !=
-         stale_holders.end();
-}
-
-bool BlockState::is_replica(int node) const {
-  for (const Replica& r : replicas) {
-    if (r.node == node) return true;
-  }
-  return false;
-}
-
 BlockMap::BlockMap(int node_count, int arcs)
     : node_count_(node_count), plan_(arcs) {
   D2_REQUIRE(node_count > 0);
@@ -222,13 +200,6 @@ std::optional<Key> BlockMap::median_primary_key(const Key& from,
   return mid;
 }
 
-bool BlockMap::reassign_replicas(const Key& k, const std::vector<int>& nodes) {
-  D2_ASSERT_OWNER_LANE(plan_.arc_of(k));
-  BlockState* b = find_mutable(k);
-  D2_REQUIRE_MSG(b != nullptr, "reassigning unknown block");
-  return reassign_replicas(k, *b, nodes);
-}
-
 bool BlockMap::reassign_replicas(const Key& k, BlockState& b,
                                  const std::vector<int>& nodes) {
   D2_REQUIRE(!nodes.empty());
@@ -307,13 +278,6 @@ bool BlockMap::reassign_replicas(const Key& k, BlockState& b,
   D2_PARANOID_AUDIT(if (s.audit_gate.due(s.index.size()))
                         check_slice_invariants(plan_.arc_of(k)));
   return true;
-}
-
-void BlockMap::mark_data(const Key& k, int node) {
-  const BlockHandle h = handle_of(k);
-  BlockState* b = at(h);
-  D2_REQUIRE_MSG(b != nullptr, "mark_data on unknown block");
-  mark_data(h, *b, node);
 }
 
 void BlockMap::mark_data(BlockHandle h, BlockState& b, int node) {

@@ -35,6 +35,7 @@
 // other blocks' inserts and erases.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <type_traits>
@@ -81,9 +82,21 @@ struct BlockState {
   /// resolution elsewhere). Not responsible for the block.
   std::vector<int> stale_holders;
 
-  bool any_data() const;
-  bool node_has_data(int node) const;
-  bool is_replica(int node) const;
+  /// Whether `node` physically holds the block: a member with data, or
+  /// a stale holder.
+  bool node_has_data(int node) const {
+    for (const Replica& r : replicas) {
+      if (r.node == node) return r.has_data;
+    }
+    return std::find(stale_holders.begin(), stale_holders.end(), node) !=
+           stale_holders.end();
+  }
+  bool is_replica(int node) const {
+    for (const Replica& r : replicas) {
+      if (r.node == node) return true;
+    }
+    return false;
+  }
 };
 
 /// Stable 8-byte name of a stored block: its slice (arc), its slot in the
@@ -223,29 +236,24 @@ class BlockMap {
 
   /// --- replica-state mutators (keep the accounting consistent) ---
 
-  /// Replaces the responsible set of block `k` with `nodes`. Members kept
-  /// from the old set keep their data/pointer state and fetch timer; new
-  /// members join as pointers with no fetch timer, even if they held the
-  /// set before. Members removed drop out: their data copy is deleted
-  /// unless it is still needed as a fetch source (some remaining replica
-  /// lacks data), in which case it becomes a stale holder. Returns whether
-  /// the member list changed.
-  bool reassign_replicas(const Key& k, const std::vector<int>& nodes);
-
-  /// Same, on `b`, block `k`'s state as held by the caller (e.g. inside
-  /// for_each_in_arc), without searching the index. The new member list
-  /// is built in the slice's scratch array and copied into the block's
-  /// existing one, so nothing is allocated unless the set outgrows that
-  /// array or a departing member's copy turns stale.
+  /// Replaces the responsible set of block `k` with `nodes`, on `b`, the
+  /// block's state as held by the caller (from find_mutable, at or
+  /// for_each_in_arc). Members kept from the old set keep their
+  /// data/pointer state and fetch timer; new members join as pointers
+  /// with no fetch timer, even if they held the set before. Members
+  /// removed drop out: their data copy is deleted unless it is still
+  /// needed as a fetch source (some remaining replica lacks data), in
+  /// which case it becomes a stale holder. Returns whether the member
+  /// list changed. The new member list is built in the slice's scratch
+  /// array and copied into the block's existing one, so nothing is
+  /// allocated unless the set outgrows that array or a departing
+  /// member's copy turns stale.
   bool reassign_replicas(const Key& k, BlockState& b,
                          const std::vector<int>& nodes);
 
   /// Marks the replica at `node` as holding data (pointer resolved after a
-  /// fetch). Drops stale holders that are no longer needed.
-  void mark_data(const Key& k, int node);
-
-  /// Same, on `b`, the state of the block `h` names, as held by the
-  /// caller, without searching the index.
+  /// fetch), on `b`, the state of the block `h` names, as held by the
+  /// caller. Drops stale holders that are no longer needed.
   void mark_data(BlockHandle h, BlockState& b, int node);
 
   /// Downgrades the replica at `node` to a pointer (the write could not
@@ -256,23 +264,14 @@ class BlockMap {
   /// destroyed, e.g. disk loss). No-op if `node` is not a stale holder.
   void drop_stale(const Key& k, int node);
 
-  /// Visits all blocks in key order (for iteration by experiments).
+  /// Visits all blocks in key order (audits and tests).
   /// `fn(const Key&, const BlockState&)` must not insert or erase blocks.
-  /// The states sit in slab (insertion) order, not key order, so each
-  /// chunk's states are prefetched together before it is visited: their
-  /// cache misses overlap instead of stalling the walk one by one
-  /// (RepairEngine scans the whole map on every node event).
   template <class Fn>
   void for_each_block(Fn&& fn) const {
     for (const Slice& s : slices_) {
-      const_cast<SortedKeyIndex<std::uint32_t>&>(s.index).for_each_chunk(
-          [&](const Key* keys, const std::uint32_t* slots, std::size_t n) {
-            for (std::size_t i = 0; i < n; ++i) {
-              D2_PREFETCH(&s.slab[slots[i]].state);
-            }
-            for (std::size_t i = 0; i < n; ++i) {
-              fn(keys[i], static_cast<const BlockState&>(s.slab[slots[i]].state));
-            }
+      const_cast<SortedKeyIndex<std::uint32_t>&>(s.index).for_each(
+          [&](const Key& k, std::uint32_t slot) {
+            fn(k, static_cast<const BlockState&>(s.slab[slot].state));
           });
     }
   }

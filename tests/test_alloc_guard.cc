@@ -393,7 +393,7 @@ TEST(AllocGuard, BlockMapReassignToCurrentMembersIsAllocationFree) {
                         [&](const Key& k, store::BlockState& b) {
                           changed += map.reassign_replicas(k, b, set);
                         });
-    changed += map.reassign_replicas(K(16), set);
+    changed += map.reassign_replicas(K(16), *map.find_mutable(K(16)), set);
   }
   EXPECT_EQ(probe.news(), 0u) << "unchanged reassignment allocated";
   EXPECT_EQ(probe.deletes(), 0u);

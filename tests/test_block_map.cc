@@ -50,7 +50,7 @@ TEST(BlockMap, DuplicateInsertThrows) {
 TEST(BlockMap, ReassignNewMembersJoinAsPointers) {
   BlockMap m(5);
   m.insert(K(10), 100, {0, 1, 2});
-  m.reassign_replicas(K(10), {0, 1, 3});
+  m.reassign_replicas(K(10), *m.find_mutable(K(10)), {0, 1, 3});
   const BlockState* b = m.find(K(10));
   ASSERT_NE(b, nullptr);
   ASSERT_EQ(b->replicas.size(), 3u);
@@ -69,7 +69,7 @@ TEST(BlockMap, ReassignDropsUnneededDepartingCopy) {
   BlockMap m(5);
   m.insert(K(10), 100, {0, 1, 2});
   // All new members already have data -> departing copy deleted.
-  m.reassign_replicas(K(10), {0, 1});
+  m.reassign_replicas(K(10), *m.find_mutable(K(10)), {0, 1});
   const BlockState* b = m.find(K(10));
   EXPECT_TRUE(b->stale_holders.empty());
   EXPECT_EQ(m.physical_bytes(2), 0);
@@ -78,9 +78,9 @@ TEST(BlockMap, ReassignDropsUnneededDepartingCopy) {
 TEST(BlockMap, MarkDataResolvesPointerAndPrunesStale) {
   BlockMap m(5);
   m.insert(K(10), 100, {0, 1, 2});
-  m.reassign_replicas(K(10), {0, 1, 3});
-  m.mark_data(K(10), 3);
-  const BlockState* b = m.find(K(10));
+  BlockState* b = m.find_mutable(K(10));
+  m.reassign_replicas(K(10), *b, {0, 1, 3});
+  m.mark_data(m.handle_of(K(10)), *b, 3);
   EXPECT_TRUE(b->replicas[2].has_data);
   EXPECT_TRUE(b->stale_holders.empty());      // stale copy at 2 pruned
   EXPECT_EQ(m.physical_bytes(3), 100);
@@ -90,7 +90,7 @@ TEST(BlockMap, MarkDataResolvesPointerAndPrunesStale) {
 TEST(BlockMap, PrimaryChangeUpdatesCounts) {
   BlockMap m(5);
   m.insert(K(10), 100, {0, 1, 2});
-  m.reassign_replicas(K(10), {4, 0, 1});
+  m.reassign_replicas(K(10), *m.find_mutable(K(10)), {4, 0, 1});
   EXPECT_EQ(m.primary_count(0), 0);
   EXPECT_EQ(m.primary_count(4), 1);
   EXPECT_EQ(m.primary_bytes(4), 100);
@@ -99,9 +99,9 @@ TEST(BlockMap, PrimaryChangeUpdatesCounts) {
 TEST(BlockMap, RejoiningStaleHolderKeepsData) {
   BlockMap m(5);
   m.insert(K(10), 100, {0, 1, 2});
-  m.reassign_replicas(K(10), {0, 1, 3});  // 2 -> stale holder
-  m.reassign_replicas(K(10), {0, 1, 2});  // 2 rejoins
-  const BlockState* b = m.find(K(10));
+  BlockState* b = m.find_mutable(K(10));
+  m.reassign_replicas(K(10), *b, {0, 1, 3});  // 2 -> stale holder
+  m.reassign_replicas(K(10), *b, {0, 1, 2});  // 2 rejoins
   EXPECT_TRUE(b->replicas[2].has_data);  // didn't lose its bytes
   EXPECT_EQ(m.physical_bytes(2), 100);
   EXPECT_TRUE(b->stale_holders.empty());
@@ -114,8 +114,7 @@ TEST(BlockMap, MarkMissingDowngrades) {
   const BlockState* b = m.find(K(5));
   EXPECT_FALSE(b->replicas[1].has_data);
   EXPECT_EQ(m.physical_bytes(1), 0);
-  EXPECT_TRUE(b->any_data());
-  m.mark_data(K(5), 1);
+  m.mark_data(m.handle_of(K(5)), *m.find_mutable(K(5)), 1);
   EXPECT_EQ(m.physical_bytes(1), 64);
 }
 
@@ -177,8 +176,8 @@ TEST(BlockMap, ReassignToCurrentMembersChangesNothing) {
   BlockMap m(5);
   m.insert(K(10), 100, {0, 1, 2});
   m.insert(K(20), 100, {1, 2, 3});
-  m.reassign_replicas(K(10), {0, 1, 3});  // 3 joins as pointer, 2 stale
   BlockState* b = m.find_mutable(K(10));
+  m.reassign_replicas(K(10), *b, {0, 1, 3});  // 3 joins as pointer, 2 stale
   // A recorded pending timer and a transfer in flight.
   b->replicas[2].fetch_timer = 7;
   b->replicas[2].fetch_due = 90;
@@ -195,7 +194,6 @@ TEST(BlockMap, ReassignToCurrentMembersChangesNothing) {
   };
   const std::vector<std::int64_t> before = accounting();
 
-  EXPECT_FALSE(m.reassign_replicas(K(10), {0, 1, 3}));
   EXPECT_FALSE(m.reassign_replicas(K(10), *b, {0, 1, 3}));
   ASSERT_EQ(b->replicas.size(), replicas.size());
   for (std::size_t i = 0; i < replicas.size(); ++i) {
@@ -259,12 +257,12 @@ TEST_P(BlockMapInvariantSweep, AccountingMatchesRecount) {
         int n = static_cast<int>(rng.next_below(nodes));
         if (std::find(set.begin(), set.end(), n) == set.end()) set.push_back(n);
       }
-      m.reassign_replicas(live[i], set);
+      BlockState* b = m.find_mutable(live[i]);
+      m.reassign_replicas(live[i], *b, set);
       // Resolve some pointers.
-      const BlockState* b = m.find(live[i]);
       for (const Replica& rep : b->replicas) {
         if (!rep.has_data && rng.bernoulli(0.5)) {
-          m.mark_data(live[i], rep.node);
+          m.mark_data(m.handle_of(live[i]), *b, rep.node);
           break;
         }
       }

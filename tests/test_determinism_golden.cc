@@ -8,7 +8,9 @@
 // EventQueue implementation; any hot-path rewrite (limb keys, slab event
 // queue, contiguous block index, ...) must reproduce them bit-for-bit.
 // A third checksum covers the file-system layer alone: the StoreOp stream
-// the trace replay produces before any System sees it.
+// the trace replay produces before any System sees it. The durability
+// checksums pin core::RepairEngine's results: every RepairStats field
+// and the event count of a small rep3 week and a small rs-4-2 week.
 //
 // If this test fails after an intentional *semantic* change (new physics,
 // different replica policy), re-record the constants by running the test
@@ -19,9 +21,11 @@
 #include <cinttypes>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "core/availability.h"
 #include "core/performance.h"
+#include "core/repair.h"
 #include "core/replay.h"
 #include "trace/harvard_gen.h"
 
@@ -96,6 +100,11 @@ constexpr std::uint64_t kPerformanceGolden = 18256943228967445713ull;
 // write-back cache's flush order and the path routing directly, without
 // going through a System.
 constexpr std::uint64_t kFsOpStreamGolden = 4425017394829546145ull;
+// RepairEngine's outputs for durability_scenario(): the rep3 week and the
+// rs-4-2 week, recorded while it still found a node's blocks by scanning
+// the whole block map and kept its per-block state in Key-keyed maps.
+constexpr std::uint64_t kRep3DurabilityGolden = 8296615601259288080ull;
+constexpr std::uint64_t kRs42DurabilityGolden = 17681754452533926099ull;
 
 /// One seeded availability trial with the given partitioning and (n, k)
 /// redundancy, reduced to a checksum over every figure-bearing output.
@@ -164,6 +173,54 @@ std::uint64_t performance_checksum(int arcs, int arc_workers) {
   return fnv1a(s);
 }
 
+/// A week of independent and correlated failures, with disk loss and
+/// foreground writes, over a small populated system: `erasure` picks
+/// rs-4-2, otherwise rep3. Both schemes lose blocks and retry repairs.
+DurabilityParams durability_scenario(bool erasure, int arcs, int workers) {
+  DurabilityParams p;
+  p.repair.node_count = 20;
+  p.repair.erasure = erasure;
+  p.repair.replicas = 3;
+  p.repair.ec_data_fragments = 4;
+  p.repair.ec_parity_fragments = 2;
+  p.repair.data_loss_fraction = 0.65;
+  p.repair.seed = 5;
+  p.repair.arcs = arcs;
+  p.arc_workers = workers;
+  p.blocks_per_node = 4;
+  p.writes_per_node_per_day = 6;
+  p.failure.duration = days(7);
+  p.failure.mttf_hours = 40;
+  p.failure.mttr_hours = 4;
+  p.failure.correlated_events_per_day = 0.7;
+  p.failure.correlated_fraction = 0.3;
+  p.drain = hours(12);
+  p.failure_seed = 12;
+  return p;
+}
+
+/// Every RepairStats outcome and the event count, as one string.
+/// node_event_blocks is left out: it counts work, not results.
+std::string durability_fingerprint(const DurabilityResult& r) {
+  const RepairStats& st = r.stats;
+  std::string s;
+  append_u64(&s, st.blocks);
+  append_u64(&s, st.blocks_lost);
+  append_i64(&s, st.repair_bytes);
+  append_i64(&s, st.user_write_bytes);
+  append_u64(&s, st.repairs_started);
+  append_u64(&s, st.repairs_completed);
+  append_u64(&s, st.repair_retries);
+  append_u64(&s, st.verified_reconstructions);
+  append_u64(&s, st.writes_failed);
+  append_u64(&s, st.mttr_episodes);
+  append_f(&s, st.mttr_mean_s);
+  append_f(&s, st.mttr_p99_s);
+  append_u64(&s, st.open_episodes);
+  append_u64(&s, r.events);
+  return s;
+}
+
 /// FNV-1a folded over every StoreOp the fs layer emits for the golden
 /// workload, one key scheme after another.
 std::uint64_t fs_op_stream_checksum() {
@@ -198,6 +255,24 @@ TEST(DeterminismGolden, FsOpStreamChecksum) {
   const std::uint64_t checksum = fs_op_stream_checksum();
   EXPECT_EQ(checksum, kFsOpStreamGolden)
       << "fs op stream drifted; actual checksum=" << checksum;
+}
+
+TEST(DeterminismGolden, DurabilityChecksum) {
+  const struct {
+    bool erasure;
+    std::uint64_t golden;
+  } schemes[] = {{false, kRep3DurabilityGolden},
+                 {true, kRs42DurabilityGolden}};
+  for (const auto& scheme : schemes) {
+    for (const auto& [arcs, workers] : {std::pair{1, 1}, std::pair{8, 4}}) {
+      const std::string fp = durability_fingerprint(
+          run_durability(durability_scenario(scheme.erasure, arcs, workers)));
+      EXPECT_EQ(fnv1a(fp), scheme.golden)
+          << (scheme.erasure ? "rs-4-2" : "rep3") << " at arcs=" << arcs
+          << " workers=" << workers << " drifted; actual checksum="
+          << fnv1a(fp) << " fingerprint=" << fp;
+    }
+  }
 }
 
 TEST(DeterminismGolden, AvailabilityTrialChecksum) {

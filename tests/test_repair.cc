@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/assert.h"
@@ -15,17 +18,28 @@ namespace d2::core {
 /// Corruption-injection hooks (mirrors BlockMapTestPeer / RingTestPeer).
 struct RepairEngineTestPeer {
   static store::BlockMap& map(RepairEngine& e) { return e.map_; }
-  static std::vector<std::unordered_map<Key, RepairEngine::FragSet, KeyHash>>&
-  frag_shards(RepairEngine& e) {  // d2-lint: allow(unordered-container)
-    return e.frag_shards_;
+  static RepairEngine::Record& record(RepairEngine& e, const Key& k) {
+    return e.record(e.map_.handle_of(k));
   }
   static std::set<std::pair<Key, int>>& inflight(RepairEngine& e) {
     return e.inflight_;
   }
-  static std::map<Key, SimTime>& degraded_since(RepairEngine& e) {
-    return e.degraded_since_;
+  /// Records with an open degradation episode, counted from the records.
+  static std::size_t open_episode_records(RepairEngine& e) {
+    std::size_t open = 0;
+    e.map_.for_each_block([&](const Key& k, const store::BlockState&) {
+      if (record(e, k).degraded_since != RepairEngine::kNoEpisode) ++open;
+    });
+    return open;
   }
-  static std::set<Key>& dead(RepairEngine& e) { return e.dead_; }
+  static std::size_t& dead_blocks(RepairEngine& e) { return e.dead_blocks_; }
+  static std::size_t& open_episodes(RepairEngine& e) {
+    return e.open_episodes_;
+  }
+  static std::vector<store::BlockHandle>& node_blocks(RepairEngine& e,
+                                                      int node) {
+    return e.node_blocks_[static_cast<std::size_t>(node)];
+  }
   static Bytes& repair_bytes(RepairEngine& e) { return e.repair_bytes_; }
   static std::vector<Key> keys(RepairEngine& e) {
     std::vector<Key> out;
@@ -183,12 +197,84 @@ TEST(RepairEngine, WriteIntoExtendedSetIsBornProtected) {
     }
   }
   ASSERT_TRUE(saw_extended);  // at least one set routed around node 5
-  EXPECT_TRUE(RepairEngineTestPeer::degraded_since(engine).empty());
+  EXPECT_EQ(RepairEngineTestPeer::open_episode_records(engine), 0u);
   EXPECT_EQ(engine.snapshot().mttr_episodes, 0u);
   engine.check_invariants();
 }
 
-// --- corruption injection: every queue/sidecar invariant must trip ---
+/// Test-local whole-map scan: for each node, the handles of the blocks
+/// it is a member or stale holder of, in key order.
+std::vector<std::vector<store::BlockHandle>> scan_holders(RepairEngine& e,
+                                                          int node_count) {
+  store::BlockMap& map = RepairEngineTestPeer::map(e);
+  std::vector<std::vector<store::BlockHandle>> out(
+      static_cast<std::size_t>(node_count));
+  map.for_each_block([&](const Key& k, const store::BlockState& b) {
+    const store::BlockHandle h = map.handle_of(k);
+    for (const store::Replica& r : b.replicas) {
+      out[static_cast<std::size_t>(r.node)].push_back(h);
+    }
+    for (int node : b.stale_holders) {
+      out[static_cast<std::size_t>(node)].push_back(h);
+    }
+  });
+  return out;
+}
+
+TEST(RepairEngine, NodeIndexMatchesHolderScan) {
+  for (const int arcs : {1, 8}) {
+    RepairConfig cfg = small_config(true);
+    cfg.arcs = arcs;
+    cfg.data_loss_fraction = 0.8;
+    sim::ArcConfig ac;
+    ac.arcs = arcs;
+    sim::Simulator sim(ac);
+    RepairEngine engine(cfg, sim);
+    engine.populate(20);
+    engine.populate(20);  // merges its blocks into non-empty lists
+    sim::FailureParams fp;
+    fp.node_count = cfg.node_count;
+    fp.duration = hours(20);
+    fp.mttf_hours = 10;
+    fp.mttr_hours = 2;
+    fp.correlated_events_per_day = 2;
+    fp.correlated_fraction = 0.25;
+    Rng trace_rng(31);
+    engine.attach_failure_trace(sim::FailureTrace::generate(fp, trace_rng));
+    engine.start_foreground_writes(12, fp.duration);
+    std::size_t steps = 0;
+    std::size_t stale_entries = 0;
+    bool index_ok = true;
+    while (index_ok && sim.step()) {
+      ++steps;
+      const auto scan = scan_holders(engine, cfg.node_count);
+      RepairEngineTestPeer::map(engine).for_each_block(
+          [&](const Key&, const store::BlockState& b) {
+            stale_entries += b.stale_holders.size();
+          });
+      for (int node = 0; node < cfg.node_count; ++node) {
+        if (RepairEngineTestPeer::node_blocks(engine, node) !=
+            scan[static_cast<std::size_t>(node)]) {
+          ADD_FAILURE() << "arcs=" << arcs << ": node " << node
+                        << "'s index diverges after event " << steps
+                        << " at t=" << sim.now();
+          index_ok = false;
+        }
+      }
+    }
+    engine.check_invariants();
+    const RepairStats s = engine.snapshot();
+    // The trace exercised what changes holders: disk loss, departing
+    // members kept as stale holders, repairs that prune them, and writes.
+    EXPECT_GT(stale_entries, 0u);
+    EXPECT_GT(s.blocks_lost, 0u);
+    EXPECT_GT(s.repairs_completed, 0u);
+    EXPECT_GT(s.blocks, 40u);
+    EXPECT_GT(s.node_event_blocks, 0u);
+  }
+}
+
+// --- corruption injection: every queue/record/index invariant must trip ---
 
 class RepairAuditTest : public ::testing::Test {
  protected:
@@ -204,11 +290,8 @@ class RepairAuditTest : public ::testing::Test {
 };
 
 TEST_F(RepairAuditTest, DetectsVanishedFragment) {
-  auto& shards = RepairEngineTestPeer::frag_shards(engine_);
-  const Key& k = keys_.front();
-  auto& fs = shards[static_cast<std::size_t>(
-      RepairEngineTestPeer::map(engine_).arc_of(k))][k];
-  fs.frags.pop_back();  // a member still claims has_data for it
+  // A member still claims has_data for the dropped fragment.
+  RepairEngineTestPeer::record(engine_, keys_.front()).frags.pop_back();
   EXPECT_THROW(engine_.check_invariants(), InvariantError);
 }
 
@@ -227,13 +310,67 @@ TEST_F(RepairAuditTest, DetectsGhostQueueEntry) {
 
 TEST_F(RepairAuditTest, DetectsBogusEpisode) {
   // A fully protected block must not carry an open degradation episode.
-  RepairEngineTestPeer::degraded_since(engine_).emplace(keys_.front(), 0);
+  RepairEngineTestPeer::record(engine_, keys_.front()).degraded_since = 0;
   EXPECT_THROW(engine_.check_invariants(), InvariantError);
 }
 
 TEST_F(RepairAuditTest, DetectsFalseDeath) {
-  RepairEngineTestPeer::dead(engine_).insert(keys_.front());
+  RepairEngineTestPeer::record(engine_, keys_.front()).dead = true;
   EXPECT_THROW(engine_.check_invariants(), InvariantError);
+}
+
+TEST_F(RepairAuditTest, DetectsCounterDrift) {
+  ++RepairEngineTestPeer::dead_blocks(engine_);
+  EXPECT_THROW(engine_.check_invariants(), InvariantError);
+  --RepairEngineTestPeer::dead_blocks(engine_);
+  ++RepairEngineTestPeer::open_episodes(engine_);
+  EXPECT_THROW(engine_.check_invariants(), InvariantError);
+  --RepairEngineTestPeer::open_episodes(engine_);
+  engine_.check_invariants();
+}
+
+TEST_F(RepairAuditTest, DetectsNodeIndexDrift) {
+  // A node holding at least two blocks; rs-4-2 over 24 nodes spreads 40
+  // blocks' 240 members, so node 0 holds several.
+  std::vector<store::BlockHandle>& list =
+      RepairEngineTestPeer::node_blocks(engine_, 0);
+  ASSERT_GE(list.size(), 2u);
+  const std::vector<store::BlockHandle> clean = list;
+
+  list.erase(list.begin() + 1);  // a holder's block is missing
+  EXPECT_THROW(engine_.check_invariants(), InvariantError);
+  list = clean;
+
+  // A block node 0 does not hold, put at its key position.
+  const std::vector<store::BlockHandle>& other =
+      RepairEngineTestPeer::node_blocks(engine_, 1);
+  store::BlockHandle stray;
+  for (const store::BlockHandle h : other) {
+    if (std::find(clean.begin(), clean.end(), h) == clean.end()) {
+      stray = h;
+      break;
+    }
+  }
+  ASSERT_FALSE(stray == store::BlockHandle{});
+  const store::BlockMap& map = RepairEngineTestPeer::map(engine_);
+  const auto key_of = [&](store::BlockHandle h) {
+    Key found;
+    map.for_each_block([&](const Key& k, const store::BlockState&) {
+      if (map.handle_of(k) == h) found = k;
+    });
+    return found;
+  };
+  const Key stray_key = key_of(stray);
+  auto pos = list.begin();
+  while (pos != list.end() && key_of(*pos) < stray_key) ++pos;
+  list.insert(pos, stray);
+  EXPECT_THROW(engine_.check_invariants(), InvariantError);
+  list = clean;
+
+  std::swap(list[0], list[1]);  // right blocks, wrong order
+  EXPECT_THROW(engine_.check_invariants(), InvariantError);
+  list = clean;
+  engine_.check_invariants();
 }
 
 TEST_F(RepairAuditTest, DetectsByteAccountingDrift) {

@@ -35,7 +35,8 @@
 // --seed and the trial index, and results are printed in trial order, so
 // --jobs=1 and --jobs=N produce identical output.
 //
-// Observability (availability, balance, performance):
+// Observability (availability, balance, performance; repair takes
+// --metrics-out only):
 //   --metrics-out=FILE  write a JSON snapshot of every counter, gauge and
 //                       histogram the run touched (see DESIGN.md,
 //                       "Observability") after the experiment finishes.
@@ -533,8 +534,12 @@ int cmd_repair(const Args& args) {
       static_cast<double>(args.num("corr-pct", 15)) / 100.0;
   p.drain = hours(args.num("drain-hours", 12));
   p.failure_seed = static_cast<std::uint64_t>(args.num("seed", 1)) + 42;
+  Sinks sinks(args);
+  sinks.trace_path.clear();  // the repair engine records no trace events
+  p.metrics = sinks.registry();
 
   const core::DurabilityResult r = core::run_durability(p);
+  sinks.write();
   const core::RepairStats& s = r.stats;
   std::printf(
       "scheme=%s nodes=%d blocks=%zu days=%ld storage-overhead=%.2fx\n",
