@@ -91,6 +91,11 @@ class SlotTable {
     }
   }
 
+  /// Bytes held by the bucket array.
+  std::size_t allocated_bytes() const {
+    return table_.capacity() * sizeof(std::uint32_t);
+  }
+
   /// Calls f(slot) for every occupied bucket, in bucket order. For
   /// audits only: bucket order is hash order.
   template <class F>

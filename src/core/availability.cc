@@ -145,6 +145,7 @@ AvailabilityResult AvailabilityExperiment::run() {
   if (params_.metrics != nullptr) {
     sim.export_metrics();
     system.export_metrics();
+    volumes.export_metrics();
     params_.metrics->gauge("core.availability.task_unavailability")
         .set(result.task_unavailability());
   }

@@ -23,6 +23,10 @@
 //      drain (flush, then run_until(t)) first;
 //   2. batch-size cap — a deterministic op-count bound so staging
 //      memory stays flat on million-user replays.
+// A window within the cap keeps its staging buffers for the next one, so
+// steady-state replay stages and flushes without allocating. A larger
+// batch (populate stages every initial put in one) gives its buffers
+// back when it flushes, instead of pinning them for the rest of the run.
 // Ops for different keys in the same batch are state-disjoint unless
 // they share an arc, and same-arc ops apply in arrival order — so the
 // interleaving the serial loop would have produced is preserved
@@ -57,6 +61,12 @@ class OpBatchRunner {
     bool available = false;  // system.block_available(key)
     int serving = -1;        // serving node, -1 = none
   };
+
+  /// Staged ops at which should_flush_before forces a drain, and the
+  /// staging capacity past which flush() frees its buffers: ~a few MB of
+  /// Items at the million-user scale, far wider than the global-event
+  /// fence ever allows in failure-bearing runs.
+  static constexpr std::size_t kMaxBatchOps = 1 << 16;
 
   OpBatchRunner(System& system, sim::Simulator& sim)
       : system_(system),
@@ -110,19 +120,14 @@ class OpBatchRunner {
         apply(it);
       }
     });
-    for (std::vector<std::size_t>& lane : per_arc_) lane.clear();
-    items_.clear();
+    for (std::vector<std::size_t>& lane : per_arc_) release_or_clear(lane);
+    release_or_clear(items_);
     get_count_ = 0;
   }
 
   const std::vector<GetOutcome>& outcomes() const { return outcomes_; }
 
  private:
-  /// Deterministic staging bound: ~a few MB of Items at the million-user
-  /// scale, far wider than the global-event fence ever allows in
-  /// failure-bearing runs.
-  static constexpr std::size_t kMaxBatchOps = 1 << 16;
-
   struct Item {
     Key key;
     Bytes size = 0;
@@ -131,6 +136,16 @@ class OpBatchRunner {
     std::size_t slot = 0;  // outcome index (gets only)
     fs::StoreOp::Kind kind = fs::StoreOp::Kind::kPut;
   };
+
+  /// Empties `v`, freeing its storage if it grew past the cap.
+  template <class T>
+  static void release_or_clear(std::vector<T>& v) {
+    if (v.capacity() > kMaxBatchOps) {
+      std::vector<T>().swap(v);
+    } else {
+      v.clear();
+    }
+  }
 
   void apply(const Item& it) {
     switch (it.kind) {

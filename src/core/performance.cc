@@ -330,6 +330,7 @@ PerformanceResult PerformanceExperiment::run() {
   if (params_.metrics != nullptr) {
     sim.export_metrics();
     system.export_metrics();
+    volumes.export_metrics();
     params_.metrics->gauge("net.tcp.cold_start_rate")
         .set(result.tcp_transfers == 0
                  ? 0.0

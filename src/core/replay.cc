@@ -53,6 +53,18 @@ void VolumeSet::bind_metrics(obs::Registry* registry) {
   for (auto& [name, vol] : volumes_) vol->bind_metrics(registry);
 }
 
+void VolumeSet::export_metrics() const {
+  if (metrics_ == nullptr) return;
+  std::size_t cache_bytes = 0;
+  // d2-lint: allow(unordered-iter) — a sum over volumes; order-free.
+  for (const auto& [name, vol] : volumes_) {
+    cache_bytes += vol->writeback_cache_bytes();
+  }
+  metrics_->gauge("fs.volumes").set(static_cast<double>(volumes_.size()));
+  metrics_->gauge("fs.writeback_cache_bytes")
+      .set(static_cast<double>(cache_bytes));
+}
+
 void VolumeSet::apply(const trace::TraceRecord& r, SimTime now,
                       std::vector<fs::StoreOp>& out, bool include_reads) {
   std::string& rel = rel_buf_;

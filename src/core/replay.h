@@ -50,6 +50,12 @@ class VolumeSet {
   /// `registry`. Pass nullptr to unbind.
   void bind_metrics(obs::Registry* registry);
 
+  /// Snapshots `fs.volumes` (the volume count) and
+  /// `fs.writeback_cache_bytes` (every write-back cache's allocated
+  /// bytes) into the bound registry; call before dumping, next to
+  /// System::export_metrics. Does nothing when unbound.
+  void export_metrics() const;
+
  private:
   fs::KeyScheme scheme_;
   SimTime writeback_ttl_;

@@ -29,15 +29,36 @@ struct Volume::Node {
   /// Latest version of this node's metadata block (0 = none yet). For
   /// kTraditionalFile file nodes this is the whole-file object version.
   std::uint32_t meta_version = 0;
-  // Directory state. std::less<> lets path components (views into the
-  // caller's path) look children up without a copy.
-  std::map<std::string, std::unique_ptr<Node>, std::less<>> children;
+  // Directory state: the children, sorted by their own `name` (the order
+  // the digest and recursive removal visit them in). Each name is stored
+  // once, in its child.
+  std::vector<std::unique_ptr<Node>> children;
   std::uint16_t next_slot = 1;
   // File state.
   Bytes size = 0;
   std::vector<std::uint32_t> data_versions;  // per 8 KB block; 0 = hole
 
   bool is_root() const { return parent == nullptr; }
+
+  /// First child whose name is not below `n`: child `n`'s position, or
+  /// where it would be inserted.
+  std::vector<std::unique_ptr<Node>>::iterator child_pos(std::string_view n) {
+    return std::lower_bound(
+        children.begin(), children.end(), n,
+        [](const std::unique_ptr<Node>& c, std::string_view v) {
+          return std::string_view(c->name) < v;
+        });
+  }
+  /// Child `n`, or nullptr.
+  Node* child(std::string_view n) {
+    const auto it = child_pos(n);
+    return it != children.end() && (*it)->name == n ? it->get() : nullptr;
+  }
+  /// Inserts `c` in name order; no child of that name may exist.
+  Node* adopt(std::unique_ptr<Node> c) {
+    c->parent = this;
+    return children.insert(child_pos(c->name), std::move(c))->get();
+  }
 };
 
 namespace {
@@ -132,9 +153,8 @@ Volume::Node* Volume::resolve(std::string_view path) const {
   for (std::string_view c = next_path_component(path, &pos); !c.empty();
        c = next_path_component(path, &pos)) {
     if (!cur->is_dir) return nullptr;
-    auto it = cur->children.find(c);
-    if (it == cur->children.end()) return nullptr;
-    cur = it->second.get();
+    cur = cur->child(c);
+    if (cur == nullptr) return nullptr;
   }
   return cur;
 }
@@ -148,9 +168,8 @@ Volume::Node* Volume::resolve_parent(std::string_view path,
   for (std::string_view next = next_path_component(path, &pos); !next.empty();
        c = next, next = next_path_component(path, &pos)) {
     if (!cur->is_dir) return nullptr;
-    auto it = cur->children.find(c);
-    if (it == cur->children.end()) return nullptr;
-    cur = it->second.get();
+    cur = cur->child(c);
+    if (cur == nullptr) return nullptr;
   }
   *leaf = c;
   return cur->is_dir ? cur : nullptr;
@@ -256,7 +275,6 @@ void Volume::emit_remove_of_block(const Key& current_key, bool has_version,
 Volume::Node* Volume::create_child(Node* parent, std::string_view name,
                                    bool is_dir, SimTime now) {
   auto node = std::make_unique<Node>();
-  node->parent = parent;
   node->name = name;
   node->is_dir = is_dir;
   const std::uint16_t slot = allocate_slot(parent);
@@ -264,8 +282,7 @@ Volume::Node* Volume::create_child(Node* parent, std::string_view name,
   node->frozen_path = parent->frozen_path;
   node->frozen_path += '/';
   node->frozen_path += name;
-  Node* raw = node.get();
-  parent->children.emplace(name, std::move(node));
+  Node* raw = parent->adopt(std::move(node));
   ++(is_dir ? dirs_ : files_);
   dirty_meta(raw, now);
   dirty_meta(parent, now);
@@ -275,9 +292,8 @@ Volume::Node* Volume::create_child(Node* parent, std::string_view name,
 Volume::Node* Volume::ensure_child_dir(Node* dir, std::string_view name,
                                        SimTime now) {
   D2_REQUIRE_MSG(dir->is_dir, "path component is a file: " + std::string(name));
-  auto it = dir->children.find(name);
-  if (it == dir->children.end()) return create_child(dir, name, true, now);
-  return it->second.get();
+  Node* child = dir->child(name);
+  return child != nullptr ? child : create_child(dir, name, true, now);
 }
 
 Volume::Node* Volume::ensure_parent(std::string_view path, std::string_view* leaf,
@@ -305,12 +321,10 @@ void Volume::write(std::string_view path, Bytes offset, Bytes len, SimTime now,
   std::string_view leaf;
   Node* parent = ensure_parent(path, &leaf, now);
   D2_REQUIRE_MSG(!leaf.empty(), "empty path");
-  Node* file;
-  auto it = parent->children.find(leaf);
-  if (it == parent->children.end()) {
+  Node* file = parent->child(leaf);
+  if (file == nullptr) {
     file = create_child(parent, leaf, false, now);
   } else {
-    file = it->second.get();
     D2_REQUIRE_MSG(!file->is_dir, "write to a directory: " + std::string(path));
   }
 
@@ -412,7 +426,7 @@ void Volume::read(std::string_view path, Bytes offset, Bytes len, SimTime now,
 void Volume::remove_node_blocks(Node* n, SimTime now, std::vector<StoreOp>& out) {
   D2_REQUIRE_MSG(n != nullptr, "removing a null tree node");
   if (n->is_dir) {
-    for (auto& [name, child] : n->children) {
+    for (const std::unique_ptr<Node>& child : n->children) {
       remove_node_blocks(child.get(), now, out);
     }
     n->children.clear();
@@ -438,9 +452,10 @@ void Volume::remove(std::string_view path, SimTime now,
   std::string_view leaf;
   Node* parent = resolve_parent(path, &leaf);
   D2_REQUIRE_MSG(parent != nullptr, "remove of missing path: " + std::string(path));
-  auto it = parent->children.find(leaf);
-  D2_REQUIRE_MSG(it != parent->children.end(), "remove of missing path: " + std::string(path));
-  remove_node_blocks(it->second.get(), now, out);
+  const auto it = parent->child_pos(leaf);
+  D2_REQUIRE_MSG(it != parent->children.end() && (*it)->name == leaf,
+                 "remove of missing path: " + std::string(path));
+  remove_node_blocks(it->get(), now, out);
   parent->children.erase(it);
   dirty_meta_chain(parent, now);
 }
@@ -451,23 +466,24 @@ void Volume::rename(std::string_view from, std::string_view to, SimTime now,
   std::string_view from_leaf;
   Node* from_parent = resolve_parent(from, &from_leaf);
   D2_REQUIRE_MSG(from_parent != nullptr, "rename of missing path: " + std::string(from));
-  auto it = from_parent->children.find(from_leaf);
-  D2_REQUIRE_MSG(it != from_parent->children.end(),
+  D2_REQUIRE_MSG(from_parent->child(from_leaf) != nullptr,
                  "rename of missing path: " + std::string(from));
 
   std::string_view to_leaf;
   Node* to_parent = ensure_parent(to, &to_leaf, now);
   D2_REQUIRE_MSG(!to_leaf.empty(), "empty rename target");
-  D2_REQUIRE_MSG(to_parent->children.count(to_leaf) == 0,
+  D2_REQUIRE_MSG(to_parent->child(to_leaf) == nullptr,
                  "rename target exists: " + std::string(to));
 
-  std::unique_ptr<Node> node = std::move(it->second);
+  // ensure_parent may have created directories in from_parent, so the
+  // source is looked up again before it is moved out.
+  const auto it = from_parent->child_pos(from_leaf);
+  std::unique_ptr<Node> node = std::move(*it);
   from_parent->children.erase(it);
-  node->parent = to_parent;
   node->name = to_leaf;
   // Keys (epath / frozen_path) intentionally unchanged: the new parent
   // points at the file's original location (§4.2).
-  to_parent->children.emplace(to_leaf, std::move(node));
+  to_parent->adopt(std::move(node));
 
   dirty_meta_chain(from_parent, now);
   dirty_meta_chain(to_parent, now);
@@ -498,9 +514,9 @@ Sha1Digest Volume::node_digest(const Node& n) const {
   h.update("|v");
   h.update(std::to_string(n.meta_version));
   if (n.is_dir) {
-    for (const auto& [name, child] : n.children) {
+    for (const std::unique_ptr<Node>& child : n.children) {
       h.update("|child:");
-      h.update(name);
+      h.update(child->name);
       const Sha1Digest d = node_digest(*child);
       h.update(d.data(), d.size());
     }

@@ -27,8 +27,6 @@
 // write-back/buffer cache is that writer-reader's client cache.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -99,6 +97,12 @@ class Volume {
 
   std::uint64_t file_count() const { return files_; }
   std::uint64_t dir_count() const { return dirs_; }
+
+  /// Bytes held by the embedded write-back cache
+  /// (WritebackCache::allocated_bytes).
+  std::size_t writeback_cache_bytes() const {
+    return cache_.allocated_bytes();
+  }
 
   const std::string& name() const { return name_; }
   const VolumeId& volume_id() const { return volume_id_; }

@@ -1,6 +1,7 @@
 #include "fs/writeback_cache.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/assert.h"
 
@@ -40,6 +41,27 @@ std::uint32_t WritebackCache::find_or_add(const Key& key) {
   return s;
 }
 
+std::uint32_t WritebackCache::add_pred(const Key& key) {
+  std::uint32_t p;
+  if (free_preds_.empty()) {
+    D2_REQUIRE_MSG(preds_.size() < kNoPred,
+                   "write-back cache predecessor table exhausted");
+    p = static_cast<std::uint32_t>(preds_.size());
+    preds_.push_back(key);
+  } else {
+    p = free_preds_.back();
+    free_preds_.pop_back();
+    preds_[p] = key;
+  }
+  return p;
+}
+
+Key WritebackCache::release_pred(Slot& slot) {
+  const std::uint32_t p = std::exchange(slot.pred, kNoPred);
+  free_preds_.push_back(p);
+  return preds_[p];
+}
+
 void WritebackCache::queue_expiry(SimTime expires, std::uint32_t s, bool dirty) {
   heap_.push(HeapEntry{expires, s, dirty});
   ++slots_[s].heap_refs;
@@ -57,11 +79,11 @@ void WritebackCache::stage_put(const Key& key, Bytes size, SimTime now,
   const std::uint32_t s = find_or_add(key);
   Slot& slot = slots_[s];
   D2_REQUIRE_MSG(!slot.dirty, "put already staged; use touch_put");
+  D2_DCHECK(slot.pred == kNoPred);  // released when the last put left
   slot.dirty = true;
   slot.size = size;
   slot.since = now;
-  slot.has_remove = remove_on_flush.has_value();
-  if (remove_on_flush) slot.remove_on_flush = *remove_on_flush;
+  if (remove_on_flush) slot.pred = add_pred(*remove_on_flush);
   ++dirty_count_;
   queue_expiry(now + ttl_, s, true);
   if (staged_counter_ != nullptr) staged_counter_->add(1);
@@ -83,7 +105,7 @@ std::optional<Key> WritebackCache::cancel_put(const Key& key) {
                  "cancel_put without staged put");
   Slot& slot = slots_[s];
   std::optional<Key> remove_old;
-  if (slot.has_remove) remove_old = slot.remove_on_flush;
+  if (slot.pred != kNoPred) remove_old = release_pred(slot);
   slot.dirty = false;  // heap entries drop out lazily
   --dirty_count_;
   release_if_unused(s);
@@ -113,8 +135,8 @@ void WritebackCache::flush_slot(std::uint32_t s, SimTime committed_at,
                                 std::vector<StoreOp>& out) {
   Slot& slot = slots_[s];
   out.push_back(StoreOp{StoreOp::Kind::kPut, slot.key, slot.size});
-  if (slot.has_remove) {
-    out.push_back(StoreOp{StoreOp::Kind::kRemove, slot.remove_on_flush, 0});
+  if (slot.pred != kNoPred) {
+    out.push_back(StoreOp{StoreOp::Kind::kRemove, release_pred(slot), 0});
   }
   if (flushed_counter_ != nullptr) flushed_counter_->add(1);
   slot.clean = true;
@@ -157,6 +179,14 @@ void WritebackCache::flush_all(SimTime now, std::vector<StoreOp>& out) {
     return slots_[a].key < slots_[b].key;
   });
   for (const std::uint32_t s : order) flush_slot(s, now, out);
+}
+
+std::size_t WritebackCache::allocated_bytes() const {
+  return slots_.capacity() * sizeof(Slot) +
+         free_slots_.capacity() * sizeof(std::uint32_t) +
+         preds_.capacity() * sizeof(Key) +
+         free_preds_.capacity() * sizeof(std::uint32_t) +
+         index_.allocated_bytes() + heap_.capacity() * sizeof(HeapEntry);
 }
 
 }  // namespace d2::fs

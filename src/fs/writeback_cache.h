@@ -15,12 +15,16 @@
 //
 // Layout: one slab slot per key holds both its dirty and its clean
 // state, found through the shared open-addressed key->slot table
-// (common/slot_table.h). Heap entries are 16 bytes {expires, slot,
-// dirty}. A slot is recycled only when it is neither dirty nor clean and
-// no heap entry names it (a per-slot count), so every popped entry still
-// names its key and a key keeps its slot while stale entries for it are
-// queued. Once slab, table and heap have reached their high-water marks,
-// nothing here allocates except flush_all's sort scratch.
+// (common/slot_table.h). A dirty slot's predecessor key, the committed
+// version its flush removes, sits in a side table that a free list
+// recycles, so a slot carries a 4-byte index instead of a second 64-byte
+// key. Heap entries are 16 bytes {expires, slot, dirty}. A slot is
+// recycled only when it is neither dirty nor clean and no heap entry
+// names it (a per-slot count), so every popped entry still names its key
+// and a key keeps its slot while stale entries for it are queued. Once
+// slab, predecessor table, key table and heap have reached their
+// high-water marks, nothing here allocates except flush_all's sort
+// scratch.
 #pragma once
 
 #include <cstdint>
@@ -94,19 +98,25 @@ class WritebackCache {
 
   SimTime ttl() const { return ttl_; }
 
+  /// Bytes held by the slab, the predecessor table (both with their free
+  /// lists), the key table and the expiry heap: capacity, not occupancy.
+  std::size_t allocated_bytes() const;
+
  private:
+  static constexpr std::uint32_t kNoPred = 0xffffffffu;
+
   /// Everything the cache knows about one key.
   struct Slot {
     Key key;
-    Key remove_on_flush;          // meaningful iff has_remove
-    Bytes size = 0;               // dirty: size of the staged put
-    SimTime since = 0;            // dirty: last stage/touch time
-    SimTime clean_at = 0;         // clean: last read, or a flush's commit
-    std::uint32_t heap_refs = 0;  // heap entries naming this slot
+    Bytes size = 0;                // dirty: size of the staged put
+    SimTime since = 0;             // dirty: last stage/touch time
+    SimTime clean_at = 0;          // clean: last read, or a flush's commit
+    std::uint32_t heap_refs = 0;   // heap entries naming this slot
+    std::uint32_t pred = kNoPred;  // dirty: preds_ index of the key to remove
     bool dirty = false;
     bool clean = false;
-    bool has_remove = false;
   };
+  static_assert(sizeof(Slot) <= 104);
 
   struct HeapEntry {
     SimTime expires;
@@ -115,6 +125,12 @@ class WritebackCache {
     bool operator>(const HeapEntry& o) const { return expires > o.expires; }
   };
   static_assert(sizeof(HeapEntry) == 16);
+
+  /// The expiry min-heap, with its storage's capacity readable.
+  struct ExpiryHeap
+      : std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> {
+    std::size_t capacity() const { return c.capacity(); }
+  };
 
   auto slot_key() const {
     return [this](std::uint32_t s) -> const Key& { return slots_[s].key; };
@@ -129,6 +145,10 @@ class WritebackCache {
   void queue_expiry(SimTime expires, std::uint32_t s, bool dirty);
   /// Returns `s` to the free list once nothing refers to it any more.
   void release_if_unused(std::uint32_t s);
+  /// Stores predecessor `key` in a free entry of preds_; returns its index.
+  std::uint32_t add_pred(const Key& key);
+  /// Detaches `slot`'s predecessor, frees its entry and returns the key.
+  Key release_pred(Slot& slot);
   /// Emits the put (and remove of the predecessor) of dirty slot `s` and
   /// marks it clean as of `committed_at`.
   void flush_slot(std::uint32_t s, SimTime committed_at,
@@ -138,8 +158,10 @@ class WritebackCache {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   SlotTable index_;  // key -> slot, for every slot not on the free list
+  std::vector<Key> preds_;  // predecessor keys of dirty slots
+  std::vector<std::uint32_t> free_preds_;
   std::size_t dirty_count_ = 0;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap_;
+  ExpiryHeap heap_;
 
   obs::Counter* staged_counter_ = nullptr;
   obs::Counter* coalesced_counter_ = nullptr;

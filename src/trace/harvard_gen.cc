@@ -47,16 +47,20 @@ HarvardGenerator::HarvardGenerator(const HarvardParams& params)
 
   build_shared_volume(rng);
 
-  std::vector<UserState> users(static_cast<std::size_t>(params.users));
+  // User u's tree draws from the master's u-th fork and its activity from
+  // the master's (N + u)-th, as if every tree were built before any
+  // activity. The activity forks come from a copy of the master advanced
+  // past the N tree forks, so each user is built and retired in turn and
+  // only one UserState is live at a time.
+  Rng activity_rng = rng;
+  for (int u = 0; u < params.users; ++u) activity_rng.fork();
   for (int u = 0; u < params.users; ++u) {
-    UserState& st = users[static_cast<std::size_t>(u)];
+    UserState st;
     st.user = u;
     st.home = user_home(u);
-    Rng user_rng = rng.fork();
-    build_user_tree(st, user_rng);
-  }
-  for (UserState& st : users) {
-    Rng user_rng = rng.fork();
+    Rng tree_rng = rng.fork();
+    build_user_tree(st, tree_rng);
+    Rng user_rng = activity_rng.fork();
     generate_user_activity(st, user_rng);
   }
 

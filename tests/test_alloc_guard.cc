@@ -17,7 +17,10 @@
 //     routing into reused buffers, hashed volume lookup, heterogeneous
 //     child lookup, root-to-leaf meta walk, write-back cache slots),
 //   * fs::WritebackCache stage/touch/cancel/collect/mark_clean churn over
-//     recycled keys (slots recycle through the free list).
+//     recycled keys (slots and predecessor entries recycle through their
+//     free lists),
+//   * core::OpBatchRunner staging and flushing a window at its op cap
+//     (a batch past the cap gives its staging back instead).
 //
 // These guards are the teeth behind DESIGN.md §5c: a regression that
 // reintroduces boxing (e.g., an std::function member, a node-based map)
@@ -39,8 +42,10 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <optional>
 
 #include "common/key.h"
+#include "core/op_batch.h"
 #include "core/replay.h"
 #include "core/system.h"
 #include "fs/writeback_cache.h"
@@ -506,6 +511,108 @@ TEST(AllocGuard, WritebackCacheChurnOverRecycledKeysIsAllocationFree) {
   for (int w = 8; w < 400; ++w) round(w * minutes(2));
   EXPECT_EQ(probe.news(), 0u) << "WritebackCache churn allocated";
   EXPECT_EQ(probe.deletes(), 0u);
+
+  // Predecessor entries: keys staged alternately with and without one,
+  // cancelled at a different rate than the keys above, so an entry freed
+  // by one key's cancel or flush is taken by another key's stage in an
+  // order that shifts from round to round.
+  auto pred_round = [&](SimTime start) {
+    for (std::uint64_t i = 0; i < 96; ++i) {
+      const SimTime t = start + static_cast<SimTime>(i) * seconds(1) / 2;
+      cache.collect_expired(t, out);
+      const Key k = K(2000 + (i * 7) % 40);
+      if (!cache.has_pending(k)) {
+        std::optional<Key> pred;
+        if ((i + static_cast<std::uint64_t>(start / minutes(2))) % 2 == 0) {
+          pred = K(3000 + i);
+        }
+        cache.stage_put(k, kB(8), t, pred);
+      } else if (i % 5 == 0) {
+        cache.cancel_put(k);
+      } else {
+        cache.touch_put(k, kB(8), t);
+      }
+    }
+    out.clear();
+  };
+  for (int w = 400; w < 408; ++w) pred_round(w * minutes(2));
+  const std::size_t bytes = cache.allocated_bytes();
+
+  const AllocProbe pred_probe;
+  for (int w = 408; w < 800; ++w) pred_round(w * minutes(2));
+  EXPECT_EQ(pred_probe.news(), 0u) << "predecessor recycling allocated";
+  EXPECT_EQ(pred_probe.deletes(), 0u);
+  EXPECT_EQ(cache.allocated_bytes(), bytes);
+}
+
+TEST(AllocGuard, OpBatchWindowAtTheCapIsAllocationFree) {
+#ifdef D2_PARANOID
+  GTEST_SKIP() << "paranoid audits allocate inside the measured hot path";
+#endif
+  // Windows of tracked gets: one at the staging cap sizes the items, the
+  // lane's index list and the outcomes, and every later window of that
+  // size stages, applies and flushes in them. A batch one op past the
+  // cap (as populate stages every initial put in one) frees the items
+  // and the lane list when it flushes.
+  core::SystemConfig c;
+  c.node_count = 16;
+  c.replicas = 3;
+  c.seed = 7;
+  sim::Simulator sim;
+  core::System sys(c, sim, nullptr);
+  for (std::uint64_t i = 0; i < 64; ++i) sys.put(K(1000 + i), kB(8));
+  core::OpBatchRunner batch(sys, sim);
+  constexpr std::size_t kCap = core::OpBatchRunner::kMaxBatchOps;
+  SimTime t = 0;
+  auto stage = [&](std::size_t n) {
+    t += seconds(1);
+    for (std::size_t i = 0; i < n; ++i) {
+      batch.add(fs::StoreOp{fs::StoreOp::Kind::kGet, K(1000 + i % 64), kB(8)},
+                t, static_cast<std::int32_t>(i));
+    }
+  };
+  auto all_served = [&] {
+    for (const core::OpBatchRunner::GetOutcome& o : batch.outcomes()) {
+      if (!o.known || !o.available) return false;
+    }
+    return true;
+  };
+  stage(kCap + 1);  // outcomes reach their largest size here
+  batch.flush();
+  stage(kCap - 1);
+  EXPECT_FALSE(batch.should_flush_before(t));
+  stage(1);
+  EXPECT_TRUE(batch.should_flush_before(t));  // the cap forces a drain
+  batch.flush();
+
+  {
+    const AllocProbe probe;
+    for (int w = 0; w < 4; ++w) {
+      stage(kCap);
+      batch.flush();
+    }
+    EXPECT_EQ(probe.news(), 0u) << "an op window at the cap allocated";
+    EXPECT_EQ(probe.deletes(), 0u);
+  }
+  EXPECT_EQ(batch.outcomes().size(), kCap);
+  EXPECT_TRUE(all_served());
+
+  stage(kCap + 1);
+  {
+    const AllocProbe probe;
+    batch.flush();
+    EXPECT_EQ(probe.news(), 0u);
+    // The items and the one lane's list (arcs = 1) go back to the heap.
+    EXPECT_EQ(probe.deletes(), 2u) << "a batch past the cap kept its staging";
+  }
+  EXPECT_EQ(batch.outcomes().size(), kCap + 1);
+  EXPECT_TRUE(all_served());
+  {
+    const AllocProbe probe;
+    stage(1);
+    EXPECT_GE(probe.news(), 2u) << "staging after the release reused storage";
+  }
+  batch.flush();
 }
 
 }  // namespace

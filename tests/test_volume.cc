@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <string>
 
 #include "common/assert.h"
+#include "common/hash.h"
+#include "common/rng.h"
 #include "fs/key_encoding.h"
 
 namespace d2::fs {
@@ -409,6 +413,298 @@ TEST(VolumeIntegrity, IdenticalHistoriesIdenticalDigests) {
   const auto v1 = build();
   const auto v2 = build();
   EXPECT_EQ(v1->integrity_digest(), v2->integrity_digest());
+}
+
+// ------------------------------------------------ child name order --
+
+/// Namespace model whose directories keep their children in a std::map:
+/// the order in which the volume must fold children into the integrity
+/// digest and remove them. Block versions and file sizes are read back
+/// from the volume (a D2 key carries its block's version), so the model
+/// tracks only names and the path each node was created under. Every
+/// directory holds a file named "keep", through whose metadata chain its
+/// own metadata key is read.
+class MapOrderedTree {
+ public:
+  struct Node {
+    bool is_dir = true;
+    std::string frozen_path;  // creation path; "" for the root
+    std::map<std::string, std::unique_ptr<Node>> children;
+  };
+
+  explicit MapOrderedTree(const Volume& v) : v_(v) {}
+
+  /// Creates `path` and any missing parent directories.
+  void add(const std::string& path, bool is_dir) {
+    Node* cur = &root_;
+    const std::vector<std::string> parts = split_path(path);
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      std::unique_ptr<Node>& child = cur->children[parts[i]];
+      if (child == nullptr) {
+        child = std::make_unique<Node>();
+        child->is_dir = is_dir || i + 1 < parts.size();
+        child->frozen_path = cur->frozen_path + "/" + parts[i];
+      }
+      cur = child.get();
+    }
+  }
+
+  void remove(const std::string& path) {
+    const std::vector<std::string> parts = split_path(path);
+    dir_of(parts)->children.erase(parts.back());
+  }
+
+  /// Moves `from` to `to`, whose parent exists; keeps its frozen path.
+  void move(const std::string& from, const std::string& to) {
+    const std::vector<std::string> src = split_path(from);
+    const std::vector<std::string> dst = split_path(to);
+    Node* from_dir = dir_of(src);
+    std::unique_ptr<Node> n = std::move(from_dir->children.at(src.back()));
+    from_dir->children.erase(src.back());
+    dir_of(dst)->children.emplace(dst.back(), std::move(n));
+  }
+
+  /// Directory paths ("" is the root) and the files other than "keep".
+  void list(std::vector<std::string>* dirs,
+            std::vector<std::string>* files) const {
+    dirs->clear();
+    files->clear();
+    list(root_, "", dirs, files);
+  }
+
+  bool is_dir(const std::string& path) const {
+    const Node* n = find(path);
+    return n != nullptr && n->is_dir;
+  }
+  bool exists(const std::string& path) const { return find(path) != nullptr; }
+
+  Sha1Digest digest() const { return digest(root_, ""); }
+
+  /// The removes the volume emits when `path` is removed with nothing in
+  /// its write-back cache: children in map order, a file's data blocks
+  /// before its inode, a directory's own block last.
+  std::vector<StoreOp> removes(const std::string& path) const {
+    std::vector<StoreOp> out;
+    removes(*find(path), path, &out);
+    return out;
+  }
+
+  std::uint64_t count(bool dirs) const { return count(root_, dirs); }
+
+ private:
+  /// The volume's keys for a full read of file `path`.
+  struct Chain {
+    std::vector<Key> meta;  // root .. the file's inode
+    std::vector<Key> data;  // data blocks in block order
+  };
+
+  static std::string join(const std::string& dir, const std::string& name) {
+    return dir.empty() ? name : dir + "/" + name;
+  }
+  static int depth(const std::string& path) {
+    return static_cast<int>(split_path(path).size());
+  }
+
+  Chain chain(const std::string& file) const {
+    Chain c;
+    for (const StoreOp& op : v_.uncached_read_ops(file)) {
+      (decode_block_key(op.key).type == BlockType::kData ? c.data : c.meta)
+          .push_back(op.key);
+    }
+    return c;
+  }
+  /// Metadata key of node `path` (a directory's via its "keep" file).
+  Key meta_key(const Node& n, const std::string& path) const {
+    if (!n.is_dir) return chain(path).meta.back();
+    const std::vector<Key> meta = chain(join(path, "keep")).meta;
+    return meta.at(static_cast<std::size_t>(depth(path)));
+  }
+
+  const Node* find(const std::string& path) const {
+    const Node* cur = &root_;
+    for (const std::string& part : split_path(path)) {
+      const auto it = cur->children.find(part);
+      if (it == cur->children.end()) return nullptr;
+      cur = it->second.get();
+    }
+    return cur;
+  }
+  Node* dir_of(const std::vector<std::string>& parts) {
+    Node* cur = &root_;
+    for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
+      cur = cur->children.at(parts[i]).get();
+    }
+    return cur;
+  }
+
+  void list(const Node& n, const std::string& path,
+            std::vector<std::string>* dirs,
+            std::vector<std::string>* files) const {
+    if (!n.is_dir) {
+      if (!path.ends_with("/keep") && path != "keep") files->push_back(path);
+      return;
+    }
+    dirs->push_back(path);
+    for (const auto& [name, child] : n.children) {
+      list(*child, join(path, name), dirs, files);
+    }
+  }
+
+  /// Volume::node_digest's definition, with children in map order.
+  Sha1Digest digest(const Node& n, const std::string& path) const {
+    Sha1 h;
+    h.update(n.frozen_path);
+    h.update("|v");
+    h.update(std::to_string(decode_block_key(meta_key(n, path)).version));
+    if (n.is_dir) {
+      for (const auto& [name, child] : n.children) {
+        h.update("|child:");
+        h.update(name);
+        const Sha1Digest d = digest(*child, join(path, name));
+        h.update(d.data(), d.size());
+      }
+    } else {
+      h.update("|size:");
+      h.update(std::to_string(v_.file_size(path)));
+      for (const Key& k : chain(path).data) {
+        h.update("|b");
+        h.update(std::to_string(decode_block_key(k).version));
+      }
+    }
+    return h.digest();
+  }
+
+  void removes(const Node& n, const std::string& path,
+               std::vector<StoreOp>* out) const {
+    if (n.is_dir) {
+      for (const auto& [name, child] : n.children) {
+        removes(*child, join(path, name), out);
+      }
+    } else {
+      for (const Key& k : chain(path).data) {
+        out->push_back(StoreOp{StoreOp::Kind::kRemove, k, 0});
+      }
+    }
+    out->push_back(StoreOp{StoreOp::Kind::kRemove, meta_key(n, path), 0});
+  }
+
+  std::uint64_t count(const Node& n, bool dirs) const {
+    std::uint64_t c = n.is_dir == dirs ? 1 : 0;
+    for (const auto& [name, child] : n.children) c += count(*child, dirs);
+    return c;
+  }
+
+  const Volume& v_;
+  Node root_;
+};
+
+TEST(VolumeChildOrder, DigestRemoveAndRenameMatchMapOrderedReference) {
+  // Names whose byte order differs from their numeric order ("f10" <
+  // "f9"), plus case and punctuation, which also sort by byte value.
+  const std::vector<std::string> names = {"f9",  "f10", "f1", "f100", "f09",
+                                          "F2",  "g",   "10", "9",    "f10a",
+                                          "a.b", "a-b", "a_b", "Z"};
+  const std::vector<Bytes> sizes = {100, kB(4), kB(9), kB(20)};
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    Volume v("vol");
+    MapOrderedTree ref(v);
+    std::vector<StoreOp> ops;
+    std::vector<std::string> dirs, files;
+    SimTime now = 0;
+    auto pick = [&rng](const std::vector<std::string>& from) {
+      return from[rng.next_below(from.size())];
+    };
+    auto join = [](const std::string& dir, const std::string& name) {
+      return dir.empty() ? name : dir + "/" + name;
+    };
+    auto remove_and_check = [&](const std::string& path) {
+      // Committed first, so the remove emits exactly the current keys.
+      v.flush(now, ops);
+      ops.clear();
+      const std::vector<StoreOp> want = ref.removes(path);
+      v.remove(path, now, ops);
+      ref.remove(path);
+      EXPECT_EQ(ops, want) << "remove " << path;
+    };
+    v.write("keep", 0, 100, now, ops);
+    ref.add("keep", false);
+    int renames_across = 0;
+    for (int step = 0; step < 300; ++step) {
+      now += seconds(static_cast<std::int64_t>(rng.next_below(40)));
+      ref.list(&dirs, &files);
+      const std::string dir = pick(dirs);
+      const std::string target = join(dir, pick(names));
+      switch (rng.next_below(8)) {
+        case 0:  // new directory
+          if (!ref.exists(target)) {
+            v.write(target + "/keep", 0, 100, now, ops);
+            ref.add(target + "/keep", false);
+          }
+          break;
+        case 1:
+        case 2:  // new file, or an overwrite from its start
+          if (!ref.is_dir(target)) {
+            v.write(target, 0, sizes[rng.next_below(sizes.size())], now, ops);
+            ref.add(target, false);
+          }
+          break;
+        case 3: {  // a file moves to another (or its own) directory
+          if (files.empty()) break;
+          const std::string from = pick(files);
+          const std::size_t slash = from.rfind('/');
+          const std::string from_dir =
+              slash == std::string::npos ? "" : from.substr(0, slash);
+          std::string to = target;
+          std::string new_dir;
+          if (rng.bernoulli(0.3)) {
+            // Into a new directory beside the file, which the rename
+            // creates in the directory the file leaves.
+            new_dir = join(from_dir, pick(names));
+            to = join(new_dir, pick(names));
+            if (ref.exists(new_dir)) break;
+          }
+          if (ref.exists(to)) break;
+          renames_across += to.substr(0, to.rfind('/') + 1) !=
+                            from.substr(0, slash + 1);
+          v.rename(from, to, now, ops);
+          if (!new_dir.empty()) {
+            v.write(new_dir + "/keep", 0, 100, now, ops);
+            ref.add(new_dir + "/keep", false);
+          }
+          ref.move(from, to);
+          break;
+        }
+        case 4: {  // a directory moves, never below itself
+          const std::string from = pick(dirs);
+          if (!from.empty() && !ref.exists(target) && target != from &&
+              !target.starts_with(from + "/")) {
+            v.rename(from, target, now, ops);
+            ref.move(from, target);
+          }
+          break;
+        }
+        case 5:
+        case 6:
+          if (!files.empty()) remove_and_check(pick(files));
+          break;
+        default:
+          if (dirs.size() > 1 && rng.bernoulli(0.3)) {
+            remove_and_check(dirs[1 + rng.next_below(dirs.size() - 1)]);
+          }
+          break;
+      }
+      ops.clear();
+      ASSERT_EQ(v.integrity_digest(), ref.digest()) << "step " << step;
+      ASSERT_EQ(v.file_count(), ref.count(false));
+      ASSERT_EQ(v.dir_count(), ref.count(true));
+      ref.list(&dirs, &files);
+      for (const std::string& d : dirs) ASSERT_TRUE(v.is_directory(d)) << d;
+      for (const std::string& f : files) ASSERT_TRUE(v.is_file(f)) << f;
+    }
+    EXPECT_GT(renames_across, 0);
+  }
 }
 
 class VolumeSchemeSweep : public ::testing::TestWithParam<KeyScheme> {};

@@ -425,5 +425,68 @@ TEST(WritebackCacheReference, SeededRandomSequencesMatchReference) {
   }
 }
 
+TEST(WritebackCacheReference, PredecessorChurnMatchesReference) {
+  // Most puts are staged with a predecessor (a fresh key, or one of the
+  // cached keys), and some without, so a key whose last put had one is
+  // staged again without it. Stages, touches, cancels, age flushes and
+  // flush_all churn over few keys with a short TTL, so predecessor
+  // entries are freed by cancels and by both kinds of flush and taken
+  // again by later stages in every order. The reference keeps each
+  // predecessor with its put; the two must emit the same removes and
+  // return the same keys from cancel_put.
+  constexpr SimTime kTtl = 5;
+  std::vector<Key> keys;
+  for (std::uint64_t i = 0; i < 16; ++i) keys.push_back(K(i * 104729));
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    Lockstep c(kTtl);
+    SimTime now = 0;
+    std::uint64_t next_pred = 1'000'000;
+    for (int step = 0; step < 4000; ++step) {
+      static constexpr SimTime kAdvance[] = {0, 0, 0, 1, 1, 2, 3, 6};
+      now += kAdvance[rng.next_below(8)];
+      const Key& k = keys[rng.next_below(keys.size())];
+      const auto size = static_cast<Bytes>(rng.next_below(1000));
+      switch (rng.next_below(10)) {
+        case 0:
+        case 1:
+        case 2:
+          if (c.has_pending(k)) {
+            c.touch(k, size, now);
+          } else {
+            std::optional<Key> pred;
+            const std::uint64_t kind = rng.next_below(10);
+            if (kind < 7) {
+              pred = K(next_pred++);
+            } else if (kind < 9) {
+              pred = keys[rng.next_below(keys.size())];
+            }
+            c.stage(k, size, now, pred);
+          }
+          break;
+        case 3:
+        case 4:
+          if (c.has_pending(k)) c.cancel(k);
+          break;
+        case 5:
+          c.read(k, now);
+          break;
+        case 6:
+          if (rng.bernoulli(0.05)) c.flush_all(now);
+          break;
+        default:
+          c.collect(now);
+          break;
+      }
+      c.check(keys, now);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    c.flush_all(now);
+    c.collect(now + 10 * kTtl);
+    c.check(keys, now + 10 * kTtl);
+  }
+}
+
 }  // namespace
 }  // namespace d2::fs

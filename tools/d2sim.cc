@@ -179,7 +179,7 @@ trace::HarvardParams harvard_params(const Args& args) {
   p.users = static_cast<int>(args.num("users", 20));
   p.days = static_cast<int>(args.num("days", 7));
   p.target_active_bytes = mB(args.num("mb", 96));
-  p.seed = static_cast<std::uint64_t>(args.num("seed", 42));
+  p.seed = static_cast<std::uint64_t>(args.num("seed", 1));
   const long accesses = args.num("accesses", 0);
   if (accesses < 0) {
     std::fprintf(stderr, "invalid value for --accesses: %ld (must be > 0)\n",
