@@ -113,12 +113,6 @@ inline core::SystemConfig system_config(fs::KeyScheme scheme, int nodes,
   // consistent hashing alone (Traditional+Merc turns it back on).
   c.active_load_balance = scheme == fs::KeyScheme::kD2;
   c.seed = seed;
-  // Arc-partitioned core (DESIGN.md §9): identical output for any
-  // setting, so benches accept the knobs via env for A/B timing runs.
-  if (const char* s = std::getenv("D2_ARCS")) c.arcs = std::atoi(s);
-  if (const char* s = std::getenv("D2_ARC_WORKERS")) {
-    c.arc_workers = std::atoi(s);
-  }
   return c;
 }
 

@@ -52,9 +52,8 @@ class Key {
     return k;
   }
 
-  /// Key whose high 8 bytes are `v`, remaining limbs zero. Arc partition
-  /// bounds (common/arc_plan.h) live entirely in the top limb, so this is
-  /// the inverse of limb(0) for such keys.
+  /// Key whose high 8 bytes are `v`, remaining limbs zero: the inverse of
+  /// limb(0) for such keys.
   static Key from_high64(std::uint64_t v) {
     Key k;
     k.limbs_[0] = v;

@@ -5,17 +5,11 @@
 // std::mutex as a D2_CAPABILITY and d2::MutexLock replaces
 // std::lock_guard as a D2_SCOPED_CAPABILITY; with members declared
 // D2_GUARDED_BY(mu_), Clang then proves every access is covered by a
-// lock (see common/thread_annotations.h and DESIGN.md §13).
-//
-// d2::CondVar pairs a std::condition_variable with a d2::Mutex: wait()
-// takes the Mutex directly (annotated D2_REQUIRES, since waiting
-// releases and reacquires the same capability) and bridges to the
-// std::unique_lock interface internally without an extra lock
-// acquisition. Zero overhead over the unwrapped types — everything
-// inlines to the identical std calls.
+// lock (see common/thread_annotations.h and DESIGN.md §13). Zero
+// overhead over the unwrapped types — everything inlines to the
+// identical std calls.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #include "common/thread_annotations.h"
@@ -36,9 +30,6 @@ class D2_CAPABILITY("mutex") Mutex {
   void unlock() D2_RELEASE() { mu_.unlock(); }
   bool try_lock() D2_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
-  /// The wrapped handle, for CondVar's unique_lock bridge only.
-  std::mutex& native() { return mu_; }
-
  private:
   std::mutex mu_;
 };
@@ -54,35 +45,6 @@ class D2_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Condition variable over a d2::Mutex. Callers hold the Mutex itself
-/// (no separate lock object), matching how the analysis tracks the
-/// capability across the wait: wait() releases and reacquires `mu`, so
-/// to Clang the capability is simply held throughout — exactly the
-/// guarantee the caller observes.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Atomically releases `mu`, waits until `pred()` holds, reacquires.
-  template <typename Pred>
-  void wait(Mutex& mu, Pred pred) D2_REQUIRES(mu) {
-    // Adopt the already-held mutex into a unique_lock for the wait, then
-    // release() so unique_lock's destructor does not unlock a mutex the
-    // caller still owns.
-    std::unique_lock<std::mutex> lk(mu.native(), std::adopt_lock);
-    cv_.wait(lk, pred);
-    lk.release();
-  }
-
-  void notify_one() { cv_.notify_one(); }
-  void notify_all() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace d2

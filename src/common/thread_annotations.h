@@ -1,16 +1,13 @@
 // Clang Thread Safety Analysis attribute macros (DESIGN.md §13).
 //
-// The d2 concurrency model has exactly two kinds of shared state:
-//   - mutex-guarded structures (obs instruments, the worker pools), and
-//   - arc-sharded containers confined to their owner lane (sim/core/store).
-// The first kind is machine-checked at compile time by Clang's
+// The d2 concurrency model shares state between threads only through
+// mutex-guarded structures (the obs instruments, core::TrialRunner's
+// pool). That is machine-checked at compile time by Clang's
 // -Wthread-safety analysis through these macros: members carry
 // D2_GUARDED_BY(mu_), private _locked() helpers carry D2_REQUIRES(mu_),
 // and the d2::Mutex/d2::MutexLock wrappers (common/mutex.h) give the
-// analysis the capability model std::mutex lacks. The second kind is
-// checked by tools/d2_arc_check.py via the D2_SHARDED_BY_ARC marker
-// below, plus the D2_ASSERT_OWNER_LANE runtime cross-check
-// (common/lane.h) in paranoid builds.
+// analysis the capability model std::mutex lacks. Each trial's
+// simulation runs serially on one thread.
 //
 // Under GCC (the container toolchain) every macro expands to nothing, so
 // tier-1 builds are unaffected; the thread-safety CI job builds with
@@ -62,24 +59,3 @@
 /// bare uses); prefer restructuring over opting out.
 #define D2_NO_THREAD_SAFETY_ANALYSIS \
   D2_THREAD_ANNOTATION(no_thread_safety_analysis)
-
-/// Marks a container as sharded by an index domain for the arc-ownership
-/// checker (tools/d2_arc_check.py). Placed after the member name:
-///
-///   std::vector<Slice> slices_ D2_SHARDED_BY_ARC(arc);
-///
-/// Domains (DESIGN.md §13): `arc` — indexed by an expression derived
-/// from arc_of()/lane_arc() or an owning arc loop variable; `slot` —
-/// additionally admits shard_slot() (lane slot or the coordinator's
-/// extra slot); `queue` — additionally admits queue_index()/min_queue()
-/// (per-arc queues plus the global queue). The equivalent comment form
-/// `// d2-arc: sharded(<domain>)` on the declaration line works where a
-/// macro cannot (e.g. local typedefs). Expands to a Clang `annotate`
-/// attribute so the marker also survives into the AST for the libclang
-/// engine; GCC sees nothing.
-#if defined(__clang__)
-#define D2_SHARDED_BY_ARC(domain) \
-  __attribute__((annotate("d2-arc:sharded:" #domain)))
-#else
-#define D2_SHARDED_BY_ARC(domain)
-#endif

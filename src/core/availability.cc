@@ -16,9 +16,7 @@ AvailabilityExperiment::AvailabilityExperiment(const AvailabilityParams& params)
 }
 
 AvailabilityResult AvailabilityExperiment::run() {
-  sim::Simulator sim(
-      sim::ArcConfig{params_.system.arcs, params_.system.arc_workers, 0,
-                     params_.system.scheduler});
+  sim::Simulator sim(sim::ArcConfig{.scheduler = params_.system.scheduler});
   sim.bind_metrics(params_.metrics);
   System system(params_.system, sim, params_.metrics);
   system.set_tracer(params_.tracer);
@@ -28,7 +26,7 @@ AvailabilityResult AvailabilityExperiment::run() {
   OpBatchRunner batch(system, sim);
 
   // Initial population + load-balance warm-up (§8.1). The initial puts
-  // are independent key-local writes at t=0 — one batched arc phase.
+  // are independent key-local writes at t=0 — one batch.
   std::vector<fs::StoreOp> ops;
   volumes.insert_initial(gen.initial_files(), 0, ops);
   for (const fs::StoreOp& op : ops) batch.add(op, 0);
@@ -68,11 +66,10 @@ AvailabilityResult AvailabilityExperiment::run() {
   AvailabilityResult result;
 
   // Replay, batched (core/op_batch.h): records stage their ops until a
-  // *global* event fence forces a drain, then one op window applies the
-  // backlog in-lane with each lane interleaving its arc's timer events
-  // by time (lane_advance). Get outcomes fold into the same task
-  // aggregates the serial per-record loop produced (the aggregation is
-  // order-insensitive across arcs).
+  // *global* event fence forces a drain, then one flush applies the
+  // backlog, interleaving the key-local timer events by time. Get
+  // outcomes fold into the same task aggregates a per-record loop would
+  // produce.
   auto drain = [&] {
     batch.flush();
     for (const OpBatchRunner::GetOutcome& g : batch.outcomes()) {
@@ -94,9 +91,9 @@ AvailabilityResult AvailabilityExperiment::run() {
     const trace::TraceRecord& r = records[i];
     const SimTime abs_t = params_.warmup + r.time;
     if (batch.should_flush_before(abs_t)) drain();
-    // Only with an empty backlog may the coordinator advance the clock:
-    // a staged batch means no global event is due through abs_t (that is
-    // the fence), and its arc events merge into the op window instead.
+    // Only with an empty backlog may the loop advance the clock: a staged
+    // batch means no global event is due through abs_t (that is the
+    // fence), and its key-local events merge into the flush instead.
     if (batch.empty() && sim.next_event_time() <= abs_t) sim.run_until(abs_t);
     rec_ops.clear();
     volumes.apply(r, abs_t, rec_ops);
@@ -105,8 +102,8 @@ AvailabilityResult AvailabilityExperiment::run() {
     if (ti >= 0) agg[static_cast<std::size_t>(ti)].files.insert(r.path);
   }
   drain();
-  // Catch up timer events through the last record, as the per-record
-  // serial loop did (lanes leave events past their final op pending).
+  // Catch up timer events through the last record, as a per-record loop
+  // would (a flush leaves events past its final op pending).
   if (!records.empty()) sim.run_until(params_.warmup + records.back().time);
 
   // Aggregate.

@@ -41,16 +41,14 @@ struct ImbalanceSampler {
     result->imbalance.emplace_back(sim->now() - workload_start,
                                    system->load_imbalance());
     result->max_over_mean.push_back(system->max_over_mean_load());
-    // d2-sched: global — imbalance sample aggregates load across every arc
+    // d2-sched: global — imbalance sample aggregates load across every node
     sim->schedule_after(interval, *this);
   }
 };
 }  // namespace
 
 BalanceResult BalanceExperiment::run() {
-  sim::Simulator sim(
-      sim::ArcConfig{params_.system.arcs, params_.system.arc_workers, 0,
-                     params_.system.scheduler});
+  sim::Simulator sim(sim::ArcConfig{.scheduler = params_.system.scheduler});
   sim.bind_metrics(params_.metrics);
   System system(params_.system, sim, params_.metrics);
   system.set_tracer(params_.tracer);

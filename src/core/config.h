@@ -70,17 +70,9 @@ struct SystemConfig {
   /// next successor.
   SimTime regen_delay = minutes(30);
 
-  /// Keyspace arcs the simulation state is partitioned into (DESIGN.md
-  /// §9). Every arc owns a contiguous keyspace slice with its own event
-  /// queue and block-map slice; 1 = the classic monolithic layout.
-  /// Scatter placement (scatter_replicas > 0) couples arbitrary keys and
-  /// is only supported with a single arc.
+  /// What remains of the removed arc-partitioned engine: the simulation
+  /// core is serial, and System accepts only arcs = 1, arc_workers = 1.
   int arcs = 1;
-
-  /// Worker threads draining arc lanes in parallel windows. 1 = serial
-  /// (byte-identical to the pre-partitioned engine for any `arcs`);
-  /// N > 1 executes arc-local events and batched ops concurrently with
-  /// the same deterministic output.
   int arc_workers = 1;
 
   /// Event-queue backend (DESIGN.md §11): the hierarchical timing wheel,

@@ -86,12 +86,7 @@ std::vector<SimTime> pick_performance_windows(const trace::HarvardParams& wl,
 }
 
 PerformanceResult PerformanceExperiment::run() {
-  // Lookahead 0 = adaptive sync horizon (DESIGN.md §12): windows extend
-  // to the next global event. The old conservative min_one_way_bound()
-  // horizon survives as the ArcConfig::lookahead test knob.
-  sim::Simulator sim(
-      sim::ArcConfig{params_.system.arcs, params_.system.arc_workers, 0,
-                     params_.system.scheduler});
+  sim::Simulator sim(sim::ArcConfig{.scheduler = params_.system.scheduler});
   sim.bind_metrics(params_.metrics);
   System system(params_.system, sim, params_.metrics);
   system.set_tracer(params_.tracer);

@@ -58,12 +58,12 @@ RepairEngine::RepairEngine(const RepairConfig& config, sim::Simulator& sim)
       rng_(config.seed),
       latency_(config.node_count, rng_, config.mean_rtt_ms),
       tcp_(),
-      map_(config.node_count, config.arcs),
+      map_(config.node_count),
       codec_(config.erasure ? config.ec_data_fragments : 1,
              config.erasure ? config.ec_parity_fragments
                             : config.replicas - 1),
-      records_(static_cast<std::size_t>(config.arcs)),
       node_blocks_(static_cast<std::size_t>(config.node_count)) {
+  sim::require_serial_engine(cfg_.arcs, 1);
   D2_REQUIRE_MSG(cfg_.node_count >= n(),
                  "repair: need at least k + m nodes to place a block");
   D2_REQUIRE(cfg_.block_size > 0);
@@ -150,27 +150,13 @@ void RepairEngine::reindex(store::BlockHandle h,
   }
 }
 
-bool RepairEngine::write_block(const Key& key, SimTime now, bool in_lane) {
-  std::vector<int> set;
-  target_replica_set(key, set);
-  int up_members = 0;
-  for (int node : set) {
-    if (node_up(node)) ++up_members;
-  }
-  if (up_members < k()) {
-    // Not enough reachable members to protect the data at all: the write
-    // fails rather than creating a block that is unrecoverable at birth.
-    D2_ASSERT_MSG(!in_lane, "populate requires every node up");
-    ++writes_failed_;
-    return false;
-  }
+store::BlockHandle RepairEngine::place_block(const Key& key,
+                                             const std::vector<int>& set) {
   const store::BlockHandle h =
       map_.insert(key, cfg_.block_size, set, frag_traffic_bytes_);
-  sim::PagedArray<Record>& arc_records =
-      records_[static_cast<std::size_t>(h.arc())];
-  D2_ASSERT_MSG(h.slot() == arc_records.size(),
+  D2_ASSERT_MSG(h.slot() == records_.size(),
                 "repair: a new block's slab slot is not the next record");
-  Record& rec = arc_records.emplace_back();
+  Record& rec = records_.emplace_back();
   rec.key = key;
   std::vector<std::vector<std::uint8_t>> encoded =
       codec_.encode(payload_of(key));
@@ -185,30 +171,46 @@ bool RepairEngine::write_block(const Key& key, SimTime now, bool in_lane) {
       map_.mark_missing(key, node);
     }
   }
-  if (!in_lane) {
-    for (int node : set) index_add(node, h);
-    user_write_bytes_ += cfg_.block_size;
-    // Degraded at birth only if fewer than n fragments could be placed:
-    // the target set extends past down nodes, so a write can carry a
-    // down, data-less member and still be fully protected by n up ones.
-    if (next_index < n()) {
-      rec.degraded_since = now;
-      ++open_episodes_;
-      // The members lacking data are down (no transition will fire for
-      // them); give the block its own detect-delay re-protection pass.
-      auto detect = [this, h] {
-        if (!record(h).dead) {
-          reconcile(h);
-          maybe_audit();
-        }
-      };
-      static_assert(sim::kFitsInlineEvent<decltype(detect)>,
-                    "repair closures must fit their event slot");
-      // d2-sched: global — RepairEngine runs an unpartitioned serial sim
-      sim_.schedule_after(cfg_.detect_delay, detect);
-    }
-    maybe_audit();
+  return h;
+}
+
+bool RepairEngine::write_block(const Key& key, SimTime now) {
+  std::vector<int> set;
+  target_replica_set(key, set);
+  int up_members = 0;
+  for (int node : set) {
+    if (node_up(node)) ++up_members;
   }
+  if (up_members < k()) {
+    // Not enough reachable members to protect the data at all: the write
+    // fails rather than creating a block that is unrecoverable at birth.
+    ++writes_failed_;
+    return false;
+  }
+  const store::BlockHandle h = place_block(key, set);
+  for (int node : set) index_add(node, h);
+  user_write_bytes_ += cfg_.block_size;
+  // Degraded at birth only if fewer than n fragments could be placed:
+  // the target set extends past down nodes, so a write can carry a
+  // down, data-less member and still be fully protected by n up ones.
+  Record& rec = record(h);
+  if (static_cast<int>(rec.frags.size()) < n()) {
+    rec.degraded_since = now;
+    ++open_episodes_;
+    // The members lacking data are down (no transition will fire for
+    // them); give the block its own detect-delay re-protection pass.
+    auto detect = [this, h] {
+      if (!record(h).dead) {
+        reconcile(h);
+        maybe_audit();
+      }
+    };
+    static_assert(sim::kFitsInlineEvent<decltype(detect)>,
+                  "repair closures must fit their event slot");
+    // d2-sched: global — every repair event is global
+    sim_.schedule_after(cfg_.detect_delay, detect);
+  }
+  maybe_audit();
   return true;
 }
 
@@ -217,38 +219,24 @@ void RepairEngine::populate(std::int64_t count) {
   for (int node = 0; node < cfg_.node_count; ++node) {
     D2_REQUIRE_MSG(node_up(node), "populate requires every node up");
   }
-  std::vector<Key> planned;
-  planned.reserve(static_cast<std::size_t>(count));
-  std::set<Key> used;
+  // Every node is up, so each block lands whole on its n members. The
+  // new blocks are indexed afterwards, in one pass.
+  const std::size_t first_new = records_.size();
+  std::vector<int> set;
   for (std::int64_t i = 0; i < count; ++i) {
     Key key = Key::random(rng_);
-    while (map_.contains(key) || !used.insert(key).second) {
-      key = Key::random(rng_);
-    }
-    planned.push_back(key);
+    while (map_.contains(key)) key = Key::random(rng_);
+    target_replica_set(key, set);
+    place_block(key, set);
   }
-  std::vector<std::size_t> first_new;
-  for (const sim::PagedArray<Record>& arc_records : records_) {
-    first_new.push_back(arc_records.size());
-  }
-  // Each lane inserts the keys its arc owns, in generation order: the
-  // resulting state is identical for any arc/worker setting, and the
-  // encode work parallelizes across workers.
-  const SimTime now = sim_.now();
-  sim_.run_arc_phase([this, &planned, now](int arc) {
-    for (const Key& key : planned) {
-      if (map_.arc_of(key) == arc) write_block(key, now, /*in_lane=*/true);
-    }
-  });
-  // The node index is shared across arcs, so the new blocks are indexed
-  // here, serially. The walk is in key order and so hands each node its
-  // new blocks sorted: one walk sizes the lists, a second appends, and a
-  // merge places each appended run among the node's earlier entries.
+  // The walk is in key order and so hands each node its new blocks
+  // sorted: one walk sizes the lists, a second appends, and a merge
+  // places each appended run among the node's earlier entries.
   auto for_each_new_holding = [&](auto&& fn) {
     map_.for_each_in_arc(
         Key::min(), Key::min(),
         [&](const Key&, store::BlockHandle h, store::BlockState& b) {
-          if (h.slot() < first_new[static_cast<std::size_t>(h.arc())]) return;
+          if (h.slot() < first_new) return;
           for (const store::Replica& r : b.replicas) {
             fn(static_cast<std::size_t>(r.node), h);
           }
@@ -289,7 +277,7 @@ void RepairEngine::attach_failure_trace(const sim::FailureTrace& trace) {
       auto up = [this, node] { on_node_up(node); };
       static_assert(sim::kFitsInlineEvent<decltype(up)>,
                     "repair closures must fit their event slot");
-      // d2-sched: global — up/down transitions mutate cross-node state
+      // d2-sched: global — every repair event is global
       sim_.schedule_at(tr.time, up);
     } else {
       // Drawn here, not at event time, so the loss outcome depends only
@@ -298,7 +286,7 @@ void RepairEngine::attach_failure_trace(const sim::FailureTrace& trace) {
       auto down = [this, node, lose] { on_node_down(node, lose); };
       static_assert(sim::kFitsInlineEvent<decltype(down)>,
                     "repair closures must fit their event slot");
-      // d2-sched: global — up/down transitions mutate cross-node state
+      // d2-sched: global — every repair event is global
       sim_.schedule_at(tr.time, down);
     }
   }
@@ -321,7 +309,7 @@ void RepairEngine::schedule_next_write(int node) {
   auto write = [this, node] { do_foreground_write(node); };
   static_assert(sim::kFitsInlineEvent<decltype(write)>,
                 "repair closures must fit their event slot");
-  // d2-sched: global — RepairEngine runs an unpartitioned serial sim
+  // d2-sched: global — every repair event is global
   sim_.schedule_at(next, write);
 }
 
@@ -329,7 +317,7 @@ void RepairEngine::do_foreground_write(int node) {
   if (node_up(node)) {
     Key key = Key::random(rng_);
     while (map_.contains(key)) key = Key::random(rng_);
-    write_block(key, sim_.now(), /*in_lane=*/false);
+    write_block(key, sim_.now());
   }
   schedule_next_write(node);
 }
@@ -474,7 +462,7 @@ void RepairEngine::on_node_down(int node, bool lose_data) {
   };
   static_assert(sim::kFitsInlineEvent<decltype(detect)>,
                 "repair closures must fit their event slot");
-  // d2-sched: global — RepairEngine runs an unpartitioned serial sim
+  // d2-sched: global — every repair event is global
   sim_.schedule_after(cfg_.detect_delay, detect);
   maybe_audit();
 }
@@ -583,7 +571,7 @@ void RepairEngine::start_repair(store::BlockHandle h, int node) {
       auto retry = [this, h, node] { retry_repair(h, node); };
       static_assert(sim::kFitsInlineEvent<decltype(retry)>,
                     "repair closures must fit their event slot");
-      // d2-sched: global — RepairEngine runs an unpartitioned serial sim
+      // d2-sched: global — every repair event is global
       sim_.schedule_after(cfg_.retry_delay, retry);
     }
     return;
@@ -610,7 +598,7 @@ void RepairEngine::start_repair(store::BlockHandle h, int node) {
   auto done = [this, h, node] { finish_repair(h, node); };
   static_assert(sim::kFitsInlineEvent<decltype(done)>,
                 "repair closures must fit their event slot");
-  // d2-sched: global — RepairEngine runs an unpartitioned serial sim
+  // d2-sched: global — every repair event is global
   sim_.schedule_at(finish, done);
 }
 
@@ -644,7 +632,7 @@ void RepairEngine::finish_repair(store::BlockHandle h, int node) {
       auto retry = [this, h, node] { retry_repair(h, node); };
       static_assert(sim::kFitsInlineEvent<decltype(retry)>,
                     "repair closures must fit their event slot");
-      // d2-sched: global — RepairEngine runs an unpartitioned serial sim
+      // d2-sched: global — every repair event is global
       sim_.schedule_after(cfg_.retry_delay, retry);
     }
     return;
@@ -733,12 +721,9 @@ void RepairEngine::check_invariants() const {
   for (const sim::BandwidthLink& l : links_) link_bytes += l.total_bytes();
   D2_ASSERT_MSG(link_bytes == repair_bytes_,
                 "repair: budget-link bytes diverge from repair accounting");
-  for (int arc = 0; arc < map_.arcs(); ++arc) {
-    // Blocks are never erased, so a slice's slab has one slot per block.
-    D2_ASSERT_MSG(records_[static_cast<std::size_t>(arc)].size() ==
-                      map_.slice_block_count(arc),
-                  "repair: records out of step with the block map's slots");
-  }
+  // Blocks are never erased, so the map's slab has one slot per block.
+  D2_ASSERT_MSG(records_.size() == map_.block_count(),
+                "repair: records out of step with the block map's slots");
   std::size_t inflight_flags = 0;
   std::size_t dead_blocks = 0;
   std::size_t open_episodes = 0;
@@ -823,8 +808,7 @@ void RepairEngine::check_invariants() const {
         node_blocks_[static_cast<std::size_t>(node)];
     for (std::size_t i = 0; i < list.size(); ++i) {
       const store::BlockHandle h = list[i];
-      const store::BlockState* b =
-          h.arc() < map_.arcs() ? map_.at(h) : nullptr;
+      const store::BlockState* b = map_.at(h);
       D2_ASSERT_MSG(b != nullptr, "repair: node index names no block");
       D2_ASSERT_MSG(b->is_replica(node) || stale_contains(*b, node),
                     "repair: node index lists a block its node does not hold");
@@ -857,12 +841,8 @@ void RepairEngine::check_invariants() const {
 }
 
 DurabilityResult run_durability(const DurabilityParams& params) {
-  sim::ArcConfig ac;
-  ac.arcs = params.repair.arcs;
-  ac.workers = params.arc_workers;
-  ac.lookahead = 0;
-  ac.scheduler = params.repair.scheduler;
-  sim::Simulator sim(ac);
+  sim::Simulator sim(sim::ArcConfig{params.repair.arcs, params.arc_workers, 0,
+                                    params.repair.scheduler});
   sim.bind_metrics(params.metrics);
   RepairEngine engine(params.repair, sim);
   engine.populate(static_cast<std::int64_t>(params.blocks_per_node) *

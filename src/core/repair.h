@@ -36,13 +36,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/arc_plan.h"
 #include "common/assert.h"
 #include "common/key.h"
-#include "common/lane.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "common/thread_annotations.h"
 #include "common/units.h"
 #include "dht/ring.h"
 #include "net/latency.h"
@@ -85,6 +82,7 @@ struct RepairConfig {
   double data_loss_fraction = 0.5;
 
   double mean_rtt_ms = 90.0;
+  /// What remains of the removed arc-partitioned engine: accepts only 1.
   int arcs = 1;
   /// Event-queue backend (wheel default; heap = differential reference).
   sim::SchedulerKind scheduler = sim::SchedulerKind::kWheel;
@@ -92,7 +90,7 @@ struct RepairConfig {
 };
 
 /// Aggregated engine state for reporting (all deterministic integers /
-/// exact sums, so formatted output is byte-stable across arc workers).
+/// exact sums, so formatted output is byte-stable).
 struct RepairStats {
   std::size_t blocks = 0;
   std::uint64_t blocks_lost = 0;  // ever unrecoverable
@@ -123,8 +121,7 @@ class RepairEngine {
 
   /// Creates `count` blocks with random keys, fully protected on their
   /// successor sets. Requires every node up (call at t = 0, before the
-  /// failure trace starts). Runs as one arc phase, so population
-  /// parallelizes across --arc-workers with byte-identical results.
+  /// failure trace starts).
   void populate(std::int64_t count);
 
   /// Schedules every up/down transition of `trace` as a global simulator
@@ -168,9 +165,9 @@ class RepairEngine {
   static constexpr SimTime kNoEpisode = kSimTimeNever;
 
   /// RepairEngine's state of one block. It sits in the slot the block's
-  /// BlockMap slab slot has: RepairEngine never erases a block, so each
-  /// slice hands out slots 0, 1, 2, ... and records_[arc][slot] belongs
-  /// to the block BlockHandle(arc, slot, ·) names.
+  /// BlockMap slab slot has: RepairEngine never erases a block, so the
+  /// map hands out slots 0, 1, 2, ... and records_[slot] belongs to the
+  /// block BlockHandle(slot, ·) names.
   struct Record {
     Key key;
     /// Sorted by (index, node); unique per (index, node).
@@ -184,12 +181,9 @@ class RepairEngine {
   bool node_up(int node) const {
     return up_[static_cast<std::size_t>(node)] != 0;
   }
-  Record& record(store::BlockHandle h) {
-    D2_ASSERT_OWNER_LANE(h.arc());
-    return records_[static_cast<std::size_t>(h.arc())][h.slot()];
-  }
+  Record& record(store::BlockHandle h) { return records_[h.slot()]; }
   const Record& record(store::BlockHandle h) const {
-    return records_[static_cast<std::size_t>(h.arc())][h.slot()];
+    return records_[h.slot()];
   }
   store::BlockState& state(store::BlockHandle h) {
     store::BlockState* b = map_.at(h);
@@ -203,12 +197,15 @@ class RepairEngine {
   /// walk System places its members with.
   void target_replica_set(const Key& key, std::vector<int>& out) const;
 
-  /// Inserts one block at the current time: BlockMap entry, record,
-  /// encoded fragments on the up members. Returns false (a failed
-  /// write) when fewer than k members are reachable. Safe in an arc lane
-  /// only when `in_lane` (no global scheduling, no node index; caller
-  /// guarantees all-up).
-  bool write_block(const Key& key, SimTime now, bool in_lane);
+  /// Inserts one block with target set `set`: BlockMap entry, record,
+  /// encoded fragments on its first n up members. Leaves the node index,
+  /// W and the degradation episode to the caller, which guarantees at
+  /// least k members are up.
+  store::BlockHandle place_block(const Key& key, const std::vector<int>& set);
+  /// Writes one block at the current time (place_block), counting W and
+  /// opening its degradation episode. Returns false (a failed write) when
+  /// fewer than k members are reachable.
+  bool write_block(const Key& key, SimTime now);
 
   void schedule_next_write(int node);
   void do_foreground_write(int node);
@@ -266,13 +263,10 @@ class RepairEngine {
   std::vector<char> up_;
   std::vector<sim::BandwidthLink> links_;  // per-node repair budget
 
-  /// Per-block records, one array per arc so populate lanes stay
-  /// confined, slot-aligned with the BlockMap slices' slabs.
-  std::vector<sim::PagedArray<Record>> records_ D2_SHARDED_BY_ARC(arc);
+  /// Per-block records, slot-aligned with the BlockMap's slab.
+  sim::PagedArray<Record> records_;
   /// node -> handles of the blocks it is a member or stale holder of,
   /// in key order: what a node event walks instead of the whole map.
-  /// Only the coordinator touches it (populate fills it after its arc
-  /// phase).
   std::vector<std::vector<store::BlockHandle>> node_blocks_;
   std::size_t dead_blocks_ = 0;    // records with dead set
   std::size_t open_episodes_ = 0;  // records with an episode start
@@ -315,6 +309,7 @@ struct DurabilityParams {
   /// Post-trace drain: every node is back up at trace end; this much
   /// extra simulated time lets queued repairs finish.
   SimTime drain = hours(12);
+  /// What remains of the removed arc-partitioned engine: accepts only 1.
   int arc_workers = 1;
   std::uint64_t failure_seed = 42;
   /// When set, run_durability binds the simulator to it and exports the

@@ -17,9 +17,7 @@ RequestLoadExperiment::RequestLoadExperiment(const RequestLoadParams& params)
 }
 
 RequestLoadResult RequestLoadExperiment::run() {
-  sim::Simulator sim(
-      sim::ArcConfig{params_.system.arcs, params_.system.arc_workers, 0,
-                     params_.system.scheduler});
+  sim::Simulator sim(sim::ArcConfig{.scheduler = params_.system.scheduler});
   sim.bind_metrics(params_.metrics);
   System system(params_.system, sim, params_.metrics);
   Rng rng(params_.seed);

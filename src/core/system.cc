@@ -4,7 +4,6 @@
 #include <tuple>
 
 #include "common/assert.h"
-#include "common/lane.h"
 #include "common/stats.h"
 #include "dht/consistent_hash.h"
 
@@ -22,21 +21,11 @@ System::System(const SystemConfig& config, sim::Simulator& sim,
                                         : nullptr),
       metrics_(metrics == nullptr ? owned_metrics_.get() : metrics),
       rng_(config.seed),
-      map_(config.node_count, config.arcs),
-      expiry_(static_cast<std::size_t>(config.arcs)),
-      extended_(static_cast<std::size_t>(config.arcs)),
-      balancer_(dht::LoadBalanceConfig{config.lb_threshold, 4}),
-      replica_set_scratch_(static_cast<std::size_t>(config.arcs) + 1),
-      lane_audit_gates_(static_cast<std::size_t>(config.arcs)),
-      user_write_bytes_sh_(static_cast<std::size_t>(config.arcs) + 1, 0),
-      user_removed_bytes_sh_(static_cast<std::size_t>(config.arcs) + 1, 0),
-      migration_bytes_sh_(static_cast<std::size_t>(config.arcs) + 1, 0),
-      fetch_reservations_(static_cast<std::size_t>(config.arcs)) {
+      map_(config.node_count),
+      balancer_(dht::LoadBalanceConfig{config.lb_threshold, 4}) {
+  sim::require_serial_engine(config.arcs, config.arc_workers);
   D2_REQUIRE(config.node_count > 0);
   D2_REQUIRE(config.replicas > 0);
-  D2_REQUIRE_MSG(config.arcs >= 1, "system needs at least one arc");
-  D2_REQUIRE_MSG(config.arcs == sim.arcs(),
-                 "system arc count must match the simulator's");
   D2_REQUIRE_MSG(config.ec_data_fragments >= 1 &&
                      config.ec_data_fragments <= config.replicas,
                  "a block needs 1 <= k <= n of its members");
@@ -45,9 +34,6 @@ System::System(const SystemConfig& config, sim::Simulator& sim,
                  "scatter_replicas must lie in [0, replicas)");
   D2_REQUIRE_MSG(config.scatter_replicas == 0 || config.ec_data_fragments == 1,
                  "hybrid placement + erasure coding not supported together");
-  D2_REQUIRE_MSG(config.arcs == 1 || config.scatter_replicas == 0,
-                 "hybrid placement couples arbitrary keys across the ring "
-                 "and requires a single arc");
   user_write_bytes_c_ = &metrics_->counter("system.user_write_bytes");
   user_removed_bytes_c_ = &metrics_->counter("system.user_removed_bytes");
   migration_bytes_c_ = &metrics_->counter("system.migration_bytes");
@@ -68,8 +54,8 @@ System::System(const SystemConfig& config, sim::Simulator& sim,
     while (ring_.id_taken(id)) id = dht::random_node_id(rng_);
     ring_.add(i, id);
   }
-  // Fetch reservations staged by arc lanes resolve at the simulator's
-  // mode-independent commit points (see resolve_fetch_reservations).
+  // Staged fetch reservations resolve at the simulator's commit points
+  // (see resolve_fetch_reservations).
   sim_.set_commit_hook([this] { resolve_fetch_reservations(); });
 }
 
@@ -201,7 +187,6 @@ std::optional<int> System::serving_node(const store::BlockState& b) const {
 void System::put_at(const Key& k, Bytes size, SimTime t) {
   D2_REQUIRE(size >= 0);
   D2_REQUIRE_MSG(t >= sim_.now(), "op time must not precede the clock");
-  D2_ASSERT_OWNER_LANE(map_.arc_of(k));
   add_user_write_bytes(size);
   bool fresh_key = true;
   if (const store::BlockState* existing = map_.find(k)) {
@@ -219,7 +204,7 @@ void System::put_at(const Key& k, Bytes size, SimTime t) {
   }
   // Registered first: the target set below reads the scatter positions.
   if (fresh_key && config_.scatter_replicas > 0) register_scatter(k);
-  std::vector<int>& set = replica_set_scratch_[shard_slot()];
+  std::vector<int>& set = replica_set_scratch_;
   target_replica_set(k, set);
   // Each member stores ceil(size / k) bytes: the whole block at k = 1.
   const int data_fragments = config_.ec_data_fragments;
@@ -235,17 +220,14 @@ void System::put_at(const Key& k, Bytes size, SimTime t) {
 
 void System::remove_at(const Key& k, SimTime t) {
   D2_REQUIRE_MSG(t >= sim_.now(), "op time must not precede the clock");
-  // Key-local event: runs on the arc that owns `k`, touching only that
-  // arc's shards.
-  // d2-sched: arc-local — delayed remove touches only k's shard
-  sim_.schedule_arc_at(map_.arc_of(k), t + config_.remove_delay, [this, k] {
-    D2_ASSERT_OWNER_LANE(map_.arc_of(k));
+  // d2-sched: local — a delayed remove touches only k's state
+  sim_.schedule_local_at(t + config_.remove_delay, [this, k] {
     if (const store::BlockState* b = map_.find(k)) {
       add_user_removed_bytes(b->size);
       discard_fetch_timers(k, *b);
       map_.erase(k);
-      expiry_shard(k).erase(k);
-      extended_shard(k).erase(k);
+      expiry_.erase(k);
+      extended_.erase(k);
       if (config_.scatter_replicas > 0) forget_scatter(k);
       maybe_audit(/*sampled=*/true);
     }
@@ -255,17 +237,14 @@ void System::remove_at(const Key& k, SimTime t) {
 void System::refresh_at(const Key& k, SimTime t) {
   if (config_.block_ttl <= 0) return;
   if (!map_.contains(k)) return;
-  D2_ASSERT_OWNER_LANE(map_.arc_of(k));
   const SimTime deadline = t + config_.block_ttl;
-  expiry_shard(k)[k] = deadline;
-  // Deadline-check pattern (arc events are never cancelled exactly): a later
-  // refresh bumps the shard entry and this event becomes a no-op.
-  // d2-sched: arc-local — TTL expiry touches only k's shard
-  sim_.schedule_arc_at(map_.arc_of(k), deadline, [this, k, deadline] {
-    D2_ASSERT_OWNER_LANE(map_.arc_of(k));
-    auto& shard = expiry_shard(k);
-    auto it = shard.find(k);
-    if (it == shard.end() || it->second != deadline) return;  // refreshed
+  expiry_[k] = deadline;
+  // Deadline-check pattern (expiry events are never cancelled): a later
+  // refresh bumps the entry and this event becomes a no-op.
+  // d2-sched: local — TTL expiry touches only k's state
+  sim_.schedule_local_at(deadline, [this, k, deadline] {
+    auto it = expiry_.find(k);
+    if (it == expiry_.end() || it->second != deadline) return;  // refreshed
     if (const store::BlockState* b = map_.find(k)) {
       add_user_removed_bytes(b->size);
       if (tracer_ != nullptr) {
@@ -273,10 +252,10 @@ void System::refresh_at(const Key& k, SimTime t) {
       }
       discard_fetch_timers(k, *b);
       map_.erase(k);
-      extended_shard(k).erase(k);
+      extended_.erase(k);
       if (config_.scatter_replicas > 0) forget_scatter(k);
     }
-    shard.erase(it);
+    expiry_.erase(it);
   });
 }
 
@@ -286,36 +265,31 @@ sim::EventId System::schedule_fetch(store::BlockHandle h,
                                     store::Replica& member, SimTime due) {
   member.fetch_due = due;
   fetch_timers_c_->add(1);
-  // Arc-local by construction: the timer fires on the key's shard (block
+  // Key-local by construction: the timer reads one block's state (block
   // lookup + replica flags); the only shared state it would touch — the
   // node's migration link — is reached through the reservation relay.
-  // Callable from the coordinator (readjustment) or from the key's own
-  // lane (retry path).
   auto fire = [this, h, node = member.node] { try_fetch(h, node); };
   static_assert(sim::kFitsInlineEvent<decltype(fire)>,
                 "fetch timers must fit their event slot (hundreds of "
                 "thousands are pending at once)");
-  // d2-sched: arc-local — fetch timer for k runs on k's arc
-  return sim_.schedule_arc_at(h.arc(), due, fire);
+  // d2-sched: local — a fetch timer touches only its block's state
+  return sim_.schedule_local_at(due, fire);
 }
 
-// Guarded by Simulator::discard (arc range, lane ownership).
+// A best-effort discard: kNoEvent and fired ids are no-ops.
 // d2-lint: allow(unguarded-mutator)
-void System::discard_fetch_timer(int arc, sim::EventId id) {
-  if (sim_.discard(arc, id)) fetch_timers_discarded_c_->add(1);
+void System::discard_fetch_timer(sim::EventId id) {
+  if (sim_.discard_local(id)) fetch_timers_discarded_c_->add(1);
 }
 
 void System::discard_fetch_timers(const Key& k, const store::BlockState& b) {
-  const int arc = map_.arc_of(k);
-  D2_ASSERT_OWNER_LANE(arc);
   D2_DCHECK_MSG(map_.find(k) == &b, "discarding timers of a state not k's");
   for (const store::Replica& r : b.replicas) {
-    discard_fetch_timer(arc, r.fetch_timer);
+    discard_fetch_timer(r.fetch_timer);
   }
 }
 
 void System::try_fetch(store::BlockHandle h, int node) {
-  D2_ASSERT_OWNER_LANE(h.arc());
   store::BlockState* b = map_.at(h);
   if (b == nullptr) return;  // erased meanwhile (even if put again)
   store::Replica* member = nullptr;
@@ -337,16 +311,15 @@ void System::try_fetch(store::BlockHandle h, int node) {
   // k fragments under erasure coding (its repair penalty, §3's "cost of
   // ... complexity").
   if (up_data_holders(*b) < config_.ec_data_fragments) {
-    // Too few up sources; retry. A retry records no id: from a lane it
-    // may be mailboxed, so recording only the direct ones would tie the
-    // set of discarded timers to --arc-workers. An unrecorded retry that
-    // outlives its membership lapses through the fetch_due check above.
+    // Too few up sources; retry. A retry records no id, so it is never
+    // discarded: one that outlives its membership lapses through the
+    // fetch_due check above.
     schedule_fetch(h, *member, sim_.now() + kFetchRetryDelay);
     return;
   }
   const Bytes transfer_bytes = b->member_bytes * config_.ec_data_fragments;
   member->fetch_in_flight = true;
-  migration_bytes_sh_[shard_slot()] += transfer_bytes;
+  migration_bytes_ += transfer_bytes;
   migration_bytes_c_->add(transfer_bytes);
   replica_fetches_c_->add(1);
   if (tracer_ != nullptr) {
@@ -354,52 +327,34 @@ void System::try_fetch(store::BlockHandle h, int node) {
                     transfer_bytes);
   }
   // The migration link is shared FIFO state (any key whose replica lands
-  // on `node` queues here), so a lane must not enqueue directly: stage a
-  // reservation under the *key's* arc — the same slot in serial and
-  // parallel execution — and let the commit hook resolve it in the
-  // canonical (t, arc, seq) order.
-  fetch_reservations_[static_cast<std::size_t>(h.arc())].push_back(
+  // on `node` queues here): stage a reservation and let the commit hook
+  // enqueue it.
+  fetch_reservations_.push_back(
       FetchReservation{sim_.now(), h, node, transfer_bytes});
 }
 
 void System::resolve_fetch_reservations() {
-  fetch_refs_.clear();
-  for (int arc = 0; arc < config_.arcs; ++arc) {
-    const auto& staged = fetch_reservations_[static_cast<std::size_t>(arc)];
-    for (std::uint32_t seq = 0; seq < staged.size(); ++seq) {
-      fetch_refs_.push_back(FetchRef{staged[seq].t, arc, seq});
-    }
-  }
-  if (fetch_refs_.empty()) return;
-  // (t, arc, seq) is a total order and identical across arcs/workers
-  // settings: per-arc event order is mode-independent, so each arc's
-  // staging sequence is too. Commit points only ever see reservations
-  // from the windows since the previous commit, whose times all follow
-  // the previous batch's — batch-local sorting therefore yields the same
-  // per-link enqueue sequence as one global sort.
-  std::sort(fetch_refs_.begin(), fetch_refs_.end(),
-            [](const FetchRef& a, const FetchRef& b) {
-              if (a.t != b.t) return a.t < b.t;
-              if (a.arc != b.arc) return a.arc < b.arc;
-              return a.seq < b.seq;
-            });
-  for (const FetchRef& ref : fetch_refs_) {
-    const FetchReservation& r =
-        fetch_reservations_[static_cast<std::size_t>(ref.arc)][ref.seq];
+  // Staging order is event order: commit points only ever see the
+  // reservations staged since the previous one, in non-decreasing time,
+  // so each link's enqueue sequence is the same however op batches fall.
+  for (std::size_t i = 0; i < fetch_reservations_.size(); ++i) {
+    const FetchReservation& r = fetch_reservations_[i];
+    D2_DCHECK_MSG(i == 0 || fetch_reservations_[i - 1].t <= r.t,
+                  "fetch reservations staged out of time order");
     const SimTime done = nodes_[static_cast<std::size_t>(r.node)]
                              .migration_link.enqueue(r.t, r.bytes);
     // The link may have been idle, finishing the transfer before the
-    // coordinator clock; completions still must not run in the past.
+    // clock; completions still must not run in the past.
     const SimTime at = std::max(done, sim_.now());
     auto complete = [this, h = r.block, node = r.node] {
       finish_fetch(h, node);
     };
     static_assert(sim::kFitsInlineEvent<decltype(complete)>,
                   "fetch completions must fit their event slot");
-    // d2-sched: arc-local — completion touches only k's shard
-    sim_.schedule_arc_at(r.block.arc(), at, complete);
+    // d2-sched: local — a completion touches only its block's state
+    sim_.schedule_local_at(at, complete);
   }
-  for (auto& staged : fetch_reservations_) staged.clear();
+  fetch_reservations_.clear();
 }
 
 void System::finish_fetch(store::BlockHandle h, int node) {
@@ -421,26 +376,24 @@ void System::finish_fetch(store::BlockHandle h, int node) {
 // --------------------------------------------------------- readjustment --
 
 void System::note_set_shape(const Key& k, std::size_t set_size) {
-  D2_ASSERT_OWNER_LANE(map_.arc_of(k));
   if (static_cast<int>(set_size) != config_.replicas) {
-    extended_shard(k).insert(k);
+    extended_.insert(k);
   } else {
-    extended_shard(k).erase(k);
+    extended_.erase(k);
   }
 }
 
-// Preconditions (non-empty set, `b` is k's state, owner lane) are enforced
-// by BlockMap::reassign_replicas.  d2-lint: allow(unguarded-mutator)
+// Preconditions (non-empty set, `b` is k's state) are enforced by
+// BlockMap::reassign_replicas.  d2-lint: allow(unguarded-mutator)
 bool System::reassign_block(const Key& k, store::BlockHandle h,
                             store::BlockState& b, const std::vector<int>& set,
                             SimTime fetch_delay) {
   note_set_shape(k, set.size());
-  const int arc = h.arc();
   // A member leaving the set takes its recorded timer with it.
   for (const store::Replica& r : b.replicas) {
     if (r.fetch_timer != sim::Simulator::kNoEvent &&
         std::find(set.begin(), set.end(), r.node) == set.end()) {
-      discard_fetch_timer(arc, r.fetch_timer);
+      discard_fetch_timer(r.fetch_timer);
     }
   }
   const bool changed = map_.reassign_replicas(k, b, set);
@@ -455,7 +408,7 @@ bool System::reassign_block(const Key& k, store::BlockHandle h,
     // the discard always succeeds.
     const sim::EventId superseded = r.fetch_timer;
     r.fetch_timer = schedule_fetch(h, r, due);
-    discard_fetch_timer(arc, superseded);
+    discard_fetch_timer(superseded);
   }
   return changed;
 }
@@ -493,7 +446,7 @@ void System::readjust_arc(int around_node, SimTime fetch_delay) {
   // neither changes during the walk: it is computed once per owned
   // segment (seg_from, seg_to], and each key's scattered members are
   // appended to it.
-  std::vector<int>& set = replica_set_scratch_[shard_slot()];
+  std::vector<int>& set = replica_set_scratch_;
   std::size_t successors = 0;
   int owner = -1;
   Key seg_from;
@@ -564,7 +517,7 @@ void System::schedule_probe_due(int node, SimTime from) {
 void System::schedule_probe_tick() {
   D2_ASSERT(!probe_buckets_.empty());
   const std::int64_t epoch = probe_buckets_.begin()->first;
-  // d2-sched: global — the commit tick batches cross-arc probe work
+  // d2-sched: global — the commit tick batches probe work
   sim_.schedule_at(epoch * kProbeCommitInterval,
                    [this, epoch] { probe_commit_tick(epoch); });
 }
@@ -657,10 +610,10 @@ void System::attach_failure_trace(const sim::FailureTrace* trace,
     const SimTime when = offset + t.time;
     if (when < sim_.now()) continue;
     if (t.up) {
-      // d2-sched: global — up/down transitions mutate state every arc reads
+      // d2-sched: global — up/down transitions mutate state every key reads
       sim_.schedule_at(when, [this, node = t.node] { on_node_up(node); });
     } else {
-      // d2-sched: global — up/down transitions mutate state every arc reads
+      // d2-sched: global — up/down transitions mutate state every key reads
       sim_.schedule_at(when, [this, node = t.node] { on_node_down(node); });
     }
   }
@@ -673,7 +626,7 @@ void System::on_node_down(int node) {
   }
   // Regenerate this node's blocks elsewhere only if it stays down past the
   // grace period (avoids churning on reboots).
-  // d2-sched: global — regeneration readjusts a ring arc (cross-arc keys)
+  // d2-sched: global — regeneration readjusts a ring arc (many keys)
   sim_.schedule_after(config_.regen_delay, [this, node] {
     if (!nodes_[static_cast<std::size_t>(node)].up) {
       readjust_arc(node, 0);
@@ -693,13 +646,10 @@ void System::on_node_up(int node) {
   readjust_arc(node, 0);
   // Blocks that were extended while members were down may sit arbitrarily
   // far from this node's current ring position (load balancing moves ranks
-  // around); re-canonicalize them all — the set is small. Shards visited
-  // in arc order enumerate keys ascending, the pre-sharding order.
-  std::vector<Key> extended;
-  for (const std::set<Key>& shard : extended_) {
-    extended.insert(extended.end(), shard.begin(), shard.end());
-  }
-  std::vector<int>& set = replica_set_scratch_[shard_slot()];
+  // around); re-canonicalize them all, in key order — the set is small.
+  // Copied first: reassignment inserts into and erases from extended_.
+  const std::vector<Key> extended(extended_.begin(), extended_.end());
+  std::vector<int>& set = replica_set_scratch_;
   ReassignTally tally;
   for (const Key& k : extended) {
     const store::BlockHandle h = map_.handle_of(k);
@@ -707,7 +657,7 @@ void System::on_node_up(int node) {
       target_replica_set(k, set);
       tally.add(reassign_block(k, h, *b, set, 0));
     } else {
-      extended_shard(k).erase(k);
+      extended_.erase(k);
     }
   }
   count_pass(tally);
@@ -722,9 +672,9 @@ void System::export_metrics() {
 }
 
 void System::reset_traffic_counters() {
-  std::fill(user_write_bytes_sh_.begin(), user_write_bytes_sh_.end(), 0);
-  std::fill(user_removed_bytes_sh_.begin(), user_removed_bytes_sh_.end(), 0);
-  std::fill(migration_bytes_sh_.begin(), migration_bytes_sh_.end(), 0);
+  user_write_bytes_ = 0;
+  user_removed_bytes_ = 0;
+  migration_bytes_ = 0;
   lb_moves_ = 0;
   user_write_bytes_c_->reset();
   user_removed_bytes_c_->reset();
@@ -777,46 +727,22 @@ void System::check_invariants() const {
       D2_ASSERT_MSG(!r.has_data && !r.fetch_in_flight,
                     "system: fetch timer recorded for a member that has "
                     "data or a fetch in flight");
-      D2_ASSERT_MSG(
-          sim_.pending_time(map_.arc_of(k), r.fetch_timer) == r.fetch_due,
-          "system: recorded fetch timer is not pending on its key's arc "
-          "queue at the member's fetch_due");
+      D2_ASSERT_MSG(sim_.local_pending_time(r.fetch_timer) == r.fetch_due,
+                    "system: recorded fetch timer is not pending as a "
+                    "key-local event at the member's fetch_due");
     }
   });
-  // Partition-local bookkeeping must be filed under the owning arc —
-  // the bijection the lane-confinement rules rest on (DESIGN.md §9).
-  for (int a = 0; a < config_.arcs; ++a) {
-    const auto arc_i = static_cast<std::size_t>(a);
-    for (const Key& k : extended_[arc_i]) {
-      D2_ASSERT_MSG(map_.contains(k),
-                    "system: extended-set entry for a removed block");
-      D2_ASSERT_MSG(map_.arc_of(k) == a,
-                    "system: extended-set entry filed in a shard that does "
-                    "not own its key");
-    }
-    for (const auto& [k, deadline] : expiry_[arc_i]) {
-      D2_ASSERT_MSG(map_.arc_of(k) == a,
-                    "system: TTL entry filed in a shard that does not own "
-                    "its key");
-      D2_ASSERT_MSG(deadline > 0, "system: TTL entry with no deadline");
-    }
+  for (const Key& k : extended_) {
+    D2_ASSERT_MSG(map_.contains(k),
+                  "system: extended-set entry for a removed block");
+  }
+  for (const auto& [k, deadline] : expiry_) {
+    D2_ASSERT_MSG(deadline > 0, "system: TTL entry with no deadline");
   }
 }
 
 void System::maybe_audit(bool sampled) {
   if (!kParanoid && !config_.paranoid_audits) return;
-  if (sim_.in_lane()) {
-    // Lane context: the ring and the other arcs' slices belong to other
-    // threads; audit only this lane's slice, paced by its own gate.
-    const int arc = sim_.lane_arc();
-    if (sampled &&
-        !lane_audit_gates_[static_cast<std::size_t>(arc)].due(
-            map_.slice_block_count(arc))) {
-      return;
-    }
-    map_.check_slice_invariants(arc);
-    return;
-  }
   if (sampled && !audit_gate_.due(map_.block_count())) return;
   check_invariants();
 }

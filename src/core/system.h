@@ -15,28 +15,23 @@
 // is just "locality-free keys" (provided by the fs layer) plus load
 // balancing disabled.
 //
-// ## Arc sharding (DESIGN.md §9)
+// ## Event classes and commit points (DESIGN.md §9)
 //
-// With config.arcs > 1 every piece of keyed state — the block map, TTL
-// deadlines, extended-set membership — is sharded by the key's arc, and
-// the key-local events (TTL expiry, delayed remove, fetch timers) are
-// scheduled onto the key's arc queue. An arc lane (parallel window or
-// batched op phase) may therefore run put/remove/refresh/get/try_fetch
-// for its own keys touching only its shard. Cross-cutting state stays
-// coordinator-only, reached from lanes through two deterministic relays
-// (DESIGN.md §12's event-class taxonomy):
-//   - migration links: a fetch admitted by a lane stages a bandwidth
-//     reservation; the simulator's commit hook resolves all staged
-//     reservations in (time, arc, seq) order on the coordinator, so the
-//     shared FIFO links see one canonical enqueue order in every
-//     arcs/workers configuration;
-//   - probes: per-node jittered due times live in a coordinator-side
-//     commit calendar; one global tick per kProbeCommitInterval
-//     evaluates every probe due in the last epoch in (due, node) order
-//     against live state (probes read ring/rng/primary counts, so they
-//     are genuinely global — the tick just batches them).
+// Key-local work — TTL expiry, delayed removes, fetch timers and fetch
+// completions — runs as key-local simulator events, which never fence an
+// op batch (core/op_batch.h). Shared state is reached from them through
+// two deterministic relays:
+//   - migration links: an admitted fetch stages a bandwidth reservation;
+//     the simulator's commit hook resolves the staged reservations in
+//     staging order, so each shared FIFO link sees one canonical enqueue
+//     order no matter how op batches fall;
+//   - probes: per-node jittered due times live in a commit calendar; one
+//     global tick per kProbeCommitInterval evaluates every probe due in
+//     the last epoch in (due, node) order against live state (probes
+//     read ring/rng/primary counts, so they are genuinely global — the
+//     tick just batches them).
 // Failure transitions remain individually global: they mutate node
-// up/down state every arc reads.
+// up/down state every block reads.
 #pragma once
 
 #include <map>
@@ -50,7 +45,6 @@
 #include "common/assert.h"
 #include "common/key.h"
 #include "common/rng.h"
-#include "common/thread_annotations.h"
 #include "core/config.h"
 #include "dht/load_balance.h"
 #include "dht/ring.h"
@@ -85,8 +79,8 @@ class System {
   /// jittered probe cadence, but evaluations are committed in epochs: one
   /// global tick per quantum processes every probe that came due during
   /// it, in (due time, node) order, against system state at the tick.
-  /// This keeps per-probe global events out of the parallel windows and
-  /// the output byte-identical across --arcs/--arc-workers.
+  /// This keeps per-probe global events from fencing op batches; the
+  /// quantum is part of the seeded outputs.
   /// SystemConfig::probe_interval must be at least twice the quantum so a
   /// committed probe's next due time always lands in a later epoch.
   static constexpr SimTime kProbeCommitInterval = seconds(10);
@@ -114,9 +108,9 @@ class System {
   void refresh(const Key& k) { refresh_at(k, sim_.now()); }
 
   /// Explicit-time variants, for batched op application (core/op_batch.h):
-  /// a lane applying a backlog of replay ops passes each op's record time
+  /// a flush applying a backlog of replay ops passes each op's record time
   /// `t` (>= now) so TTL deadlines and removal delays are anchored exactly
-  /// where the serial, one-run_until-per-op engine would put them.
+  /// where a one-run_until-per-op loop would put them.
   void put_at(const Key& k, Bytes size, SimTime t);
   void remove_at(const Key& k, SimTime t);
   void refresh_at(const Key& k, SimTime t);
@@ -169,13 +163,8 @@ class System {
   const obs::Registry& metrics() const { return *metrics_; }
 
   /// Attaches an event tracer (lb_move, replica_fetch, node_down/up,
-  /// block_expired). Pass nullptr to detach. Tracing records from TTL
-  /// events, which arc lanes execute, so it requires a serial simulator.
-  void set_tracer(obs::Tracer* tracer) {
-    D2_REQUIRE_MSG(tracer == nullptr || sim_.workers() == 1,
-                   "event tracing requires arc_workers == 1");
-    tracer_ = tracer;
-  }
+  /// block_expired). Pass nullptr to detach.
+  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   /// Snapshots the block map's allocated bytes into the registry
   /// (`store.block_map_bytes`); call before dumping, next to
@@ -187,11 +176,9 @@ class System {
   // aggregates every bound System; these members answer "what did *this*
   // system do", which is what per-trial experiment results need to stay
   // identical between serial and parallel runs.
-  Bytes user_write_bytes() const { return sum_shards(user_write_bytes_sh_); }
-  Bytes user_removed_bytes() const {
-    return sum_shards(user_removed_bytes_sh_);
-  }
-  Bytes migration_bytes() const { return sum_shards(migration_bytes_sh_); }
+  Bytes user_write_bytes() const { return user_write_bytes_; }
+  Bytes user_removed_bytes() const { return user_removed_bytes_; }
+  Bytes migration_bytes() const { return migration_bytes_; }
   std::int64_t lb_moves() const { return lb_moves_; }
   void reset_traffic_counters();
 
@@ -205,12 +192,11 @@ class System {
   /// system-level invariant tying them together: the ring holds exactly
   /// node_count members and every block's primary is the ring owner of
   /// its key (§3's successor placement, re-established by readjustment
-  /// after every ID change). With arcs > 1 it also audits the partition
-  /// bijection: every TTL deadline and extended-set entry is filed under
-  /// the arc shard that owns its key (the block map audits the same for
-  /// block storage). Every recorded fetch timer (Replica::fetch_timer)
-  /// must belong to a member lacking data with no fetch in flight and be
-  /// pending on its key's arc queue, due at the member's fetch_due.
+  /// after every ID change). Every extended-set entry names a stored
+  /// block and every TTL deadline is set. Every recorded fetch timer
+  /// (Replica::fetch_timer) must belong to a member lacking data with no
+  /// fetch in flight and be a pending key-local event due at the member's
+  /// fetch_due.
   /// Wired into execute_move / on_node_down /
   /// on_node_up and sampled put/remove paths when built with D2_PARANOID
   /// or running with config.paranoid_audits; callable from tests always.
@@ -293,29 +279,29 @@ class System {
   void note_set_shape(const Key& k, std::size_t set_size);
   /// Arms `member`'s fetch timer for block `h` at `due`, replacing its
   /// pending one as the member's own (the old one then fires as a no-op
-  /// unless it is discarded). Returns the new timer's id, kNoEvent when
-  /// it was mailboxed; only the caller decides whether to record it.
+  /// unless it is discarded). Returns the new timer's id; only the caller
+  /// decides whether to record it.
   sim::EventId schedule_fetch(store::BlockHandle h, store::Replica& member,
                               SimTime due);
-  /// Best-effort discard of a recorded fetch timer on `arc`'s queue
-  /// (kNoEvent is a no-op); counts it when the timer was removed.
-  void discard_fetch_timer(int arc, sim::EventId id);
+  /// Best-effort discard of a recorded fetch timer (kNoEvent is a
+  /// no-op); counts it when the timer was removed.
+  void discard_fetch_timer(sim::EventId id);
   /// Discards every member's recorded fetch timer of block `k`, whose
   /// state `b` is about to be erased.
   void discard_fetch_timers(const Key& k, const store::BlockState& b);
-  /// Fetch-timer arc event. Acts only if block `h` still exists and it is
+  /// Fetch-timer key-local event. Acts only if block `h` still exists and it is
   /// the member's own timer — the clock equals the member's fetch_due —
   /// so a replaced timer, one armed for a previous membership, or one
   /// whose block was erased (and perhaps put again under the same key)
   /// that was not discarded does nothing.
   void try_fetch(store::BlockHandle h, int node);
-  /// Resolves every staged bandwidth reservation in (time, arc, seq)
-  /// order: enqueue on the node's migration link, then schedule the
-  /// fetch-completion event on the key's arc. Runs at the simulator's
-  /// commit points (coordinator only) — see the class comment.
+  /// Resolves every staged bandwidth reservation in staging order:
+  /// enqueue on the node's migration link, then schedule the
+  /// fetch-completion key-local event. Runs at the simulator's commit
+  /// points — see the class comment.
   void resolve_fetch_reservations();
-  /// Fetch-completion arc event: promotes the member to a data holder if
-  /// block `h` still exists and the fetch is still wanted.
+  /// Fetch-completion key-local event: promotes the member to a data
+  /// holder if block `h` still exists and the fetch is still wanted.
   void finish_fetch(store::BlockHandle h, int node);
   void on_node_down(int node);
   void on_node_up(int node);
@@ -323,39 +309,16 @@ class System {
   /// Runs check_invariants() when auditing is on (D2_PARANOID build or
   /// config.paranoid_audits). Topology changes audit unconditionally;
   /// `sampled` callers (put/remove — far more frequent) are paced by
-  /// audit_gate_ to keep the amortized cost linear. From an arc lane the
-  /// global audit would race with the other lanes, so only the lane's own
-  /// block-map slice is audited (paced by a per-arc gate).
+  /// audit_gate_ to keep the amortized cost linear.
   void maybe_audit(bool sampled);
 
-  /// Shard slot for lane-striped scratch and totals: the lane's own arc
-  /// inside an arc lane, the extra coordinator slot (index arcs) outside.
-  std::size_t shard_slot() const {
-    return sim_.in_lane() ? static_cast<std::size_t>(sim_.lane_arc())
-                          : static_cast<std::size_t>(config_.arcs);
-  }
-  // Reference into expiry_, whose declaration documents why hash order
-  // cannot leak. d2-lint: allow(unordered-container)
-  std::unordered_map<Key, SimTime, KeyHash>& expiry_shard(const Key& k) {
-    return expiry_[static_cast<std::size_t>(map_.arc_of(k))];
-  }
-  std::set<Key>& extended_shard(const Key& k) {
-    return extended_[static_cast<std::size_t>(map_.arc_of(k))];
-  }
-  static Bytes sum_shards(const std::vector<Bytes>& shards) {
-    Bytes total = 0;
-    for (Bytes b : shards) total += b;
-    return total;
-  }
-
-  // Per-instance accounting plus the shared-registry mirror. The shards
-  // are lane-disjoint plain integers; the registry counters are atomic.
+  // Per-instance accounting plus the shared-registry mirror.
   void add_user_write_bytes(Bytes n) {
-    user_write_bytes_sh_[shard_slot()] += n;
+    user_write_bytes_ += n;
     user_write_bytes_c_->add(n);
   }
   void add_user_removed_bytes(Bytes n) {
-    user_removed_bytes_sh_[shard_slot()] += n;
+    user_removed_bytes_ += n;
     user_removed_bytes_c_->add(n);
   }
 
@@ -367,12 +330,11 @@ class System {
   Rng rng_;
   dht::Ring ring_;
   store::BlockMap map_;
-  /// Block TTL deadlines, one shard per arc (the owning lane's private
-  /// state). Keyed lookup/erase only outside audits, so the hash order
-  /// cannot leak into event order.
-  std::vector<std::unordered_map<Key, SimTime, KeyHash>> expiry_ D2_SHARDED_BY_ARC(arc);  // d2-lint: allow(unordered-container)
+  /// Block TTL deadlines. Keyed lookup/erase only outside audits, so the
+  /// hash order cannot leak into event order.
+  // d2-lint: allow(unordered-container)
+  std::unordered_map<Key, SimTime, KeyHash> expiry_;
   /// scatter position -> block key, for hybrid placement readjustment.
-  /// Couples arbitrary keys, hence scatter requires config.arcs == 1.
   std::multimap<Key, Key> scatter_index_;
   /// Block key -> its scatter positions, from register_scatter until
   /// forget_scatter. Each position is a SHA-1 over the key's hex form;
@@ -380,48 +342,34 @@ class System {
   // d2-lint: allow(unordered-container) — keyed lookup only, never walked
   std::unordered_map<Key, std::vector<Key>, KeyHash> scatter_positions_;
   /// Blocks whose replica set is currently extended past the canonical
-  /// size (members down / regeneration), one shard per arc. Shards
-  /// concatenated in arc order enumerate keys ascending, exactly like
-  /// the single pre-sharding set. Re-canonicalized on recoveries,
-  /// regardless of how far load balancing has shifted ring ranks.
-  std::vector<std::set<Key>> extended_ D2_SHARDED_BY_ARC(arc);
+  /// size (members down / regeneration), in key order. Re-canonicalized
+  /// on recoveries, regardless of how far load balancing has shifted ring
+  /// ranks.
+  std::set<Key> extended_;
   dht::LoadBalancer balancer_;
   std::vector<NodeState> nodes_;
   /// Scratch for target_replica_set results on the put/reassign hot path
   /// (avoids a heap allocation per block write / replica adjustment).
-  /// One buffer per shard slot so concurrent lanes don't share it.
-  mutable std::vector<std::vector<int>> replica_set_scratch_ D2_SHARDED_BY_ARC(slot);
+  std::vector<int> replica_set_scratch_;
   ParanoidGate audit_gate_;  // paces sampled full audits
-  // Pace per-slice lane audits.
-  std::vector<ParanoidGate> lane_audit_gates_ D2_SHARDED_BY_ARC(arc);
   const sim::FailureTrace* failure_trace_ = nullptr;
 
-  // Per-instance traffic totals (the accessors above), lane-sharded like
-  // the scratch (slot arcs = coordinator) ...
-  std::vector<Bytes> user_write_bytes_sh_ D2_SHARDED_BY_ARC(slot);
-  std::vector<Bytes> user_removed_bytes_sh_ D2_SHARDED_BY_ARC(slot);
-  std::vector<Bytes> migration_bytes_sh_ D2_SHARDED_BY_ARC(slot);
+  // Per-instance traffic totals (the accessors above) ...
+  Bytes user_write_bytes_ = 0;
+  Bytes user_removed_bytes_ = 0;
+  Bytes migration_bytes_ = 0;
   std::int64_t lb_moves_ = 0;
 
-  /// A fetch admitted inside an arc lane cannot touch its node's shared
-  /// FIFO migration link directly, so it stages a reservation in its
-  /// arc's slot (single-writer; the coordinator slot covers serial
-  /// execution too — staging is keyed by the *key's* arc in both modes so
-  /// (t, arc, seq) is mode-independent). resolve_fetch_reservations()
-  /// drains them at commit points.
+  /// A fetch admitted by a key-local event must not touch its node's
+  /// shared FIFO migration link directly: it stages a reservation here,
+  /// and resolve_fetch_reservations() drains them at commit points.
   struct FetchReservation {
-    SimTime t;  // lane event time of the admitting try_fetch
+    SimTime t;  // event time of the admitting try_fetch
     store::BlockHandle block;
     int node;
     Bytes bytes;
   };
-  std::vector<std::vector<FetchReservation>> fetch_reservations_ D2_SHARDED_BY_ARC(arc);
-  struct FetchRef {
-    SimTime t;
-    int arc;
-    std::uint32_t seq;
-  };
-  std::vector<FetchRef> fetch_refs_;  // scratch, reused across commits
+  std::vector<FetchReservation> fetch_reservations_;
 
   /// Probe commit calendar: epoch -> (due, node) for every probe due in
   /// ((epoch-1)*Q, epoch*Q]. Ordered map so the tick chain always hops

@@ -86,7 +86,7 @@ bool WebCache::request(std::string_view url, Bytes size) {
 }
 
 void WebCache::schedule_sweep() {
-  // d2-sched: global — the TTL sweep walks entries across every arc
+  // d2-sched: global — the TTL sweep walks every cached entry
   system_.simulator().schedule_after(kSweepInterval, [this] {
     sweep();
     schedule_sweep();

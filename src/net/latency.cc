@@ -43,16 +43,6 @@ SimTime LatencyModel::rtt(int a, int b) const {
   return static_cast<SimTime>(ms * 1000.0);
 }
 
-SimTime LatencyModel::min_one_way_bound() const {
-  // rtt(a, b) = base + scale * dist + jitter_a + jitter_b with dist >= 0,
-  // so base plus twice the smallest per-node jitter bounds every pair
-  // from below — O(N), no pairwise scan.
-  double min_jitter = jitter_ms_.empty() ? 0.0 : jitter_ms_.front();
-  for (double j : jitter_ms_) min_jitter = std::min(min_jitter, j);
-  const double rtt_ms = base_ms_ + 2.0 * min_jitter;
-  return static_cast<SimTime>(rtt_ms * 1000.0) / 2;
-}
-
 double LatencyModel::measured_mean_rtt_ms(Rng& rng, int samples) const {
   D2_REQUIRE(samples > 0);
   const int n = node_count();

@@ -29,12 +29,6 @@ class LatencyModel {
   /// One-way latency = rtt / 2.
   SimTime one_way(int a, int b) const { return rtt(a, b) / 2; }
 
-  /// Conservative lower bound on one_way(a, b) over all distinct pairs:
-  /// no effect can propagate between two nodes in less simulated time.
-  /// The partitioned simulator uses this as its cross-arc lookahead —
-  /// the sync horizon bounding a parallel window (DESIGN.md §9).
-  SimTime min_one_way_bound() const;
-
   /// Empirical mean RTT in milliseconds over all distinct pairs (sampled).
   double measured_mean_rtt_ms(Rng& rng, int samples = 20000) const;
 

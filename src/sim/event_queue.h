@@ -82,11 +82,10 @@ inline constexpr std::size_t kEventInlineBytes = 24;
 /// Capture budget of the overflow tier, the largest closure any site may
 /// schedule. Its users capture a 64-byte Key: System's TTL expiry {this,
 /// Key, SimTime} at 80 bytes and delayed remove {this, Key} at 72.
-/// Mailboxed relays are stored at this size too.
 inline constexpr std::size_t kEventCaptureBytes = 80;
 
-/// A callback at the overflow budget: what pop() returns, what mailboxes
-/// carry. Non-allocating, captures stored inline.
+/// A callback at the overflow budget: what pop() returns. Non-allocating,
+/// captures stored inline.
 using EventFn = common::InlineFunction<void(), kEventCaptureBytes>;
 /// A slot-resident callback (the inline tier).
 using InlineEventFn = common::InlineFunction<void(), kEventInlineBytes>;
@@ -116,20 +115,13 @@ class EventQueue {
     return push_ordered(t, next_seq_, std::forward<F>(f));
   }
 
-  /// Overload for a prebuilt EventFn (copied whole into the overflow
-  /// tier: its capture size is not known).
-  EventId push(SimTime t, const EventFn& fn) {
-    return push_ordered(t, next_seq_, fn);
-  }
-
-  /// push() with an explicit cross-queue merge key. The partitioned
-  /// Simulator owns one queue per arc plus a global queue and merges them
-  /// into a single deterministic total order (time, order); `order` is
-  /// drawn from the simulator's global counter. Standalone queues use the
-  /// plain push() overloads, where order == the queue-local seq, so the
-  /// merge key is invisible. Pushes into one queue must carry
-  /// non-decreasing orders so the intra-queue FIFO tie-break (by seq)
-  /// agrees with the merge order.
+  /// push() with an explicit cross-queue merge key. The Simulator owns a
+  /// key-local and a global queue and merges them into one deterministic
+  /// total order (time, order); `order` is drawn from the simulator's
+  /// counter. Standalone queues use plain push(), where order == the
+  /// queue-local seq, so the merge key is invisible. Pushes into one
+  /// queue must carry non-decreasing orders so the intra-queue FIFO
+  /// tie-break (by seq) agrees with the merge order.
   template <class F>
   EventId push_ordered(SimTime t, std::uint64_t order, F&& f) {
     const std::uint32_t slot = acquire_slot();
@@ -138,12 +130,6 @@ class EventQueue {
     } else {
       overflow_fn(slot).rebind(std::forward<F>(f));
     }
-    return commit(t, slot, order);
-  }
-
-  EventId push_ordered(SimTime t, std::uint64_t order, const EventFn& fn) {
-    const std::uint32_t slot = acquire_slot();
-    overflow_fn(slot) = fn;  // trivially copyable: a straight memcpy
     return commit(t, slot, order);
   }
 

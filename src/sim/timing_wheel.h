@@ -32,7 +32,7 @@
 // minimum. See DESIGN.md §11 for the proof sketch.
 //
 // The minimum slot is cached (`head_`) so min_slot()/min_time() are
-// const O(1) — the partitioned Simulator polls every queue's head per
+// const O(1) — the Simulator polls both queues' heads per
 // pop. pop_min() advances cur_ to the popped time and cascades only the
 // bucket the head came from; remove() never advances cur_ (cascading on
 // cancel could push cur_ past the simulation clock and outlaw still-legal

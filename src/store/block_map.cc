@@ -3,65 +3,61 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "common/lane.h"
 
 namespace d2::store {
 
-BlockMap::BlockMap(int node_count, int arcs)
-    : node_count_(node_count), plan_(arcs) {
+BlockMap::BlockMap(int node_count)
+    : node_count_(node_count),
+      primary_count_(static_cast<std::size_t>(node_count), 0),
+      primary_bytes_(static_cast<std::size_t>(node_count), 0),
+      physical_bytes_(static_cast<std::size_t>(node_count), 0) {
   D2_REQUIRE(node_count > 0);
-  slices_.resize(static_cast<std::size_t>(arcs));
-  for (Slice& s : slices_) {
-    s.primary_count.assign(static_cast<std::size_t>(node_count), 0);
-    s.primary_bytes.assign(static_cast<std::size_t>(node_count), 0);
-    s.physical_bytes.assign(static_cast<std::size_t>(node_count), 0);
-  }
 }
 
-void BlockMap::account_add_data(Slice& s, int node, Bytes size) {
-  s.physical_bytes[static_cast<std::size_t>(node)] += size;
+void BlockMap::account_add_data(int node, Bytes size) {
+  physical_bytes_[static_cast<std::size_t>(node)] += size;
 }
 
-void BlockMap::account_remove_data(Slice& s, int node, Bytes size) {
-  s.physical_bytes[static_cast<std::size_t>(node)] -= size;
-  D2_ASSERT(s.physical_bytes[static_cast<std::size_t>(node)] >= 0);
+void BlockMap::account_remove_data(int node, Bytes size) {
+  physical_bytes_[static_cast<std::size_t>(node)] -= size;
+  D2_ASSERT(physical_bytes_[static_cast<std::size_t>(node)] >= 0);
 }
 
-void BlockMap::account_add_primary(Slice& s, int node, Bytes size) {
-  s.primary_count[static_cast<std::size_t>(node)] += 1;
-  s.primary_bytes[static_cast<std::size_t>(node)] += size;
+void BlockMap::account_add_primary(int node, Bytes size) {
+  primary_count_[static_cast<std::size_t>(node)] += 1;
+  primary_bytes_[static_cast<std::size_t>(node)] += size;
 }
 
-void BlockMap::account_remove_primary(Slice& s, int node, Bytes size) {
-  s.primary_count[static_cast<std::size_t>(node)] -= 1;
-  s.primary_bytes[static_cast<std::size_t>(node)] -= size;
-  D2_ASSERT(s.primary_count[static_cast<std::size_t>(node)] >= 0);
+void BlockMap::account_remove_primary(int node, Bytes size) {
+  primary_count_[static_cast<std::size_t>(node)] -= 1;
+  primary_bytes_[static_cast<std::size_t>(node)] -= size;
+  D2_ASSERT(primary_count_[static_cast<std::size_t>(node)] >= 0);
 }
 
-std::uint32_t BlockMap::acquire_slot(Slice& s) {
-  if (s.free_head != kNoSlot) {
-    const std::uint32_t slot = s.free_head;
-    BlockSlot& bs = s.slab[slot];
-    s.free_head = bs.next_free;
+std::uint32_t BlockMap::acquire_slot() {
+  if (free_head_ != kNoSlot) {
+    const std::uint32_t slot = free_head_;
+    BlockSlot& bs = slab_[slot];
+    free_head_ = bs.next_free;
     bs.next_free = kLiveSlot;
     return slot;
   }
-  const auto slot = static_cast<std::uint32_t>(s.slab.size());
+  const auto slot = static_cast<std::uint32_t>(slab_.size());
   D2_REQUIRE_MSG(slot < BlockHandle::kMaxSlots,
-                 "block map slice slot space exhausted");
-  s.slab.emplace_back();
+                 "block map slot space exhausted");
+  slab_.emplace_back();
   return slot;
 }
 
-void BlockMap::release_slot(Slice& s, std::uint32_t slot) {
-  BlockSlot& bs = s.slab[slot];
+void BlockMap::release_slot(std::uint32_t slot) {
+  BlockSlot& bs = slab_[slot];
   bs.state = BlockState{};  // frees the member vectors, as erasing did
   // Generation 0 is never issued, so the default handle names no block.
   bs.generation = bs.generation == BlockHandle::kGenerationMask
                       ? 1
                       : bs.generation + 1;
-  bs.next_free = s.free_head;
-  s.free_head = slot;
+  bs.next_free = free_head_;
+  free_head_ = slot;
 }
 
 BlockHandle BlockMap::insert(const Key& k, Bytes size,
@@ -71,15 +67,12 @@ BlockHandle BlockMap::insert(const Key& k, Bytes size,
   D2_REQUIRE_MSG(size >= 0, "negative block size");
   D2_REQUIRE_MSG(member_bytes <= size, "member bytes exceed block size");
   for (int n : nodes) D2_REQUIRE(n >= 0 && n < node_count_);
-  const int arc = plan_.arc_of(k);
-  D2_ASSERT_OWNER_LANE(arc);
-  Slice& s = slices_[static_cast<std::size_t>(arc)];
   // Index first: it REQUIREs the key is new, and neither the slot nor the
   // accounting below may be taken for a rejected duplicate.
-  std::uint32_t& indexed = s.index.insert(k, std::uint32_t{kNoSlot});
-  const std::uint32_t slot = acquire_slot(s);
+  std::uint32_t& indexed = index_.insert(k, std::uint32_t{kNoSlot});
+  const std::uint32_t slot = acquire_slot();
   indexed = slot;
-  BlockSlot& bs = s.slab[slot];
+  BlockSlot& bs = slab_[slot];
   BlockState& b = bs.state;
   b.size = size;
   b.member_bytes = member_bytes < 0 ? size : member_bytes;
@@ -90,87 +83,49 @@ BlockHandle BlockMap::insert(const Key& k, Bytes size,
                                  .node = n,
                                  .has_data = true,
                                  .fetch_in_flight = false});
-    account_add_data(s, n, b.member_bytes);
+    account_add_data(n, b.member_bytes);
   }
-  account_add_primary(s, nodes.front(), size);
-  s.total_bytes += size;
-  D2_PARANOID_AUDIT(if (s.audit_gate.due(s.index.size()))
-                        check_slice_invariants(arc));
-  return BlockHandle(arc, slot, bs.generation);
+  account_add_primary(nodes.front(), size);
+  total_bytes_ += size;
+  D2_PARANOID_AUDIT(if (audit_gate_.due(index_.size())) check_invariants());
+  return BlockHandle(slot, bs.generation);
 }
 
 void BlockMap::erase(const Key& k) {
-  D2_ASSERT_OWNER_LANE(plan_.arc_of(k));
-  Slice& s = slice_of(k);
-  const std::uint32_t* slot = s.index.find(k);
+  const std::uint32_t* slot = index_.find(k);
   D2_REQUIRE_MSG(slot != nullptr, "erasing unknown block");
   const std::uint32_t freed = *slot;
-  BlockState& b = s.slab[freed].state;
+  BlockState& b = slab_[freed].state;
   for (const Replica& r : b.replicas) {
-    if (r.has_data) account_remove_data(s, r.node, b.member_bytes);
+    if (r.has_data) account_remove_data(r.node, b.member_bytes);
   }
-  for (int n : b.stale_holders) account_remove_data(s, n, b.member_bytes);
-  account_remove_primary(s, b.replicas.front().node, b.size);
-  s.total_bytes -= b.size;
-  s.index.erase(k);
-  release_slot(s, freed);
-  D2_PARANOID_AUDIT(if (s.audit_gate.due(s.index.size()))
-                        check_slice_invariants(plan_.arc_of(k)));
+  for (int n : b.stale_holders) account_remove_data(n, b.member_bytes);
+  account_remove_primary(b.replicas.front().node, b.size);
+  total_bytes_ -= b.size;
+  index_.erase(k);
+  release_slot(freed);
+  D2_PARANOID_AUDIT(if (audit_gate_.due(index_.size())) check_invariants());
 }
 
 BlockHandle BlockMap::handle_of(const Key& k) const {
-  const int arc = plan_.arc_of(k);
-  const Slice& s = slices_[static_cast<std::size_t>(arc)];
-  const std::uint32_t* slot = s.index.find(k);
+  const std::uint32_t* slot = index_.find(k);
   if (slot == nullptr) return BlockHandle{};
-  return BlockHandle(arc, *slot, s.slab[*slot].generation);
-}
-
-std::size_t BlockMap::allocated_bytes() const {
-  std::size_t n = 0;
-  for (const Slice& s : slices_) {
-    n += s.index.allocated_bytes() + s.slab.allocated_bytes();
-  }
-  return n;
-}
-
-std::size_t BlockMap::block_count() const {
-  std::size_t n = 0;
-  for (const Slice& s : slices_) n += s.index.size();
-  return n;
-}
-
-Bytes BlockMap::total_bytes() const {
-  Bytes n = 0;
-  for (const Slice& s : slices_) n += s.total_bytes;
-  return n;
+  return BlockHandle(*slot, slab_[*slot].generation);
 }
 
 std::int64_t BlockMap::primary_count(int node) const {
   D2_REQUIRE(node >= 0 && node < node_count_);
-  std::int64_t n = 0;
-  for (const Slice& s : slices_) {
-    n += s.primary_count[static_cast<std::size_t>(node)];
-  }
-  return n;
+  return primary_count_[static_cast<std::size_t>(node)];
 }
 
 Bytes BlockMap::primary_bytes(int node) const {
   D2_REQUIRE(node >= 0 && node < node_count_);
-  Bytes n = 0;
-  for (const Slice& s : slices_) {
-    n += s.primary_bytes[static_cast<std::size_t>(node)];
-  }
-  return n;
+  return primary_bytes_[static_cast<std::size_t>(node)];
 }
 
 Bytes BlockMap::physical_bytes(int node) const {
   D2_REQUIRE(node >= 0 && node < node_count_);
-  Bytes n = 0;
-  for (const Slice& s : slices_) {
-    n += s.physical_bytes[static_cast<std::size_t>(node)];
-  }
-  return n;
+  return physical_bytes_[static_cast<std::size_t>(node)];
 }
 
 std::optional<Key> BlockMap::median_primary_key(const Key& from,
@@ -203,16 +158,13 @@ std::optional<Key> BlockMap::median_primary_key(const Key& from,
 bool BlockMap::reassign_replicas(const Key& k, BlockState& b,
                                  const std::vector<int>& nodes) {
   D2_REQUIRE(!nodes.empty());
-  D2_ASSERT_OWNER_LANE(plan_.arc_of(k));
-  Slice& s = slice_of(k);
   D2_DCHECK_MSG(find_mutable(k) == &b, "reassigning a state that is not k's");
 
   if (std::equal(b.replicas.begin(), b.replicas.end(), nodes.begin(),
                  nodes.end(),
                  [](const Replica& r, int n) { return r.node == n; })) {
-    prune_stale(s, b);
-    D2_PARANOID_AUDIT(if (s.audit_gate.due(s.index.size()))
-                          check_slice_invariants(plan_.arc_of(k)));
+    prune_stale(b);
+    D2_PARANOID_AUDIT(if (audit_gate_.due(index_.size())) check_invariants());
     return false;
   }
 
@@ -236,7 +188,7 @@ bool BlockMap::reassign_replicas(const Key& k, BlockState& b,
     }
   }
 
-  std::vector<Replica>& new_replicas = s.next_replicas;
+  std::vector<Replica>& new_replicas = next_replicas_;
   new_replicas.clear();
   for (int n : nodes) {
     if (const Replica* r = old_state(n)) {
@@ -264,35 +216,32 @@ bool BlockMap::reassign_replicas(const Key& k, BlockState& b,
     if (new_set_missing_data) {
       b.stale_holders.push_back(r.node);  // physical bytes stay accounted
     } else {
-      account_remove_data(s, r.node, b.member_bytes);
+      account_remove_data(r.node, b.member_bytes);
     }
   }
 
   b.replicas.assign(new_replicas.begin(), new_replicas.end());
 
   if (old_primary != new_primary) {
-    account_remove_primary(s, old_primary, b.size);
-    account_add_primary(s, new_primary, b.size);
+    account_remove_primary(old_primary, b.size);
+    account_add_primary(new_primary, b.size);
   }
-  prune_stale(s, b);
-  D2_PARANOID_AUDIT(if (s.audit_gate.due(s.index.size()))
-                        check_slice_invariants(plan_.arc_of(k)));
+  prune_stale(b);
+  D2_PARANOID_AUDIT(if (audit_gate_.due(index_.size())) check_invariants());
   return true;
 }
 
 void BlockMap::mark_data(BlockHandle h, BlockState& b, int node) {
-  D2_ASSERT_OWNER_LANE(h.arc());
-  Slice& s = slices_[static_cast<std::size_t>(h.arc())];
   D2_DCHECK_MSG(at(h) == &b, "marking a state that is not the handle's");
   for (Replica& r : b.replicas) {
     if (r.node == node) {
       D2_REQUIRE_MSG(!r.has_data, "replica already has data");
       r.has_data = true;
       r.fetch_in_flight = false;
-      account_add_data(s, node, b.member_bytes);
-      prune_stale(s, b);
-      D2_PARANOID_AUDIT(if (s.audit_gate.due(s.index.size()))
-                            check_slice_invariants(h.arc()));
+      account_add_data(node, b.member_bytes);
+      prune_stale(b);
+      D2_PARANOID_AUDIT(if (audit_gate_.due(index_.size()))
+                            check_invariants());
       return;
     }
   }
@@ -300,8 +249,6 @@ void BlockMap::mark_data(BlockHandle h, BlockState& b, int node) {
 }
 
 void BlockMap::mark_missing(const Key& k, int node) {
-  D2_ASSERT_OWNER_LANE(plan_.arc_of(k));
-  Slice& s = slice_of(k);
   BlockState* bp = find_mutable(k);
   D2_REQUIRE_MSG(bp != nullptr, "mark_missing on unknown block");
   BlockState& b = *bp;
@@ -310,9 +257,9 @@ void BlockMap::mark_missing(const Key& k, int node) {
       D2_REQUIRE_MSG(r.has_data, "replica already missing data");
       r.has_data = false;
       r.fetch_in_flight = false;
-      account_remove_data(s, node, b.member_bytes);
-      D2_PARANOID_AUDIT(if (s.audit_gate.due(s.index.size()))
-                            check_slice_invariants(plan_.arc_of(k)));
+      account_remove_data(node, b.member_bytes);
+      D2_PARANOID_AUDIT(if (audit_gate_.due(index_.size()))
+                            check_invariants());
       return;
     }
   }
@@ -320,8 +267,6 @@ void BlockMap::mark_missing(const Key& k, int node) {
 }
 
 void BlockMap::drop_stale(const Key& k, int node) {
-  D2_ASSERT_OWNER_LANE(plan_.arc_of(k));
-  Slice& s = slice_of(k);
   BlockState* bp = find_mutable(k);
   D2_REQUIRE_MSG(bp != nullptr, "drop_stale on unknown block");
   BlockState& b = *bp;
@@ -329,26 +274,25 @@ void BlockMap::drop_stale(const Key& k, int node) {
       std::find(b.stale_holders.begin(), b.stale_holders.end(), node);
   if (it == b.stale_holders.end()) return;
   b.stale_holders.erase(it);
-  account_remove_data(s, node, b.member_bytes);
-  D2_PARANOID_AUDIT(if (s.audit_gate.due(s.index.size()))
-                        check_slice_invariants(plan_.arc_of(k)));
+  account_remove_data(node, b.member_bytes);
+  D2_PARANOID_AUDIT(if (audit_gate_.due(index_.size())) check_invariants());
 }
 
-void BlockMap::prune_stale(Slice& s, BlockState& b) {
+void BlockMap::prune_stale(BlockState& b) {
   if (b.stale_holders.empty()) return;
   for (const Replica& r : b.replicas) {
     if (!r.has_data) return;  // still needed as fetch sources
   }
-  for (int n : b.stale_holders) account_remove_data(s, n, b.member_bytes);
+  for (int n : b.stale_holders) account_remove_data(n, b.member_bytes);
   b.stale_holders.clear();
 }
 
-void BlockMap::check_slab(const Slice& s) {
-  const std::size_t slots = s.slab.size();
+void BlockMap::check_slab() const {
+  const std::size_t slots = slab_.size();
   // Free list: in-range links, no cycles, only free slots on it.
   std::vector<char> on_free(slots, 0);
   std::size_t free_count = 0;
-  for (std::uint32_t i = s.free_head; i != kNoSlot; i = s.slab[i].next_free) {
+  for (std::uint32_t i = free_head_; i != kNoSlot; i = slab_[i].next_free) {
     D2_ASSERT_MSG(i < slots, "block map: slab free-list link out of range");
     D2_ASSERT_MSG(on_free[i] == 0, "block map: slab free-list cycle");
     on_free[i] = 1;
@@ -356,17 +300,17 @@ void BlockMap::check_slab(const Slice& s) {
   }
   // Every index entry names its own live slot.
   std::vector<char> indexed(slots, 0);
-  const_cast<SortedKeyIndex<std::uint32_t>&>(s.index).for_each(
+  const_cast<SortedKeyIndex<std::uint32_t>&>(index_).for_each(
       [&](const Key&, std::uint32_t slot) {
         D2_ASSERT_MSG(slot < slots, "block map: index names a slot past the slab");
-        D2_ASSERT_MSG(s.slab[slot].next_free == kLiveSlot,
+        D2_ASSERT_MSG(slab_[slot].next_free == kLiveSlot,
                       "block map: index names a free slab slot");
         D2_ASSERT_MSG(indexed[slot] == 0,
                       "block map: two keys share a slab slot");
         indexed[slot] = 1;
       });
   for (std::size_t i = 0; i < slots; ++i) {
-    const BlockSlot& bs = s.slab[i];
+    const BlockSlot& bs = slab_[i];
     D2_ASSERT_MSG(bs.generation != 0 &&
                       bs.generation <= BlockHandle::kGenerationMask,
                   "block map: slab generation out of range");
@@ -380,15 +324,13 @@ void BlockMap::check_slab(const Slice& s) {
                     "block map: free slab slot still holds members");
     }
   }
-  D2_ASSERT_MSG(free_count + s.index.size() == slots,
+  D2_ASSERT_MSG(free_count + index_.size() == slots,
                 "block map: slab slots disagree with the index and free list");
 }
 
-void BlockMap::check_slice_invariants(int arc) const {
-  D2_REQUIRE(arc >= 0 && arc < plan_.arcs());
-  const Slice& s = slices_[static_cast<std::size_t>(arc)];
-  s.index.check_invariants();
-  check_slab(s);
+void BlockMap::check_invariants() const {
+  index_.check_invariants();
+  check_slab();
 
   const auto n = static_cast<std::size_t>(node_count_);
   std::vector<std::int64_t> primary_count(n, 0);
@@ -396,11 +338,7 @@ void BlockMap::check_slice_invariants(int arc) const {
   std::vector<Bytes> physical_bytes(n, 0);
   Bytes total = 0;
 
-  const_cast<SortedKeyIndex<std::uint32_t>&>(s.index).for_each([&](const Key& k,
-                                                                   std::uint32_t slot) {
-    const BlockState& b = s.slab[slot].state;
-    D2_ASSERT_MSG(plan_.arc_of(k) == arc,
-                  "block map: key stored in a slice that does not own it");
+  for_each_block([&](const Key&, const BlockState& b) {
     D2_ASSERT_MSG(b.size >= 0 && b.member_bytes >= 0,
                   "block map: negative block size");
     D2_ASSERT_MSG(!b.replicas.empty(), "block map: block with no replicas");
@@ -439,20 +377,16 @@ void BlockMap::check_slice_invariants(int arc) const {
     total += b.size;
   });
 
-  D2_ASSERT_MSG(total == s.total_bytes,
-                "block map: slice total bytes counter out of sync");
+  D2_ASSERT_MSG(total == total_bytes_,
+                "block map: total bytes counter out of sync");
   for (std::size_t i = 0; i < n; ++i) {
-    D2_ASSERT_MSG(primary_count[i] == s.primary_count[i],
+    D2_ASSERT_MSG(primary_count[i] == primary_count_[i],
                   "block map: primary count accounting out of sync");
-    D2_ASSERT_MSG(primary_bytes[i] == s.primary_bytes[i],
+    D2_ASSERT_MSG(primary_bytes[i] == primary_bytes_[i],
                   "block map: primary bytes accounting out of sync");
-    D2_ASSERT_MSG(physical_bytes[i] == s.physical_bytes[i],
+    D2_ASSERT_MSG(physical_bytes[i] == physical_bytes_[i],
                   "block map: physical bytes accounting out of sync");
   }
-}
-
-void BlockMap::check_invariants() const {
-  for (int a = 0; a < plan_.arcs(); ++a) check_slice_invariants(a);
 }
 
 }  // namespace d2::store

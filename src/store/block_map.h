@@ -12,27 +12,14 @@
 // physical bytes (for the §10 imbalance figures), all updated
 // incrementally.
 //
-// ## Arc slices (DESIGN.md §9)
-//
-// The map is sharded into `arcs` contiguous keyspace slices routed by
-// ArcPlan — the same partition the arc-partitioned Simulator uses — so
-// a simulation lane that owns arc `a` may mutate blocks of arc `a`
-// without synchronisation: every mutator touches only the owning
-// slice's index, accounting vectors, and audit gate. Key order is
-// preserved globally because slice order == key order (arcs are
-// contiguous and ascending), so iteration, range walks, and therefore
-// every seeded experiment output are unchanged for any arc count.
-// check_invariants() additionally audits the ownership bijection: a key
-// stored in slice `a` satisfies plan.arc_of(key) == a.
-//
-// Each slice keeps its block states in a slab of slots that never move
+// The map keeps its block states in a slab of slots that never move
 // (sim::PagedArray pages, a free list, a generation per slot) and a
 // SortedKeyIndex (chunked sorted arrays, not a std::map) from key to
 // slot, so the load balancer's owned-arc range scans walk contiguous
-// cache lines instead of tree nodes. A stored block has a stable
-// BlockHandle: at() resolves it in O(1) with no key search, and returns
-// null once the block is erased. Pointers from find()/at() survive
-// other blocks' inserts and erases.
+// cache lines instead of tree nodes. Iteration and range walks run in key
+// order. A stored block has a stable BlockHandle: at() resolves it in
+// O(1) with no key search, and returns null once the block is erased.
+// Pointers from find()/at() survive other blocks' inserts and erases.
 #pragma once
 
 #include <algorithm>
@@ -42,10 +29,8 @@
 #include <utility>
 #include <vector>
 
-#include "common/arc_plan.h"
 #include "common/assert.h"
 #include "common/key.h"
-#include "common/thread_annotations.h"
 #include "common/units.h"
 #include "sim/paged_array.h"
 #include "store/block_index.h"
@@ -99,29 +84,25 @@ struct BlockState {
   }
 };
 
-/// Stable 8-byte name of a stored block: its slice (arc), its slot in the
-/// slice's slab and the slot's generation when the block was stored.
-/// Erasing the block bumps the generation, so an old handle then resolves
-/// to nothing even after the slot and the key are reused. Event closures
-/// and fetch reservations carry it instead of a 64-byte Key. The default
-/// handle names no block.
+/// Stable 8-byte name of a stored block: its slot in the map's slab and
+/// the slot's generation when the block was stored. Erasing the block
+/// bumps the generation, so an old handle then resolves to nothing even
+/// after the slot and the key are reused. Event closures and fetch
+/// reservations carry it instead of a 64-byte Key. The default handle
+/// names no block.
 class BlockHandle {
  public:
-  static constexpr int kSlotBits = 26;        // 64M slots per slice
+  static constexpr int kSlotBits = 26;        // 64M slots
   static constexpr int kGenerationBits = 28;  // wraps back to 1, never 0
   static constexpr std::uint32_t kMaxSlots = std::uint32_t{1} << kSlotBits;
   static constexpr std::uint32_t kGenerationMask =
       (std::uint32_t{1} << kGenerationBits) - 1;
 
   BlockHandle() = default;
-  BlockHandle(int arc, std::uint32_t slot, std::uint32_t generation)
-      : bits_(static_cast<std::uint64_t>(arc) << (kSlotBits + kGenerationBits) |
-              static_cast<std::uint64_t>(slot) << kGenerationBits |
+  BlockHandle(std::uint32_t slot, std::uint32_t generation)
+      : bits_(static_cast<std::uint64_t>(slot) << kGenerationBits |
               generation) {}
 
-  int arc() const {
-    return static_cast<int>(bits_ >> (kSlotBits + kGenerationBits));
-  }
   std::uint32_t slot() const {
     return static_cast<std::uint32_t>(bits_ >> kGenerationBits) &
            (kMaxSlots - 1);
@@ -132,24 +113,17 @@ class BlockHandle {
   bool operator==(const BlockHandle&) const = default;
 
  private:
-  std::uint64_t bits_ = 0;  // arc | slot | generation
+  std::uint64_t bits_ = 0;  // slot | generation
 };
 static_assert(sizeof(BlockHandle) == 8 &&
                   std::is_trivially_copyable_v<BlockHandle>,
               "handles ride in 24-byte event captures");
-static_assert(ArcPlan::kMaxArcs <=
-                  1 << (64 - BlockHandle::kSlotBits -
-                        BlockHandle::kGenerationBits),
-              "a handle's arc field must hold every arc");
 
 class BlockMap {
  public:
-  explicit BlockMap(int node_count, int arcs = 1);
+  explicit BlockMap(int node_count);
 
   int node_count() const { return node_count_; }
-  int arcs() const { return plan_.arcs(); }
-  /// Which slice (and simulation arc) owns key `k`.
-  int arc_of(const Key& k) const { return plan_.arc_of(k); }
 
   /// Inserts a block whose replica set is `nodes` (all holding data
   /// immediately — a fresh write pushes bytes to all replicas) and
@@ -162,14 +136,13 @@ class BlockMap {
   /// Removes a block entirely. Its handle stops resolving.
   void erase(const Key& k);
 
-  bool contains(const Key& k) const { return slice_of(k).index.contains(k); }
+  bool contains(const Key& k) const { return index_.contains(k); }
   const BlockState* find(const Key& k) const {
     return const_cast<BlockMap*>(this)->find_mutable(k);
   }
   BlockState* find_mutable(const Key& k) {
-    Slice& s = slice_of(k);
-    const std::uint32_t* slot = s.index.find(k);
-    return slot == nullptr ? nullptr : &s.slab[*slot].state;
+    const std::uint32_t* slot = index_.find(k);
+    return slot == nullptr ? nullptr : &slab_[*slot].state;
   }
 
   /// Handle of block `k`, or the default (null) handle when absent.
@@ -178,32 +151,25 @@ class BlockMap {
   /// The block `h` names, in O(1) without a key search; null once that
   /// block was erased (even if its key was stored again since).
   BlockState* at(BlockHandle h) {
-    D2_DCHECK(h.arc() < plan_.arcs());
-    Slice& s = slices_[static_cast<std::size_t>(h.arc())];
-    if (h.slot() >= s.slab.size()) return nullptr;
-    BlockSlot& slot = s.slab[h.slot()];
+    if (h.slot() >= slab_.size()) return nullptr;
+    BlockSlot& slot = slab_[h.slot()];
     return slot.generation == h.generation() ? &slot.state : nullptr;
   }
   const BlockState* at(BlockHandle h) const {
     return const_cast<BlockMap*>(this)->at(h);
   }
 
-  std::size_t block_count() const;
-  Bytes total_bytes() const;
+  std::size_t block_count() const { return index_.size(); }
+  Bytes total_bytes() const { return total_bytes_; }
 
-  /// Blocks stored in one slice. Unlike block_count() this reads a single
-  /// slice, so the owning arc's lane may call it while other slices are
-  /// being mutated.
-  std::size_t slice_block_count(int arc) const {
-    return slices_[static_cast<std::size_t>(arc)].index.size();
+  /// Bytes the map's structures allocated: the index's chunk arrays and
+  /// directory plus the slab pages (store.block_map_bytes). Replica and
+  /// stale-holder vectors are not included.
+  std::size_t allocated_bytes() const {
+    return index_.allocated_bytes() + slab_.allocated_bytes();
   }
 
-  /// Bytes the map's structures allocated: every slice's index chunk
-  /// arrays and directory plus its slab pages (store.block_map_bytes).
-  /// Replica and stale-holder vectors are not included.
-  std::size_t allocated_bytes() const;
-
-  /// Per-node accounting (summed across slices).
+  /// Per-node accounting.
   std::int64_t primary_count(int node) const;
   Bytes primary_bytes(int node) const;
   Bytes physical_bytes(int node) const;
@@ -213,7 +179,7 @@ class BlockMap {
   std::optional<Key> median_primary_key(const Key& from, const Key& to) const;
 
   /// Visits blocks with keys in the clockwise arc (from, to], in key
-  /// order from `from`; handles wrap and slice boundaries.
+  /// order from `from`; handles wrap.
   /// `fn(const Key&, BlockState&)`, or `fn(const Key&, BlockHandle,
   /// BlockState&)` for callers that keep the block's handle, may change
   /// the visited block (e.g. reassign_replicas on it) but must not insert
@@ -222,15 +188,14 @@ class BlockMap {
   /// from == to visits the whole ring.
   template <class Fn>
   void for_each_in_arc(const Key& from, const Key& to, Fn&& fn) {
-    walk_slots_in_arc(from, to, [&](int arc, const Key& k, std::uint32_t slot) {
-      BlockSlot& bs = slices_[static_cast<std::size_t>(arc)].slab[slot];
+    index_.for_each_in_arc(from, to, [&](const Key& k, std::uint32_t slot) {
+      BlockSlot& bs = slab_[slot];
       if constexpr (std::is_invocable_v<Fn&, const Key&, BlockHandle,
                                         BlockState&>) {
-        fn(k, BlockHandle(arc, slot, bs.generation), bs.state);
+        fn(k, BlockHandle(slot, bs.generation), bs.state);
       } else {
         fn(k, bs.state);
       }
-      return true;
     });
   }
 
@@ -244,10 +209,10 @@ class BlockMap {
   /// removed drop out: their data copy is deleted unless it is still
   /// needed as a fetch source (some remaining replica lacks data), in
   /// which case it becomes a stale holder. Returns whether the member
-  /// list changed. The new member list is built in the slice's scratch
-  /// array and copied into the block's existing one, so nothing is
-  /// allocated unless the set outgrows that array or a departing
-  /// member's copy turns stale.
+  /// list changed. The new member list is built in a scratch array and
+  /// copied into the block's existing one, so nothing is allocated unless
+  /// the set outgrows that array or a departing member's copy turns
+  /// stale.
   bool reassign_replicas(const Key& k, BlockState& b,
                          const std::vector<int>& nodes);
 
@@ -268,37 +233,29 @@ class BlockMap {
   /// `fn(const Key&, const BlockState&)` must not insert or erase blocks.
   template <class Fn>
   void for_each_block(Fn&& fn) const {
-    for (const Slice& s : slices_) {
-      const_cast<SortedKeyIndex<std::uint32_t>&>(s.index).for_each(
-          [&](const Key& k, std::uint32_t slot) {
-            fn(k, static_cast<const BlockState&>(s.slab[slot].state));
-          });
-    }
+    const_cast<SortedKeyIndex<std::uint32_t>&>(index_).for_each(
+        [&](const Key& k, std::uint32_t slot) {
+          fn(k, static_cast<const BlockState&>(slab_[slot].state));
+        });
   }
 
   /// Early-exit range walk over (from, to]: `fn(const Key&, BlockState&)`
   /// returns false to stop. from == to visits the whole ring.
   template <class Fn>
   void walk_in_arc(const Key& from, const Key& to, Fn&& fn) {
-    walk_slots_in_arc(from, to, [&](int arc, const Key& k, std::uint32_t slot) {
-      return fn(k, slices_[static_cast<std::size_t>(arc)].slab[slot].state);
+    index_.walk_in_arc(from, to, [&](const Key& k, std::uint32_t slot) {
+      return fn(k, slab_[slot].state);
     });
   }
 
   /// Full-structure audit; throws InvariantError naming the violated
-  /// invariant. Audits every slice's sorted index, the slice-ownership
-  /// bijection (each stored key maps back to its slice under ArcPlan),
-  /// every block's replica set (non-empty, in-range, duplicate-free,
-  /// stale holders disjoint and only present while a replica lacks data)
-  /// and recomputes the per-node primary/physical accounting from
-  /// scratch against the incremental per-slice counters. O(blocks x
-  /// replicas); the mutators run slice-local audits in paranoid builds
-  /// and this full audit is callable from tests in any build.
+  /// invariant. Audits the sorted index, the slab, every block's replica
+  /// set (non-empty, in-range, duplicate-free, stale holders disjoint and
+  /// only present while a replica lacks data) and recomputes the per-node
+  /// primary/physical accounting from scratch against the incremental
+  /// counters. O(blocks x replicas); the mutators run it paced in
+  /// paranoid builds, and it is callable from tests in any build.
   void check_invariants() const;
-
-  /// Slice-local audit (the slice's index, blocks and accounting plus
-  /// its ownership bijection); safe to run from the arc's own lane.
-  void check_slice_invariants(int arc) const;
 
  private:
   /// Corruption-injection hook for tests (tests/test_invariants.cc).
@@ -319,85 +276,29 @@ class BlockMap {
     std::uint32_t next_free = kLiveSlot;  // free-list link, or kLiveSlot
   };
 
-  /// Arc-confined shard: a lane owning arc `a` may touch only slice `a`.
-  struct Slice {
-    SortedKeyIndex<std::uint32_t> index;  // key -> slot in `slab`
-    sim::PagedArray<BlockSlot> slab;
-    std::uint32_t free_head = kNoSlot;
-    Bytes total_bytes = 0;
-    std::vector<std::int64_t> primary_count;
-    std::vector<Bytes> primary_bytes;
-    std::vector<Bytes> physical_bytes;
-    std::vector<Replica> next_replicas;  // reassign_replicas' scratch
-    ParanoidGate audit_gate;  // paces paranoid-build audits
-  };
-
-  Slice& slice_of(const Key& k) {
-    return slices_[static_cast<std::size_t>(plan_.arc_of(k))];
-  }
-  const Slice& slice_of(const Key& k) const {
-    return slices_[static_cast<std::size_t>(plan_.arc_of(k))];
-  }
-
-  /// Early-exit walk over (from, to] in key order: `fn(int arc, const
-  /// Key&, std::uint32_t slot)` returns false to stop. from == to visits
-  /// the whole ring.
-  template <class Fn>
-  void walk_slots_in_arc(const Key& from, const Key& to, Fn&& fn) {
-    if (from == to) {
-      // Whole ring: every slice, in key (== slice) order.
-      walk_slices(0, plan_.arcs() - 1, from, to, fn);
-      return;
-    }
-    if (from < to) {
-      walk_slices(plan_.arc_of(from), plan_.arc_of(to), from, to, fn);
-      return;
-    }
-    // Wrapped arc: clockwise (from, max] then (min-1, to] == [min, to].
-    // Each leg is non-wrapping within its slices; skip a leg that is
-    // empty by construction (from == max has nothing after it).
-    if (!(from == Key::max()) &&
-        !walk_slices(plan_.arc_of(from), plan_.arcs() - 1, from, Key::max(),
-                     fn)) {
-      return;
-    }
-    // (max, to] under the slice walker's wrap rules == keys <= to.
-    walk_slices(0, plan_.arc_of(to), Key::max(), to, fn);
-  }
-
-  /// Runs `fn` over slices [first_arc, last_arc] with the slice-level
-  /// walk bounds (from, to]; fn returns false to stop, and so does
-  /// walk_slices.
-  template <class Fn>
-  bool walk_slices(int first_arc, int last_arc, const Key& from, const Key& to,
-                   Fn& fn) {
-    for (int arc = first_arc; arc <= last_arc; ++arc) {
-      const bool more = slices_[static_cast<std::size_t>(arc)].index.walk_in_arc(
-          from, to, [&](const Key& k, std::uint32_t slot) {
-            return fn(arc, k, slot);
-          });
-      if (!more) return false;
-    }
-    return true;
-  }
-
-  /// Takes a slot off `s`'s free list, or appends one to its slab.
-  static std::uint32_t acquire_slot(Slice& s);
+  /// Takes a slot off the free list, or appends one to the slab.
+  std::uint32_t acquire_slot();
   /// Empties `slot`, bumps its generation and returns it to the free list.
-  static void release_slot(Slice& s, std::uint32_t slot);
-  /// Slab audit of one slice (free list, live slots vs the index,
-  /// generations).
-  static void check_slab(const Slice& s);
+  void release_slot(std::uint32_t slot);
+  /// Slab audit (free list, live slots vs the index, generations).
+  void check_slab() const;
 
-  static void account_add_data(Slice& s, int node, Bytes size);
-  static void account_remove_data(Slice& s, int node, Bytes size);
-  static void account_add_primary(Slice& s, int node, Bytes size);
-  static void account_remove_primary(Slice& s, int node, Bytes size);
-  void prune_stale(Slice& s, BlockState& b);
+  void account_add_data(int node, Bytes size);
+  void account_remove_data(int node, Bytes size);
+  void account_add_primary(int node, Bytes size);
+  void account_remove_primary(int node, Bytes size);
+  void prune_stale(BlockState& b);
 
   int node_count_;
-  ArcPlan plan_;
-  std::vector<Slice> slices_ D2_SHARDED_BY_ARC(arc);
+  SortedKeyIndex<std::uint32_t> index_;  // key -> slot in `slab_`
+  sim::PagedArray<BlockSlot> slab_;
+  std::uint32_t free_head_ = kNoSlot;
+  Bytes total_bytes_ = 0;
+  std::vector<std::int64_t> primary_count_;
+  std::vector<Bytes> primary_bytes_;
+  std::vector<Bytes> physical_bytes_;
+  std::vector<Replica> next_replicas_;  // reassign_replicas' scratch
+  ParanoidGate audit_gate_;  // paces paranoid-build audits
 };
 
 }  // namespace d2::store

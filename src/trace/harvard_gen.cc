@@ -118,7 +118,7 @@ void HarvardGenerator::build_user_tree(UserState& u, Rng& rng) {
     u.dir_depth.push_back(u.dir_depth[parent] + 1);
   }
 
-  // Mailbox: one growing file, ~10% of the budget (email workload).
+  // Mail inbox: one growing file, ~10% of the budget (email workload).
   {
     GenFile mbox;
     mbox.path = arena_.intern(u.home + "/mail/inbox.mbox");

@@ -19,7 +19,7 @@
 //   * fs::WritebackCache stage/touch/cancel/collect/mark_clean churn over
 //     recycled keys (slots and predecessor entries recycle through their
 //     free lists),
-//   * core::OpBatchRunner staging and flushing a window at its op cap
+//   * core::OpBatchRunner staging and flushing a batch at its op cap
 //     (a batch past the cap gives its staging back instead).
 //
 // These guards are the teeth behind DESIGN.md §5c: a regression that
@@ -549,11 +549,10 @@ TEST(AllocGuard, OpBatchWindowAtTheCapIsAllocationFree) {
 #ifdef D2_PARANOID
   GTEST_SKIP() << "paranoid audits allocate inside the measured hot path";
 #endif
-  // Windows of tracked gets: one at the staging cap sizes the items, the
-  // lane's index list and the outcomes, and every later window of that
-  // size stages, applies and flushes in them. A batch one op past the
-  // cap (as populate stages every initial put in one) frees the items
-  // and the lane list when it flushes.
+  // Batches of tracked gets: one at the staging cap sizes the items and
+  // the outcomes, and every later batch of that size stages, applies and
+  // flushes in them. A batch one op past the cap (as populate stages
+  // every initial put in one) frees the items when it flushes.
   core::SystemConfig c;
   c.node_count = 16;
   c.replicas = 3;
@@ -591,7 +590,7 @@ TEST(AllocGuard, OpBatchWindowAtTheCapIsAllocationFree) {
       stage(kCap);
       batch.flush();
     }
-    EXPECT_EQ(probe.news(), 0u) << "an op window at the cap allocated";
+    EXPECT_EQ(probe.news(), 0u) << "an op flush at the cap allocated";
     EXPECT_EQ(probe.deletes(), 0u);
   }
   EXPECT_EQ(batch.outcomes().size(), kCap);
@@ -602,15 +601,15 @@ TEST(AllocGuard, OpBatchWindowAtTheCapIsAllocationFree) {
     const AllocProbe probe;
     batch.flush();
     EXPECT_EQ(probe.news(), 0u);
-    // The items and the one lane's list (arcs = 1) go back to the heap.
-    EXPECT_EQ(probe.deletes(), 2u) << "a batch past the cap kept its staging";
+    // The items go back to the heap.
+    EXPECT_EQ(probe.deletes(), 1u) << "a batch past the cap kept its staging";
   }
   EXPECT_EQ(batch.outcomes().size(), kCap + 1);
   EXPECT_TRUE(all_served());
   {
     const AllocProbe probe;
     stage(1);
-    EXPECT_GE(probe.news(), 2u) << "staging after the release reused storage";
+    EXPECT_GE(probe.news(), 1u) << "staging after the release reused storage";
   }
   batch.flush();
 }

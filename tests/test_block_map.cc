@@ -305,7 +305,7 @@ void ExpectHandlesResolve(const BlockMap& m,
 }
 
 TEST(BlockHandle, SurvivesChunkSpillsSplitsAndNeighbourErases) {
-  BlockMap m(8, 4);
+  BlockMap m(8);
   std::vector<std::pair<Key, BlockHandle>> held;
   std::vector<const BlockState*> addresses;
   // Sparse anchors, then ascending runs between them: the runs overflow
@@ -372,14 +372,12 @@ TEST(BlockHandle, FindPointersSurviveOtherBlocksInsertsAndErases) {
   EXPECT_EQ(b->size, 100);
 }
 
-TEST(BlockHandle, PacksArcSlotAndGeneration) {
-  const BlockHandle h(ArcPlan::kMaxArcs - 1, BlockHandle::kMaxSlots - 1,
+TEST(BlockHandle, PacksSlotAndGeneration) {
+  const BlockHandle h(BlockHandle::kMaxSlots - 1,
                       BlockHandle::kGenerationMask);
-  EXPECT_EQ(h.arc(), ArcPlan::kMaxArcs - 1);
   EXPECT_EQ(h.slot(), BlockHandle::kMaxSlots - 1);
   EXPECT_EQ(h.generation(), BlockHandle::kGenerationMask);
-  const BlockHandle g(3, 5, 1);
-  EXPECT_EQ(g.arc(), 3);
+  const BlockHandle g(5, 1);
   EXPECT_EQ(g.slot(), 5u);
   EXPECT_EQ(g.generation(), 1u);
 }

@@ -21,7 +21,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <string>
-#include <utility>
 
 #include "core/availability.h"
 #include "core/performance.h"
@@ -106,16 +105,13 @@ constexpr std::uint64_t kFsOpStreamGolden = 4425017394829546145ull;
 constexpr std::uint64_t kRep3DurabilityGolden = 8296615601259288080ull;
 constexpr std::uint64_t kRs42DurabilityGolden = 17681754452533926099ull;
 
-/// One seeded availability trial with the given partitioning and (n, k)
-/// redundancy, reduced to a checksum over every figure-bearing output.
-std::uint64_t availability_checksum(int arcs, int arc_workers, int n = 3,
-                                    int k = 1) {
+/// One seeded availability trial with (n, k) redundancy, reduced to a
+/// checksum over every figure-bearing output.
+std::uint64_t availability_checksum(int n = 3, int k = 1) {
   AvailabilityParams p;
   p.system = golden_system(20);
   p.system.replicas = n;
   p.system.ec_data_fragments = k;
-  p.system.arcs = arcs;
-  p.system.arc_workers = arc_workers;
   p.workload = golden_workload();
   p.failure.node_count = p.system.node_count;
   p.failure.duration = days(3);
@@ -144,11 +140,9 @@ std::uint64_t availability_checksum(int arcs, int arc_workers, int n = 3,
 }
 
 /// One seeded performance trial, same idea.
-std::uint64_t performance_checksum(int arcs, int arc_workers) {
+std::uint64_t performance_checksum() {
   PerformanceParams p;
   p.system = golden_system(24);
-  p.system.arcs = arcs;
-  p.system.arc_workers = arc_workers;
   p.workload = golden_workload();
   p.warmup = hours(6);
   p.window_count = 8;
@@ -176,7 +170,7 @@ std::uint64_t performance_checksum(int arcs, int arc_workers) {
 /// A week of independent and correlated failures, with disk loss and
 /// foreground writes, over a small populated system: `erasure` picks
 /// rs-4-2, otherwise rep3. Both schemes lose blocks and retry repairs.
-DurabilityParams durability_scenario(bool erasure, int arcs, int workers) {
+DurabilityParams durability_scenario(bool erasure) {
   DurabilityParams p;
   p.repair.node_count = 20;
   p.repair.erasure = erasure;
@@ -185,8 +179,6 @@ DurabilityParams durability_scenario(bool erasure, int arcs, int workers) {
   p.repair.ec_parity_fragments = 2;
   p.repair.data_loss_fraction = 0.65;
   p.repair.seed = 5;
-  p.repair.arcs = arcs;
-  p.arc_workers = workers;
   p.blocks_per_node = 4;
   p.writes_per_node_per_day = 6;
   p.failure.duration = days(7);
@@ -264,52 +256,30 @@ TEST(DeterminismGolden, DurabilityChecksum) {
   } schemes[] = {{false, kRep3DurabilityGolden},
                  {true, kRs42DurabilityGolden}};
   for (const auto& scheme : schemes) {
-    for (const auto& [arcs, workers] : {std::pair{1, 1}, std::pair{8, 4}}) {
-      const std::string fp = durability_fingerprint(
-          run_durability(durability_scenario(scheme.erasure, arcs, workers)));
-      EXPECT_EQ(fnv1a(fp), scheme.golden)
-          << (scheme.erasure ? "rs-4-2" : "rep3") << " at arcs=" << arcs
-          << " workers=" << workers << " drifted; actual checksum="
-          << fnv1a(fp) << " fingerprint=" << fp;
-    }
+    const std::string fp =
+        durability_fingerprint(run_durability(durability_scenario(scheme.erasure)));
+    EXPECT_EQ(fnv1a(fp), scheme.golden)
+        << (scheme.erasure ? "rs-4-2" : "rep3")
+        << " drifted; actual checksum=" << fnv1a(fp) << " fingerprint=" << fp;
   }
 }
 
 TEST(DeterminismGolden, AvailabilityTrialChecksum) {
-  const std::uint64_t checksum = availability_checksum(1, 1);
+  const std::uint64_t checksum = availability_checksum();
   EXPECT_EQ(checksum, kAvailabilityGolden)
       << "availability outputs drifted; actual checksum=" << checksum;
 }
 
 TEST(DeterminismGolden, ErasureAvailabilityTrialChecksum) {
-  const std::uint64_t serial = availability_checksum(1, 1, 6, 3);
-  EXPECT_EQ(serial, kErasureAvailabilityGolden)
-      << "erasure availability outputs drifted; actual checksum=" << serial;
-  EXPECT_EQ(availability_checksum(4, 4, 6, 3), kErasureAvailabilityGolden);
+  const std::uint64_t checksum = availability_checksum(6, 3);
+  EXPECT_EQ(checksum, kErasureAvailabilityGolden)
+      << "erasure availability outputs drifted; actual checksum=" << checksum;
 }
 
 TEST(DeterminismGolden, PerformanceTrialChecksum) {
-  const std::uint64_t checksum = performance_checksum(1, 1);
+  const std::uint64_t checksum = performance_checksum();
   EXPECT_EQ(checksum, kPerformanceGolden)
       << "performance outputs drifted; actual checksum=" << checksum;
-}
-
-// Arc variants: partitioning the simulation core (DESIGN.md §9) is a
-// pure execution-strategy change, so every (arcs, workers) combination
-// must land on the same pinned constants as the single-queue engine —
-// serial multi-arc first, then parallel lanes.
-TEST(DeterminismGolden, AvailabilityChecksumInvariantUnderArcs) {
-  EXPECT_EQ(availability_checksum(4, 1), kAvailabilityGolden);
-  EXPECT_EQ(availability_checksum(13, 1), kAvailabilityGolden);
-  EXPECT_EQ(availability_checksum(4, 4), kAvailabilityGolden);
-  EXPECT_EQ(availability_checksum(13, 3), kAvailabilityGolden);
-}
-
-TEST(DeterminismGolden, PerformanceChecksumInvariantUnderArcs) {
-  EXPECT_EQ(performance_checksum(4, 1), kPerformanceGolden);
-  EXPECT_EQ(performance_checksum(13, 1), kPerformanceGolden);
-  EXPECT_EQ(performance_checksum(4, 4), kPerformanceGolden);
-  EXPECT_EQ(performance_checksum(13, 3), kPerformanceGolden);
 }
 
 }  // namespace

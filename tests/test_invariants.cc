@@ -20,7 +20,6 @@
 
 #include "common/assert.h"
 #include "common/key.h"
-#include "common/lane.h"
 #include "common/slot_table.h"
 #include "common/units.h"
 #include "core/config.h"
@@ -28,7 +27,6 @@
 #include "dht/ring.h"
 #include "sim/event_queue.h"
 #include "sim/paged_array.h"
-#include "sim/partition.h"
 #include "sim/simulator.h"
 #include "store/block_index.h"
 #include "store/block_map.h"
@@ -118,58 +116,20 @@ struct SortedKeyIndexTestPeer {
 };
 
 struct BlockMapTestPeer {
-  static BlockMap::Slice& slice(BlockMap& m) { return m.slices_.front(); }
-  /// Slot of stored key `k` (single-slice maps).
+  /// Slot of stored key `k`.
   static std::uint32_t& slot_of(BlockMap& m, const Key& k) {
-    return *slice(m).index.find(k);
+    return *m.index_.find(k);
   }
   static std::uint32_t& next_free(BlockMap& m, std::uint32_t slot) {
-    return slice(m).slab[slot].next_free;
+    return m.slab_[slot].next_free;
   }
   static std::uint32_t& generation(BlockMap& m, std::uint32_t slot) {
-    return slice(m).slab[slot].generation;
+    return m.slab_[slot].generation;
   }
-  static std::uint32_t& free_head(BlockMap& m) { return slice(m).free_head; }
+  static std::uint32_t& free_head(BlockMap& m) { return m.free_head_; }
   static constexpr std::uint32_t no_slot() { return BlockMap::kNoSlot; }
-  static void drift_primary_count(BlockMap& m) {
-    ++m.slices_.front().primary_count[0];
-  }
-  static void drift_physical_bytes(BlockMap& m) {
-    ++m.slices_.front().physical_bytes[0];
-  }
-  /// Moves one block's state into a slice that does not own its key,
-  /// breaking the slice-ownership bijection (accounting moves with it so
-  /// only the bijection audit can catch the corruption).
-  static void misfile_block(BlockMap& m, const Key& k) {
-    const int owner = m.plan_.arc_of(k);
-    const int wrong = (owner + 1) % m.plan_.arcs();
-    auto& src = m.slices_[static_cast<std::size_t>(owner)];
-    auto& dst = m.slices_[static_cast<std::size_t>(wrong)];
-    BlockState* b = m.find_mutable(k);
-    D2_REQUIRE(b != nullptr);
-    BlockState moved = *b;
-    const Bytes size = moved.size;
-    const int primary = moved.replicas.front().node;
-    BlockMap::release_slot(src, *src.index.find(k));
-    src.index.erase(k);
-    const std::uint32_t slot = BlockMap::acquire_slot(dst);
-    dst.slab[slot].state = std::move(moved);
-    dst.index.insert(k, std::uint32_t{slot});
-    src.total_bytes -= size;
-    dst.total_bytes += size;
-    src.primary_count[static_cast<std::size_t>(primary)] -= 1;
-    dst.primary_count[static_cast<std::size_t>(primary)] += 1;
-    src.primary_bytes[static_cast<std::size_t>(primary)] -= size;
-    dst.primary_bytes[static_cast<std::size_t>(primary)] += size;
-    const BlockState& placed = dst.slab[slot].state;
-    for (const Replica& r : placed.replicas) {
-      if (!r.has_data) continue;
-      src.physical_bytes[static_cast<std::size_t>(r.node)] -=
-          placed.member_bytes;
-      dst.physical_bytes[static_cast<std::size_t>(r.node)] +=
-          placed.member_bytes;
-    }
-  }
+  static void drift_primary_count(BlockMap& m) { ++m.primary_count_[0]; }
+  static void drift_physical_bytes(BlockMap& m) { ++m.physical_bytes_[0]; }
 };
 
 struct LookupCacheTestPeer {
@@ -362,24 +322,6 @@ TEST(Invariants, EventQueueDetectsLiveCountDrift) {
                        "live-mark count disagrees with live_");
 }
 
-// --------------------------------------------------------------- mailbox --
-
-TEST(Invariants, MailboxDetectsSendBelowTheDeliveryFloor) {
-  // Watermark invariant (DESIGN.md §12): once a window opens, every
-  // staged cross-arc send must target a time at or after its delivery
-  // floor — a send into the past means a lane outran the sync horizon,
-  // which would corrupt the deterministic (time, src, seq) release order.
-  sim::Mailbox mbox;
-  mbox.reset(2);
-  mbox.set_floor(1000);
-  mbox.post(0, 1000, 0, sim::EventFn([] {}));  // exactly at the floor: fine
-  mbox.post(1, 2500, 1, sim::EventFn([] {}));
-  EXPECT_NO_THROW(mbox.check_invariants());
-  mbox.post(1, 999, 0, sim::EventFn([] {}));  // one tick below the floor
-  ExpectInvariantNamed([&] { mbox.check_invariants(); },
-                       "precedes the window delivery floor");
-}
-
 // ----------------------------------------------------------- timing wheel --
 // Each test breaks one wheel invariant on a healthy wheel-backed queue
 // (the default backend) and asserts the audit names it. Slot ids are the
@@ -491,19 +433,6 @@ TEST(Invariants, BlockMapDetectsPhysicalBytesDrift) {
   store::BlockMapTestPeer::drift_physical_bytes(map);
   ExpectInvariantNamed([&] { map.check_invariants(); },
                        "physical bytes accounting out of sync");
-}
-
-TEST(Invariants, BlockMapDetectsSliceOwnershipViolation) {
-  // 4 slices split the top limb into quarters; keys built from the high
-  // limb land in a chosen slice.
-  store::BlockMap map(4, /*arcs=*/4);
-  const Key k = Key::from_high64(std::uint64_t{1} << 62);  // slice 1
-  map.insert(k, 100, {0, 1, 2});
-  map.insert(Key::from_high64(std::uint64_t{3} << 62), 100, {1, 2, 3});
-  EXPECT_NO_THROW(map.check_invariants());
-  store::BlockMapTestPeer::misfile_block(map, k);
-  ExpectInvariantNamed([&] { map.check_invariants(); },
-                       "slice that does not own it");
 }
 
 TEST(Invariants, BlockMapDetectsDuplicateReplica) {
@@ -720,7 +649,7 @@ TEST(Invariants, SystemDetectsFetchTimerNamingNoPendingEvent) {
   core::System system(config, sim);
   const Key k = system_with_recorded_timer(system);
   store::Replica& r = recorded_member(system, k);
-  EXPECT_TRUE(sim.discard(system.block_map().arc_of(k), r.fetch_timer));
+  EXPECT_TRUE(sim.discard_local(r.fetch_timer));
   ExpectInvariantNamed([&] { system.check_invariants(); },
                        "recorded fetch timer is not pending");
 }
@@ -735,75 +664,6 @@ TEST(Invariants, SystemDetectsFetchTimerForAMemberWithAFetchInFlight) {
   ExpectInvariantNamed([&] { system.check_invariants(); },
                        "fetch timer recorded for a member that has data or "
                        "a fetch in flight");
-}
-
-// ----------------------------------------------------------- lane binding --
-
-// RAII around lane::bind so a failed assertion cannot leak a binding
-// into later tests on the same thread.
-struct ScopedLaneBinding {
-  ScopedLaneBinding(const void* owner, int arc) { lane::bind(owner, arc); }
-  ~ScopedLaneBinding() { lane::unbind(); }
-};
-
-TEST(LaneOwnership, UnboundThreadMutatesAnyShard) {
-  // Coordinator semantics: with no lane binding, cross-arc mutation is
-  // legal by design (readjustment, recovery sweeps, test setup).
-  ASSERT_FALSE(lane::bound());
-  store::BlockMap map(8, /*arcs=*/4);
-  for (std::uint64_t i = 0; i < 4; ++i) {
-    EXPECT_NO_THROW(
-        map.insert(Key::from_high64(i << 62), 100, {0, 1, 2}));
-  }
-}
-
-TEST(LaneOwnership, BoundThreadMutatesItsOwnShard) {
-  store::BlockMap map(8, /*arcs=*/4);
-  const Key k = Key::from_high64(std::uint64_t{1} << 62);  // arc 1
-  ASSERT_EQ(map.arc_of(k), 1);
-  ScopedLaneBinding binding(&map, 1);
-  EXPECT_NO_THROW(map.insert(k, 100, {0, 1, 2}));
-  EXPECT_NO_THROW(map.mark_missing(k, 1));
-}
-
-TEST(LaneOwnership, WrongLaneMutationFiresOwnerLaneAssert) {
-  if (!kParanoid) {
-    GTEST_SKIP() << "D2_ASSERT_OWNER_LANE compiles out without D2_PARANOID";
-  }
-  store::BlockMap map(8, /*arcs=*/4);
-  const Key k = Key::from_high64(std::uint64_t{3} << 62);  // arc 3
-  ASSERT_EQ(map.arc_of(k), 3);
-  ScopedLaneBinding binding(&map, 1);  // thread claims to be arc 1's lane
-  ExpectInvariantNamed([&] { map.insert(k, 100, {0, 1, 2}); },
-                       "touched arc 3's shard");
-}
-
-TEST(LaneOwnership, WrongLaneSystemWriteFiresOwnerLaneAssert) {
-  if (!kParanoid) {
-    GTEST_SKIP() << "D2_ASSERT_OWNER_LANE compiles out without D2_PARANOID";
-  }
-  // The stamped entry points in core::System (put_at et al.) consult the
-  // same thread-local binding; with arcs=1 every key lives on arc 0, so
-  // a thread bound to arc 1 must be rejected.
-  core::SystemConfig config;
-  config.node_count = 8;
-  sim::Simulator sim;
-  core::System system(config, sim);
-  ScopedLaneBinding binding(&system, 1);
-  ExpectInvariantNamed([&] { system.put(K(42), 1024); },
-                       "touched arc 0's shard");
-}
-
-TEST(LaneOwnership, BindingClearsOnUnbind) {
-  EXPECT_FALSE(lane::bound());
-  EXPECT_EQ(lane::current_arc(), -1);
-  {
-    ScopedLaneBinding binding(this, 2);
-    EXPECT_TRUE(lane::bound());
-    EXPECT_EQ(lane::current_arc(), 2);
-  }
-  EXPECT_FALSE(lane::bound());
-  EXPECT_EQ(lane::current_arc(), -1);
 }
 
 // ---------------------------------------------------------- preconditions --

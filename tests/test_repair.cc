@@ -1,4 +1,4 @@
-// RepairEngine: self-heal behaviour, determinism across arc settings,
+// RepairEngine: self-heal behaviour, the per-node block index,
 // and corruption-injection audits (core/repair.h).
 
 #include "core/repair.h"
@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -48,7 +47,7 @@ struct RepairEngineTestPeer {
     return out;
   }
   static bool write(RepairEngine& e, const Key& k, SimTime now) {
-    return e.write_block(k, now, /*in_lane=*/false);
+    return e.write_block(k, now);
   }
   static void node_down(RepairEngine& e, int node, bool lose_data) {
     e.on_node_down(node, lose_data);
@@ -74,11 +73,9 @@ RepairConfig small_config(bool erasure) {
   return cfg;
 }
 
-DurabilityParams small_scenario(bool erasure, int arcs, int workers) {
+DurabilityParams small_scenario(bool erasure) {
   DurabilityParams p;
   p.repair = small_config(erasure);
-  p.repair.arcs = arcs;
-  p.arc_workers = workers;
   p.blocks_per_node = 8;
   p.writes_per_node_per_day = 12.0;
   p.failure.duration = days(1);
@@ -91,20 +88,8 @@ DurabilityParams small_scenario(bool erasure, int arcs, int workers) {
   return p;
 }
 
-std::string fingerprint(const DurabilityResult& r) {
-  std::ostringstream os;
-  os << r.stats.blocks << '|' << r.stats.blocks_lost << '|'
-     << r.stats.repair_bytes << '|' << r.stats.user_write_bytes << '|'
-     << r.stats.repairs_started << '|' << r.stats.repairs_completed << '|'
-     << r.stats.repair_retries << '|' << r.stats.verified_reconstructions
-     << '|' << r.stats.writes_failed << '|' << r.stats.mttr_episodes << '|'
-     << r.stats.mttr_mean_s << '|' << r.stats.mttr_p99_s << '|'
-     << r.stats.open_episodes << '|' << r.events;
-  return os.str();
-}
-
 TEST(RepairEngine, SelfHealsThroughAFailureWeek) {
-  const DurabilityResult rep = run_durability(small_scenario(false, 1, 1));
+  const DurabilityResult rep = run_durability(small_scenario(false));
   EXPECT_GT(rep.stats.blocks, 150u);
   EXPECT_GT(rep.stats.repairs_completed, 0u);
   // Every completed reconstruction was decode-verified against a fresh
@@ -119,21 +104,13 @@ TEST(RepairEngine, SelfHealsThroughAFailureWeek) {
   // small scale / short horizon.
   EXPECT_LT(rep.unrecoverable_fraction, 0.05);
 
-  const DurabilityResult ec = run_durability(small_scenario(true, 1, 1));
+  const DurabilityResult ec = run_durability(small_scenario(true));
   EXPECT_GT(ec.stats.repairs_completed, 0u);
   EXPECT_EQ(ec.stats.verified_reconstructions, ec.stats.repairs_completed);
   EXPECT_EQ(ec.stats.open_episodes, 0u);
   // rs-4-2 spreads each block over 6 holders vs rep3's 3, so the same
   // trace degrades more blocks — the classic wide-stripe repair cost.
   EXPECT_GT(ec.stats.repairs_completed, rep.stats.repairs_completed);
-}
-
-TEST(RepairEngine, ByteIdenticalAcrossArcsAndWorkers) {
-  const std::string base = fingerprint(run_durability(small_scenario(true, 1, 1)));
-  EXPECT_EQ(base, fingerprint(run_durability(small_scenario(true, 8, 1))));
-  EXPECT_EQ(base, fingerprint(run_durability(small_scenario(true, 8, 4))));
-  const std::string rep = fingerprint(run_durability(small_scenario(false, 1, 1)));
-  EXPECT_EQ(rep, fingerprint(run_durability(small_scenario(false, 4, 2))));
 }
 
 TEST(RepairEngine, TotalPermanentLossKillsEveryBlock) {
@@ -222,56 +199,50 @@ std::vector<std::vector<store::BlockHandle>> scan_holders(RepairEngine& e,
 }
 
 TEST(RepairEngine, NodeIndexMatchesHolderScan) {
-  for (const int arcs : {1, 8}) {
-    RepairConfig cfg = small_config(true);
-    cfg.arcs = arcs;
-    cfg.data_loss_fraction = 0.8;
-    sim::ArcConfig ac;
-    ac.arcs = arcs;
-    sim::Simulator sim(ac);
-    RepairEngine engine(cfg, sim);
-    engine.populate(20);
-    engine.populate(20);  // merges its blocks into non-empty lists
-    sim::FailureParams fp;
-    fp.node_count = cfg.node_count;
-    fp.duration = hours(20);
-    fp.mttf_hours = 10;
-    fp.mttr_hours = 2;
-    fp.correlated_events_per_day = 2;
-    fp.correlated_fraction = 0.25;
-    Rng trace_rng(31);
-    engine.attach_failure_trace(sim::FailureTrace::generate(fp, trace_rng));
-    engine.start_foreground_writes(12, fp.duration);
-    std::size_t steps = 0;
-    std::size_t stale_entries = 0;
-    bool index_ok = true;
-    while (index_ok && sim.step()) {
-      ++steps;
-      const auto scan = scan_holders(engine, cfg.node_count);
-      RepairEngineTestPeer::map(engine).for_each_block(
-          [&](const Key&, const store::BlockState& b) {
-            stale_entries += b.stale_holders.size();
-          });
-      for (int node = 0; node < cfg.node_count; ++node) {
-        if (RepairEngineTestPeer::node_blocks(engine, node) !=
-            scan[static_cast<std::size_t>(node)]) {
-          ADD_FAILURE() << "arcs=" << arcs << ": node " << node
-                        << "'s index diverges after event " << steps
-                        << " at t=" << sim.now();
-          index_ok = false;
-        }
+  RepairConfig cfg = small_config(true);
+  cfg.data_loss_fraction = 0.8;
+  sim::Simulator sim;
+  RepairEngine engine(cfg, sim);
+  engine.populate(20);
+  engine.populate(20);  // merges its blocks into non-empty lists
+  sim::FailureParams fp;
+  fp.node_count = cfg.node_count;
+  fp.duration = hours(20);
+  fp.mttf_hours = 10;
+  fp.mttr_hours = 2;
+  fp.correlated_events_per_day = 2;
+  fp.correlated_fraction = 0.25;
+  Rng trace_rng(31);
+  engine.attach_failure_trace(sim::FailureTrace::generate(fp, trace_rng));
+  engine.start_foreground_writes(12, fp.duration);
+  std::size_t steps = 0;
+  std::size_t stale_entries = 0;
+  bool index_ok = true;
+  while (index_ok && sim.step()) {
+    ++steps;
+    const auto scan = scan_holders(engine, cfg.node_count);
+    RepairEngineTestPeer::map(engine).for_each_block(
+        [&](const Key&, const store::BlockState& b) {
+          stale_entries += b.stale_holders.size();
+        });
+    for (int node = 0; node < cfg.node_count; ++node) {
+      if (RepairEngineTestPeer::node_blocks(engine, node) !=
+          scan[static_cast<std::size_t>(node)]) {
+        ADD_FAILURE() << "node " << node << "'s index diverges after event "
+                      << steps << " at t=" << sim.now();
+        index_ok = false;
       }
     }
-    engine.check_invariants();
-    const RepairStats s = engine.snapshot();
-    // The trace exercised what changes holders: disk loss, departing
-    // members kept as stale holders, repairs that prune them, and writes.
-    EXPECT_GT(stale_entries, 0u);
-    EXPECT_GT(s.blocks_lost, 0u);
-    EXPECT_GT(s.repairs_completed, 0u);
-    EXPECT_GT(s.blocks, 40u);
-    EXPECT_GT(s.node_event_blocks, 0u);
   }
+  engine.check_invariants();
+  const RepairStats s = engine.snapshot();
+  // The trace exercised what changes holders: disk loss, departing
+  // members kept as stale holders, repairs that prune them, and writes.
+  EXPECT_GT(stale_entries, 0u);
+  EXPECT_GT(s.blocks_lost, 0u);
+  EXPECT_GT(s.repairs_completed, 0u);
+  EXPECT_GT(s.blocks, 40u);
+  EXPECT_GT(s.node_event_blocks, 0u);
 }
 
 // --- corruption injection: every queue/record/index invariant must trip ---

@@ -74,12 +74,12 @@ std::vector<sim::EventId> recorded_timers(const System& sys, const Key& k) {
   return out;
 }
 
-/// How many of `ids` are still pending on `k`'s arc queue.
-std::size_t still_pending(const System& sys, const sim::Simulator& sim,
-                          const Key& k, const std::vector<sim::EventId>& ids) {
+/// How many of `ids` are still pending.
+std::size_t still_pending(const sim::Simulator& sim,
+                          const std::vector<sim::EventId>& ids) {
   std::size_t n = 0;
   for (sim::EventId id : ids) {
-    if (sim.pending_time(sys.block_map().arc_of(k), id).has_value()) ++n;
+    if (sim.local_pending_time(id).has_value()) ++n;
   }
   return n;
 }
@@ -299,8 +299,8 @@ TEST(System, DroppedMemberTakesItsFetchTimerWithIt) {
   // One split arms timers that stay pending; a second split five minutes
   // later makes `light` a pointer member of blocks next to them, and
   // moving it back drops every one of those memberships. Each dropped
-  // member's timer is discarded: none of them is the arc queue's next
-  // event, which is one of the first split's timers.
+  // member's timer is discarded: none of them is the key-local queue's
+  // next event, which is one of the first split's timers.
   SystemConfig c = small_config();
   c.pointer_stabilization = hours(1);
   sim::Simulator sim;
@@ -327,7 +327,7 @@ TEST(System, DroppedMemberTakesItsFetchTimerWithIt) {
   sim.run_until(minutes(10));
   SystemTestPeer::move(sys, light, home);
   EXPECT_FALSE(sys.block_map().find(seq_key(200))->is_replica(light));
-  EXPECT_EQ(still_pending(sys, sim, seq_key(200), joined), 0u);
+  EXPECT_EQ(still_pending(sim, joined), 0u);
   EXPECT_EQ(sim.events_pending(), kept);
   EXPECT_EQ(discarded_timers(sys), static_cast<std::int64_t>(light_timers));
   EXPECT_EQ(fetch_timers(sys), static_cast<std::int64_t>(kept + light_timers));
@@ -345,8 +345,8 @@ TEST(System, ErasingABlockDiscardsEveryMembersFetchTimer) {
   // Two splits leave the lowest keys with two pointer members each. A
   // put with a new size, a remove and a TTL expiry each erase one such
   // block, and both members' timers go with it. The blocks' TTL events
-  // (3 h, 4 h) sit ahead of the fetch timers (6 h) on the arc queue, so
-  // no discard here targets the queue's next event.
+  // (3 h, 4 h) sit ahead of the fetch timers (6 h) on the key-local
+  // queue, so no discard here targets the queue's next event.
   SystemConfig c = small_config();
   c.pointer_stabilization = hours(6);
   c.block_ttl = hours(3);
@@ -370,14 +370,14 @@ TEST(System, ErasingABlockDiscardsEveryMembersFetchTimer) {
 
   sim.run_until(minutes(10));
   sys.put(rewritten, kB(16));  // a new size replaces the block
-  EXPECT_EQ(still_pending(sys, sim, rewritten, rewritten_timers), 0u);
+  EXPECT_EQ(still_pending(sim, rewritten_timers), 0u);
   EXPECT_EQ(discarded_timers(sys), 2);
   EXPECT_TRUE(recorded_timers(sys, rewritten).empty());
 
   sys.remove(removed);
   sim.run_until(minutes(11));
   ASSERT_FALSE(sys.has(removed));
-  EXPECT_EQ(still_pending(sys, sim, removed, removed_timers), 0u);
+  EXPECT_EQ(still_pending(sim, removed_timers), 0u);
   EXPECT_EQ(discarded_timers(sys), 4);
 
   // Everything but `expired` is refreshed to a 4 h deadline.
@@ -387,7 +387,7 @@ TEST(System, ErasingABlockDiscardsEveryMembersFetchTimer) {
   }
   sim.run_until(hours(3) + seconds(1));
   ASSERT_FALSE(sys.has(expired));
-  EXPECT_EQ(still_pending(sys, sim, expired, expired_timers), 0u);
+  EXPECT_EQ(still_pending(sim, expired_timers), 0u);
   EXPECT_EQ(discarded_timers(sys), 6);
   sys.check_invariants();
 }
@@ -417,7 +417,7 @@ TEST(System, EarlierRecoveryFetchDiscardsTheSupersededTimer) {
   sim.run_until(minutes(20) - seconds(1));
   EXPECT_EQ(discarded_timers(sys), 0);
   sim.run_until(minutes(20));  // recovery
-  EXPECT_EQ(still_pending(sys, sim, k, armed), 0u);
+  EXPECT_EQ(still_pending(sim, armed), 0u);
   EXPECT_EQ(discarded_timers(sys), static_cast<std::int64_t>(pointers));
   EXPECT_EQ(fetch_timers(sys), timers + static_cast<std::int64_t>(pointers));
 
@@ -427,8 +427,8 @@ TEST(System, EarlierRecoveryFetchDiscardsTheSupersededTimer) {
 }
 
 TEST(System, DeclinedDiscardOfTheNextEventLapsesThroughFetchDue) {
-  // With one block, a pointer member's timer is its arc queue's only, and
-  // so next, event. The member leaves: the discard is declined and the
+  // With one block, a pointer member's timer is the only, and so next,
+  // key-local event. The member leaves: the discard is declined and the
   // timer stays. It rejoins before the timer is due: the old timer fires
   // against the rejoined membership's later fetch_due and does nothing.
   SystemConfig c = small_config();
@@ -449,7 +449,7 @@ TEST(System, DeclinedDiscardOfTheNextEventLapsesThroughFetchDue) {
   SystemTestPeer::move(sys, light, home);  // leaves
   ASSERT_EQ(member(sys, k, light), nullptr);
   EXPECT_EQ(discarded_timers(sys), 0);
-  EXPECT_EQ(still_pending(sys, sim, k, first), 1u);
+  EXPECT_EQ(still_pending(sim, first), 1u);
 
   sim.run_until(minutes(30));
   SystemTestPeer::move(sys, light, k);  // rejoins
@@ -641,14 +641,14 @@ TEST(System, StaleFetchEventsLeaveAReputBlockUntouched) {
   sys.remove(k2);
   sim.run_until(minutes(6) + seconds(1));
   ASSERT_FALSE(sys.has(k2));
-  ASSERT_EQ(still_pending(sys, sim, k2, old_timers), 1u);
+  ASSERT_EQ(still_pending(sim, old_timers), 1u);
   sim.run_until(minutes(6) + seconds(3));  // the joiner is down
   sys.put(k2, kB(8));
   const store::Replica* again = member(sys, k2, joiner);
   ASSERT_NE(again, nullptr);
   ASSERT_FALSE(again->has_data);
   sim.run_until(minutes(7) + seconds(1));  // the old timer fired
-  EXPECT_EQ(still_pending(sys, sim, k2, old_timers), 0u);
+  EXPECT_EQ(still_pending(sim, old_timers), 0u);
   again = member(sys, k2, joiner);
   EXPECT_FALSE(again->has_data);
   EXPECT_FALSE(again->fetch_in_flight);

@@ -92,24 +92,19 @@ def time_d2sim(d2sim):
 
 
 # Scale ladder (EXPERIMENTS.md "scale ladder"): one seeded availability
-# trial per rung, 10 users per node, fixed per-user access rate. The top
-# rung needs the arc-partitioned core — a single event queue exhausts its
-# 24-bit slot space holding the ~20M pending TTL events of a 10k-node
-# system, so every rung runs with --arcs=64.
+# trial per rung, 10 users per node, fixed per-user access rate, run
+# serially one rung after another.
 SCALE_RUNGS = [(256, 2560), (1000, 10000), (10000, 100000),
                (50000, 1000000)]
 
 
-def run_scale_rung(d2sim, nodes, users, arc_workers):
-    """One seeded availability trial. The returned rung carries its own
-    arc_workers (rungs at different worker counts coexist in a snapshot)
-    and a digest of the per-trial result lines: equal digests at
-    different --arc-workers is the byte-identical-output check straight
-    from the committed snapshot."""
+def run_scale_rung(d2sim, nodes, users):
+    """One seeded availability trial. The returned rung carries a digest
+    of the per-trial result lines, so a later snapshot shows at a glance
+    whether a rung's output changed."""
     cmd = [
         d2sim, "availability", f"--nodes={nodes}", f"--users={users}",
-        "--days=1", "--accesses=20", "--seed=1", "--trials=1",
-        "--jobs=1", "--arcs=64", f"--arc-workers={arc_workers}",
+        "--days=1", "--accesses=20", "--seed=1", "--trials=1", "--jobs=1",
     ]
     start = time.monotonic()
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, check=True,
@@ -126,14 +121,13 @@ def run_scale_rung(d2sim, nodes, users, arc_workers):
     rung = {
         "nodes": nodes,
         "users": users,
-        "arc_workers": arc_workers,
         "command": " ".join(cmd[1:]),
         "wall_seconds": round(elapsed, 3),
         "tasks": tasks,
         "tasks_per_second": round(tasks / elapsed, 1) if elapsed else 0,
         "output_sha256": digest[:16],
     }
-    print(f"scale rung nodes={nodes} w{arc_workers}: {elapsed:.1f}s, "
+    print(f"scale rung nodes={nodes}: {elapsed:.1f}s, "
           f"{rung['tasks_per_second']} tasks/s, output {digest[:16]}")
     return rung
 
@@ -141,20 +135,19 @@ def run_scale_rung(d2sim, nodes, users, arc_workers):
 def note_scale_regressions(rungs, prior_section):
     """Annotates any rung whose throughput fell more than
     REGRESSION_FACTOR below the committed snapshot's same-shape rung
-    (matched on nodes/users/arc_workers; legacy snapshots without
-    per-rung arc_workers match on the section-level value). The note
-    lands in the snapshot itself so a slow rung is visible in review,
-    not only in a CI log."""
+    (matched on nodes/users). Snapshots recorded by the removed
+    arc-partitioned engine carry arc_workers per rung or per section and
+    extra worker_scaling rungs: only their one-worker rungs compare. The
+    note lands in the snapshot itself so a slow rung is visible in
+    review, not only in a CI log."""
     prior = {}
     if prior_section:
-        section_workers = prior_section.get("arc_workers")
+        section_workers = prior_section.get("arc_workers", 1)
         for r in prior_section.get("rungs", []):
-            w = r.get("arc_workers", section_workers)
-            prior[(r.get("nodes"), r.get("users"), w)] = r
-        for r in prior_section.get("worker_scaling", []):
-            prior[(r.get("nodes"), r.get("users"), r.get("arc_workers"))] = r
+            if r.get("arc_workers", section_workers) == 1:
+                prior[(r.get("nodes"), r.get("users"))] = r
     for rung in rungs:
-        old = prior.get((rung["nodes"], rung["users"], rung["arc_workers"]))
+        old = prior.get((rung["nodes"], rung["users"]))
         if not old:
             continue
         old_tps = old.get("tasks_per_second", 0)
@@ -163,49 +156,30 @@ def note_scale_regressions(rungs, prior_section):
                 f"tasks_per_second {rung['tasks_per_second']} is more than "
                 f"{REGRESSION_FACTOR}x below the committed {old_tps}; "
                 "investigate or re-record the snapshot")
-            print(f"WARNING scale rung nodes={rung['nodes']} "
-                  f"w{rung['arc_workers']}: {rung['regression_note']}")
+            print(f"WARNING scale rung nodes={rung['nodes']}: "
+                  f"{rung['regression_note']}")
 
 
-# Worker-scaling sweep: rungs wide enough for parallel windows to matter.
-WORKER_SCALING_MIN_NODES = 10000
-
-
-def run_scale_ladder(d2sim, arc_workers, prior_section=None,
-                     extra_workers=()):
-    rungs = [run_scale_rung(d2sim, nodes, users, arc_workers)
+def run_scale_ladder(d2sim, prior_section=None):
+    rungs = [run_scale_rung(d2sim, nodes, users)
              for nodes, users in SCALE_RUNGS]
-    section = {"arc_workers": arc_workers, "rungs": rungs}
-    scaling = []
-    for w in extra_workers:
-        if w == arc_workers:
-            continue
-        for nodes, users in SCALE_RUNGS:
-            if nodes < WORKER_SCALING_MIN_NODES:
-                continue
-            scaling.append(run_scale_rung(d2sim, nodes, users, w))
-    if scaling:
-        section["worker_scaling"] = scaling
-    note_scale_regressions(rungs + scaling, prior_section)
-    return section
+    note_scale_regressions(rungs, prior_section)
+    return {"rungs": rungs}
 
 
 # Durability probe (EXPERIMENTS.md "durability under correlated
 # failures"): one seeded correlated-failure week through the repair
 # engine per redundancy scheme, at the 1k-node rung. Deterministic for a
-# fixed seed regardless of --arcs/--arc-workers, so the parsed numbers
-# are stable across runs and machines.
+# fixed seed, so the parsed numbers are stable across runs and machines.
 DURABILITY_SCHEMES = ["rep3", "rs-6-3"]
 
 
-def run_durability_probe(d2sim, arc_workers):
+def run_durability_probe(d2sim):
     runs = []
     for scheme in DURABILITY_SCHEMES:
         cmd = [
             d2sim, "repair", "--nodes=1000", "--blocks-per-node=20",
-            "--days=7",
-            f"--redundancy={scheme}", "--seed=1", "--arcs=64",
-            f"--arc-workers={arc_workers}",
+            "--days=7", f"--redundancy={scheme}", "--seed=1",
         ]
         start = time.monotonic()
         proc = subprocess.run(cmd, stdout=subprocess.PIPE, check=True,
@@ -235,7 +209,7 @@ def run_durability_probe(d2sim, arc_workers):
               f"lost={entry.get('blocks_lost', '?')}/"
               f"{entry.get('blocks', '?')}, "
               f"L/W={entry.get('l_over_w', '?')}")
-    return {"arc_workers": arc_workers, "runs": runs}
+    return {"runs": runs}
 
 
 def merge_e2e(path, key, section, label):
@@ -361,21 +335,13 @@ def main():
                          "out); repeatable. Timing regressions still gate.")
     ap.add_argument("--e2e-scale", action="store_true",
                     help="run the availability scale ladder (256/1k/10k/50k "
-                         "nodes, --arcs=64) and merge it into --e2e-out; "
+                         "nodes, serially) and merge it into --e2e-out; "
                          "requires --d2sim")
     ap.add_argument("--e2e-durability", action="store_true",
                     help="run the correlated-failure durability probe "
                          "(d2sim repair, rep3 + rs-6-3 at 1k nodes) and "
                          "merge it into --e2e-out; requires --d2sim")
     ap.add_argument("--e2e-out", default="BENCH_e2e.json")
-    ap.add_argument("--e2e-arc-workers", type=int, default=1,
-                    help="--arc-workers for the e2e scale/durability runs")
-    ap.add_argument("--e2e-scale-workers", action="append", type=int,
-                    default=[], metavar="W",
-                    help="additionally run the wide scale rungs (>= "
-                         f"{WORKER_SCALING_MIN_NODES} nodes) at this "
-                         "--arc-workers count, recorded under "
-                         "worker_scaling; repeatable")
     args = ap.parse_args()
 
     if args.e2e_scale or args.e2e_durability:
@@ -388,14 +354,11 @@ def main():
             except (OSError, ValueError):
                 prior_section = None
             merge_e2e(args.e2e_out, "e2e_scale",
-                      run_scale_ladder(args.d2sim, args.e2e_arc_workers,
-                                       prior_section,
-                                       args.e2e_scale_workers),
+                      run_scale_ladder(args.d2sim, prior_section),
                       args.label)
         if args.e2e_durability:
             merge_e2e(args.e2e_out, "e2e_durability",
-                      run_durability_probe(args.d2sim, args.e2e_arc_workers),
-                      args.label)
+                      run_durability_probe(args.d2sim), args.label)
         if not args.bench:
             return 0
     if not args.bench:

@@ -2,8 +2,8 @@
 """d2_lint — determinism and robustness lint for the D2 simulator sources.
 
 The simulator's headline guarantee is bit-for-bit reproducibility: the same
-seed must produce the same experiment output on every platform, at every
-parallelism level. Most determinism bugs enter through a handful of C++
+seed must produce the same experiment output on every platform, at any
+--jobs setting. Most determinism bugs enter through a handful of C++
 idioms, so this linter rejects them mechanically:
 
   unordered-iter       range-for / iterator loop over a std::unordered_map
@@ -33,32 +33,26 @@ idioms, so this linter rejects them mechanically:
                        differential reference inside event_queue, and that
                        use carries an allow() annotation. Anything else is
                        a scheduler bypass.
-  sched-class          a schedule_at/schedule_after/schedule_arc_at/
-                       schedule_arc_after call in src/core/*.cc with no
-                       `// d2-sched: arc-local|mailbox|global` tag on the
-                       line or the line above. Every core timer must be
-                       classified (DESIGN.md §12): arc-local events run on
-                       the owning arc's queue, mailbox effects cross arcs
-                       through staged delivery, and only events that read
-                       or mutate state spanning arcs may sit on the global
-                       queue (each one is a parallel-window barrier).
+  sched-class          a schedule_at/schedule_after/schedule_local_at call
+                       in src/core/*.cc with no `// d2-sched: global|local`
+                       tag on the line or the line above. Every core timer
+                       must be classified (DESIGN.md §9): key-local events
+                       touch one block's state, and only events that read
+                       or mutate state beyond one key may be global (each
+                       one fences op batches and runs behind a commit
+                       point).
 
 Escape hatch: a line (or its predecessor) containing
     // d2-lint: allow(<rule>[, <rule>...])
 suppresses those rules for that line; the comment is expected to say *why*
 the use is safe. `allow(all)` suppresses every rule.
 
-Arc-ownership checking (the old regex cross-arc-bypass rule) moved to
-tools/d2_arc_check.py, which analyzes index expressions semantically for
-any member declared sharded with D2_SHARDED_BY_ARC / `// d2-arc:
-sharded(...)` instead of pattern-matching a hard-coded member list.
-
 Usage:
     tools/d2_lint.py [--self-test] [paths...]      (default path: src/)
     tools/d2_lint.py --list-allows [paths...]
 
---list-allows reports every `d2-lint: allow(...)` / `d2-arc: allow(...)`
-escape in the tree with its justification, and fails (exit 1) when an
+--list-allows reports every `d2-lint: allow(...)` escape in the tree with
+its justification, and fails (exit 1) when an
 escape states no reason — every suppression must say why it is safe.
 
 Exit status: 0 when clean, 1 when findings were reported, 2 on usage error.
@@ -141,11 +135,11 @@ STD_FUNCTION_RE = re.compile(r"\bstd::function\s*<")
 PRIORITY_QUEUE_DIRS = (os.sep + "sim" + os.sep,)
 PRIORITY_QUEUE_RE = re.compile(r"\bstd::priority_queue\s*<")
 
-# Scheduler calls in core/ must carry a placement classification so every
-# global-queue event (a parallel-window barrier) is a deliberate choice.
+# Scheduler calls in core/ must carry an event-class tag so every global
+# event (an op-batch fence) is a deliberate choice.
 SCHED_CALL_DIRS = (os.sep + "core" + os.sep,)
-SCHED_CALL_RE = re.compile(r"\bschedule_(?:arc_)?(?:at|after)\s*\(")
-SCHED_ANNOT_RE = re.compile(r"//\s*d2-sched:\s*(arc-local|mailbox|global)\b")
+SCHED_CALL_RE = re.compile(r"\bschedule_(?:local_)?(?:at|after)\s*\(")
+SCHED_ANNOT_RE = re.compile(r"//\s*d2-sched:\s*(global|local)\b")
 
 
 class Finding:
@@ -363,11 +357,10 @@ def lint_file(path, rules=None):
                         path,
                         lineno,
                         "sched-class",
-                        "scheduler call lacks a placement tag; add "
-                        "`// d2-sched: arc-local|mailbox|global — <why>` "
-                        "on this line or the line above (global-queue "
-                        "events are parallel-window barriers and must "
-                        "justify themselves)",
+                        "scheduler call lacks an event-class tag; add "
+                        "`// d2-sched: global|local — <why>` on this line "
+                        "or the line above (global events fence op "
+                        "batches and must justify themselves)",
                     )
                 )
 
@@ -603,10 +596,19 @@ SELF_TEST_CASES = [
         "sched-class",
     ),
     (
-        "sched-class arc variant flagged",
+        "sched-class local variant flagged",
         "src/core/x.cc",
         "void System::arm(const Key& k) {\n"
-        "  sim_.schedule_arc_at(map_.arc_of(k), t, [this] { fire(); });\n"
+        "  sim_.schedule_local_at(t, [this, k] { fire(k); });\n"
+        "}\n",
+        "sched-class",
+    ),
+    (
+        "sched-class retired mailbox tag flagged",
+        "src/core/x.cc",
+        "void System::arm() {\n"
+        "  // d2-sched: mailbox — staged delivery\n"
+        "  sim_.schedule_local_at(t, cb);\n"
         "}\n",
         "sched-class",
     ),
@@ -622,8 +624,8 @@ SELF_TEST_CASES = [
         "sched-class line-above tag clean",
         "src/core/x.cc",
         "void System::arm(const Key& k) {\n"
-        "  // d2-sched: arc-local — timer touches only k's shard\n"
-        "  sim_.schedule_arc_at(map_.arc_of(k), t, cb);\n"
+        "  // d2-sched: local — timer touches only k's state\n"
+        "  sim_.schedule_local_at(t, cb);\n"
         "}\n",
         None,
     ),
@@ -698,13 +700,13 @@ def run_self_test():
     return 0
 
 
-# Any lint/arc-check escape marker, with the comment text around it (the
-# stated reason lives before or after the marker, or on the line above).
+# Any lint escape marker, with the comment text around it (the stated
+# reason lives before or after the marker, or on the line above).
 LIST_ALLOW_RE = re.compile(
-    r"//(?P<pre>.*?)d2-(?P<kind>lint|arc):\s*allow\((?P<rules>[^)]*)\)"
+    r"//(?P<pre>.*?)d2-(?P<kind>lint):\s*allow\((?P<rules>[^)]*)\)"
     r"(?P<post>.*)$"
 )
-ANY_ALLOW_MARKER_RE = re.compile(r"d2-(?:lint|arc):\s*allow\([^)]*\)")
+ANY_ALLOW_MARKER_RE = re.compile(r"d2-lint:\s*allow\([^)]*\)")
 
 
 def list_allows(files):

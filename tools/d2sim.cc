@@ -15,12 +15,6 @@
 //
 // Common options: --users=U --days=D --mb=ACTIVE_MB --seed=X --jobs=N
 //                 --accesses=N (mean file accesses per user per day)
-//                 --arcs=P (keyspace partitions of the simulation core;
-//                 output is byte-identical for any P, see DESIGN.md §9)
-//                 --arc-workers=W (threads draining arc lanes; W > 1
-//                 parallelizes within each trial with identical output;
-//                 capped at hardware concurrency, forced to 1 by
-//                 --trace-out)
 //                 --scheduler=wheel|heap (event-queue backend: hierarchical
 //                 timing wheel, or the binary-heap differential reference;
 //                 output is byte-identical either way, see DESIGN.md §11)
@@ -44,19 +38,20 @@
 //                       replica_fetch, node_down/up, cache_hit/miss,
 //                       block_expired) as JSON lines with sim timestamps.
 //
+// Each command accepts only the flags it reads: any other flag (a typo,
+// or a removed flag such as --arcs) exits 2 with a message naming it.
 // Exit status is non-zero on usage errors, so the tool is scriptable.
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <stdexcept>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
-
-#include "common/arc_plan.h"
 
 #include "core/availability.h"
 #include "core/balance.h"
@@ -119,6 +114,24 @@ class Args {
   }
   bool flag(const std::string& key) const { return values_.count(key) > 0; }
 
+  /// Throws UsageError naming the first flag given that is in none of
+  /// `known`, the groups of flags `command` reads.
+  void reject_unknown(
+      const char* command,
+      std::initializer_list<std::vector<std::string_view>> known) const {
+    for (const auto& [key, value] : values_) {
+      bool found = false;
+      for (const std::vector<std::string_view>& group : known) {
+        found |= std::find(group.begin(), group.end(), key) != group.end();
+      }
+      if (!found) {
+        std::fprintf(stderr, "unknown flag for %s: --%s\n", command,
+                     key.c_str());
+        throw UsageError("unknown flag");
+      }
+    }
+  }
+
  private:
   std::map<std::string, std::string> values_;
   bool ok_ = true;
@@ -133,8 +146,6 @@ int usage() {
       "          --accesses=N (mean file accesses per user per day)\n"
       "          --jobs=N (worker threads for --trials sweeps; default: all "
       "cores)\n"
-      "          --arcs=P --arc-workers=W (partitioned simulation core; "
-      "identical output for any P/W)\n"
       "          --scheduler=wheel|heap (event-queue backend; identical "
       "output, wheel is faster)\n"
       "          --paranoid (run full invariant audits during the "
@@ -143,6 +154,15 @@ int usage() {
       "  see the header of tools/d2sim.cc for per-command options\n");
   return 2;
 }
+
+// The flags each command reads, in groups (Args::reject_unknown).
+const std::vector<std::string_view> kHarvardFlags = {"users", "days", "mb",
+                                                     "seed", "accesses"};
+const std::vector<std::string_view> kSystemFlags = {
+    "scheme",      "nodes",   "replicas", "seed",     "threshold",
+    "no-pointers", "scatter", "paranoid", "scheduler"};
+const std::vector<std::string_view> kSinkFlags = {"metrics-out", "trace-out"};
+const std::vector<std::string_view> kTrialFlags = {"trials", "jobs"};
 
 /// Optional observability sinks shared by the experiment commands.
 /// Enabled only when the corresponding flag names an output file, so the
@@ -190,33 +210,6 @@ trace::HarvardParams harvard_params(const Args& args) {
   return p;
 }
 
-/// --arcs: keyspace partitions of the simulation core (DESIGN.md §9).
-int arc_count(const Args& args) {
-  const long arcs = args.num("arcs", 1);
-  if (arcs < 1 || arcs > ArcPlan::kMaxArcs) {
-    std::fprintf(stderr, "invalid value for --arcs: %ld (expected 1..%d)\n",
-                 arcs, ArcPlan::kMaxArcs);
-    throw UsageError("bad arc count");
-  }
-  return static_cast<int>(arcs);
-}
-
-/// --arc-workers: threads draining arc lanes. Rejects non-positive
-/// values; silently caps at the hardware concurrency (floored at 2 so
-/// `--arc-workers=2` still exercises the parallel engine everywhere).
-int arc_workers(const Args& args) {
-  const long workers = args.num("arc-workers", 1);
-  if (workers < 1) {
-    std::fprintf(stderr,
-                 "invalid value for --arc-workers: %ld (must be > 0)\n",
-                 workers);
-    throw UsageError("bad arc worker count");
-  }
-  const long cap =
-      std::max(2L, static_cast<long>(std::thread::hardware_concurrency()));
-  return static_cast<int>(std::min(workers, cap));
-}
-
 /// --scheduler: event-queue backend. `wheel` (default) is the
 /// hierarchical timing wheel; `heap` keeps the binary-heap reference.
 /// Output is byte-identical either way.
@@ -262,8 +255,6 @@ core::SystemConfig system_config(const Args& args, int default_replicas = 3) {
   c.use_pointers = !args.flag("no-pointers");
   c.scatter_replicas = static_cast<int>(args.num("scatter", 0));
   c.paranoid_audits = args.flag("paranoid");
-  c.arcs = arc_count(args);
-  c.arc_workers = arc_workers(args);
   c.scheduler = scheduler_kind(args);
   if (c.replicas < 1) {
     std::fprintf(stderr, "invalid --replicas (expected at least 1)\n");
@@ -273,22 +264,11 @@ core::SystemConfig system_config(const Args& args, int default_replicas = 3) {
     std::fprintf(stderr, "invalid --scatter (expected 0..replicas-1)\n");
     throw UsageError("bad scatter count");
   }
-  if (c.scatter_replicas > 0 && c.arcs > 1) {
-    std::fprintf(stderr,
-                 "--scatter requires --arcs=1 (hybrid placement couples "
-                 "arbitrary keys across the ring)\n");
-    throw UsageError("scatter with multiple arcs");
-  }
   return c;
 }
 
-/// Event tracing records from TTL events, which arc lanes execute; a
-/// traced run must stay serial so trace order is reproducible.
-void force_serial_for_tracing(const Sinks& sinks, core::SystemConfig* c) {
-  if (!sinks.trace_path.empty()) c->arc_workers = 1;
-}
-
 int cmd_locality(const Args& args) {
+  args.reject_unknown("locality", {kHarvardFlags, {"workload", "node-mb"}});
   const std::string workload = args.str("workload", "harvard");
   core::LocalityParams lp;
   lp.node_capacity = mB(args.num("node-mb", 4));
@@ -328,6 +308,8 @@ int cmd_locality(const Args& args) {
 }
 
 int cmd_availability(const Args& args) {
+  args.reject_unknown("availability", {kSystemFlags, kHarvardFlags, kSinkFlags,
+                                       kTrialFlags, {"inter"}});
   core::AvailabilityParams p;
   p.system = system_config(args);
   if (!parse_scheme(args.str("scheme", "d2"), &p.system.scheme,
@@ -340,7 +322,6 @@ int cmd_availability(const Args& args) {
   p.inter = seconds(args.num("inter", 5));
   p.warmup = days(1);
   Sinks sinks(args);
-  force_serial_for_tracing(sinks, &p.system);
   p.metrics = sinks.registry();
   const int trials = static_cast<int>(args.num("trials", 1));
   const auto base_seed = static_cast<std::uint64_t>(args.num("seed", 1));
@@ -376,6 +357,8 @@ int cmd_availability(const Args& args) {
 }
 
 int cmd_balance(const Args& args) {
+  args.reject_unknown("balance",
+                      {kSystemFlags, kHarvardFlags, kSinkFlags, {"workload"}});
   core::BalanceParams p;
   p.system = system_config(args);
   if (!parse_scheme(args.str("scheme", "d2"), &p.system.scheme,
@@ -397,7 +380,6 @@ int cmd_balance(const Args& args) {
     return 2;
   }
   Sinks sinks(args);
-  force_serial_for_tracing(sinks, &p.system);
   p.metrics = sinks.registry();
   p.tracer = sinks.tracer_ptr();
   const core::BalanceResult r = core::BalanceExperiment(p).run();
@@ -418,6 +400,8 @@ int cmd_balance(const Args& args) {
 }
 
 int cmd_performance(const Args& args) {
+  args.reject_unknown("performance", {kSystemFlags, kHarvardFlags, kSinkFlags,
+                                      kTrialFlags, {"windows", "kbps", "para"}});
   core::PerformanceParams p;
   p.system = system_config(args, /*default_replicas=*/4);
   if (!parse_scheme(args.str("scheme", "d2"), &p.system.scheme,
@@ -432,7 +416,6 @@ int cmd_performance(const Args& args) {
   p.node_bandwidth = kbps(args.num("kbps", 1500));
   p.parallel = args.flag("para");
   Sinks sinks(args);
-  force_serial_for_tracing(sinks, &p.system);
   p.metrics = sinks.registry();
   const int trials = static_cast<int>(args.num("trials", 1));
   const auto base_seed = static_cast<std::uint64_t>(args.num("seed", 1));
@@ -506,6 +489,12 @@ void parse_redundancy(const std::string& name, core::RepairConfig* cfg) {
 }
 
 int cmd_repair(const Args& args) {
+  args.reject_unknown(
+      "repair", {{"redundancy", "nodes", "days", "seed", "scheduler",
+                  "blocks-per-node", "block-kb", "repair-bw", "detect-mins",
+                  "retry-mins", "loss-pct", "write-rate", "mttf-hours",
+                  "mttr-hours", "corr-per-day", "corr-pct", "drain-hours",
+                  "metrics-out"}});
   core::DurabilityParams p;
   p.repair.node_count = static_cast<int>(args.num("nodes", 64));
   parse_redundancy(args.str("redundancy", "rep3"), &p.repair);
@@ -520,9 +509,7 @@ int cmd_repair(const Args& args) {
     throw UsageError("bad loss fraction");
   }
   p.repair.seed = static_cast<std::uint64_t>(args.num("seed", 1)) + 2000;
-  p.repair.arcs = arc_count(args);
   p.repair.scheduler = scheduler_kind(args);
-  p.arc_workers = arc_workers(args);
   p.blocks_per_node = static_cast<int>(args.num("blocks-per-node", 50));
   p.writes_per_node_per_day = static_cast<double>(args.num("write-rate", 24));
   p.failure.duration = days(args.num("days", 7));
@@ -535,7 +522,6 @@ int cmd_repair(const Args& args) {
   p.drain = hours(args.num("drain-hours", 12));
   p.failure_seed = static_cast<std::uint64_t>(args.num("seed", 1)) + 42;
   Sinks sinks(args);
-  sinks.trace_path.clear();  // the repair engine records no trace events
   p.metrics = sinks.registry();
 
   const core::DurabilityResult r = core::run_durability(p);
@@ -574,6 +560,7 @@ int cmd_repair(const Args& args) {
 }
 
 int cmd_trace_gen(const Args& args) {
+  args.reject_unknown("trace-gen", {kHarvardFlags, {"workload", "out"}});
   const std::string workload = args.str("workload", "harvard");
   const std::string out = args.str("out", "");
   if (out.empty()) {
