@@ -397,10 +397,11 @@ void BM_EventQueue(benchmark::State& state) {
 BENCHMARK(BM_EventQueue);
 
 void BM_EventQueuePushPop(benchmark::State& state) {
-  // Steady-state simulator loop with cancellations: a warm queue where
-  // each iteration pushes a batch, cancels a third of it (timer churn:
-  // fetch retries, TTL refreshes), and pops a batch. The queue never
-  // drains, so slot recycling (not first-touch growth) is measured.
+  // Steady-state simulator loop with discards: a warm queue where each
+  // iteration pushes a batch, discards a third of it (timer churn:
+  // superseded fetch timers, the path the simulator takes), and pops a
+  // batch. The queue never drains, so slot recycling (not first-touch
+  // growth) is measured.
   sim::EventQueue q;
   sim::EventId ids[256];
   std::uint64_t t = 0;
@@ -409,7 +410,7 @@ void BM_EventQueuePushPop(benchmark::State& state) {
     for (int i = 0; i < 256; ++i) {
       ids[i] = q.push(t + 1 + (i * 127) % 1024, [] {});
     }
-    for (int i = 0; i < 256; i += 3) q.cancel(ids[i]);
+    for (int i = 0; i < 256; i += 3) q.discard(ids[i]);
     for (int i = 0; i < 170; ++i) {
       sim::EventQueue::Event ev = q.pop();
       t = ev.time;
@@ -439,7 +440,7 @@ void event_queue_closure_churn(benchmark::State& state, Make&& make) {
       ids[i] = q.push(t + 1 + (i * 127) % 1024,
                       make(keys[n++ & (kKeyPoolSize - 1)], t));
     }
-    for (int i = 0; i < 256; i += 3) q.cancel(ids[i]);
+    for (int i = 0; i < 256; i += 3) q.discard(ids[i]);
     for (int i = 0; i < 170; ++i) {
       sim::EventQueue::Event ev = q.pop();
       t = ev.time;
@@ -480,31 +481,9 @@ void BM_EventQueuePushPopClosure_Overflow(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPopClosure_Overflow);
 
-void BM_EventQueuePushPop_Heap(benchmark::State& state) {
-  // The BM_EventQueuePushPop churn loop on the reference heap backend
-  // (`--scheduler heap`): the wheel-vs-heap delta on identical work.
-  sim::EventQueue q(sim::SchedulerKind::kHeap);
-  sim::EventId ids[256];
-  std::uint64_t t = 0;
-  for (int i = 0; i < 4096; ++i) q.push(t + (i * 7919) % 4096, [] {});
-  for (auto _ : state) {
-    for (int i = 0; i < 256; ++i) {
-      ids[i] = q.push(t + 1 + (i * 127) % 1024, [] {});
-    }
-    for (int i = 0; i < 256; i += 3) q.cancel(ids[i]);
-    for (int i = 0; i < 170; ++i) {
-      sim::EventQueue::Event ev = q.pop();
-      t = ev.time;
-      benchmark::DoNotOptimize(ev.id);
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 256);
-}
-BENCHMARK(BM_EventQueuePushPop_Heap);
-
 void BM_TimingWheelPushPop(benchmark::State& state) {
   // The raw wheel without the EventQueue slab around it: steady-state
-  // insert/cancel/pop churn on a warm resident population, measuring
+  // insert/remove/pop churn on a warm resident population, measuring
   // pure scheduler cost (bucket placement, intrusive unlink, head
   // refresh) with caller-managed slot recycling.
   sim::TimingWheel w;

@@ -16,7 +16,7 @@ AvailabilityExperiment::AvailabilityExperiment(const AvailabilityParams& params)
 }
 
 AvailabilityResult AvailabilityExperiment::run() {
-  sim::Simulator sim(sim::ArcConfig{.scheduler = params_.system.scheduler});
+  sim::Simulator sim;
   sim.bind_metrics(params_.metrics);
   System system(params_.system, sim, params_.metrics);
   system.set_tracer(params_.tracer);
@@ -26,7 +26,7 @@ AvailabilityResult AvailabilityExperiment::run() {
   OpBatchRunner batch(system, sim);
 
   // Initial population + load-balance warm-up (§8.1). The initial puts
-  // are independent key-local writes at t=0 — one batch.
+  // are independent key-local writes at t=0.
   std::vector<fs::StoreOp> ops;
   volumes.insert_initial(gen.initial_files(), 0, ops);
   for (const fs::StoreOp& op : ops) batch.add(op, 0);
@@ -65,11 +65,9 @@ AvailabilityResult AvailabilityExperiment::run() {
 
   AvailabilityResult result;
 
-  // Replay, batched (core/op_batch.h): records stage their ops until a
-  // *global* event fence forces a drain, then one flush applies the
-  // backlog, interleaving the key-local timer events by time. Get
-  // outcomes fold into the same task aggregates a per-record loop would
-  // produce.
+  // Replay, batched (core/op_batch.h): each op runs the simulator to its
+  // record time and applies there; get outcomes drain into the task
+  // aggregates before each global event and at the batch cap.
   auto drain = [&] {
     batch.flush();
     for (const OpBatchRunner::GetOutcome& g : batch.outcomes()) {
@@ -91,10 +89,6 @@ AvailabilityResult AvailabilityExperiment::run() {
     const trace::TraceRecord& r = records[i];
     const SimTime abs_t = params_.warmup + r.time;
     if (batch.should_flush_before(abs_t)) drain();
-    // Only with an empty backlog may the loop advance the clock: a staged
-    // batch means no global event is due through abs_t (that is the
-    // fence), and its key-local events merge into the flush instead.
-    if (batch.empty() && sim.next_event_time() <= abs_t) sim.run_until(abs_t);
     rec_ops.clear();
     volumes.apply(r, abs_t, rec_ops);
     const std::int32_t ti = record_task[i];
@@ -103,7 +97,7 @@ AvailabilityResult AvailabilityExperiment::run() {
   }
   drain();
   // Catch up timer events through the last record, as a per-record loop
-  // would (a flush leaves events past its final op pending).
+  // would (a record without ops leaves the clock where it was).
   if (!records.empty()) sim.run_until(params_.warmup + records.back().time);
 
   // Aggregate.

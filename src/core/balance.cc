@@ -48,7 +48,7 @@ struct ImbalanceSampler {
 }  // namespace
 
 BalanceResult BalanceExperiment::run() {
-  sim::Simulator sim(sim::ArcConfig{.scheduler = params_.system.scheduler});
+  sim::Simulator sim;
   sim.bind_metrics(params_.metrics);
   System system(params_.system, sim, params_.metrics);
   system.set_tracer(params_.tracer);

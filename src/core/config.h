@@ -5,7 +5,7 @@
 
 #include "common/units.h"
 #include "fs/volume.h"
-#include "sim/timing_wheel.h"
+#include "sim/simulator.h"
 
 namespace d2::core {
 
@@ -70,14 +70,11 @@ struct SystemConfig {
   /// next successor.
   SimTime regen_delay = minutes(30);
 
-  /// What remains of the removed arc-partitioned engine: the simulation
-  /// core is serial, and System accepts only arcs = 1, arc_workers = 1.
+  /// Vestigial, set only by the benchmark driver: what remains of the
+  /// removed arc-partitioned engine (System accepts only arcs = 1,
+  /// arc_workers = 1) and of the removed heap scheduler (one value).
   int arcs = 1;
   int arc_workers = 1;
-
-  /// Event-queue backend (DESIGN.md §11): the hierarchical timing wheel,
-  /// or the binary heap retained as the differential reference. Seeded
-  /// outputs are byte-identical either way (`--scheduler heap|wheel`).
   sim::SchedulerKind scheduler = sim::SchedulerKind::kWheel;
 
   /// Run full-structure invariant audits (ring + block map cross-checks)

@@ -86,7 +86,7 @@ std::vector<SimTime> pick_performance_windows(const trace::HarvardParams& wl,
 }
 
 PerformanceResult PerformanceExperiment::run() {
-  sim::Simulator sim(sim::ArcConfig{.scheduler = params_.system.scheduler});
+  sim::Simulator sim;
   sim.bind_metrics(params_.metrics);
   System system(params_.system, sim, params_.metrics);
   system.set_tracer(params_.tracer);

@@ -841,8 +841,7 @@ void RepairEngine::check_invariants() const {
 }
 
 DurabilityResult run_durability(const DurabilityParams& params) {
-  sim::Simulator sim(sim::ArcConfig{params.repair.arcs, params.arc_workers, 0,
-                                    params.repair.scheduler});
+  sim::Simulator sim(sim::ArcConfig{params.repair.arcs, params.arc_workers});
   sim.bind_metrics(params.metrics);
   RepairEngine engine(params.repair, sim);
   engine.populate(static_cast<std::int64_t>(params.blocks_per_node) *

@@ -82,9 +82,9 @@ struct RepairConfig {
   double data_loss_fraction = 0.5;
 
   double mean_rtt_ms = 90.0;
-  /// What remains of the removed arc-partitioned engine: accepts only 1.
+  /// Vestigial: what remains of the removed arc-partitioned engine
+  /// (accepts only 1) and of the removed heap scheduler (one value).
   int arcs = 1;
-  /// Event-queue backend (wheel default; heap = differential reference).
   sim::SchedulerKind scheduler = sim::SchedulerKind::kWheel;
   std::uint64_t seed = 1;
 };

@@ -54,12 +54,7 @@ System::System(const SystemConfig& config, sim::Simulator& sim,
     while (ring_.id_taken(id)) id = dht::random_node_id(rng_);
     ring_.add(i, id);
   }
-  // Staged fetch reservations resolve at the simulator's commit points
-  // (see resolve_fetch_reservations).
-  sim_.set_commit_hook([this] { resolve_fetch_reservations(); });
 }
-
-System::~System() { sim_.set_commit_hook({}); }
 
 bool System::node_up(int node) const {
   D2_REQUIRE(node >= 0 && node < config_.node_count);
@@ -184,9 +179,8 @@ std::optional<int> System::serving_node(const store::BlockState& b) const {
 
 // ---------------------------------------------------------------- puts --
 
-void System::put_at(const Key& k, Bytes size, SimTime t) {
+void System::put(const Key& k, Bytes size) {
   D2_REQUIRE(size >= 0);
-  D2_REQUIRE_MSG(t >= sim_.now(), "op time must not precede the clock");
   add_user_write_bytes(size);
   bool fresh_key = true;
   if (const store::BlockState* existing = map_.find(k)) {
@@ -198,7 +192,7 @@ void System::put_at(const Key& k, Bytes size, SimTime t) {
       discard_fetch_timers(k, *existing);
       map_.erase(k);
     } else {
-      refresh_at(k, t);
+      refresh(k);
       return;
     }
   }
@@ -214,14 +208,13 @@ void System::put_at(const Key& k, Bytes size, SimTime t) {
   for (int n : set) {
     if (!node_up(n)) map_.mark_missing(k, n);
   }
-  refresh_at(k, t);
+  refresh(k);
   maybe_audit(/*sampled=*/true);
 }
 
-void System::remove_at(const Key& k, SimTime t) {
-  D2_REQUIRE_MSG(t >= sim_.now(), "op time must not precede the clock");
+void System::remove(const Key& k) {
   // d2-sched: local — a delayed remove touches only k's state
-  sim_.schedule_local_at(t + config_.remove_delay, [this, k] {
+  sim_.schedule_local_at(sim_.now() + config_.remove_delay, [this, k] {
     if (const store::BlockState* b = map_.find(k)) {
       add_user_removed_bytes(b->size);
       discard_fetch_timers(k, *b);
@@ -234,10 +227,10 @@ void System::remove_at(const Key& k, SimTime t) {
   });
 }
 
-void System::refresh_at(const Key& k, SimTime t) {
+void System::refresh(const Key& k) {
   if (config_.block_ttl <= 0) return;
   if (!map_.contains(k)) return;
-  const SimTime deadline = t + config_.block_ttl;
+  const SimTime deadline = sim_.now() + config_.block_ttl;
   expiry_[k] = deadline;
   // Deadline-check pattern (expiry events are never cancelled): a later
   // refresh bumps the entry and this event becomes a no-op.
@@ -265,9 +258,9 @@ sim::EventId System::schedule_fetch(store::BlockHandle h,
                                     store::Replica& member, SimTime due) {
   member.fetch_due = due;
   fetch_timers_c_->add(1);
-  // Key-local by construction: the timer reads one block's state (block
-  // lookup + replica flags); the only shared state it would touch — the
-  // node's migration link — is reached through the reservation relay.
+  // Key-local: the timer touches one block's state (block lookup +
+  // replica flags). An admitted fetch also enqueues on the node's
+  // migration link, which only fetch timers use, in event order.
   auto fire = [this, h, node = member.node] { try_fetch(h, node); };
   static_assert(sim::kFitsInlineEvent<decltype(fire)>,
                 "fetch timers must fit their event slot (hundreds of "
@@ -326,35 +319,13 @@ void System::try_fetch(store::BlockHandle h, int node) {
     tracer_->record(sim_.now(), obs::EventType::kReplicaFetch, node,
                     transfer_bytes);
   }
-  // The migration link is shared FIFO state (any key whose replica lands
-  // on `node` queues here): stage a reservation and let the commit hook
-  // enqueue it.
-  fetch_reservations_.push_back(
-      FetchReservation{sim_.now(), h, node, transfer_bytes});
-}
-
-void System::resolve_fetch_reservations() {
-  // Staging order is event order: commit points only ever see the
-  // reservations staged since the previous one, in non-decreasing time,
-  // so each link's enqueue sequence is the same however op batches fall.
-  for (std::size_t i = 0; i < fetch_reservations_.size(); ++i) {
-    const FetchReservation& r = fetch_reservations_[i];
-    D2_DCHECK_MSG(i == 0 || fetch_reservations_[i - 1].t <= r.t,
-                  "fetch reservations staged out of time order");
-    const SimTime done = nodes_[static_cast<std::size_t>(r.node)]
-                             .migration_link.enqueue(r.t, r.bytes);
-    // The link may have been idle, finishing the transfer before the
-    // clock; completions still must not run in the past.
-    const SimTime at = std::max(done, sim_.now());
-    auto complete = [this, h = r.block, node = r.node] {
-      finish_fetch(h, node);
-    };
-    static_assert(sim::kFitsInlineEvent<decltype(complete)>,
-                  "fetch completions must fit their event slot");
-    // d2-sched: local — a completion touches only its block's state
-    sim_.schedule_local_at(at, complete);
-  }
-  fetch_reservations_.clear();
+  const SimTime done = nodes_[static_cast<std::size_t>(node)]
+                           .migration_link.enqueue(sim_.now(), transfer_bytes);
+  auto complete = [this, h, node] { finish_fetch(h, node); };
+  static_assert(sim::kFitsInlineEvent<decltype(complete)>,
+                "fetch completions must fit their event slot");
+  // d2-sched: local — a completion touches only its block's state
+  sim_.schedule_local_at(done, complete);
 }
 
 void System::finish_fetch(store::BlockHandle h, int node) {

@@ -15,23 +15,17 @@
 // is just "locality-free keys" (provided by the fs layer) plus load
 // balancing disabled.
 //
-// ## Event classes and commit points (DESIGN.md §9)
+// ## Event classes (DESIGN.md §9)
 //
 // Key-local work — TTL expiry, delayed removes, fetch timers and fetch
-// completions — runs as key-local simulator events, which never fence an
-// op batch (core/op_batch.h). Shared state is reached from them through
-// two deterministic relays:
-//   - migration links: an admitted fetch stages a bandwidth reservation;
-//     the simulator's commit hook resolves the staged reservations in
-//     staging order, so each shared FIFO link sees one canonical enqueue
-//     order no matter how op batches fall;
-//   - probes: per-node jittered due times live in a commit calendar; one
-//     global tick per kProbeCommitInterval evaluates every probe due in
-//     the last epoch in (due, node) order against live state (probes
-//     read ring/rng/primary counts, so they are genuinely global — the
-//     tick just batches them).
-// Failure transitions remain individually global: they mutate node
-// up/down state every block reads.
+// completions — runs as key-local simulator events, which never end an
+// op batch early (core/op_batch.h). An admitted fetch enqueues its
+// transfer on the node's migration link and schedules its completion
+// for the transfer's end. Probes are global: per-node jittered due times
+// live in a calendar, and one global tick per kProbeCommitInterval
+// evaluates every probe due in the last epoch in (due, node) order
+// against live state. Failure transitions are global too: they mutate
+// node up/down state every block reads.
 #pragma once
 
 #include <map>
@@ -68,10 +62,6 @@ class System {
   System(const SystemConfig& config, sim::Simulator& sim,
          obs::Registry* metrics = nullptr);
 
-  /// Unregisters the commit hook (the system registers itself as the
-  /// simulator's single commit-hook client for fetch reservations).
-  ~System();
-
   System(const System&) = delete;
   System& operator=(const System&) = delete;
 
@@ -79,8 +69,7 @@ class System {
   /// jittered probe cadence, but evaluations are committed in epochs: one
   /// global tick per quantum processes every probe that came due during
   /// it, in (due time, node) order, against system state at the tick.
-  /// This keeps per-probe global events from fencing op batches; the
-  /// quantum is part of the seeded outputs.
+  /// The quantum is part of the seeded outputs, which is why it stays.
   /// SystemConfig::probe_interval must be at least twice the quantum so a
   /// committed probe's next due time always lands in a later epoch.
   static constexpr SimTime kProbeCommitInterval = seconds(10);
@@ -97,23 +86,15 @@ class System {
   /// is an in-place update (the mutable root block); otherwise the block
   /// is placed on the r successors of its key. Down members receive their
   /// copy later (recovery fetch).
-  void put(const Key& k, Bytes size) { put_at(k, size, sim_.now()); }
+  void put(const Key& k, Bytes size);
 
   /// Schedules removal after the configured delay (§3). Unknown keys are
   /// ignored (the block may have been removed already).
-  void remove(const Key& k) { remove_at(k, sim_.now()); }
+  void remove(const Key& k);
 
   /// Extends a block's TTL (no-op when block_ttl is 0 or the key is
   /// unknown). put() refreshes implicitly.
-  void refresh(const Key& k) { refresh_at(k, sim_.now()); }
-
-  /// Explicit-time variants, for batched op application (core/op_batch.h):
-  /// a flush applying a backlog of replay ops passes each op's record time
-  /// `t` (>= now) so TTL deadlines and removal delays are anchored exactly
-  /// where a one-run_until-per-op loop would put them.
-  void put_at(const Key& k, Bytes size, SimTime t);
-  void remove_at(const Key& k, SimTime t);
-  void refresh_at(const Key& k, SimTime t);
+  void refresh(const Key& k);
 
   bool has(const Key& k) const { return map_.contains(k); }
 
@@ -293,13 +274,10 @@ class System {
   /// the member's own timer — the clock equals the member's fetch_due —
   /// so a replaced timer, one armed for a previous membership, or one
   /// whose block was erased (and perhaps put again under the same key)
-  /// that was not discarded does nothing.
+  /// that was not discarded does nothing. An admitted fetch enqueues its
+  /// transfer on the node's migration link and schedules finish_fetch at
+  /// the transfer's end.
   void try_fetch(store::BlockHandle h, int node);
-  /// Resolves every staged bandwidth reservation in staging order:
-  /// enqueue on the node's migration link, then schedule the
-  /// fetch-completion key-local event. Runs at the simulator's commit
-  /// points — see the class comment.
-  void resolve_fetch_reservations();
   /// Fetch-completion key-local event: promotes the member to a data
   /// holder if block `h` still exists and the fetch is still wanted.
   void finish_fetch(store::BlockHandle h, int node);
@@ -359,17 +337,6 @@ class System {
   Bytes user_removed_bytes_ = 0;
   Bytes migration_bytes_ = 0;
   std::int64_t lb_moves_ = 0;
-
-  /// A fetch admitted by a key-local event must not touch its node's
-  /// shared FIFO migration link directly: it stages a reservation here,
-  /// and resolve_fetch_reservations() drains them at commit points.
-  struct FetchReservation {
-    SimTime t;  // event time of the admitting try_fetch
-    store::BlockHandle block;
-    int node;
-    Bytes bytes;
-  };
-  std::vector<FetchReservation> fetch_reservations_;
 
   /// Probe commit calendar: epoch -> (due, node) for every probe due in
   /// ((epoch-1)*Q, epoch*Q]. Ordered map so the tick chain always hops

@@ -1,6 +1,6 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
+#include <vector>
 
 #include "common/assert.h"
 
@@ -17,7 +17,7 @@ std::uint32_t EventQueue::acquire_slot() {
   fns_.emplace_back();
   meta_.emplace_back(0);
   order_.emplace_back(0);
-  if (kind_ == SchedulerKind::kWheel) wheel_.ensure_capacity(fns_.size());
+  wheel_.ensure_capacity(fns_.size());
   return slot;
 }
 
@@ -35,28 +35,23 @@ EventFn& EventQueue::overflow_fn(std::uint32_t slot) {
   return overflow_[entry].fn;
 }
 
-EventId EventQueue::commit(SimTime t, std::uint32_t slot,
-                           std::uint64_t order) {
+EventId EventQueue::link(SimTime t, std::uint32_t slot, std::uint64_t order) {
   const std::uint64_t seq = next_seq_++;
   order_[slot] = order;
-  meta_[slot] = live_meta(make_tag(slot, seq));
-  if (kind_ == SchedulerKind::kWheel) {
-    wheel_.insert(slot, t);
-  } else {
-    heap_.push(Entry{t, make_tag(slot, seq)});
-  }
+  meta_[slot] = live_meta(seq);
+  wheel_.insert(slot, t);
   ++live_;
   D2_PARANOID_AUDIT(if (audit_gate_.due(meta_.size())) check_invariants());
   return make_id(slot, seq);
 }
 
-void EventQueue::release_slot(std::uint32_t slot, std::uint64_t meta) {
-  // Keep the seq bits, swap the live mark for the free-list link: any
-  // heap entry still pointing here no longer matches live_meta. The
-  // closures are left as-is (captures are trivially destructible); a
-  // freed slot's stale OverflowRef is never read again, because only a
-  // live slot's closure is.
-  meta_[slot] = (meta & ~kSlotMask) | free_head_;
+void EventQueue::release_slot(std::uint32_t slot) {
+  // Keep the seq bits, swap the live mark for the free-list link: the
+  // slot's old id no longer matches live_meta. The closures are left
+  // as-is (captures are trivially destructible); a freed slot's stale
+  // OverflowRef is never read again, because only a live slot's closure
+  // is.
+  meta_[slot] = (meta_[slot] & ~kSlotMask) | free_head_;
   free_head_ = slot;
   --live_;
   if (const OverflowRef* ref = fns_[slot].target<OverflowRef>()) {
@@ -65,26 +60,12 @@ void EventQueue::release_slot(std::uint32_t slot, std::uint64_t meta) {
   }
 }
 
-bool EventQueue::cancel(EventId id) {
-  const std::uint32_t slot = live_slot(id);
-  if (slot == kNoSlot) return false;
-  release_slot(slot, meta_[slot]);
-  if (kind_ == SchedulerKind::kWheel) {
-    wheel_.remove(slot);
-  } else {
-    drop_dead_top();
-  }
-  D2_PARANOID_AUDIT(if (audit_gate_.due(meta_.size())) check_invariants());
-  return true;
-}
-
 bool EventQueue::discard(EventId id) {
   const std::uint32_t slot = live_slot(id);
-  if (slot == kNoSlot || slot == next_slot()) return false;
-  release_slot(slot, meta_[slot]);
-  // Not the head, so the wheel unlinks without a head refresh, and the
-  // heap's live top stays live (the dead entry drops when it surfaces).
-  if (kind_ == SchedulerKind::kWheel) wheel_.remove(slot);
+  if (slot == kNoSlot || slot == wheel_.min_slot()) return false;
+  release_slot(slot);
+  // Not the head, so the wheel unlinks without a head refresh.
+  wheel_.remove(slot);
   D2_PARANOID_AUDIT(if (audit_gate_.due(meta_.size())) check_invariants());
   return true;
 }
@@ -92,60 +73,25 @@ bool EventQueue::discard(EventId id) {
 std::optional<SimTime> EventQueue::pending_time(EventId id) const {
   const std::uint32_t slot = live_slot(id);
   if (slot == kNoSlot) return std::nullopt;
-  if (kind_ == SchedulerKind::kWheel) return wheel_.slot_time(slot);
-  const std::uint64_t tag = make_tag(slot, id & kSeqMask);
-  for (const Entry& e : heap_entries()) {
-    if (e.tag == tag) return e.time;
-  }
-  D2_ASSERT_MSG(false, "event queue: live slot has no heap entry");
-  return std::nullopt;
-}
-
-const std::vector<EventQueue::Entry>& EventQueue::heap_entries() const {
-  // d2-lint: allow(priority-queue) — reading the reference scheduler
-  using RefHeap = std::priority_queue<Entry, std::vector<Entry>, Later>;
-  struct HeapAccess : RefHeap {
-    static const std::vector<Entry>& container(const RefHeap& q) {
-      return q.*(&HeapAccess::c);
-    }
-  };
-  return HeapAccess::container(heap_);
-}
-
-void EventQueue::drop_dead_top() {
-  while (!heap_.empty() && !entry_live(heap_.top())) heap_.pop();
+  return wheel_.slot_time(slot);
 }
 
 SimTime EventQueue::next_time() const {
   D2_REQUIRE(live_ != 0);
-  if (kind_ == SchedulerKind::kWheel) return wheel_.min_time();
-  return heap_.top().time;  // invariant: top is live when live_ > 0
+  return wheel_.min_time();
 }
 
 std::uint64_t EventQueue::next_order() const {
   D2_REQUIRE(live_ != 0);
-  if (kind_ == SchedulerKind::kWheel) return order_[wheel_.min_slot()];
-  return order_[tag_slot(heap_.top().tag)];
+  return order_[wheel_.min_slot()];
 }
 
 EventQueue::Event EventQueue::pop() {
   D2_REQUIRE(live_ != 0);
-  if (kind_ == SchedulerKind::kWheel) {
-    const std::uint32_t slot = wheel_.pop_min();
-    const std::uint64_t seq = meta_[slot] >> kSlotBits;
-    Event ev{wheel_.slot_time(slot), make_id(slot, seq), slot_fn(slot)};
-    release_slot(slot, meta_[slot]);
-    D2_PARANOID_AUDIT(if (audit_gate_.due(meta_.size())) check_invariants());
-    return ev;
-  }
-  const Entry top = heap_.top();
-  D2_ASSERT(entry_live(top));
-  heap_.pop();
-  const std::uint32_t slot = tag_slot(top.tag);
-  const std::uint64_t seq = top.tag >> kSlotBits;
-  Event ev{top.time, make_id(slot, seq), slot_fn(slot)};
-  release_slot(slot, meta_[slot]);
-  drop_dead_top();
+  const std::uint32_t slot = wheel_.pop_min();
+  const std::uint64_t seq = meta_[slot] >> kSlotBits;
+  Event ev{wheel_.slot_time(slot), make_id(slot, seq), slot_fn(slot)};
+  release_slot(slot);
   D2_PARANOID_AUDIT(if (audit_gate_.due(meta_.size())) check_invariants());
   return ev;
 }
@@ -219,35 +165,13 @@ void EventQueue::check_invariants() const {
                 "event queue: orphaned overflow entry (neither referred to "
                 "nor free)");
 
-  if (kind_ == SchedulerKind::kWheel) {
-    // Wheel: every live slot resident in exactly the bucket its time
-    // places it in, link symmetry, occupancy bitmaps, head == minimum.
-    D2_ASSERT_MSG(heap_.empty(), "event queue: heap populated in wheel mode");
-    wheel_.check_invariants(live_, [this](std::uint32_t s) {
-      D2_ASSERT_MSG((meta_[s] & kSlotMask) == kLiveMark,
-                    "event queue: wheel-resident slot not live");
-      return meta_[s] >> kSlotBits;
-    });
-    return;
-  }
-
-  // Heap: ordering property holds, exactly the live slots have a live
-  // entry, and a dead entry never sits on top.
-  const std::vector<Entry>& entries = heap_entries();
-  D2_ASSERT_MSG(std::is_heap(entries.begin(), entries.end(), Later{}),
-                "event queue: heap property violated");
-  std::size_t live_entries = 0;
-  for (const Entry& e : entries) {
-    D2_ASSERT_MSG(tag_slot(e.tag) < slots,
-                  "event queue: heap entry slot out of range");
-    if (entry_live(e)) ++live_entries;
-  }
-  D2_ASSERT_MSG(live_entries == live_,
-                "event queue: live heap entries disagree with live_");
-  if (live_ != 0) {
-    D2_ASSERT_MSG(entry_live(heap_.top()),
-                  "event queue: dead entry on heap top");
-  }
+  // Wheel: every live slot resident in exactly the bucket its time
+  // places it in, link symmetry, occupancy bitmaps, head == minimum.
+  wheel_.check_invariants(live_, [this](std::uint32_t s) {
+    D2_ASSERT_MSG((meta_[s] & kSlotMask) == kLiveMark,
+                  "event queue: wheel-resident slot not live");
+    return meta_[s] >> kSlotBits;
+  });
 }
 
 }  // namespace d2::sim

@@ -6,8 +6,7 @@
 
 namespace d2::sim {
 
-Simulator::Simulator(const ArcConfig& cfg)
-    : local_(cfg.scheduler), global_(cfg.scheduler) {
+Simulator::Simulator(const ArcConfig& cfg) {
   require_serial_engine(cfg.arcs, cfg.workers, cfg.lookahead);
 }
 
@@ -29,15 +28,6 @@ void Simulator::step_queue(EventQueue& q) {
   ev.fn();
 }
 
-// Commit point; an empty hook is a no-op by design.
-// d2-lint: allow(unguarded-mutator) — the hook owns its own validation
-bool Simulator::commit() {
-  if (!commit_hook_) return false;
-  const std::size_t before = events_pending();
-  commit_hook_();
-  return events_pending() != before;
-}
-
 // Best-effort by contract: kNoEvent and ids no longer pending are no-ops.
 // d2-lint: allow(unguarded-mutator)
 bool Simulator::discard_local(EventId id) {
@@ -51,55 +41,22 @@ std::optional<SimTime> Simulator::local_pending_time(EventId id) const {
 }
 
 void Simulator::run() {
-  while (true) {
-    EventQueue* q = head();
-    if (q == nullptr) {
-      // Idle fixpoint: resolving commitments may schedule completions.
-      if (commit()) continue;
-      break;
-    }
-    // Commit point: staged commitments resolve before any global event
-    // observes shared state. Resolution may change the head.
-    if (q == &global_ && commit()) continue;
-    step_queue(*q);
-  }
+  while (EventQueue* q = head()) step_queue(*q);
 }
 
 bool Simulator::step() {
   EventQueue* q = head();
-  if (q == nullptr) {
-    if (!commit()) return false;
-    q = head();
-    if (q == nullptr) return false;
-  } else if (q == &global_ && commit()) {
-    q = head();
-  }
+  if (q == nullptr) return false;
   step_queue(*q);
   return true;
 }
 
 void Simulator::run_until(SimTime t) {
   D2_REQUIRE(t >= now_);
-  while (true) {
-    EventQueue* q = head();
-    if (q == nullptr || q->next_time() > t) {
-      // Nothing due: resolve outstanding commitments. Completions clamp
-      // to >= now(), so they may land at or before t — loop to the
-      // fixpoint where a commit adds nothing due.
-      if (commit() && next_event_time() <= t) continue;
-      break;
-    }
-    if (q == &global_ && commit()) continue;  // head may have changed
+  for (EventQueue* q = head(); q != nullptr && q->next_time() <= t;
+       q = head()) {
     step_queue(*q);
   }
-  now_ = t;
-}
-
-void Simulator::run_local_until(SimTime t) {
-  D2_REQUIRE_MSG(t >= now_, "the clock may not go backwards");
-  D2_REQUIRE_MSG(t < next_global_event_time(),
-                 "run_local_until past a pending global event");
-  while (!local_.empty() && local_.next_time() <= t) step_queue(local_);
   now_ = t;
 }
 

@@ -15,13 +15,12 @@
 //     TTL expiry, delayed removes, fetch timers and fetch completions.
 // Every push draws its merge key from one counter and the engine always
 // pops the minimum (time, order) across both queues, so the class of an
-// event never changes when it runs. The class decides two things: only
-// a pending global event fences an op batch (next_global_event_time,
-// core/op_batch.h), and the commit hook runs before every global event,
-// never before a key-local one.
+// event never changes when it runs. The class decides two things: which
+// queue holds the event (only the key-local one takes discards), and
+// where op-batch outcomes drain — only a pending global event ends a
+// batch early (next_global_event_time, core/op_batch.h).
 #pragma once
 
-#include <functional>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -33,17 +32,18 @@
 
 namespace d2::sim {
 
-/// Construction knobs. Only `scheduler` is live: `arcs`, `workers` and
-/// `lookahead` configured the removed arc-partitioned engine, and every
-/// constructor that takes them accepts only 1, 1 and 0
-/// (require_serial_engine).
+/// The event-queue backend. The timing wheel is the only one; the
+/// enumeration stays because the benchmark driver still names it.
+enum class SchedulerKind { kWheel };
+
+/// Construction knobs, all vestigial: `arcs`, `workers` and `lookahead`
+/// configured the removed arc-partitioned engine, and every constructor
+/// that takes them accepts only 1, 1 and 0 (require_serial_engine);
+/// `scheduler` has one value.
 struct ArcConfig {
   int arcs = 1;
   int workers = 1;
   SimTime lookahead = 0;
-  /// Scheduler backend for both queues: the timing wheel, or the binary
-  /// heap kept as the differential reference (`--scheduler heap`). Pop
-  /// order is identical either way.
   SchedulerKind scheduler = SchedulerKind::kWheel;
 };
 
@@ -129,37 +129,13 @@ class Simulator {
   /// are empty.
   bool step();
 
-  /// Runs the commit hook now. The start of an op flush is a commit point
-  /// (core/op_batch.h).
-  void commit_point() { commit(); }
-
-  /// Runs the key-local events due at or before `t`, with no commit
-  /// point, then sets the clock to `t`. An op flush calls it before each
-  /// op, so an event due at or before the op runs first, as run_until
-  /// would have run it. Requires now() <= t < next_global_event_time():
-  /// a due global event must run through run_until, behind its commit
-  /// point.
-  void run_local_until(SimTime t);
-
-  /// Registers a hook the simulator invokes at every *commit point*: just
-  /// before a global event is popped, at the idle fixpoint of run /
-  /// run_until, and at commit_point() (the start of an op flush). It is
-  /// never invoked before a key-local event, so work key-local events
-  /// stage (core::System's bandwidth-link reservations) resolves in
-  /// batches at these points. The hook may schedule events (clamped
-  /// >= now()) but must not pop any.
-  // d2-lint: allow(std-function) — invoked per commit point, not per event
-  void set_commit_hook(std::function<void()> hook) {
-    commit_hook_ = std::move(hook);
-  }
-
   /// Earliest pending event time, or std::numeric_limits<SimTime>::max()
   /// when idle.
   SimTime next_event_time() const;
 
-  /// Earliest pending *global* event, or max() when none. This is the
-  /// op-batch fence: key-local events merge into an op flush, so only a
-  /// global event forces one (core/op_batch.h).
+  /// Earliest pending *global* event, or max() when none. An op batch
+  /// drains its outcomes before one (core/op_batch.h); key-local events
+  /// run inside a batch.
   SimTime next_global_event_time() const {
     return global_.empty() ? std::numeric_limits<SimTime>::max()
                            : global_.next_time();
@@ -194,9 +170,6 @@ class Simulator {
   EventQueue* head();
   /// Pops and executes the head of `q`.
   void step_queue(EventQueue& q);
-  /// Runs the commit hook (if any); true when it scheduled new events,
-  /// meaning the head must be re-evaluated before popping.
-  bool commit();
 
   EventQueue local_;
   EventQueue global_;
@@ -204,8 +177,6 @@ class Simulator {
 
   SimTime now_ = 0;
   std::uint64_t events_processed_ = 0;
-  // d2-lint: allow(std-function) — invoked per commit point, not per event
-  std::function<void()> commit_hook_;
 
   obs::Registry* metrics_ = nullptr;
   obs::Counter* events_counter_ = nullptr;

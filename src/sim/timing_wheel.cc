@@ -41,6 +41,7 @@ void TimingWheel::unlink(int bucket, std::uint32_t slot) {
 void TimingWheel::insert(std::uint32_t slot, SimTime t) {
   D2_REQUIRE_MSG(slot < slots_.size(),
                  "timing wheel: insert past capacity (ensure_capacity first)");
+  D2_REQUIRE_MSG(t >= cur_, "timing wheel: insert before the last popped time");
   slots_[slot].time = t;
   link(place(t), slot);
   ++live_;
@@ -97,11 +98,6 @@ void TimingWheel::cascade(int bucket) {
 void TimingWheel::refresh_head() {
   if (live_ == 0) {
     head_ = kNil;
-    return;
-  }
-  // Overdue times sit below cur_ <= every wheel/overflow time.
-  if (buckets_[kOverdueBucket].head != kNil) {
-    head_ = scan_min(kOverdueBucket);
     return;
   }
   // The lowest non-empty level holds the minimum: a level-l resident

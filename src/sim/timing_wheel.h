@@ -15,12 +15,12 @@
 // nothing in steady state. A slot's time and both links share one
 // 16-byte entry, so a bucket walk touches one cache line per slot; like
 // the owner's slot arrays, the entries are paged (sim/paged_array.h):
-// they grow a slot at a time and never move. Two out-of-band lists
-// complete the domain: an *overflow* list for times differing from cur_
-// above bit 47 (e.g. kSimTimeNever sentinels) and an *overdue* list for
-// pushes below cur_ (legal for a standalone queue; the simulator never
-// produces them because cur_ only advances to popped event times, which
-// trail the simulation clock).
+// they grow a slot at a time and never move. One out-of-band list
+// completes the domain: an *overflow* list for times differing from cur_
+// above bit 47 (e.g. kSimTimeNever sentinels). A push below cur_ is a
+// precondition violation: the simulator never makes one, because every
+// push is at or after its clock and cur_ only advances to popped event
+// times, which trail that clock.
 //
 // FIFO tie order (equal times pop in push order) falls out of list
 // order: pushes append in increasing seq; a cascade moves a bucket's
@@ -35,8 +35,9 @@
 // const O(1) — the Simulator polls both queues' heads per
 // pop. pop_min() advances cur_ to the popped time and cascades only the
 // bucket the head came from; remove() never advances cur_ (cascading on
-// cancel could push cur_ past the simulation clock and outlaw still-legal
-// pushes), it just recomputes the head cache with a non-mutating scan.
+// removal could push cur_ past the simulation clock and outlaw
+// still-legal pushes), it just recomputes the head cache with a
+// non-mutating scan when the head itself goes.
 #pragma once
 
 #include <array>
@@ -51,10 +52,6 @@
 namespace d2::sim {
 
 struct EventQueueTestPeer;
-
-/// Which scheduler backs an EventQueue: the timing wheel (production) or
-/// the binary heap kept as the differential reference (`--scheduler heap`).
-enum class SchedulerKind { kWheel, kHeap };
 
 class TimingWheel {
  public:
@@ -86,9 +83,10 @@ class TimingWheel {
   /// Bytes of the per-slot entries' allocated pages.
   std::size_t slab_bytes() const { return slots_.allocated_bytes(); }
 
-  /// Links `slot` (< capacity, not currently resident) at time `t`.
-  /// Successive inserts must carry increasing insertion order (the
-  /// owner's seq); equal-time ties pop in insert order.
+  /// Links `slot` (< capacity, not currently resident) at time `t`, which
+  /// must not precede cursor(). Successive inserts must carry increasing
+  /// insertion order (the owner's seq); equal-time ties pop in insert
+  /// order.
   void insert(std::uint32_t slot, SimTime t);
 
   /// Unlinks a resident slot without advancing the clock.
@@ -113,8 +111,7 @@ class TimingWheel {
   static constexpr int kLevels = 8;
   static constexpr int kNumWheelBuckets = kLevels * kWheelSlots;  // 512
   static constexpr int kOverflowBucket = kNumWheelBuckets;        // 512
-  static constexpr int kOverdueBucket = kNumWheelBuckets + 1;     // 513
-  static constexpr int kNumBuckets = kNumWheelBuckets + 2;
+  static constexpr int kNumBuckets = kNumWheelBuckets + 1;
 
   struct Bucket {
     std::uint32_t head = kNil;
@@ -128,11 +125,10 @@ class TimingWheel {
     std::uint32_t prev;
   };
 
-  /// Bucket index for time `t` under the current clock: overdue below
-  /// cur_, overflow when the top 16 bits differ, otherwise the level of
-  /// the highest differing base-64 digit and that digit's value in t.
+  /// Bucket index for time `t` (>= cur_) under the current clock:
+  /// overflow when the top 16 bits differ, otherwise the level of the
+  /// highest differing base-64 digit and that digit's value in t.
   int place(SimTime t) const {
-    if (t < cur_) return kOverdueBucket;
     const std::uint64_t diff =
         static_cast<std::uint64_t>(t) ^ static_cast<std::uint64_t>(cur_);
     if ((diff >> (kLevels * kBitsPerLevel)) != 0) return kOverflowBucket;
@@ -150,9 +146,8 @@ class TimingWheel {
   /// clock, preserving list order. Only level >= 1 and overflow buckets
   /// ever need this.
   void cascade(int bucket);
-  /// Recomputes the head cache by non-mutating search: overdue first
-  /// (all below cur_), then the lowest occupied bucket of the lowest
-  /// non-empty level, then overflow.
+  /// Recomputes the head cache by non-mutating search: the lowest
+  /// occupied bucket of the lowest non-empty level, then overflow.
   void refresh_head();
   /// First slot in `bucket`'s list with the minimum time (== minimum
   /// insertion order among minimum times, since list order == seq order).
@@ -182,11 +177,9 @@ void TimingWheel::check_invariants(std::size_t expect_live,
       seen[s] = 1;
       const SlotState& st = slots_[s];
       D2_ASSERT_MSG(st.prev == prev, "timing wheel: prev link broken");
+      D2_ASSERT_MSG(st.time >= cur_, "timing wheel: slot before the cursor");
       D2_ASSERT_MSG(place(st.time) == b,
                     "timing wheel: slot in wrong bucket for its time");
-      if (b == kOverdueBucket) {
-        D2_ASSERT_MSG(st.time < cur_, "timing wheel: future slot overdue");
-      }
       if (best == kNil || st.time < slots_[best].time ||
           (st.time == slots_[best].time && seq_of(s) < seq_of(best))) {
         best = s;

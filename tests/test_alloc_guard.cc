@@ -5,7 +5,7 @@
 // then asserts that the steady-state loop — the part that runs millions
 // of times per experiment — performs ZERO heap allocations:
 //
-//   * sim::EventQueue push / cancel / pop (InlineFunction events in a
+//   * sim::EventQueue push / discard / pop (InlineFunction events in a
 //     slot slab; no per-event nodes, no std::function boxes),
 //   * store::LookupCache hit path (chunked sorted index, no tree nodes),
 //   * store::RetrievalCache hit path and insert/evict churn at capacity
@@ -19,8 +19,8 @@
 //   * fs::WritebackCache stage/touch/cancel/collect/mark_clean churn over
 //     recycled keys (slots and predecessor entries recycle through their
 //     free lists),
-//   * core::OpBatchRunner staging and flushing a batch at its op cap
-//     (a batch past the cap gives its staging back instead).
+//   * core::OpBatchRunner applying and flushing batches of tracked gets
+//     at its op cap.
 //
 // These guards are the teeth behind DESIGN.md §5c: a regression that
 // reintroduces boxing (e.g., an std::function member, a node-based map)
@@ -122,41 +122,6 @@ TEST(AllocGuard, CountingOperatorsAreLive) {
   EXPECT_GE(probe.deletes(), 1u);
 }
 
-TEST(AllocGuard, EventQueuePushCancelPopIsAllocationFree) {
-#ifdef D2_PARANOID
-  GTEST_SKIP() << "paranoid audits allocate inside the measured hot path";
-#endif
-  sim::EventQueue q;
-  long long sink = 0;
-  // Warm to high-water: slot slab, overflow tier (the Key captures below
-  // outgrow a slot) and heap vector reach steady capacity.
-  std::vector<sim::EventId> ids;
-  for (int i = 0; i < 256; ++i) {
-    const Key k = K(static_cast<std::uint64_t>(i));
-    ids.push_back(q.push(i, [&sink, k] { sink += k.limb(0) == 0 ? 1 : 0; }));
-  }
-  for (int i = 0; i < 256; i += 2) q.cancel(ids[static_cast<std::size_t>(i)]);
-  while (!q.empty()) q.pop().fn();
-
-  const AllocProbe probe;
-  for (int round = 0; round < 100; ++round) {
-    ids.clear();  // capacity retained
-    for (int i = 0; i < 256; ++i) {
-      const Key k = K(static_cast<std::uint64_t>(i));
-      ids.push_back(q.push(round * 1000 + i, [&sink, k] {
-        sink += static_cast<long long>(k.limb(0));
-      }));
-    }
-    for (int i = 0; i < 256; i += 2) {
-      q.cancel(ids[static_cast<std::size_t>(i)]);
-    }
-    while (!q.empty()) q.pop().fn();
-  }
-  EXPECT_EQ(probe.news(), 0u) << "EventQueue steady state allocated";
-  EXPECT_EQ(probe.deletes(), 0u);
-  EXPECT_GT(sink, 0);
-}
-
 TEST(AllocGuard, EventQueuePushDiscardPopIsAllocationFree) {
 #ifdef D2_PARANOID
   GTEST_SKIP() << "paranoid audits allocate inside the measured hot path";
@@ -192,15 +157,14 @@ TEST(AllocGuard, EventQueuePushDiscardPopIsAllocationFree) {
   EXPECT_EQ(fired, 101 * 129);  // 128 kept + the declined head, per round
 }
 
-/// One round of push / cancel / discard / pop over 256 closures built by
+/// One round of push / discard / pop over 256 closures built by
 /// `make(i)`, at times from `base`; `ids` is reused scratch.
 template <class Make>
 void churn_round(sim::EventQueue& q, SimTime base, Make&& make,
                  std::vector<sim::EventId>& ids) {
   ids.clear();
   for (int i = 0; i < 256; ++i) ids.push_back(q.push(base + i, make(i)));
-  for (int i = 0; i < 256; i += 4) q.cancel(ids[static_cast<std::size_t>(i)]);
-  for (int i = 2; i < 256; i += 4) q.discard(ids[static_cast<std::size_t>(i)]);
+  for (int i = 0; i < 256; i += 2) q.discard(ids[static_cast<std::size_t>(i)]);
   while (!q.empty()) q.pop().fn();
 }
 
@@ -269,8 +233,9 @@ TEST(AllocGuard, SystemFetchArmFireCompleteIsAllocationFree) {
 #endif
   // A move makes a node the pointer primary of a run of blocks; the node
   // is down when the stabilization timers fire, so they lapse, and its
-  // recovery arms a fetch timer per pointer member; each fires, stages
-  // its bandwidth reservation, and the completion promotes the member.
+  // recovery arms a fetch timer per pointer member; each fires, enqueues
+  // its transfer on the migration link, and the completion promotes the
+  // member.
   // The first cycle sizes every buffer; the second, over fewer blocks,
   // runs its arm -> fire -> complete span without allocating. (Moves
   // themselves allocate: the ring is a std::map.)
@@ -549,10 +514,9 @@ TEST(AllocGuard, OpBatchWindowAtTheCapIsAllocationFree) {
 #ifdef D2_PARANOID
   GTEST_SKIP() << "paranoid audits allocate inside the measured hot path";
 #endif
-  // Batches of tracked gets: one at the staging cap sizes the items and
-  // the outcomes, and every later batch of that size stages, applies and
-  // flushes in them. A batch one op past the cap (as populate stages
-  // every initial put in one) frees the items when it flushes.
+  // Batches of tracked gets: the first one at the cap sizes the outcome
+  // buffer, and every later batch of that size applies its gets and
+  // flushes in it.
   core::SystemConfig c;
   c.node_count = 16;
   c.replicas = 3;
@@ -563,7 +527,7 @@ TEST(AllocGuard, OpBatchWindowAtTheCapIsAllocationFree) {
   core::OpBatchRunner batch(sys, sim);
   constexpr std::size_t kCap = core::OpBatchRunner::kMaxBatchOps;
   SimTime t = 0;
-  auto stage = [&](std::size_t n) {
+  auto add = [&](std::size_t n) {
     t += seconds(1);
     for (std::size_t i = 0; i < n; ++i) {
       batch.add(fs::StoreOp{fs::StoreOp::Kind::kGet, K(1000 + i % 64), kB(8)},
@@ -576,42 +540,21 @@ TEST(AllocGuard, OpBatchWindowAtTheCapIsAllocationFree) {
     }
     return true;
   };
-  stage(kCap + 1);  // outcomes reach their largest size here
-  batch.flush();
-  stage(kCap - 1);
+  add(kCap - 1);
   EXPECT_FALSE(batch.should_flush_before(t));
-  stage(1);
-  EXPECT_TRUE(batch.should_flush_before(t));  // the cap forces a drain
+  add(1);
+  EXPECT_TRUE(batch.should_flush_before(t));  // the cap asks for a drain
   batch.flush();
 
-  {
-    const AllocProbe probe;
-    for (int w = 0; w < 4; ++w) {
-      stage(kCap);
-      batch.flush();
-    }
-    EXPECT_EQ(probe.news(), 0u) << "an op flush at the cap allocated";
-    EXPECT_EQ(probe.deletes(), 0u);
+  const AllocProbe probe;
+  for (int w = 0; w < 4; ++w) {
+    add(kCap);
+    batch.flush();
   }
+  EXPECT_EQ(probe.news(), 0u) << "an op batch at the cap allocated";
+  EXPECT_EQ(probe.deletes(), 0u);
   EXPECT_EQ(batch.outcomes().size(), kCap);
   EXPECT_TRUE(all_served());
-
-  stage(kCap + 1);
-  {
-    const AllocProbe probe;
-    batch.flush();
-    EXPECT_EQ(probe.news(), 0u);
-    // The items go back to the heap.
-    EXPECT_EQ(probe.deletes(), 1u) << "a batch past the cap kept its staging";
-  }
-  EXPECT_EQ(batch.outcomes().size(), kCap + 1);
-  EXPECT_TRUE(all_served());
-  {
-    const AllocProbe probe;
-    stage(1);
-    EXPECT_GE(probe.news(), 1u) << "staging after the release reused storage";
-  }
-  batch.flush();
 }
 
 }  // namespace

@@ -1,24 +1,22 @@
-// Differential property tests: the timing-wheel scheduler vs the
-// reference binary heap (sim/event_queue.h, DESIGN.md §11).
+// Differential property tests: the timing-wheel EventQueue against a
+// test-local reference model (sim/event_queue.h, DESIGN.md §11).
 //
-// Every test drives two EventQueues — one per SchedulerKind — through an
-// identical op schedule and asserts the *observable* state agrees after
-// every single op: empty/pending, next_time, next_order, cancel and
-// discard results, pending times, and the exact (time, id) of every pop.
-// Because slot allocation and seq assignment live in the shared slab (not
-// the scheduler), the EventIds themselves must match too, which pins
-// equal-time FIFO order down to the id. check_invariants() runs on both queues after every op, so any
-// structural drift (wheel bucket membership, heap property, free list)
-// surfaces at the op that caused it, not at the end.
+// The model keeps pending events in a std::map keyed by (time, order) and
+// hands out slots from a LIFO free list, so it predicts the exact id of
+// every push and the exact (time, id) of every pop, plus empty/pending,
+// next_time, next_order, pending times and the discard rule (declined
+// only for the queue's next event). Every test drives the queue and the
+// model through an identical op schedule and compares them after every
+// single op; check_invariants() runs on the queue after every op too, so
+// any structural drift (wheel bucket membership, free list) surfaces at
+// the op that caused it, not at the end.
 //
 // Coverage targets the wheel's hard cases: equal-time FIFO runs,
-// cancel-at-top (head-cache refresh without advancing the clock),
-// discard-at-top (declined, the event still pops),
-// cascade boundaries (times straddling 64^k digit rollovers), overdue
-// pushes (below the cursor after a pop), overflow times (above bit 47,
-// including kSimTimeNever), seq-tag reuse under slot churn, and long
-// randomized push/cancel/pop and push/discard/pop schedules over several
-// time magnitudes.
+// discard-at-top (declined, the event still pops), cascade boundaries
+// (times straddling 64^k digit rollovers), overflow times (above bit 47,
+// including kSimTimeNever), seq-tag reuse under slot churn, pushes
+// before the last popped time (a precondition violation), and long
+// randomized push/discard/pop schedules over several time magnitudes.
 
 #include "sim/event_queue.h"
 
@@ -32,76 +30,122 @@
 #include <utility>
 #include <vector>
 
+#include "common/assert.h"
 #include "common/key.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "sim/paged_array.h"
+#include "sim/timing_wheel.h"
 
 namespace d2::sim {
 namespace {
 
-/// Drives a wheel-backed and a heap-backed queue in lockstep and checks
-/// observable equivalence after every operation.
+constexpr int kSeqBits = 36;  // EventId: slot << 36 | seq
+
+/// Reference scheduler: what the EventQueue must do, in the plainest
+/// terms. Slots recycle last-freed-first; seqs count pushes from 1.
+class ModelQueue {
+ public:
+  /// The id the next push will return (slot reuse, then seq).
+  EventId push(SimTime t, std::uint64_t order) {
+    std::uint64_t slot = slots_;
+    if (free_.empty()) {
+      ++slots_;
+    } else {
+      slot = free_.back();
+      free_.pop_back();
+    }
+    const EventId id = (slot << kSeqBits) | next_seq_++;
+    EXPECT_TRUE(by_key_.emplace(std::pair{t, order}, id).second)
+        << "two pending events share (time, order)";
+    by_id_[id] = {t, order};
+    return id;
+  }
+  /// Plain push: the merge order is the push's seq.
+  EventId push(SimTime t) { return push(t, next_seq_); }
+
+  /// Removes `id` unless it is not pending or is the next event.
+  bool discard(EventId id) {
+    auto it = by_id_.find(id);
+    if (it == by_id_.end() || by_key_.begin()->second == id) return false;
+    by_key_.erase(it->second);
+    release(it);
+    return true;
+  }
+
+  std::pair<SimTime, EventId> pop() {
+    const auto [key, id] = *by_key_.begin();
+    by_key_.erase(by_key_.begin());
+    release(by_id_.find(id));
+    return {key.first, id};
+  }
+
+  std::optional<SimTime> pending_time(EventId id) const {
+    auto it = by_id_.find(id);
+    if (it == by_id_.end()) return std::nullopt;
+    return it->second.first;
+  }
+  bool empty() const { return by_key_.empty(); }
+  std::size_t pending() const { return by_key_.size(); }
+  std::size_t slots() const { return slots_; }
+  SimTime next_time() const { return by_key_.begin()->first.first; }
+  std::uint64_t next_order() const { return by_key_.begin()->first.second; }
+
+ private:
+  using Key = std::pair<SimTime, std::uint64_t>;  // (time, order)
+  void release(std::map<EventId, Key>::iterator it) {
+    free_.push_back(it->first >> kSeqBits);
+    by_id_.erase(it);
+  }
+
+  std::map<Key, EventId> by_key_;
+  std::map<EventId, Key> by_id_;
+  std::vector<std::uint64_t> free_;
+  std::uint64_t slots_ = 0;
+  std::uint64_t next_seq_ = 1;
+};
+
+/// Drives the queue and the model in lockstep and checks observable
+/// equivalence after every operation.
 class QueuePair {
  public:
-  QueuePair() : wheel_(SchedulerKind::kWheel), heap_(SchedulerKind::kHeap) {}
-
   EventId push(SimTime t) {
-    const EventId a = wheel_.push(t, [] {});
-    const EventId b = heap_.push(t, [] {});
-    EXPECT_EQ(a, b) << "slot/seq allocation diverged at t=" << t;
+    const EventId a = queue_.push(t, [] {});
+    EXPECT_EQ(a, model_.push(t)) << "slot/seq allocation diverged at t=" << t;
     compare();
     return a;
   }
 
   EventId push_ordered(SimTime t, std::uint64_t order) {
-    const EventId a = wheel_.push_ordered(t, order, [] {});
-    const EventId b = heap_.push_ordered(t, order, [] {});
-    EXPECT_EQ(a, b);
+    const EventId a = queue_.push_ordered(t, order, [] {});
+    EXPECT_EQ(a, model_.push(t, order));
     compare();
     return a;
   }
 
-  bool cancel(EventId id) {
-    const bool a = wheel_.cancel(id);
-    const bool b = heap_.cancel(id);
-    EXPECT_EQ(a, b) << "cancel result diverged for id=" << id;
-    compare();
-    return a;
-  }
-
-  /// Best-effort discard on both queues: they must agree, and a declined
-  /// discard of a pending event must have targeted the queue's next one.
+  /// Best-effort discard on both: they must agree, which pins the rule
+  /// that only the queue's next event is declined.
   bool discard(EventId id) {
-    const std::optional<SimTime> before = wheel_.pending_time(id);
-    const SimTime next = wheel_.empty() ? 0 : wheel_.next_time();
-    const std::size_t pending = wheel_.pending();
-    const bool a = wheel_.discard(id);
-    const bool b = heap_.discard(id);
-    EXPECT_EQ(a, b) << "discard result diverged for id=" << id;
-    if (a) {
-      EXPECT_FALSE(wheel_.pending_time(id).has_value());
-      EXPECT_EQ(wheel_.pending(), pending - 1);
-    } else if (before.has_value()) {
-      EXPECT_EQ(*before, next) << "declined a discard that was not the head";
-      EXPECT_EQ(wheel_.pending_time(id), before);
-    }
+    const bool a = queue_.discard(id);
+    EXPECT_EQ(a, model_.discard(id)) << "discard result diverged for id="
+                                     << id;
     compare();
     return a;
   }
 
-  /// Pending time of `id` on both queues; they must agree.
+  /// Pending time of `id` on both; they must agree.
   std::optional<SimTime> pending_time(EventId id) const {
-    const std::optional<SimTime> a = wheel_.pending_time(id);
-    EXPECT_EQ(a, heap_.pending_time(id)) << "pending time diverged, id=" << id;
+    const std::optional<SimTime> a = queue_.pending_time(id);
+    EXPECT_EQ(a, model_.pending_time(id)) << "pending time diverged, id="
+                                          << id;
     return a;
   }
 
   std::pair<SimTime, EventId> pop() {
-    const EventQueue::Event a = wheel_.pop();
-    const EventQueue::Event b = heap_.pop();
-    EXPECT_EQ(a.time, b.time) << "pop time diverged";
-    EXPECT_EQ(a.id, b.id) << "pop id diverged at t=" << a.time;
+    const EventQueue::Event a = queue_.pop();
+    const auto [t, id] = model_.pop();
+    EXPECT_EQ(a.time, t) << "pop time diverged";
+    EXPECT_EQ(a.id, id) << "pop id diverged at t=" << a.time;
     compare();
     return {a.time, a.id};
   }
@@ -111,61 +155,50 @@ class QueuePair {
   /// outgrows the slot and lives in the overflow tier.
   EventId push_tagged(SimTime t, std::uint64_t tag, bool big) {
     EventId a;
-    EventId b;
     if (big) {
-      auto fn = [](std::uint64_t* sink, std::uint64_t v) {
-        return [sink, k = Key::from_uint64(v)] { *sink = k.limb(Key::kLimbs - 1); };
+      auto fn = [this, k = Key::from_uint64(tag)] {
+        ran_ = k.limb(Key::kLimbs - 1);
       };
-      static_assert(!kFitsInlineEvent<decltype(fn(nullptr, 0))>);
-      a = wheel_.push(t, fn(&wheel_ran_, tag));
-      b = heap_.push(t, fn(&heap_ran_, tag));
+      static_assert(!kFitsInlineEvent<decltype(fn)>);
+      a = queue_.push(t, fn);
     } else {
-      auto fn = [](std::uint64_t* sink, std::uint64_t v) {
-        return [sink, v] { *sink = v; };
-      };
-      static_assert(kFitsInlineEvent<decltype(fn(nullptr, 0))>);
-      a = wheel_.push(t, fn(&wheel_ran_, tag));
-      b = heap_.push(t, fn(&heap_ran_, tag));
+      auto fn = [this, tag] { ran_ = tag; };
+      static_assert(kFitsInlineEvent<decltype(fn)>);
+      a = queue_.push(t, fn);
     }
-    EXPECT_EQ(a, b) << "slot/seq allocation diverged at t=" << t;
+    EXPECT_EQ(a, model_.push(t)) << "slot/seq allocation diverged at t=" << t;
     compare();
     return a;
   }
 
-  /// Pops both queues and runs both closures; they must record the same
-  /// tag, which is returned with the popped id.
+  /// Pops and runs the popped closure; returns the popped id and the tag
+  /// its closure recorded.
   std::pair<EventId, std::uint64_t> pop_run() {
-    const EventQueue::Event a = wheel_.pop();
-    const EventQueue::Event b = heap_.pop();
-    EXPECT_EQ(a.time, b.time) << "pop time diverged";
-    EXPECT_EQ(a.id, b.id) << "pop id diverged at t=" << a.time;
+    const EventQueue::Event a = queue_.pop();
+    const auto [t, id] = model_.pop();
+    EXPECT_EQ(a.time, t) << "pop time diverged";
+    EXPECT_EQ(a.id, id) << "pop id diverged at t=" << a.time;
     compare();
     a.fn();
-    b.fn();
-    EXPECT_EQ(wheel_ran_, heap_ran_) << "popped closures diverged";
-    return {a.id, wheel_ran_};
+    return {a.id, ran_};
   }
 
-  std::size_t overflow_slots() const {
-    EXPECT_EQ(wheel_.overflow_slots(), heap_.overflow_slots())
-        << "overflow tiers diverged";
-    return wheel_.overflow_slots();
-  }
+  std::size_t overflow_slots() const { return queue_.overflow_slots(); }
 
-  bool empty() const { return wheel_.empty(); }
-  std::size_t pending() const { return wheel_.pending(); }
+  bool empty() const { return queue_.empty(); }
+  std::size_t pending() const { return queue_.pending(); }
   std::size_t slots() const {
-    EXPECT_EQ(wheel_.slots(), heap_.slots()) << "slab sizes diverged";
-    return wheel_.slots();
+    EXPECT_EQ(queue_.slots(), model_.slots()) << "slab sizes diverged";
+    return queue_.slots();
   }
-  SimTime next_time() const { return wheel_.next_time(); }
+  SimTime next_time() const { return queue_.next_time(); }
   /// next_time(), or `fallback` when empty.
   SimTime next_time_or(SimTime fallback) const {
-    return wheel_.empty() ? fallback : wheel_.next_time();
+    return queue_.empty() ? fallback : queue_.next_time();
   }
 
-  /// Drains both queues, asserting the merged stream is sorted by
-  /// (time, id-order) — FIFO for equal times because ids carry seqs.
+  /// Drains both, asserting the stream is sorted by (time, id-order) —
+  /// FIFO for equal times because ids carry seqs.
   std::vector<std::pair<SimTime, EventId>> drain() {
     std::vector<std::pair<SimTime, EventId>> out;
     SimTime prev_t = 0;
@@ -184,20 +217,18 @@ class QueuePair {
 
  private:
   void compare() {
-    ASSERT_NO_THROW(wheel_.check_invariants());
-    ASSERT_NO_THROW(heap_.check_invariants());
-    ASSERT_EQ(wheel_.empty(), heap_.empty());
-    ASSERT_EQ(wheel_.pending(), heap_.pending());
-    if (!wheel_.empty()) {
-      ASSERT_EQ(wheel_.next_time(), heap_.next_time());
-      ASSERT_EQ(wheel_.next_order(), heap_.next_order());
+    ASSERT_NO_THROW(queue_.check_invariants());
+    ASSERT_EQ(queue_.empty(), model_.empty());
+    ASSERT_EQ(queue_.pending(), model_.pending());
+    if (!queue_.empty()) {
+      ASSERT_EQ(queue_.next_time(), model_.next_time());
+      ASSERT_EQ(queue_.next_order(), model_.next_order());
     }
   }
 
-  EventQueue wheel_;
-  EventQueue heap_;
-  std::uint64_t wheel_ran_ = 0;  // tag of the last closure run (wheel)
-  std::uint64_t heap_ran_ = 0;   // and on the heap
+  EventQueue queue_;
+  ModelQueue model_;
+  std::uint64_t ran_ = 0;  // tag of the last closure run
 };
 
 TEST(EventQueueDifferential, EqualTimeTiesPopInPushOrder) {
@@ -221,35 +252,6 @@ TEST(EventQueueDifferential, InterleavedTiesKeepPerTimeFifo) {
     q.push(milliseconds(1 + (i % 2)));
   }
   q.drain();
-}
-
-TEST(EventQueueDifferential, CancelAtTopRefreshesHead) {
-  QueuePair q;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 64; ++i) {
-    ids.push_back(q.push(milliseconds(i)));
-  }
-  // Cancel the current minimum repeatedly; next_time must step forward
-  // without the wheel advancing its clock (later overdue pushes stay
-  // legal, checked by the randomized schedules).
-  for (int i = 0; i < 32; ++i) {
-    EXPECT_EQ(q.next_time(), milliseconds(i));
-    EXPECT_TRUE(q.cancel(ids[static_cast<std::size_t>(i)]));
-  }
-  EXPECT_EQ(q.next_time(), milliseconds(32));
-  q.drain();
-}
-
-TEST(EventQueueDifferential, CancelUnknownAndStaleIdsAreNoOps) {
-  QueuePair q;
-  const EventId id = q.push(seconds(1));
-  EXPECT_FALSE(q.cancel(id + (std::uint64_t{1} << 36)));  // unknown slot
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));  // already cancelled
-  const EventId reused = q.push(seconds(2));
-  EXPECT_FALSE(q.cancel(id)) << "stale id cancelled the slot's new tenant";
-  EXPECT_TRUE(q.cancel(reused));
-  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueueDifferential, DiscardOfTheNextEventIsDeclinedAndItStillPops) {
@@ -307,7 +309,7 @@ TEST(EventQueueDifferential, DiscardOfStaleAndNoEventIdsIsANoOp) {
 
 TEST(EventQueueDifferential, SeqTagReuseUnderSlotChurn) {
   // Hammer a small slot population so slots recycle constantly; stale
-  // ids from earlier generations must never cancel the new occupant.
+  // ids from earlier generations must never discard the new occupant.
   QueuePair q;
   Rng rng(11);
   std::vector<EventId> stale;
@@ -317,21 +319,22 @@ TEST(EventQueueDifferential, SeqTagReuseUnderSlotChurn) {
     live.push_back(id);
     if (live.size() > 4) {
       const std::size_t pick = rng.next_below(live.size());
-      q.cancel(live[pick]);
-      stale.push_back(live[pick]);
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      if (q.discard(live[pick])) {
+        stale.push_back(live[pick]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      }
     }
     if (!stale.empty() && round % 7 == 0) {
-      EXPECT_FALSE(q.cancel(stale[rng.next_below(stale.size())]));
+      EXPECT_FALSE(q.discard(stale[rng.next_below(stale.size())]));
     }
   }
   q.drain();
 }
 
 TEST(EventQueueDifferential, PagedSlabAcrossPageBoundaries) {
-  // The slot arrays are paged (sim/paged_array.h). Push, discard, cancel
-  // and pop at the slots on either side of page boundaries, then grow
-  // the slab past its high-water mark, with both backends in lockstep.
+  // The slot arrays are paged (sim/paged_array.h). Push, discard and pop
+  // at the slots on either side of page boundaries, then grow the slab
+  // past its high-water mark, in lockstep with the model.
   constexpr std::size_t kPage = PagedArray<EventFn>::kPageSlots;
   const std::size_t edges[] = {kPage - 1, kPage, 3 * kPage};
   auto slot_of = [](EventId id) { return static_cast<std::size_t>(id >> 36); };
@@ -350,7 +353,7 @@ TEST(EventQueueDifferential, PagedSlabAcrossPageBoundaries) {
   }
   EXPECT_EQ(q.slots(), 3 * kPage + 1);
   EXPECT_TRUE(q.discard(ids[kPage - 1]));
-  EXPECT_TRUE(q.cancel(ids[kPage]));
+  EXPECT_TRUE(q.discard(ids[kPage]));
   EXPECT_TRUE(q.discard(ids[3 * kPage]));
   // The free list hands the edge slots back, last freed first, before
   // the slab grows; their early times make them the next three pops.
@@ -375,9 +378,9 @@ TEST(EventQueueDifferential, PagedSlabAcrossPageBoundaries) {
 
 TEST(EventQueueDifferential, MixedTiersAcrossPageBoundaries) {
   // Slot-resident and overflow-tier closures interleaved over more than
-  // two pages of each tier, with cancels, discards (the head among them)
-  // and pops; every popped closure must be the one pushed under its id,
-  // and the overflow tier must end at the most large closures pending.
+  // two pages of each tier, with discards (the head among them) and pops;
+  // every popped closure must be the one pushed under its id, and the
+  // overflow tier must end at the most large closures pending.
   constexpr std::size_t kPage = PagedArray<InlineEventFn>::kPageSlots;
   QueuePair q;
   Rng rng(23);
@@ -408,10 +411,6 @@ TEST(EventQueueDifferential, MixedTiersAcrossPageBoundaries) {
     const std::uint64_t roll = rng.next_below(100);
     if (roll < 40 || pending.empty()) {
       push(clock + static_cast<SimTime>(rng.next_below(1u << 16)));
-    } else if (roll < 55) {
-      const EventId id = pick();
-      EXPECT_TRUE(q.cancel(id));
-      forget(id);
     } else if (roll < 70) {
       const EventId id = pick();
       if (q.discard(id)) forget(id);
@@ -480,19 +479,27 @@ TEST(EventQueueDifferential, CascadePreservesFifoWithinBoundaryTies) {
   }
 }
 
-TEST(EventQueueDifferential, OverduePushesPopFirst) {
-  QueuePair q;
-  q.push(seconds(10));
-  EXPECT_EQ(q.pop().first, seconds(10));  // wheel cursor is now at 10s
-  q.push(seconds(20));
-  q.push(seconds(3));  // below the cursor: overdue list
-  q.push(seconds(4));
-  EXPECT_EQ(q.next_time(), seconds(3));
-  const auto popped = q.drain();
-  ASSERT_EQ(popped.size(), 3u);
-  EXPECT_EQ(popped[0].first, seconds(3));
-  EXPECT_EQ(popped[1].first, seconds(4));
-  EXPECT_EQ(popped[2].first, seconds(20));
+TEST(EventQueueDifferential, PushBeforeTheLastPoppedTimeThrows) {
+  // The wheel places events relative to its cursor, the last popped
+  // time; the simulator never pushes below it, so a push there is a
+  // precondition violation, not a case to order.
+  EventQueue q;
+  q.push(seconds(10), [] {});
+  q.push(seconds(20), [] {});
+  EXPECT_EQ(q.pop().time, seconds(10));
+  EXPECT_THROW(q.push(seconds(3), [] {}), PreconditionError);
+  EXPECT_NO_THROW(q.check_invariants());  // the rejected push took no slot
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_NO_THROW(q.push(seconds(10), [] {}));  // at the cursor is fine
+  EXPECT_EQ(q.slots(), 2u);
+
+  TimingWheel w;
+  w.ensure_capacity(3);
+  w.insert(0, seconds(5));
+  EXPECT_EQ(w.pop_min(), 0u);
+  EXPECT_THROW(w.insert(1, seconds(5) - 1), PreconditionError);
+  w.insert(2, seconds(5));
+  EXPECT_EQ(w.min_time(), seconds(5));
 }
 
 TEST(EventQueueDifferential, OverflowTimesBeyondWheelHorizon) {
@@ -514,8 +521,8 @@ TEST(EventQueueDifferential, OverflowTimesBeyondWheelHorizon) {
 }
 
 TEST(EventQueueDifferential, ExplicitMergeOrdersAgree) {
-  // push_ordered carries the simulator's cross-queue merge key; both
-  // backends must surface the same next_order at every step.
+  // push_ordered carries the simulator's cross-queue merge key; the
+  // queue must surface the model's next_order at every step.
   QueuePair q;
   std::uint64_t order = 100;
   Rng rng(17);
@@ -526,13 +533,15 @@ TEST(EventQueueDifferential, ExplicitMergeOrdersAgree) {
 }
 
 // Long randomized schedules over several time magnitudes. The magnitude
-// sweep matters: small ranges stress level-0 ties and overdue pushes,
-// large ranges stress multi-level cascades and the overflow list.
+// sweep matters: small ranges stress level-0 ties, large ranges stress
+// multi-level cascades and the overflow list.
 class EventQueueRandomized
     : public ::testing::TestWithParam<std::pair<std::uint64_t, std::uint64_t>> {
 };
 
 TEST_P(EventQueueRandomized, SchedulesAgreeOpByOp) {
+  // Pushes at or after the last popped time (never below it), discards
+  // of random pushed ids (pending or popped) and pops.
   const auto [seed, range] = GetParam();
   Rng rng(seed);
   QueuePair q;
@@ -551,18 +560,12 @@ TEST_P(EventQueueRandomized, SchedulesAgreeOpByOp) {
       live.push_back(q.push(t));
     } else if (roll < 80 && !live.empty()) {
       const std::size_t pick = rng.next_below(live.size());
-      q.cancel(live[pick]);  // may be stale (already popped): both agree
+      q.discard(live[pick]);  // may be stale (already popped) or the head
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
     } else {
-      // Overdue events (pushed below the clock) legitimately pop below
-      // it, so the clock only ratchets forward.
-      clock = std::max(clock, q.pop().first);
-      // Occasionally push *behind* the new clock to exercise overdue.
-      if (roll % 5 == 0 && clock > 0) {
-        live.push_back(
-            q.push(static_cast<SimTime>(rng.next_below(
-                static_cast<std::uint64_t>(clock)))));
-      }
+      clock = q.pop().first;
+      // Occasionally push exactly at the new clock: the cursor itself.
+      if (roll % 5 == 0) live.push_back(q.push(clock));
     }
   }
   q.drain();

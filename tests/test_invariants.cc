@@ -194,7 +194,7 @@ TEST(Invariants, HealthyStructuresPassTheirAudits) {
   sim::EventQueue q;
   std::vector<sim::EventId> ids;
   for (int i = 0; i < 100; ++i) ids.push_back(q.push(i, [] {}));
-  for (std::size_t i = 0; i < ids.size(); i += 3) q.cancel(ids[i]);
+  for (std::size_t i = 0; i < ids.size(); i += 3) q.discard(ids[i]);
   for (int i = 0; i < 10; ++i) q.pop();
   EXPECT_NO_THROW(q.check_invariants());
 
@@ -244,9 +244,9 @@ TEST(Invariants, EventQueueDetectsOrphanedSlot) {
 
 TEST(Invariants, EventQueueDetectsFreeListCycle) {
   sim::EventQueue q;
-  const sim::EventId id = q.push(1, [] {});
-  q.push(2, [] {});
-  q.cancel(id);  // slot 0 joins the free list
+  const sim::EventId id = q.push(2, [] {});
+  q.push(1, [] {});
+  q.discard(id);  // slot 0 joins the free list
   // Make the free list point back at its own head.
   auto& meta = sim::EventQueueTestPeer::meta(q);
   meta[0] = (meta[0] & ~sim::EventQueueTestPeer::slot_mask()) | 0;
@@ -288,9 +288,9 @@ auto big_closure() {
 
 TEST(Invariants, EventQueueDetectsOverflowFreeListCycle) {
   sim::EventQueue q;
-  const sim::EventId id = q.push(1, big_closure());
-  q.push(2, big_closure());
-  q.cancel(id);  // overflow entry 0 joins the overflow free list
+  const sim::EventId id = q.push(2, big_closure());
+  q.push(1, big_closure());
+  q.discard(id);  // overflow entry 0 joins the overflow free list
   sim::EventQueueTestPeer::overflow_next_free(q, 0) = 0;
   ExpectInvariantNamed([&] { q.check_invariants(); },
                        "overflow free-list cycle");
@@ -298,9 +298,9 @@ TEST(Invariants, EventQueueDetectsOverflowFreeListCycle) {
 
 TEST(Invariants, EventQueueDetectsSlotReferringToAFreeOverflowEntry) {
   sim::EventQueue q;
-  const sim::EventId id = q.push(1, big_closure());  // slot 0, entry 0
-  q.push(2, big_closure());                          // slot 1, entry 1
-  q.cancel(id);
+  const sim::EventId id = q.push(2, big_closure());  // slot 0, entry 0
+  q.push(1, big_closure());                          // slot 1, entry 1
+  q.discard(id);
   sim::EventQueueTestPeer::refer_to_overflow(q, 1, 0);
   ExpectInvariantNamed([&] { q.check_invariants(); },
                        "slot refers to a free overflow entry");
@@ -323,9 +323,9 @@ TEST(Invariants, EventQueueDetectsLiveCountDrift) {
 }
 
 // ----------------------------------------------------------- timing wheel --
-// Each test breaks one wheel invariant on a healthy wheel-backed queue
-// (the default backend) and asserts the audit names it. Slot ids are the
-// slab allocation order: a fresh queue hands out 0, 1, 2, ...
+// Each test breaks one wheel invariant on a healthy queue and asserts
+// the audit names it. Slot ids are the slab allocation order: a fresh
+// queue hands out 0, 1, 2, ...
 
 TEST(Invariants, WheelDetectsWrongBucketForSlotTime) {
   sim::EventQueue q;

@@ -79,23 +79,25 @@ TEST(EventQueue, StableForEqualTimes) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
 }
 
-TEST(EventQueue, CancelPreventsFiring) {
+TEST(EventQueue, DiscardPreventsFiring) {
   EventQueue q;
   bool fired = false;
+  q.push(5, [] {});
   EventId id = q.push(10, [&] { fired = true; });
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(q.discard(id));
+  EXPECT_EQ(q.pending(), 1u);
+  while (!q.empty()) q.pop().fn();
   EXPECT_FALSE(fired);
-  EXPECT_FALSE(q.cancel(id));  // double-cancel is a no-op
+  EXPECT_FALSE(q.discard(id));  // double discard is a no-op
 }
 
-TEST(EventQueue, CancelMiddleEventOnly) {
+TEST(EventQueue, DiscardMiddleEventOnly) {
   EventQueue q;
   std::vector<int> fired;
   q.push(1, [&] { fired.push_back(1); });
   EventId mid = q.push(2, [&] { fired.push_back(2); });
   q.push(3, [&] { fired.push_back(3); });
-  q.cancel(mid);
+  EXPECT_TRUE(q.discard(mid));
   while (!q.empty()) q.pop().fn();
   EXPECT_EQ(fired, (std::vector<int>{1, 3}));
 }
@@ -216,9 +218,7 @@ TEST(Simulator, DiscardsKeyLocalEvents) {
 
 // ---------------------------------------------------------------------------
 // Event classes (DESIGN.md §9): global and key-local events merge into one
-// (time, order) sequence; only global events fence an op batch, and the
-// commit hook runs before global events and at flush start, never before
-// a key-local event.
+// (time, order) sequence; only a global event ends an op batch early.
 
 constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 
@@ -256,47 +256,6 @@ TEST(EventClasses, MergedOrderIndependentOfEventClass) {
   EXPECT_EQ(run_log(false), run_log(true));
 }
 
-TEST(EventClasses, CommitHookRunsBeforeGlobalEventsAndAtFlushStart) {
-  Simulator sim;
-  std::string log;
-  sim.set_commit_hook([&] { log += 'C'; });
-  sim.schedule_local_at(1, [&] { log += 'L'; });
-  sim.schedule_local_at(2, [&] { log += 'L'; });
-  sim.schedule_at(3, [&] { log += 'G'; });
-  sim.schedule_local_at(4, [&] { log += 'L'; });
-  sim.schedule_local_at(6, [&] { log += 'L'; });
-  // Before the global event, then at the idle fixpoint (t = 4 is past 3).
-  sim.run_until(3);
-  EXPECT_EQ(log, "LLCGC");
-  // An op flush: one commit point, then key-local events with none.
-  log.clear();
-  sim.commit_point();
-  sim.run_local_until(5);
-  sim.run_local_until(7);
-  EXPECT_EQ(log, "CLL");
-  EXPECT_EQ(sim.now(), 7);
-}
-
-TEST(EventClasses, OpFlushCommitsOnceAtItsStart) {
-  core::SystemConfig cfg;
-  cfg.node_count = 8;
-  Simulator sim;
-  core::System system(cfg, sim);
-  core::OpBatchRunner batch(system, sim);
-  std::string log;
-  // Replaces the system's reservation relay; nothing is staged here.
-  sim.set_commit_hook([&] { log += 'C'; });
-  sim.schedule_local_at(5, [&] { log += 'L'; });
-  sim.schedule_local_at(15, [&] { log += 'L'; });
-  Rng rng(5);
-  batch.add(fs::StoreOp{fs::StoreOp::Kind::kPut, Key::random(rng), kB(4)}, 10);
-  batch.add(fs::StoreOp{fs::StoreOp::Kind::kPut, Key::random(rng), kB(4)}, 20);
-  batch.flush();
-  EXPECT_EQ(log, "CLL");
-  EXPECT_EQ(sim.now(), 20);
-  EXPECT_EQ(system.block_map().block_count(), 2u);
-}
-
 TEST(EventClasses, KeyLocalEventsNeverFenceABatch) {
   core::SystemConfig cfg;
   cfg.node_count = 8;
@@ -315,7 +274,7 @@ TEST(EventClasses, KeyLocalEventsNeverFenceABatch) {
   batch.add(fs::StoreOp{fs::StoreOp::Kind::kPut, Key::random(rng), kB(4)},
             hours(1));
   batch.flush();
-  // The expiries ran inside the flush; the first staged block's TTL
+  // The expiries ran inside the batch; the first added block's TTL
   // (1 min + 5 min) expired too, the last one's is still pending.
   EXPECT_EQ(system.block_map().block_count(), 1u);
   EXPECT_EQ(sim.events_pending(), 1u);
@@ -466,7 +425,7 @@ TEST(SerialEngine, RejectsPartitionedSettings) {
   EXPECT_THROW(Simulator(ArcConfig{2, 1, 0}), PreconditionError);
   EXPECT_THROW(Simulator(ArcConfig{1, 2, 0}), PreconditionError);
   EXPECT_THROW(Simulator(ArcConfig{1, 1, seconds(1)}), PreconditionError);
-  EXPECT_NO_THROW(Simulator(ArcConfig{1, 1, 0, SchedulerKind::kHeap}));
+  EXPECT_NO_THROW(Simulator(ArcConfig{1, 1, 0, SchedulerKind::kWheel}));
 
   Simulator sim;
   core::SystemConfig cfg;

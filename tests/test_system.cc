@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "common/stats.h"
+#include "core/op_batch.h"
 #include "fs/key_encoding.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
@@ -656,6 +657,39 @@ TEST(System, StaleFetchEventsLeaveAReputBlockUntouched) {
   EXPECT_EQ(again->fetch_timer, sim::Simulator::kNoEvent);
   sim.run_until(minutes(15));  // recovery fetches the new block's copy
   EXPECT_TRUE(member(sys, k2, joiner)->has_data);
+  sys.check_invariants();
+}
+
+TEST(System, FetchCompletingInsideAnOpBatchServesItsLaterGets) {
+  // A pointer member's fetch timer fires inside one op batch, and a get
+  // later in the same batch comes after the transfer's end. The member
+  // holds the data by then, so it serves that get; the stale holder
+  // serves only the get before the fetch. The completion fires when the
+  // transfer ends, not at the batch's flush.
+  SystemConfig c = small_config();
+  c.replicas = 1;
+  c.pointer_stabilization = minutes(1);
+  sim::Simulator sim;
+  System sys(c, sim);
+  const Key k = seq_key(0);
+  sys.put(k, mB(1));  // ~11 s on a 750 kbps migration link
+  const int holder = sys.replica_nodes(k).front();
+  const int light = node_outside_set(sys, k);
+  SystemTestPeer::move(sys, light, k);  // the sole member, a pointer
+  ASSERT_EQ(sys.replica_nodes(k), std::vector<int>{light});
+  ASSERT_EQ(sys.serving_node(k), holder);
+
+  OpBatchRunner batch(sys, sim);
+  const fs::StoreOp get{fs::StoreOp::Kind::kGet, k, mB(1)};
+  batch.add(get, seconds(30), 0);  // before the timer fires at 60 s
+  ASSERT_FALSE(batch.should_flush_before(minutes(2)));
+  batch.add(get, minutes(2), 1);  // after the transfer ends at ~71 s
+  batch.flush();
+  ASSERT_EQ(batch.outcomes().size(), 2u);
+  EXPECT_EQ(batch.outcomes()[0].serving, holder);
+  EXPECT_EQ(batch.outcomes()[1].serving, light)
+      << "a get after the transfer's end saw the stale holder";
+  EXPECT_TRUE(member(sys, k, light)->has_data);
   sys.check_invariants();
 }
 

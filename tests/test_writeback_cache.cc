@@ -137,7 +137,7 @@ class Lockstep {
     ref_.touch_put(k, size, now);
     cache_.touch_put(k, size, now);
   }
-  void cancel(const Key& k) {
+  void cancel_put(const Key& k) {
     EXPECT_EQ(ref_.cancel_put(k), cache_.cancel_put(k));
   }
   /// The read path: fetch (mark clean) unless the block is fresh.
@@ -316,7 +316,7 @@ TEST(WritebackCacheReference, CancelledAndRestagedKeyWithStaleHeapEntries) {
   c.stage(K(1), 100, 0, K(9));
   c.touch(K(1), 110, seconds(1));
   c.stage(K(2), 200, seconds(2), std::nullopt);
-  c.cancel(K(1));
+  c.cancel_put(K(1));
   c.stage(K(1), 120, seconds(3), std::nullopt);
   c.stage(K(3), 300, seconds(3), std::nullopt);
   for (SimTime t = 0; t <= seconds(70); t += seconds(1)) {
@@ -327,7 +327,7 @@ TEST(WritebackCacheReference, CancelledAndRestagedKeyWithStaleHeapEntries) {
   // stale entries pop: the first stale entry flushes it.
   c.stage(K(1), 130, seconds(100), std::nullopt);
   c.touch(K(1), 140, seconds(101));
-  c.cancel(K(1));
+  c.cancel_put(K(1));
   c.stage(K(2), 210, seconds(102), std::nullopt);
   c.stage(K(1), 150, seconds(102), K(3));
   c.collect(seconds(200));
@@ -400,7 +400,7 @@ TEST(WritebackCacheReference, SeededRandomSequencesMatchReference) {
           }
           break;
         case 3:
-          if (c.has_pending(k)) c.cancel(k);
+          if (c.has_pending(k)) c.cancel_put(k);
           break;
         case 4:
         case 5:
@@ -467,7 +467,7 @@ TEST(WritebackCacheReference, PredecessorChurnMatchesReference) {
           break;
         case 3:
         case 4:
-          if (c.has_pending(k)) c.cancel(k);
+          if (c.has_pending(k)) c.cancel_put(k);
           break;
         case 5:
           c.read(k, now);

@@ -28,19 +28,19 @@ idioms, so this linter rejects them mechanically:
                        body — entry points are expected to validate their
                        inputs or state.
   priority-queue       std::priority_queue in src/sim/: the hierarchical
-                       timing wheel (sim/timing_wheel.h) is the scheduler
-                       hot path; a heap is only legitimate as the
-                       differential reference inside event_queue, and that
-                       use carries an allow() annotation. Anything else is
-                       a scheduler bypass.
+                       timing wheel (sim/timing_wheel.h) is the one
+                       scheduler, so a heap there is a scheduler bypass.
+                       Reference schedulers live in tests
+                       (tests/test_event_queue.cc).
   sched-class          a schedule_at/schedule_after/schedule_local_at call
                        in src/core/*.cc with no `// d2-sched: global|local`
                        tag on the line or the line above. Every core timer
-                       must be classified (DESIGN.md §9): key-local events
-                       touch one block's state, and only events that read
-                       or mutate state beyond one key may be global (each
-                       one fences op batches and runs behind a commit
-                       point).
+                       must be classified (DESIGN.md §9): the class picks
+                       the event's queue and marks where op-batch outcomes
+                       drain. Key-local events touch one block's state;
+                       only events that read or mutate state beyond one
+                       key may be global (a pending one drains the
+                       outcomes of the op batch before it).
 
 Escape hatch: a line (or its predecessor) containing
     // d2-lint: allow(<rule>[, <rule>...])
@@ -136,7 +136,7 @@ PRIORITY_QUEUE_DIRS = (os.sep + "sim" + os.sep,)
 PRIORITY_QUEUE_RE = re.compile(r"\bstd::priority_queue\s*<")
 
 # Scheduler calls in core/ must carry an event-class tag so every global
-# event (an op-batch fence) is a deliberate choice.
+# event (where op-batch outcomes drain) is a deliberate choice.
 SCHED_CALL_DIRS = (os.sep + "core" + os.sep,)
 SCHED_CALL_RE = re.compile(r"\bschedule_(?:local_)?(?:at|after)\s*\(")
 SCHED_ANNOT_RE = re.compile(r"//\s*d2-sched:\s*(global|local)\b")
@@ -359,8 +359,9 @@ def lint_file(path, rules=None):
                         "sched-class",
                         "scheduler call lacks an event-class tag; add "
                         "`// d2-sched: global|local — <why>` on this line "
-                        "or the line above (global events fence op "
-                        "batches and must justify themselves)",
+                        "or the line above (the class picks the event's "
+                        "queue, and a global event drains op-batch "
+                        "outcomes, so it must justify itself)",
                     )
                 )
 
@@ -376,9 +377,8 @@ def lint_file(path, rules=None):
                         lineno,
                         "priority-queue",
                         "std::priority_queue in src/sim/ bypasses the "
-                        "timing-wheel scheduler; only event_queue's "
-                        "reference heap may use one (annotate with a "
-                        "d2-lint allow() saying why)",
+                        "timing-wheel scheduler; a reference scheduler "
+                        "belongs in tests",
                     )
                 )
 
@@ -577,7 +577,7 @@ SELF_TEST_CASES = [
     (
         "priority_queue in sim allowed",
         "src/sim/x.h",
-        "// d2-lint: allow(priority-queue) -- reference scheduler\n"
+        "// d2-lint: allow(priority-queue) -- a stated reason\n"
         "std::priority_queue<Entry> heap_;\n",
         None,
     ),

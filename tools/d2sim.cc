@@ -15,16 +15,14 @@
 //
 // Common options: --users=U --days=D --mb=ACTIVE_MB --seed=X --jobs=N
 //                 --accesses=N (mean file accesses per user per day)
-//                 --scheduler=wheel|heap (event-queue backend: hierarchical
-//                 timing wheel, or the binary-heap differential reference;
-//                 output is byte-identical either way, see DESIGN.md §11)
 //                 --paranoid (full invariant audits after topology changes
 //                 and sampled mutations, in any build; slow but catches
 //                 state corruption at the mutation that caused it)
 // Schemes: d2 (default), traditional, traditional-file, trad+merc
 //
-// Multi-trial sweeps (availability/performance --trials=T) fan the trials
-// across --jobs=N worker threads (default: hardware concurrency) via
+// Multi-trial sweeps (availability/performance --trials=T, T >= 1) fan
+// the trials across --jobs=N worker threads (N >= 0; 0, the default,
+// means hardware concurrency) via
 // core::TrialRunner. Trial seeds are derived deterministically from
 // --seed and the trial index, and results are printed in trial order, so
 // --jobs=1 and --jobs=N produce identical output.
@@ -39,7 +37,8 @@
 //                       block_expired) as JSON lines with sim timestamps.
 //
 // Each command accepts only the flags it reads: any other flag (a typo,
-// or a removed flag such as --arcs) exits 2 with a message naming it.
+// or a removed flag such as --arcs or --scheduler) exits 2 with a
+// message naming it, as does an integer flag outside its range.
 // Exit status is non-zero on usage errors, so the tool is scriptable.
 #include <algorithm>
 #include <cerrno>
@@ -47,6 +46,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -112,6 +112,19 @@ class Args {
     }
     return v;
   }
+  /// num() for an int-valued flag: a value below `min` or past int's
+  /// range is a usage error naming the flag, never a wrap-around.
+  int num_int(const std::string& key, int def,
+              int min = std::numeric_limits<int>::min()) const {
+    const long v = num(key, def);
+    if (v < min || v > std::numeric_limits<int>::max()) {
+      std::fprintf(stderr,
+                   "out-of-range value for --%s: %ld (expected %d..%d)\n",
+                   key.c_str(), v, min, std::numeric_limits<int>::max());
+      throw UsageError("int flag out of range");
+    }
+    return static_cast<int>(v);
+  }
   bool flag(const std::string& key) const { return values_.count(key) > 0; }
 
   /// Throws UsageError naming the first flag given that is in none of
@@ -144,10 +157,8 @@ int usage() {
       "trace-gen> [options]\n"
       "  common: --users=N --days=N --mb=ACTIVE_MB --seed=X --nodes=N\n"
       "          --accesses=N (mean file accesses per user per day)\n"
-      "          --jobs=N (worker threads for --trials sweeps; default: all "
+      "          --jobs=N (worker threads for --trials sweeps; default 0: all "
       "cores)\n"
-      "          --scheduler=wheel|heap (event-queue backend; identical "
-      "output, wheel is faster)\n"
       "          --paranoid (run full invariant audits during the "
       "simulation)\n"
       "  scheme: --scheme=d2|traditional|traditional-file|trad+merc\n"
@@ -159,8 +170,8 @@ int usage() {
 const std::vector<std::string_view> kHarvardFlags = {"users", "days", "mb",
                                                      "seed", "accesses"};
 const std::vector<std::string_view> kSystemFlags = {
-    "scheme",      "nodes",   "replicas", "seed",     "threshold",
-    "no-pointers", "scatter", "paranoid", "scheduler"};
+    "scheme",    "nodes",       "replicas", "seed",
+    "threshold", "no-pointers", "scatter",  "paranoid"};
 const std::vector<std::string_view> kSinkFlags = {"metrics-out", "trace-out"};
 const std::vector<std::string_view> kTrialFlags = {"trials", "jobs"};
 
@@ -196,8 +207,8 @@ struct Sinks {
 
 trace::HarvardParams harvard_params(const Args& args) {
   trace::HarvardParams p;
-  p.users = static_cast<int>(args.num("users", 20));
-  p.days = static_cast<int>(args.num("days", 7));
+  p.users = args.num_int("users", 20);
+  p.days = args.num_int("days", 7);
   p.target_active_bytes = mB(args.num("mb", 96));
   p.seed = static_cast<std::uint64_t>(args.num("seed", 1));
   const long accesses = args.num("accesses", 0);
@@ -208,19 +219,6 @@ trace::HarvardParams harvard_params(const Args& args) {
   }
   if (accesses > 0) p.accesses_per_user_day = static_cast<double>(accesses);
   return p;
-}
-
-/// --scheduler: event-queue backend. `wheel` (default) is the
-/// hierarchical timing wheel; `heap` keeps the binary-heap reference.
-/// Output is byte-identical either way.
-sim::SchedulerKind scheduler_kind(const Args& args) {
-  const std::string name = args.str("scheduler", "wheel");
-  if (name == "wheel") return sim::SchedulerKind::kWheel;
-  if (name == "heap") return sim::SchedulerKind::kHeap;
-  std::fprintf(stderr,
-               "invalid value for --scheduler: %s (expected heap|wheel)\n",
-               name.c_str());
-  throw UsageError("bad scheduler");
 }
 
 bool parse_scheme(const std::string& name, fs::KeyScheme* scheme,
@@ -248,14 +246,13 @@ bool parse_scheme(const std::string& name, fs::KeyScheme* scheme,
 /// uses 3 in the availability study and 4 in the performance study.
 core::SystemConfig system_config(const Args& args, int default_replicas = 3) {
   core::SystemConfig c;
-  c.node_count = static_cast<int>(args.num("nodes", 64));
-  c.replicas = static_cast<int>(args.num("replicas", default_replicas));
+  c.node_count = args.num_int("nodes", 64);
+  c.replicas = args.num_int("replicas", default_replicas);
   c.seed = static_cast<std::uint64_t>(args.num("seed", 1)) + 1000;
   c.lb_threshold = static_cast<double>(args.num("threshold", 4));
   c.use_pointers = !args.flag("no-pointers");
-  c.scatter_replicas = static_cast<int>(args.num("scatter", 0));
+  c.scatter_replicas = args.num_int("scatter", 0);
   c.paranoid_audits = args.flag("paranoid");
-  c.scheduler = scheduler_kind(args);
   if (c.replicas < 1) {
     std::fprintf(stderr, "invalid --replicas (expected at least 1)\n");
     throw UsageError("bad replica count");
@@ -278,15 +275,15 @@ int cmd_locality(const Args& args) {
     accesses = core::LocalityAnalysis::from_harvard(gen);
   } else if (workload == "hp") {
     trace::HpParams p;
-    p.apps = static_cast<int>(args.num("users", 20));
-    p.days = static_cast<int>(args.num("days", 7));
+    p.apps = args.num_int("users", 20);
+    p.days = args.num_int("days", 7);
     p.seed = static_cast<std::uint64_t>(args.num("seed", 7));
     trace::HpGenerator gen(p);
     accesses = core::LocalityAnalysis::from_hp(gen);
   } else if (workload == "web") {
     trace::WebParams p;
-    p.clients = static_cast<int>(args.num("users", 40));
-    p.days = static_cast<int>(args.num("days", 7));
+    p.clients = args.num_int("users", 40);
+    p.days = args.num_int("days", 7);
     p.seed = static_cast<std::uint64_t>(args.num("seed", 11));
     trace::WebGenerator gen(p);
     accesses = core::LocalityAnalysis::from_web(gen);
@@ -323,9 +320,9 @@ int cmd_availability(const Args& args) {
   p.warmup = days(1);
   Sinks sinks(args);
   p.metrics = sinks.registry();
-  const int trials = static_cast<int>(args.num("trials", 1));
+  const int trials = args.num_int("trials", 1, 1);
   const auto base_seed = static_cast<std::uint64_t>(args.num("seed", 1));
-  const core::TrialRunner runner(static_cast<int>(args.num("jobs", 0)));
+  const core::TrialRunner runner(args.num_int("jobs", 0, 0));
   // Each trial records into its own tracer; the per-trial tracers are
   // merged in trial order afterwards so --trace-out output does not
   // depend on --jobs.
@@ -372,8 +369,8 @@ int cmd_balance(const Args& args) {
     p.warmup = days(1);
   } else if (workload == "webcache") {
     p.workload = core::BalanceWorkload::kWebcache;
-    p.web.clients = static_cast<int>(args.num("users", 40));
-    p.web.days = static_cast<int>(args.num("days", 7));
+    p.web.clients = args.num_int("users", 40);
+    p.web.days = args.num_int("days", 7);
     p.web.seed = static_cast<std::uint64_t>(args.num("seed", 11));
   } else {
     std::fprintf(stderr, "unknown workload: %s\n", workload.c_str());
@@ -412,14 +409,14 @@ int cmd_performance(const Args& args) {
   p.workload.days = std::min(p.workload.days, 3);
   p.workload.target_active_bytes = mB(1) * p.system.node_count;
   p.warmup = hours(18);
-  p.window_count = static_cast<int>(args.num("windows", 4));
+  p.window_count = args.num_int("windows", 4);
   p.node_bandwidth = kbps(args.num("kbps", 1500));
   p.parallel = args.flag("para");
   Sinks sinks(args);
   p.metrics = sinks.registry();
-  const int trials = static_cast<int>(args.num("trials", 1));
+  const int trials = args.num_int("trials", 1, 1);
   const auto base_seed = static_cast<std::uint64_t>(args.num("seed", 1));
-  const core::TrialRunner runner(static_cast<int>(args.num("jobs", 0)));
+  const core::TrialRunner runner(args.num_int("jobs", 0, 0));
   std::vector<obs::Tracer> tracers(
       sinks.tracer_ptr() == nullptr ? 0 : static_cast<std::size_t>(trials));
   const std::vector<core::PerformanceResult> results =
@@ -490,13 +487,13 @@ void parse_redundancy(const std::string& name, core::RepairConfig* cfg) {
 
 int cmd_repair(const Args& args) {
   args.reject_unknown(
-      "repair", {{"redundancy", "nodes", "days", "seed", "scheduler",
+      "repair", {{"redundancy", "nodes", "days", "seed",
                   "blocks-per-node", "block-kb", "repair-bw", "detect-mins",
                   "retry-mins", "loss-pct", "write-rate", "mttf-hours",
                   "mttr-hours", "corr-per-day", "corr-pct", "drain-hours",
                   "metrics-out"}});
   core::DurabilityParams p;
-  p.repair.node_count = static_cast<int>(args.num("nodes", 64));
+  p.repair.node_count = args.num_int("nodes", 64);
   parse_redundancy(args.str("redundancy", "rep3"), &p.repair);
   p.repair.block_size = kB(args.num("block-kb", 8));
   p.repair.repair_bandwidth = kbps(args.num("repair-bw", 750));
@@ -509,8 +506,7 @@ int cmd_repair(const Args& args) {
     throw UsageError("bad loss fraction");
   }
   p.repair.seed = static_cast<std::uint64_t>(args.num("seed", 1)) + 2000;
-  p.repair.scheduler = scheduler_kind(args);
-  p.blocks_per_node = static_cast<int>(args.num("blocks-per-node", 50));
+  p.blocks_per_node = args.num_int("blocks-per-node", 50);
   p.writes_per_node_per_day = static_cast<double>(args.num("write-rate", 24));
   p.failure.duration = days(args.num("days", 7));
   p.failure.mttf_hours = static_cast<double>(args.num("mttf-hours", 120));
@@ -580,15 +576,15 @@ int cmd_trace_gen(const Args& args) {
   }
   if (workload == "hp") {
     trace::HpParams p;
-    p.apps = static_cast<int>(args.num("users", 20));
-    p.days = static_cast<int>(args.num("days", 7));
+    p.apps = args.num_int("users", 20);
+    p.days = args.num_int("days", 7);
     trace::HpGenerator gen(p);
     return emit(gen.records());
   }
   if (workload == "web") {
     trace::WebParams p;
-    p.clients = static_cast<int>(args.num("users", 40));
-    p.days = static_cast<int>(args.num("days", 7));
+    p.clients = args.num_int("users", 40);
+    p.days = args.num_int("days", 7);
     trace::WebGenerator gen(p);
     return emit(gen.records());
   }
